@@ -369,6 +369,31 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The index sink fed from the columnar views and from a full decode of
+    /// the same segments must agree byte for byte — planted sandwiches,
+    /// c1/c3 near misses and the leader join included.
+    #[test]
+    fn index_from_columns_equals_index_from_full_decode() {
+        use sandwich_query::{build_index, build_index_materializing, QueryConfig};
+        let dir = tmp("index-routes");
+        let mut w = StoreWriter::create(&dir).unwrap();
+        w.set_validators(sandwich_store::ValidatorSpec::new(7, 6))
+            .unwrap();
+        let stats = generate(&mut w, &small()).unwrap();
+        assert!(stats.sandwiches > 0 && stats.near_misses > 0);
+        let store = w.into_reader();
+        let config = QueryConfig::default();
+        let columnar = build_index(&store, &config).unwrap();
+        assert_eq!(columnar.totals.sandwiches, stats.sandwiches);
+        assert!(columnar.refs.iter().all(|r| r.leader.is_some()));
+        let decoded = build_index_materializing(&store, &config).unwrap();
+        assert_eq!(
+            serde_json::to_string(&columnar).unwrap(),
+            serde_json::to_string(&decoded).unwrap()
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn zipf_is_skewed_and_in_range() {
         let z = Zipf::new(16);

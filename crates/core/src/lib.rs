@@ -12,8 +12,9 @@
 //! * [`analysis`] / [`report`] — per-day series, CDFs, and text renderers
 //!   for Table 1 and Figures 1–4;
 //! * [`counterfactual`] — the §5 what-ifs: defense economics quantified;
-//! * [`scan`] — analysis as deterministic partials over scan units, the
-//!   parallel segment-store scan, and the streaming incremental scan;
+//! * [`scan`] — the one walk over a sealed segment and its sinks (report
+//!   partials here, the query index's parts in `sandwich-query`), the one
+//!   parallel driver over segments, and the streaming incremental scan;
 //! * [`pipeline`] — the whole measurement end to end over real HTTP,
 //!   optionally flushing into a `sandwich-store` segment store as it runs.
 
@@ -54,7 +55,7 @@ pub use pipeline::{
     RunOptions, StoreOptions,
 };
 pub use scan::{
-    scan_store, scan_store_degraded, scan_store_materializing, scan_store_observed, DetailLookup,
-    IncrementalScan, ScanCoverage, ScanPartial,
+    scan_store, scan_store_degraded, scan_store_materializing, scan_store_observed, DayRollup,
+    DetailLookup, IncrementalScan, ScanCoverage, ScanPartial,
 };
 pub use stats::{Cdf, DailySeries};

@@ -1,29 +1,39 @@
-//! The scan engine: analysis as a deterministic map/reduce over scan
-//! units (sealed segments or the in-memory dataset).
+//! The scan engine: one walk over a sealed segment, two sinks, one driver.
+//!
+//! [`visit_segment`] is the only code that turns a sealed segment into
+//! detector calls. It reads each bundle's facts from the columnar section
+//! when there is one (decoding records only for candidates the pre-filters
+//! cannot reject) and from a full decode otherwise, and hands them to a
+//! [`Sink`]: the report's [`ScanPartial`], or the query index's part with
+//! its leader join. [`scan_segments`] is the only `parallel_map` over
+//! segments; every store-wide scan and index build reduces its per-segment
+//! results in segment order.
 //!
 //! Every accumulator in [`ScanPartial`] is either an integer (lamport
 //! sums, counts) or an order-insensitive sample bag (CDF inputs, which
-//! [`Cdf::from_samples`] sorts). Partials are computed independently per
-//! segment by [`sandwich_store::parallel_map`] workers and reduced **in
-//! segment order**; floats appear only in [`ScanPartial::finalize`]. The
-//! result: [`AnalysisReport`] is bit-identical at 1, 2, or 8 threads, and
-//! identical to the single-pass in-memory path
-//! ([`crate::analysis::analyze`] is itself one partial + finalize).
+//! [`Cdf::from_samples`] sorts); floats appear only in
+//! [`ScanPartial::finalize`]. The result: [`AnalysisReport`] is
+//! bit-identical at 1, 2, or 8 threads, and identical to the single-pass
+//! in-memory path ([`crate::analysis::analyze`] is itself one partial +
+//! finalize).
 
 use std::collections::HashMap;
+use std::io;
+
+use serde::{Deserialize, Serialize};
 
 use sandwich_ledger::{TransactionId, TransactionMeta};
-use sandwich_obs::Registry;
+use sandwich_obs::{names, Registry};
 use sandwich_store::{
-    parallel_map, BundleStore, Columns, CorruptSegment, SegmentData, SegmentMeta, SegmentView,
-    META_C1, META_C2, META_LINKED,
+    parallel_map, BundleStore, Columns, CorruptSegment, SegmentMeta, SegmentView, META_C1, META_C2,
+    META_LINKED,
 };
 use sandwich_types::{Hash, Lamports, Slot, SlotClock};
 
 use crate::analysis::{AnalysisConfig, AnalysisReport, DatedFinding};
 use crate::dataset::{CollectedBundle, Dataset, PollRecord};
 use crate::defense::{is_defensive_tip, DefenseStats};
-use crate::detector::{detect, detect_in_bundle, SandwichFinding};
+use crate::detector::{detect, detect_in_bundle, DetectorConfig, SandwichFinding};
 use crate::stats::{Cdf, DailySeries};
 
 /// Where a scan finds the transaction metas behind a bundle: the dataset's
@@ -47,18 +57,307 @@ impl DetailLookup for HashMap<TransactionId, TransactionMeta> {
     }
 }
 
+/// What a walk knows about a bundle before running the detector — on the
+/// columnar route, without decoding its record.
+#[derive(Clone, Copy, Debug)]
+pub struct BundleFacts {
+    /// Measurement day of the landing slot.
+    pub day: u64,
+    /// Landing slot.
+    pub slot: Slot,
+    /// Transaction count, clamped to `1..=5` (the report's length buckets).
+    pub len: usize,
+    /// Total Jito tip paid inside the bundle.
+    pub tip: Lamports,
+    /// Length 3 with all three transaction details on hand: detectable.
+    pub with_details: bool,
+}
+
+/// Where a walk delivers: called once per bundle, in segment order, with
+/// the bundle's id and finding when it is a sandwich. A sink only
+/// accumulates — which bundles reach the detector is the walk's decision.
+pub type Sink<'a> = dyn FnMut(&BundleFacts, Option<(Hash, SandwichFinding)>) + 'a;
+
+/// A way to walk a segment: [`visit_segment`], or [`visit_decoded`] for the
+/// reference scans. Returns the poll records, which only the report uses.
+pub type Route = fn(&SegmentView, &Walk, &mut Sink) -> io::Result<Vec<PollRecord>>;
+
+/// The semantics a walk runs under, borrowed from the caller's analysis or
+/// query configuration.
+#[derive(Clone, Copy, Debug)]
+pub struct Walk<'a> {
+    /// Slot → measurement-day mapping.
+    pub clock: &'a SlotClock,
+    /// Detection criteria.
+    pub detector: &'a DetectorConfig,
+    /// Also search bundles of length 4–5 for sandwich triples; needs every
+    /// record, so it forces the decode route.
+    pub extended: bool,
+}
+
+fn walk_of<'a>(clock: &'a SlotClock, config: &'a AnalysisConfig) -> Walk<'a> {
+    Walk {
+        clock,
+        detector: &config.detector,
+        extended: config.extended,
+    }
+}
+
+fn corrupt(e: CorruptSegment) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e.to_string())
+}
+
+/// One measurement day's Figure 1/2 numbers — the per-day bookkeeping both
+/// sinks share, and what `/api/days` serves.
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct DayRollup {
+    /// Zero-based measurement day.
+    pub day: u64,
+    /// Calendar-ish label ("Feb 09"); set when an index is finalized.
+    pub label: String,
+    /// All bundles landed this day.
+    pub bundles: u64,
+    /// Bundles by length; index 0 = length 1, clamped at 5.
+    pub bundles_by_len: Vec<u64>,
+    /// Detected sandwiches.
+    pub sandwiches: u64,
+    /// Defensive length-1 bundles.
+    pub defensive: u64,
+    /// Victim losses, lamports.
+    pub victim_loss_lamports: u128,
+    /// Attacker gains, lamports.
+    pub attacker_gain_lamports: i128,
+    /// Total tips paid, lamports.
+    pub tips_lamports: u128,
+}
+
+impl DayRollup {
+    /// An empty rollup for `day`.
+    pub fn new(day: u64) -> Self {
+        DayRollup {
+            day,
+            bundles_by_len: vec![0; 5],
+            ..DayRollup::default()
+        }
+    }
+
+    /// Count one bundle of this day in, with its finding when it is a
+    /// sandwich (an unpriced one carries no loss or gain).
+    pub fn observe(
+        &mut self,
+        b: &BundleFacts,
+        finding: Option<&SandwichFinding>,
+        defensive_threshold: Lamports,
+    ) {
+        self.bundles += 1;
+        self.bundles_by_len[b.len - 1] += 1;
+        self.tips_lamports += u128::from(b.tip.0);
+        self.defensive += u64::from(b.len == 1 && is_defensive_tip(b.tip, defensive_threshold));
+        if let Some(finding) = finding {
+            self.sandwiches += 1;
+            self.victim_loss_lamports += u128::from(finding.victim_loss_lamports.unwrap_or(0));
+            self.attacker_gain_lamports += finding.attacker_gain_lamports.unwrap_or(0);
+        }
+    }
+
+    /// Sum another rollup of the same day in.
+    pub fn add(&mut self, other: &DayRollup) {
+        self.bundles += other.bundles;
+        for (a, b) in self.bundles_by_len.iter_mut().zip(&other.bundles_by_len) {
+            *a += b;
+        }
+        self.sandwiches += other.sandwiches;
+        self.defensive += other.defensive;
+        self.victim_loss_lamports += other.victim_loss_lamports;
+        self.attacker_gain_lamports += other.attacker_gain_lamports;
+        self.tips_lamports += other.tips_lamports;
+    }
+}
+
+/// Walk one materialized bundle: the per-bundle step of the decode route,
+/// and the whole of the in-memory path.
+fn visit_bundle<D: DetailLookup>(
+    bundle: &CollectedBundle,
+    lookup: &D,
+    walk: &Walk,
+    sink: &mut Sink,
+) {
+    let len = bundle.len().clamp(1, 5);
+    let metas = if len == 3 || (walk.extended && len > 3) {
+        bundle
+            .tx_ids
+            .iter()
+            .map(|id| lookup.meta_of(id))
+            .collect::<Option<Vec<_>>>()
+    } else {
+        None
+    };
+    let facts = BundleFacts {
+        day: walk.clock.day_index(bundle.slot),
+        slot: bundle.slot,
+        len,
+        tip: bundle.tip,
+        with_details: len == 3 && metas.is_some(),
+    };
+    let finding = metas.and_then(|m| {
+        if len == 3 {
+            detect(walk.detector, [m[0], m[1], m[2]])
+        } else {
+            detect_in_bundle(walk.detector, &m)
+                .into_iter()
+                .map(|(_, f)| f)
+                .next()
+        }
+    });
+    sink(&facts, finding.map(|f| (bundle.bundle_id, f)));
+}
+
+/// Walk a segment by decoding every record: the route for v1 segments and
+/// extended scans, and the slow reference the columnar route is tested
+/// byte-for-byte against.
+pub fn visit_decoded(
+    view: &SegmentView,
+    walk: &Walk,
+    sink: &mut Sink,
+) -> io::Result<Vec<PollRecord>> {
+    let data = view.decode_all().map_err(corrupt)?;
+    let lookup: HashMap<TransactionId, TransactionMeta> = data
+        .details
+        .into_iter()
+        .map(|d| (d.meta.tx_id, d.meta))
+        .collect();
+    for bundle in &data.bundles {
+        visit_bundle(bundle, &lookup, walk, sink);
+    }
+    Ok(data.polls)
+}
+
+/// Walk a segment from its columnar section. The columns alone give each
+/// bundle's day, length, tip and the detector pre-filter facts (LINKED,
+/// criterion 1, criterion 2), so length-1 bundles and length-3 bundles
+/// that cannot be sandwiches reach the sink without touching the body;
+/// only a surviving candidate decodes its three details (and, on a
+/// finding, its bundle record for the id). `cols` is scratch a worker
+/// reuses across segments.
+///
+/// Soundness of each skip is argued bit-by-bit in `store::column`; the
+/// pre-filters are only consulted under the detector configuration that
+/// makes them exact.
+fn visit_columns(
+    view: &SegmentView,
+    cols: &mut Columns,
+    walk: &Walk,
+    sink: &mut Sink,
+) -> Result<Vec<PollRecord>, CorruptSegment> {
+    view.read_columns(cols)?;
+    let det = walk.detector;
+    let mut linked = cols.linked.iter();
+    let unlinked = || CorruptSegment("more LINKED flags than linked entries".into());
+    for i in 0..cols.slot.len() {
+        let flags = cols.flags[i];
+        let entry = if flags & META_LINKED != 0 {
+            Some(linked.next().ok_or_else(unlinked)?)
+        } else {
+            None
+        };
+        let slot = Slot(cols.slot[i]);
+        let len = (cols.tx_count[i] as usize).clamp(1, 5);
+        let facts = BundleFacts {
+            day: walk.clock.day_index(slot),
+            slot,
+            len,
+            tip: Lamports(cols.tip[i]),
+            with_details: len == 3 && entry.is_some(),
+        };
+        let candidate = entry.filter(|_| {
+            len == 3
+                && (!det.same_outer_signer || flags & META_C1 != 0)
+                && (!(det.same_currencies && det.exclude_tip_only_final) || flags & META_C2 != 0)
+        });
+        let mut sandwich = None;
+        if let Some(entry) = candidate {
+            let m1 = view.detail_meta(cols, entry.details[0] as usize)?;
+            let m2 = view.detail_meta(cols, entry.details[1] as usize)?;
+            let m3 = view.detail_meta(cols, entry.details[2] as usize)?;
+            if let Some(finding) = detect(det, [&m1, &m2, &m3]) {
+                sandwich = Some((view.bundle_record(cols, i)?.bundle_id, finding));
+            }
+        }
+        sink(&facts, sandwich);
+    }
+    view.polls(cols)
+}
+
+std::thread_local! {
+    /// Per-worker column scratch: cleared between segments, never shrunk,
+    /// so a scan over thousands of segments allocates its column arenas
+    /// once per thread.
+    static SCAN_SCRATCH: std::cell::RefCell<Columns> = std::cell::RefCell::new(Columns::default());
+}
+
+/// Walk one sealed segment into `sink`: the columnar route when it can be
+/// exact, a full decode otherwise (no columns, or an extended scan). On
+/// error the sink holds a partial walk and must be discarded.
+pub fn visit_segment(
+    view: &SegmentView,
+    walk: &Walk,
+    sink: &mut Sink,
+) -> io::Result<Vec<PollRecord>> {
+    if view.has_columns() && !walk.extended {
+        SCAN_SCRATCH
+            .with(|scratch| visit_columns(view, &mut scratch.borrow_mut(), walk, sink))
+            .map_err(corrupt)
+    } else {
+        visit_decoded(view, walk, sink)
+    }
+}
+
+/// The one parallel pass over sealed segments: open a checksum-verified
+/// view of each of `segments` (indexes into [`BundleStore::segments`];
+/// caller input, so one outside the manifest is an `InvalidInput` error)
+/// on `threads` workers, map it through `per_segment`, and hand back each
+/// manifest entry with its outcome **in the order given**. A strict
+/// caller reduces the outcomes with `?`, a degraded one turns each `Err`
+/// into coverage; `scan.*` metrics count what was actually scanned.
+pub fn scan_segments<'s, T: Send>(
+    store: &'s BundleStore,
+    segments: &[usize],
+    threads: usize,
+    registry: Option<&Registry>,
+    per_segment: impl Fn(&SegmentView) -> io::Result<T> + Sync,
+) -> io::Result<Vec<(&'s SegmentMeta, io::Result<T>)>> {
+    let metas = segments.iter().map(|&i| {
+        store.segments().get(i).ok_or_else(|| {
+            let message = format!("serving segment index {i} is not in the manifest");
+            io::Error::new(io::ErrorKind::InvalidInput, message)
+        })
+    });
+    let metas = metas.collect::<io::Result<Vec<_>>>()?;
+    let started = std::time::Instant::now();
+    let (results, workers) =
+        parallel_map(segments, threads, |_, &i| per_segment(&store.open_view(i)?));
+    if let Some(registry) = registry {
+        let scanned = results.iter().filter(|r| r.is_ok()).count();
+        let count = |name, n: usize| registry.counter(name).add(n as u64);
+        count(names::SCAN_SEGMENTS_SCANNED, scanned);
+        count(names::SCAN_SEGMENTS_FAILED, results.len() - scanned);
+        let busy = registry.histogram(names::SCAN_WORKER_BUSY_SECONDS);
+        for w in &workers {
+            busy.observe(w.busy.as_secs_f64());
+        }
+        let seconds = registry.histogram(names::SCAN_SECONDS);
+        seconds.observe(started.elapsed().as_secs_f64());
+    }
+    Ok(metas.into_iter().zip(results).collect())
+}
+
 /// One scan unit's partial analysis state. Integer accumulators only —
 /// floats are produced once, in [`ScanPartial::finalize`] — so merging
 /// partials in segment order is exact and order of observation within a
 /// unit never leaks into the report.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ScanPartial {
-    days: usize,
-    bundles_by_len: [Vec<u64>; 5],
-    sandwiches: Vec<u64>,
-    defensive: Vec<u64>,
-    victim_loss_lamports: Vec<u128>,
-    attacker_gain_lamports: Vec<i128>,
+    days: Vec<DayRollup>,
     losses_usd: Vec<f64>,
     tips_len1: Vec<f64>,
     tips_len3: Vec<f64>,
@@ -70,31 +369,12 @@ pub struct ScanPartial {
     polls: Vec<PollRecord>,
 }
 
-fn bump(series: &mut [u64], day: u64) {
-    if let Some(v) = series.get_mut(day as usize) {
-        *v += 1;
-    }
-}
-
 impl ScanPartial {
     /// An empty partial covering `days` measurement days.
     pub fn new(days: usize) -> Self {
         ScanPartial {
-            days,
-            bundles_by_len: std::array::from_fn(|_| vec![0; days]),
-            sandwiches: vec![0; days],
-            defensive: vec![0; days],
-            victim_loss_lamports: vec![0; days],
-            attacker_gain_lamports: vec![0; days],
-            losses_usd: Vec::new(),
-            tips_len1: Vec::new(),
-            tips_len3: Vec::new(),
-            tips_sandwich: Vec::new(),
-            defense: DefenseStats::default(),
-            findings: Vec::new(),
-            non_sol: 0,
-            len3_with_details: 0,
-            polls: Vec::new(),
+            days: (0..days as u64).map(DayRollup::new).collect(),
+            ..ScanPartial::default()
         }
     }
 
@@ -103,7 +383,7 @@ impl ScanPartial {
         self.findings.len() as u64
     }
 
-    /// Fold one bundle in, resolving details through `lookup`.
+    /// Fold one in-memory bundle in, resolving details through `lookup`.
     pub fn observe_bundle<D: DetailLookup>(
         &mut self,
         bundle: &CollectedBundle,
@@ -111,91 +391,42 @@ impl ScanPartial {
         clock: &SlotClock,
         config: &AnalysisConfig,
     ) {
-        let day = clock.day_index(bundle.slot);
-        let len = bundle.len().clamp(1, 5);
-        bump(&mut self.bundles_by_len[len - 1], day);
-
-        if len == 1 {
-            self.observe_len1(day, bundle.tip, config);
-            return;
-        }
-
-        if len != 3 && !(config.extended && len > 3) {
-            return;
-        }
-        if len == 3 {
-            self.tips_len3.push(bundle.tip.0 as f64);
-        }
-        let finding = if len == 3 {
-            let metas = bundle
-                .tx_ids
-                .iter()
-                .map(|id| lookup.meta_of(id))
-                .collect::<Option<Vec<_>>>();
-            match metas {
-                Some(m) => {
-                    self.len3_with_details += 1;
-                    detect(&config.detector, [m[0], m[1], m[2]])
-                }
-                None => None,
-            }
-        } else {
-            bundle
-                .tx_ids
-                .iter()
-                .map(|id| lookup.meta_of(id))
-                .collect::<Option<Vec<_>>>()
-                .and_then(|metas| {
-                    detect_in_bundle(&config.detector, &metas)
-                        .into_iter()
-                        .map(|(_, f)| f)
-                        .next()
-                })
-        };
-        let Some(finding) = finding else { return };
-        self.fold_finding(day, bundle.bundle_id, bundle.tip, finding, config);
+        let walk = walk_of(clock, config);
+        visit_bundle(bundle, lookup, &walk, &mut |b, s| {
+            self.observe(b, s, config)
+        });
     }
 
-    /// Fold one length-1 bundle in from its day and tip alone — the facts
-    /// the columnar fast path reads without materializing the record.
-    fn observe_len1(&mut self, day: u64, tip: Lamports, config: &AnalysisConfig) {
-        self.tips_len1.push(tip.0 as f64);
-        self.defense.observe_len1(tip, config.defensive_threshold);
-        if is_defensive_tip(tip, config.defensive_threshold) {
-            bump(&mut self.defensive, day);
-        }
-    }
-
-    /// Fold one confirmed sandwich in. Shared verbatim between the
-    /// materializing and zero-copy paths so the report stays byte-identical.
-    fn fold_finding(
+    /// The partial as a walk's [`Sink`].
+    fn observe(
         &mut self,
-        day: u64,
-        bundle_id: Hash,
-        tip: Lamports,
-        finding: SandwichFinding,
+        b: &BundleFacts,
+        sandwich: Option<(Hash, SandwichFinding)>,
         config: &AnalysisConfig,
     ) {
-        bump(&mut self.sandwiches, day);
-        self.tips_sandwich.push(tip.0 as f64);
-        if finding.sol_legged {
-            if let Some(loss) = finding.victim_loss_lamports {
-                if let Some(v) = self.victim_loss_lamports.get_mut(day as usize) {
-                    *v += u128::from(loss);
-                }
-                self.losses_usd
-                    .push(config.oracle.lamports_to_usd(Lamports(loss)));
-            }
-            if let Some(gain) = finding.attacker_gain_lamports {
-                if let Some(v) = self.attacker_gain_lamports.get_mut(day as usize) {
-                    *v += gain;
-                }
-            }
-        } else {
-            self.non_sol += 1;
+        // Days past the configured period are not in the report.
+        if let Some(day) = self.days.get_mut(b.day as usize) {
+            let finding = sandwich.as_ref().map(|(_, finding)| finding);
+            day.observe(b, finding, config.defensive_threshold);
         }
+        if b.len == 1 {
+            self.tips_len1.push(b.tip.0 as f64);
+            self.defense.observe_len1(b.tip, config.defensive_threshold);
+        } else if b.len == 3 {
+            self.tips_len3.push(b.tip.0 as f64);
+            self.len3_with_details += u64::from(b.with_details);
+        }
+        let Some((bundle_id, finding)) = sandwich else {
+            return;
+        };
+        self.tips_sandwich.push(b.tip.0 as f64);
+        if let Some(loss) = finding.victim_loss_lamports {
+            self.losses_usd
+                .push(config.oracle.lamports_to_usd(Lamports(loss)));
+        }
+        self.non_sol += u64::from(!finding.sol_legged);
         self.findings.push(DatedFinding {
-            day,
+            day: b.day,
             bundle_id,
             finding,
         });
@@ -210,31 +441,9 @@ impl ScanPartial {
     /// Fold another partial in. Only valid in scan-unit order: polls are
     /// concatenated, everything else is commutative integer addition.
     pub fn merge(&mut self, other: ScanPartial) {
-        debug_assert_eq!(self.days, other.days);
-        for (a, b) in self.bundles_by_len.iter_mut().zip(other.bundles_by_len) {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x += y;
-            }
-        }
-        for (x, y) in self.sandwiches.iter_mut().zip(other.sandwiches) {
-            *x += y;
-        }
-        for (x, y) in self.defensive.iter_mut().zip(other.defensive) {
-            *x += y;
-        }
-        for (x, y) in self
-            .victim_loss_lamports
-            .iter_mut()
-            .zip(other.victim_loss_lamports)
-        {
-            *x += y;
-        }
-        for (x, y) in self
-            .attacker_gain_lamports
-            .iter_mut()
-            .zip(other.attacker_gain_lamports)
-        {
-            *x += y;
+        debug_assert_eq!(self.days.len(), other.days.len());
+        for (day, other) in self.days.iter_mut().zip(&other.days) {
+            day.add(other);
         }
         self.losses_usd.extend(other.losses_usd);
         self.tips_len1.extend(other.tips_len1);
@@ -252,8 +461,8 @@ impl ScanPartial {
     /// independent of which path (in-memory, 1 thread, N threads) built it.
     pub fn finalize(mut self, config: &AnalysisConfig) -> AnalysisReport {
         self.findings.sort_by_key(|a| (a.day, a.bundle_id.0));
-        let series_u64 = |v: &[u64]| DailySeries {
-            values: v.iter().map(|&x| x as f64).collect(),
+        let series = |of: &dyn Fn(&DayRollup) -> f64| DailySeries {
+            values: self.days.iter().map(of).collect(),
         };
         let overlap_rate = if self.polls.len() <= 1 {
             1.0
@@ -263,23 +472,13 @@ impl ScanPartial {
         };
         AnalysisReport {
             days: config.days,
-            bundles_by_len_per_day: std::array::from_fn(|i| series_u64(&self.bundles_by_len[i])),
-            sandwiches_per_day: series_u64(&self.sandwiches),
-            defensive_per_day: series_u64(&self.defensive),
-            victim_loss_sol_per_day: DailySeries {
-                values: self
-                    .victim_loss_lamports
-                    .iter()
-                    .map(|&l| l as f64 / 1e9)
-                    .collect(),
-            },
-            attacker_gain_sol_per_day: DailySeries {
-                values: self
-                    .attacker_gain_lamports
-                    .iter()
-                    .map(|&l| l as f64 / 1e9)
-                    .collect(),
-            },
+            bundles_by_len_per_day: std::array::from_fn(|i| {
+                series(&|d| d.bundles_by_len[i] as f64)
+            }),
+            sandwiches_per_day: series(&|d| d.sandwiches as f64),
+            defensive_per_day: series(&|d| d.defensive as f64),
+            victim_loss_sol_per_day: series(&|d| d.victim_loss_lamports as f64 / 1e9),
+            attacker_gain_sol_per_day: series(&|d| d.attacker_gain_lamports as f64 / 1e9),
             loss_cdf_usd: Cdf::from_samples(self.losses_usd),
             tip_cdf_len1: Cdf::from_samples(self.tips_len1),
             tip_cdf_len3: Cdf::from_samples(self.tips_len3),
@@ -294,159 +493,71 @@ impl ScanPartial {
     }
 }
 
-/// One sealed segment's partial: details become a segment-local lookup,
-/// then every bundle is observed against it.
-pub fn partial_of_segment(
-    data: SegmentData,
-    clock: &SlotClock,
-    config: &AnalysisConfig,
-) -> ScanPartial {
-    let mut partial = ScanPartial::new(config.days as usize);
-    let lookup: HashMap<TransactionId, TransactionMeta> = data
-        .details
-        .into_iter()
-        .map(|d| (d.meta.tx_id, d.meta))
-        .collect();
-    for bundle in &data.bundles {
-        partial.observe_bundle(bundle, &lookup, clock, config);
-    }
-    partial.observe_polls(&data.polls);
-    partial
-}
-
-/// One sealed segment's partial, computed from a zero-copy view without
-/// materializing every record.
-///
-/// The columns alone give each bundle's day, length, tip, and the three
-/// detector pre-filter facts (LINKED, criterion 1, criterion 2), so the
-/// overwhelmingly common cases — length-1 bundles and length-3 bundles
-/// that cannot be sandwiches — fold in without touching the body. Only a
-/// surviving candidate decodes its three details (and, on a confirmed
-/// finding, its bundle record for the id). `cols` is caller-provided
-/// scratch so a worker scanning many segments reuses one arena.
-///
-/// Soundness of each skip is argued bit-by-bit in `store::column`; the
-/// pre-filters are only consulted under the detector configuration that
-/// makes them exact, and [`partial_of_view_or_segment`] routes extended
-/// scans (which inspect longer bundles) to the materializing path.
-pub fn partial_of_view(
+/// One sealed segment's partial, walked by `route`.
+fn partial_via(
+    route: Route,
     view: &SegmentView,
-    cols: &mut Columns,
     clock: &SlotClock,
     config: &AnalysisConfig,
-) -> Result<ScanPartial, CorruptSegment> {
-    view.read_columns(cols)?;
+) -> io::Result<ScanPartial> {
     let mut partial = ScanPartial::new(config.days as usize);
-    let det = &config.detector;
-    let mut linked_cursor = 0usize;
-    for i in 0..cols.slot.len() {
-        let day = clock.day_index(Slot(cols.slot[i]));
-        let len = (cols.tx_count[i] as usize).clamp(1, 5);
-        bump(&mut partial.bundles_by_len[len - 1], day);
-        let flags = cols.flags[i];
-        let entry = if flags & META_LINKED != 0 {
-            let e =
-                cols.linked.get(linked_cursor).copied().ok_or_else(|| {
-                    CorruptSegment("more LINKED flags than linked entries".into())
-                })?;
-            linked_cursor += 1;
-            Some(e)
-        } else {
-            None
-        };
-        let tip = Lamports(cols.tip[i]);
-        if len == 1 {
-            partial.observe_len1(day, tip, config);
-            continue;
-        }
-        if len != 3 {
-            continue;
-        }
-        partial.tips_len3.push(tip.0 as f64);
-        let Some(entry) = entry else { continue };
-        partial.len3_with_details += 1;
-        if det.same_outer_signer && flags & META_C1 == 0 {
-            continue;
-        }
-        if det.same_currencies && det.exclude_tip_only_final && flags & META_C2 == 0 {
-            continue;
-        }
-        let m1 = view.detail_meta(cols, entry.details[0] as usize)?;
-        let m2 = view.detail_meta(cols, entry.details[1] as usize)?;
-        let m3 = view.detail_meta(cols, entry.details[2] as usize)?;
-        if let Some(finding) = detect(det, [&m1, &m2, &m3]) {
-            let bundle_id = view.bundle_record(cols, i)?.bundle_id;
-            partial.fold_finding(day, bundle_id, tip, finding, config);
-        }
-    }
-    partial.observe_polls(&view.polls(cols)?);
+    let mut sink = |b: &BundleFacts, s| partial.observe(b, s, config);
+    let polls = route(view, &walk_of(clock, config), &mut sink)?;
+    partial.observe_polls(&polls);
     Ok(partial)
 }
 
-std::thread_local! {
-    /// Per-worker column scratch: cleared between segments, never shrunk,
-    /// so a scan over thousands of segments allocates its column arenas
-    /// once per thread.
-    static SCAN_SCRATCH: std::cell::RefCell<Columns> = std::cell::RefCell::new(Columns::default());
-}
-
-/// Scan one view on the fast path when it can be exact, falling back to a
-/// full decode otherwise (v1 segments without columns; extended scans,
-/// whose longer-bundle detection needs every record).
+/// One sealed segment's partial: [`visit_segment`] into a [`ScanPartial`].
 pub fn partial_of_view_or_segment(
     view: &SegmentView,
     clock: &SlotClock,
     config: &AnalysisConfig,
-) -> std::io::Result<ScanPartial> {
-    let corrupt =
-        |e: CorruptSegment| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string());
-    if view.has_columns() && !config.extended {
-        SCAN_SCRATCH
-            .with(|scratch| partial_of_view(view, &mut scratch.borrow_mut(), clock, config))
-            .map_err(corrupt)
-    } else {
-        let data = view.decode_all().map_err(corrupt)?;
-        Ok(partial_of_segment(data, clock, config))
+) -> io::Result<ScanPartial> {
+    partial_via(visit_segment, view, clock, config)
+}
+
+/// Every serving segment's manifest entry and partial, in segment order.
+fn store_partials<'s>(
+    route: Route,
+    store: &'s BundleStore,
+    clock: &SlotClock,
+    config: &AnalysisConfig,
+    threads: usize,
+    registry: Option<&Registry>,
+) -> io::Result<Vec<(&'s SegmentMeta, io::Result<ScanPartial>)>> {
+    let all: Vec<usize> = (0..store.segments().len()).collect();
+    scan_segments(store, &all, threads, registry, |view| {
+        partial_via(route, view, clock, config)
+    })
+}
+
+/// Strict whole-store scan: the first segment to fail fails the scan.
+fn scan_store_via(
+    route: Route,
+    store: &BundleStore,
+    clock: &SlotClock,
+    config: &AnalysisConfig,
+    threads: usize,
+    registry: Option<&Registry>,
+) -> io::Result<ScanPartial> {
+    let mut acc = ScanPartial::new(config.days as usize);
+    for (_, partial) in store_partials(route, store, clock, config, threads, registry)? {
+        acc.merge(partial?);
     }
+    Ok(acc)
 }
 
 /// Scan every sealed segment of `store` on `threads` workers and reduce
 /// the partials in segment order (skipping the finalize — callers that
 /// still have residual in-memory records fold them in first).
-///
-/// Segments are memory-mapped and scanned through the columnar fast path
-/// when they carry one; [`scan_store_materializing`] forces the
-/// record-by-record decode for comparison.
 pub fn scan_store_partial(
     store: &BundleStore,
     clock: &SlotClock,
     config: &AnalysisConfig,
     threads: usize,
     registry: Option<&Registry>,
-) -> std::io::Result<ScanPartial> {
-    let units: Vec<usize> = (0..store.segments().len()).collect();
-    let started = std::time::Instant::now();
-    let (partials, workers) = parallel_map(&units, threads, |_, &i| {
-        let view = store.open_view(i)?;
-        partial_of_view_or_segment(&view, clock, config)
-    });
-    if let Some(registry) = registry {
-        registry
-            .counter(sandwich_obs::names::SCAN_SEGMENTS_SCANNED)
-            .add(units.len() as u64);
-        let busy = registry.histogram(sandwich_obs::names::SCAN_WORKER_BUSY_SECONDS);
-        for w in &workers {
-            busy.observe(w.busy.as_secs_f64());
-        }
-        registry
-            .histogram(sandwich_obs::names::SCAN_SECONDS)
-            .observe(started.elapsed().as_secs_f64());
-    }
-    let mut acc = ScanPartial::new(config.days as usize);
-    for partial in partials {
-        acc.merge(partial?);
-    }
-    Ok(acc)
+) -> io::Result<ScanPartial> {
+    scan_store_via(visit_segment, store, clock, config, threads, registry)
 }
 
 /// Full parallel analysis of a sealed store: scan, reduce, finalize.
@@ -455,7 +566,7 @@ pub fn scan_store(
     clock: &SlotClock,
     config: &AnalysisConfig,
     threads: usize,
-) -> std::io::Result<AnalysisReport> {
+) -> io::Result<AnalysisReport> {
     scan_store_observed(store, clock, config, threads, None)
 }
 
@@ -466,29 +577,29 @@ pub fn scan_store_observed(
     config: &AnalysisConfig,
     threads: usize,
     registry: Option<&Registry>,
-) -> std::io::Result<AnalysisReport> {
+) -> io::Result<AnalysisReport> {
     Ok(scan_store_partial(store, clock, config, threads, registry)?.finalize(config))
 }
 
-/// Exact accounting of what a degraded scan covered: segments and
-/// bundles actually scanned, sitting in quarantine, or skipped because
-/// they failed to read/verify. `segments_total` counts every segment the
-/// manifest has ever sealed and kept on the books (serving + quarantine).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// Exact accounting of what a degraded scan or index build covered:
+/// segments and bundles scanned, sitting in quarantine, or skipped because
+/// they failed to read/verify.
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ScanCoverage {
-    /// Serving segments + quarantined segments.
+    /// Segments on the books: serving + quarantined for a store-wide
+    /// report scan, the serving segments asked for in an index build.
     pub segments_total: u64,
-    /// Segments scanned into the report.
+    /// Segments scanned into the result.
     pub segments_scanned: u64,
     /// Segments in the manifest's quarantine list (never read).
     pub segments_quarantined: u64,
     /// Serving segments that failed to read or verify and were skipped.
     pub segments_failed: u64,
-    /// Bundle records scanned into the report.
+    /// Bundle records scanned into the result.
     pub bundles_scanned: u64,
-    /// Bundle records in quarantined segments.
+    /// Bundle records in quarantined segments (per their manifest entries).
     pub bundles_quarantined: u64,
-    /// Bundle records in skipped (failed) segments.
+    /// Bundle records in skipped segments (per their manifest entries).
     pub bundles_failed: u64,
 }
 
@@ -496,6 +607,28 @@ impl ScanCoverage {
     /// Did the scan cover every bundle the store has on the books?
     pub fn complete(&self) -> bool {
         self.segments_quarantined == 0 && self.segments_failed == 0
+    }
+
+    /// Count one segment's outcome, passing a success on to be merged.
+    pub fn record<T>(&mut self, meta: &SegmentMeta, outcome: io::Result<T>) -> Option<T> {
+        let (segments, bundles) = match outcome {
+            Ok(_) => (&mut self.segments_scanned, &mut self.bundles_scanned),
+            Err(_) => (&mut self.segments_failed, &mut self.bundles_failed),
+        };
+        *segments += 1;
+        *bundles += meta.bundles;
+        outcome.ok()
+    }
+
+    /// Sum the block of a disjoint set of segments in.
+    pub fn add(&mut self, other: &ScanCoverage) {
+        self.segments_total += other.segments_total;
+        self.segments_scanned += other.segments_scanned;
+        self.segments_quarantined += other.segments_quarantined;
+        self.segments_failed += other.segments_failed;
+        self.bundles_scanned += other.bundles_scanned;
+        self.bundles_quarantined += other.bundles_quarantined;
+        self.bundles_failed += other.bundles_failed;
     }
 }
 
@@ -511,17 +644,8 @@ pub fn scan_store_degraded(
     config: &AnalysisConfig,
     threads: usize,
     registry: Option<&Registry>,
-) -> std::io::Result<(AnalysisReport, ScanCoverage)> {
-    let units: Vec<usize> = (0..store.segments().len()).collect();
-    let started = std::time::Instant::now();
-    let (partials, workers) = parallel_map(&units, threads, |_, &i| {
-        let result: std::io::Result<ScanPartial> = store
-            .open_view(i)
-            .and_then(|view| partial_of_view_or_segment(&view, clock, config));
-        // Propagate the outcome, not the error: the reduce below turns
-        // failures into coverage accounting.
-        result.ok()
-    });
+) -> io::Result<(AnalysisReport, ScanCoverage)> {
+    let partials = store_partials(visit_segment, store, clock, config, threads, registry)?;
     let mut coverage = ScanCoverage {
         segments_quarantined: store.quarantined().len() as u64,
         bundles_quarantined: store.manifest().total_quarantined_bundles(),
@@ -529,61 +653,29 @@ pub fn scan_store_degraded(
     };
     coverage.segments_total = store.segments().len() as u64 + coverage.segments_quarantined;
     let mut acc = ScanPartial::new(config.days as usize);
-    for (i, partial) in partials.into_iter().enumerate() {
-        let meta = &store.segments()[i];
-        match partial {
-            Some(p) => {
-                coverage.segments_scanned += 1;
-                coverage.bundles_scanned += meta.bundles;
-                acc.merge(p);
-            }
-            None => {
-                coverage.segments_failed += 1;
-                coverage.bundles_failed += meta.bundles;
-            }
+    for (meta, partial) in partials {
+        if let Some(partial) = coverage.record(meta, partial) {
+            acc.merge(partial);
         }
     }
     if let Some(registry) = registry {
         registry
-            .counter(sandwich_obs::names::SCAN_SEGMENTS_SCANNED)
-            .add(coverage.segments_scanned);
-        registry
-            .counter(sandwich_obs::names::SCAN_SEGMENTS_FAILED)
-            .add(coverage.segments_failed);
-        registry
-            .counter(sandwich_obs::names::SCAN_SEGMENTS_QUARANTINED)
+            .counter(names::SCAN_SEGMENTS_QUARANTINED)
             .add(coverage.segments_quarantined);
-        let busy = registry.histogram(sandwich_obs::names::SCAN_WORKER_BUSY_SECONDS);
-        for w in &workers {
-            busy.observe(w.busy.as_secs_f64());
-        }
-        registry
-            .histogram(sandwich_obs::names::SCAN_SECONDS)
-            .observe(started.elapsed().as_secs_f64());
     }
     Ok((acc.finalize(config), coverage))
 }
 
-/// Full parallel analysis that decodes every record of every segment —
-/// the pre-columnar scan path, kept as the reference the zero-copy scan
-/// is benchmarked (and byte-equality-tested) against.
+/// Full parallel analysis that decodes every record of every segment
+/// ([`visit_decoded`] regardless of columns) — the reference the columnar
+/// route is benchmarked (and byte-equality-tested) against.
 pub fn scan_store_materializing(
     store: &BundleStore,
     clock: &SlotClock,
     config: &AnalysisConfig,
     threads: usize,
-) -> std::io::Result<AnalysisReport> {
-    let units: Vec<usize> = (0..store.segments().len()).collect();
-    let (partials, _workers) = parallel_map(&units, threads, |_, &i| {
-        store
-            .read_segment(i)
-            .map(|data| partial_of_segment(data, clock, config))
-    });
-    let mut acc = ScanPartial::new(config.days as usize);
-    for partial in partials {
-        acc.merge(partial?);
-    }
-    Ok(acc.finalize(config))
+) -> io::Result<AnalysisReport> {
+    Ok(scan_store_via(visit_decoded, store, clock, config, threads, None)?.finalize(config))
 }
 
 /// Streaming analysis: fold each segment's partial as it seals, so a
@@ -611,17 +703,10 @@ impl IncrementalScan {
     }
 
     /// Fold one just-sealed segment in (in seal order).
-    pub fn fold_sealed(
-        &mut self,
-        dir: &std::path::Path,
-        meta: &SegmentMeta,
-    ) -> std::io::Result<()> {
+    pub fn fold_sealed(&mut self, dir: &std::path::Path, meta: &SegmentMeta) -> io::Result<()> {
         let view = SegmentView::open(&dir.join(&meta.file))?;
-        self.partial.merge(partial_of_view_or_segment(
-            &view,
-            &self.clock,
-            &self.config,
-        )?);
+        let partial = partial_of_view_or_segment(&view, &self.clock, &self.config)?;
+        self.partial.merge(partial);
         self.segments_folded += 1;
         Ok(())
     }

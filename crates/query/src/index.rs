@@ -10,16 +10,17 @@
 //! segments.
 
 use std::collections::HashMap;
+use std::io;
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
 use sandwich_attrib::{LeaderSchedule, ValidatorSpec};
-use sandwich_core::{detect, is_defensive_at, Currency, DetectorConfig};
+use sandwich_core::scan::{scan_segments, visit_decoded, visit_segment, BundleFacts, Route, Walk};
+use sandwich_core::{Currency, DetectorConfig, SandwichFinding};
 use sandwich_jito::BundleId;
-use sandwich_ledger::{TransactionId, TransactionMeta};
 use sandwich_store::crash::{write_durable_with, CrashPlan};
-use sandwich_store::{fnv1a64, parallel_map, BundleStore, Manifest};
+use sandwich_store::{fnv1a64, BundleStore, Manifest, ManifestDelta};
 use sandwich_types::{Lamports, Pubkey, SlotClock, DEFENSIVE_TIP_THRESHOLD};
 
 /// Index file name inside a store directory (next to `manifest.json`).
@@ -60,39 +61,6 @@ impl Default for QueryConfig {
 pub fn generation_of(manifest: &Manifest) -> String {
     let json = serde_json::to_string(manifest).unwrap_or_default();
     format!("{:016x}", fnv1a64(json.as_bytes()))
-}
-
-/// Per-day rollup: Figure 1/2 numbers pre-aggregated for `/api/days`.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DayRollup {
-    /// Zero-based measurement day.
-    pub day: u64,
-    /// Calendar-ish label ("Feb 09").
-    pub label: String,
-    /// All bundles landed this day.
-    pub bundles: u64,
-    /// Bundles by length; index 0 = length 1, clamped at 5.
-    pub bundles_by_len: Vec<u64>,
-    /// Detected sandwiches.
-    pub sandwiches: u64,
-    /// Defensive length-1 bundles.
-    pub defensive: u64,
-    /// Victim losses, lamports.
-    pub victim_loss_lamports: u128,
-    /// Attacker gains, lamports.
-    pub attacker_gain_lamports: i128,
-    /// Total tips paid, lamports.
-    pub tips_lamports: u128,
-}
-
-impl DayRollup {
-    fn new(day: u64) -> Self {
-        DayRollup {
-            day,
-            bundles_by_len: vec![0; 5],
-            ..DayRollup::default()
-        }
-    }
 }
 
 /// One detected sandwich, as the API serves it: enough to render a row on
@@ -188,36 +156,16 @@ pub struct PoolEntry {
     pub refs: Vec<u32>,
 }
 
-/// What fraction of the store this index actually describes. A healthy
-/// build scans every serving segment; a degraded build (unreadable
-/// segment files, quarantined segments in the manifest) still succeeds
-/// but says exactly what it skipped, so `/api/summary` can surface the
-/// gap instead of silently under-reporting.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct IndexCoverage {
-    /// Serving segments in the manifest when the build ran.
-    pub segments_total: u64,
-    /// Segments decoded and folded into the index.
-    pub segments_scanned: u64,
-    /// Segments the manifest had already quarantined (never read).
-    pub segments_quarantined: u64,
-    /// Serving segments that failed to read or decode and were skipped.
-    pub segments_failed: u64,
-    /// Bundles inside the scanned segments.
-    pub bundles_scanned: u64,
-    /// Bundles inside quarantined segments (per their manifest entries).
-    pub bundles_quarantined: u64,
-    /// Bundles inside skipped segments (per their manifest entries).
-    pub bundles_failed: u64,
-}
+/// Per-day rollup for `/api/days`: the scan engine's own per-day
+/// bookkeeping, labelled when the index is finalized.
+pub use sandwich_core::DayRollup;
 
-impl IndexCoverage {
-    /// `true` when nothing was skipped or quarantined — the index
-    /// describes every bundle ever sealed into the store.
-    pub fn complete(&self) -> bool {
-        self.segments_failed == 0 && self.segments_quarantined == 0
-    }
-}
+/// What fraction of the store this index actually describes: the scan
+/// engine's coverage block, with `segments_total` counting the serving
+/// segments the build was asked to index. A healthy build scans them all;
+/// a degraded one still succeeds but says exactly what it skipped, so
+/// `/api/summary` can surface the gap.
+pub use sandwich_core::ScanCoverage as IndexCoverage;
 
 /// Store-wide totals for `/api/summary`.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -243,7 +191,7 @@ pub struct IndexTotals {
 }
 
 /// The complete secondary index for one manifest generation.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QueryIndex {
     /// The manifest generation this index describes.
     pub generation: String,
@@ -278,90 +226,41 @@ pub struct QueryIndex {
     pub validators: Option<Vec<ValidatorEntry>>,
 }
 
-/// Per-segment partial of the index build (merged in segment order).
+/// An un-finalized index: a [`QueryIndex`] in which only the primary
+/// fields mean anything — `days`, `refs`, `coverage`, the two file lists,
+/// `validator_spec` and `totals.{segments, non_sol_sandwiches, max_slot}` —
+/// and the rest waits for [`finalize`]. Build and fold share this shape:
+/// a scan of some segments produces a part, a finalized index *is* one,
+/// parts merge associatively, and every entry point finalizes once.
 #[derive(Default)]
-struct IndexPartial {
-    days: Vec<DayRollup>,
-    refs: Vec<SandwichRef>,
-    non_sol: u64,
-    max_slot: u64,
-}
+struct IndexPart(QueryIndex);
 
-impl IndexPartial {
+impl IndexPart {
     fn day_mut(&mut self, day: u64) -> &mut DayRollup {
-        let needed = day as usize + 1;
-        while self.days.len() < needed {
-            self.days.push(DayRollup::new(self.days.len() as u64));
+        let days = &mut self.0.days;
+        while days.len() <= day as usize {
+            days.push(DayRollup::new(days.len() as u64));
         }
-        &mut self.days[day as usize]
+        &mut days[day as usize]
     }
 
-    fn merge(&mut self, other: IndexPartial) {
-        for rollup in other.days {
-            let into = self.day_mut(rollup.day);
-            into.bundles += rollup.bundles;
-            for (a, b) in into.bundles_by_len.iter_mut().zip(&rollup.bundles_by_len) {
-                *a += b;
-            }
-            into.sandwiches += rollup.sandwiches;
-            into.defensive += rollup.defensive;
-            into.victim_loss_lamports += rollup.victim_loss_lamports;
-            into.attacker_gain_lamports += rollup.attacker_gain_lamports;
-            into.tips_lamports += rollup.tips_lamports;
-        }
-        self.refs.extend(other.refs);
-        self.non_sol += other.non_sol;
-        self.max_slot = self.max_slot.max(other.max_slot);
-    }
-}
-
-fn partial_of_segment(
-    data: sandwich_store::SegmentData,
-    config: &QueryConfig,
-    schedule: Option<&LeaderSchedule>,
-) -> IndexPartial {
-    let mut partial = IndexPartial::default();
-    let lookup: HashMap<TransactionId, TransactionMeta> = data
-        .details
-        .into_iter()
-        .map(|d| (d.meta.tx_id, d.meta))
-        .collect();
-    for bundle in &data.bundles {
-        let day = config.clock.day_index(bundle.slot);
-        partial.max_slot = partial.max_slot.max(bundle.slot.0);
-        let rollup = partial.day_mut(day);
-        rollup.bundles += 1;
-        let len = bundle.len().clamp(1, 5);
-        rollup.bundles_by_len[len - 1] += 1;
-        rollup.tips_lamports += u128::from(bundle.tip.0);
-        if is_defensive_at(bundle, config.defensive_threshold) {
-            rollup.defensive += 1;
-        }
-        if len != 3 {
-            continue;
-        }
-        let Some(metas) = bundle
-            .tx_ids
-            .iter()
-            .map(|id| lookup.get(id))
-            .collect::<Option<Vec<_>>>()
-        else {
-            continue;
+    /// The part as the sink of the scan engine's walk, under the semantics
+    /// the walk itself does not need: the defensive threshold and the
+    /// leader schedule the refs are joined against.
+    fn observe(
+        &mut self,
+        b: &BundleFacts,
+        sandwich: Option<(BundleId, SandwichFinding)>,
+        threshold: Lamports,
+        schedule: Option<&LeaderSchedule>,
+    ) {
+        self.0.totals.max_slot = self.0.totals.max_slot.max(b.slot.0);
+        let finding = sandwich.as_ref().map(|(_, finding)| finding);
+        self.day_mut(b.day).observe(b, finding, threshold);
+        let Some((bundle_id, finding)) = sandwich else {
+            return;
         };
-        let Some(finding) = detect(&config.detector, [metas[0], metas[1], metas[2]]) else {
-            continue;
-        };
-        let rollup = partial.day_mut(day);
-        rollup.sandwiches += 1;
-        if let Some(loss) = finding.victim_loss_lamports {
-            rollup.victim_loss_lamports += u128::from(loss);
-        }
-        if let Some(gain) = finding.attacker_gain_lamports {
-            rollup.attacker_gain_lamports += gain;
-        }
-        if !finding.sol_legged {
-            partial.non_sol += 1;
-        }
+        self.0.totals.non_sol_sandwiches += u64::from(!finding.sol_legged);
         let mints = finding
             .currencies
             .iter()
@@ -370,21 +269,95 @@ fn partial_of_segment(
                 Currency::Token(mint) => Some(*mint),
             })
             .collect();
-        partial.refs.push(SandwichRef {
-            day,
-            slot: bundle.slot.0,
-            bundle_id: bundle.bundle_id,
+        self.0.refs.push(SandwichRef {
+            day: b.day,
+            slot: b.slot.0,
+            bundle_id,
             attacker: finding.attacker,
             victim: finding.victim,
             mints,
             sol_legged: finding.sol_legged,
             victim_loss_lamports: finding.victim_loss_lamports,
             attacker_gain_lamports: finding.attacker_gain_lamports,
-            tip_lamports: bundle.tip.0,
-            leader: schedule.map(|s| s.leader_at(bundle.slot)),
+            tip_lamports: b.tip.0,
+            leader: schedule.map(|s| s.leader_at(b.slot)),
         });
     }
-    partial
+
+    /// Associative and commutative up to the order of `refs` and the file
+    /// lists, which [`finalize`] sorts.
+    fn merge(&mut self, other: IndexPart) {
+        let other = other.0;
+        for rollup in &other.days {
+            self.day_mut(rollup.day).add(rollup);
+        }
+        let into = &mut self.0;
+        into.refs.extend(other.refs);
+        into.coverage.add(&other.coverage);
+        into.totals.segments += other.totals.segments;
+        into.totals.non_sol_sandwiches += other.totals.non_sol_sandwiches;
+        into.totals.max_slot = into.totals.max_slot.max(other.totals.max_slot);
+        into.segment_files.extend(other.segment_files);
+        into.quarantined_files.extend(other.quarantined_files);
+        // Every part of one store generation carries the same spec (or
+        // none); the leaderboard is recomputed from the merged refs under it.
+        into.validator_spec = into.validator_spec.or(other.validator_spec);
+    }
+
+    /// Walk the `serving` segments of `store` (by `route`, on
+    /// `config.threads` workers) into one part that also accounts for the
+    /// `quarantined` ones. A segment that fails to open, verify or decode
+    /// is skipped and counted in the coverage block; an index that is not
+    /// in the manifest is the caller's error.
+    fn scan(
+        route: Route,
+        store: &BundleStore,
+        config: &QueryConfig,
+        serving: &[usize],
+        quarantined: &[usize],
+    ) -> io::Result<IndexPart> {
+        let mut acc = IndexPart::default();
+        acc.0.totals.segments = serving.len() as u64;
+        acc.0.coverage.segments_total = serving.len() as u64;
+        acc.0.coverage.segments_quarantined = quarantined.len() as u64;
+        for &q in quarantined {
+            let Some(entry) = store.quarantined().get(q) else {
+                let message = format!("quarantined segment index {q} is not in the manifest");
+                return Err(io::Error::new(io::ErrorKind::InvalidInput, message));
+            };
+            acc.0.coverage.bundles_quarantined += entry.meta.bundles;
+            acc.0.quarantined_files.push(entry.meta.file.clone());
+        }
+        // One schedule for the whole scan: recomputed from the manifest's
+        // public validator spec, never read from the wire. A pre-attribution
+        // store (no spec) indexes with `leader: None` on every ref.
+        acc.0.validator_spec = store.manifest().validators;
+        let schedule = acc.0.validator_spec.as_ref().map(LeaderSchedule::new);
+        let walk = Walk {
+            clock: &config.clock,
+            detector: &config.detector,
+            extended: false,
+        };
+        let parts = scan_segments(store, serving, config.threads, None, |view| {
+            let mut part = IndexPart::default();
+            let threshold = config.defensive_threshold;
+            let mut sink = |b: &BundleFacts, s| part.observe(b, s, threshold, schedule.as_ref());
+            route(view, &walk, &mut sink)?;
+            Ok(part)
+        })?;
+        for (meta, part) in parts {
+            acc.0.segment_files.push(meta.file.clone());
+            if let Some(part) = acc.0.coverage.record(meta, part) {
+                acc.merge(part);
+            }
+        }
+        Ok(acc)
+    }
+}
+
+fn whole_store(store: &BundleStore) -> (Vec<usize>, Vec<usize>) {
+    let all = |n: usize| (0..n).collect();
+    (all(store.segments().len()), all(store.quarantined().len()))
 }
 
 /// Build the index from every sealed segment of `store` on
@@ -396,16 +369,17 @@ fn partial_of_segment(
 /// [`QueryIndex::coverage`] records exactly which segments (and how many
 /// bundles) are missing from it. Quarantined segments are accounted for
 /// from the manifest without being read.
-pub fn build_index(store: &BundleStore, config: &QueryConfig) -> std::io::Result<QueryIndex> {
-    let serving: Vec<usize> = (0..store.segments().len()).collect();
-    let quarantined: Vec<usize> = (0..store.quarantined().len()).collect();
+pub fn build_index(store: &BundleStore, config: &QueryConfig) -> io::Result<QueryIndex> {
+    let (serving, quarantined) = whole_store(store);
     build_index_subset(store, config, &serving, &quarantined)
 }
 
 /// Build an index over a **subset** of the store: `serving` indexes into
 /// [`BundleStore::segments`], `quarantined` into
 /// [`BundleStore::quarantined`]. This is the per-shard build — a shard
-/// map partitions the manifest and each shard indexes only its slice.
+/// map partitions the manifest and each shard indexes only its slice. An
+/// index outside the manifest (a stale shard map, a stale delta) is an
+/// [`io::ErrorKind::InvalidInput`] error naming it.
 ///
 /// The resulting index carries the *full* manifest generation (every
 /// shard of one store generation agrees on it) and a coverage block that
@@ -417,72 +391,27 @@ pub fn build_index_subset(
     config: &QueryConfig,
     serving: &[usize],
     quarantined: &[usize],
-) -> std::io::Result<QueryIndex> {
-    // One schedule for the whole build: recomputed from the manifest's
-    // public validator spec, never read from the wire. A pre-attribution
-    // store (no spec) indexes with `leader: None` on every ref.
-    let spec = store.manifest().validators;
-    let schedule = spec.as_ref().map(LeaderSchedule::new);
-    let (partials, _workers) = parallel_map(serving, config.threads, |_, &i| {
-        store
-            .read_segment(i)
-            .ok()
-            .map(|data| partial_of_segment(data, config, schedule.as_ref()))
-    });
-    let mut acc = IndexPartial::default();
-    let mut coverage = IndexCoverage {
-        segments_total: serving.len() as u64,
-        segments_quarantined: quarantined.len() as u64,
-        bundles_quarantined: quarantined
-            .iter()
-            .filter_map(|&q| store.quarantined().get(q))
-            .map(|q| q.meta.bundles)
-            .sum(),
-        ..IndexCoverage::default()
-    };
-    for (&i, partial) in serving.iter().zip(partials) {
-        let bundles = store.segments()[i].bundles;
-        match partial {
-            Some(partial) => {
-                coverage.segments_scanned += 1;
-                coverage.bundles_scanned += bundles;
-                acc.merge(partial);
-            }
-            None => {
-                coverage.segments_failed += 1;
-                coverage.bundles_failed += bundles;
-            }
-        }
-    }
-    let mut index = finalize(
-        acc,
-        coverage,
-        generation_of(store.manifest()),
-        serving.len() as u64,
-        spec,
-        config,
-    );
-    index.segment_files = serving
-        .iter()
-        .filter_map(|&i| store.segments().get(i))
-        .map(|s| s.file.clone())
-        .collect();
-    index.segment_files.sort();
-    index.quarantined_files = quarantined
-        .iter()
-        .filter_map(|&q| store.quarantined().get(q))
-        .map(|q| q.meta.file.clone())
-        .collect();
-    index.quarantined_files.sort();
-    Ok(index)
+) -> io::Result<QueryIndex> {
+    let part = IndexPart::scan(visit_segment, store, config, serving, quarantined)?;
+    Ok(finalize(part, generation_of(store.manifest()), config))
+}
+
+/// [`build_index`] that decodes every record of every segment
+/// (`visit_decoded` regardless of columns) — the slow reference the
+/// columnar route is differential-tested against, like
+/// `scan_store_materializing` for the report.
+pub fn build_index_materializing(
+    store: &BundleStore,
+    config: &QueryConfig,
+) -> io::Result<QueryIndex> {
+    let (serving, quarantined) = whole_store(store);
+    let part = IndexPart::scan(visit_decoded, store, config, &serving, &quarantined)?;
+    Ok(finalize(part, generation_of(store.manifest()), config))
 }
 
 /// Fold already-built indexes into one, exactly as if their segments had
-/// been scanned in a single [`build_index_subset`] pass: reconstruct each
-/// part's pre-finalize partial (days, refs, non-SOL count, max slot —
-/// the leaderboards and totals are pure functions of those), merge with
-/// the same associative [`IndexPartial::merge`], sum the coverage blocks,
-/// and finalize once under `generation`.
+/// been scanned in a single [`build_index_subset`] pass: merge them as
+/// un-finalized parts and finalize once under `generation`.
 ///
 /// Because the merge is associative and commutative and `finalize` is a
 /// deterministic function of the merged multiset, folding any partition
@@ -490,45 +419,28 @@ pub fn build_index_subset(
 /// rebuild — the invariant `tests/live_fold_props.rs` pins and the whole
 /// live-tail reload path rests on.
 pub fn fold_indexes(generation: &str, parts: Vec<QueryIndex>, config: &QueryConfig) -> QueryIndex {
-    let mut acc = IndexPartial::default();
-    let mut coverage = IndexCoverage::default();
-    let mut segments = 0u64;
-    let mut segment_files = Vec::new();
-    let mut quarantined_files = Vec::new();
-    // Every part of one store generation carries the same spec (or none);
-    // the leaderboard is recomputed from the merged refs under it.
-    let spec = parts.iter().find_map(|p| p.validator_spec);
+    let mut acc = IndexPart::default();
     for part in parts {
-        coverage.segments_total += part.coverage.segments_total;
-        coverage.segments_scanned += part.coverage.segments_scanned;
-        coverage.segments_quarantined += part.coverage.segments_quarantined;
-        coverage.segments_failed += part.coverage.segments_failed;
-        coverage.bundles_scanned += part.coverage.bundles_scanned;
-        coverage.bundles_quarantined += part.coverage.bundles_quarantined;
-        coverage.bundles_failed += part.coverage.bundles_failed;
-        segments += part.totals.segments;
-        segment_files.extend(part.segment_files);
-        quarantined_files.extend(part.quarantined_files);
-        acc.merge(IndexPartial {
-            days: part.days,
-            refs: part.refs,
-            non_sol: part.totals.non_sol_sandwiches,
-            max_slot: part.totals.max_slot,
-        });
+        acc.merge(IndexPart(part));
     }
-    segment_files.sort();
-    quarantined_files.sort();
-    let mut folded = finalize(
-        acc,
-        coverage,
-        generation.to_string(),
-        segments,
-        spec,
-        config,
-    );
-    folded.segment_files = segment_files;
-    folded.quarantined_files = quarantined_files;
-    folded
+    finalize(acc, generation.to_string(), config)
+}
+
+/// The live-tail fold: scan only the segments of `delta` and merge them
+/// into `base` (an index of an earlier generation of the same store)
+/// before the one finalize — `finalize(merge(base, scan(delta)))`.
+pub(crate) fn fold_delta(
+    store: &BundleStore,
+    base: QueryIndex,
+    delta: &ManifestDelta,
+    generation: &str,
+    config: &QueryConfig,
+) -> io::Result<QueryIndex> {
+    let (serving, quarantined) = (&delta.new_serving, &delta.new_quarantined);
+    let scanned = IndexPart::scan(visit_segment, store, config, serving, quarantined)?;
+    let mut acc = IndexPart(base);
+    acc.merge(scanned);
+    Ok(finalize(acc, generation.to_string(), config))
 }
 
 /// Sort attacker entries into leaderboard order: gain desc, then count
@@ -572,15 +484,16 @@ pub fn sort_validator_entries(validators: &mut [ValidatorEntry]) {
     });
 }
 
-fn finalize(
-    mut acc: IndexPartial,
-    coverage: IndexCoverage,
-    generation: String,
-    segments: u64,
-    spec: Option<ValidatorSpec>,
-    config: &QueryConfig,
-) -> QueryIndex {
+/// Turn a merged part into the served index: sort the refs and file
+/// lists, label the days, and derive the totals and the three
+/// leaderboards. The one place a leader schedule is walked end to end
+/// (`slots_led_through`), so every public entry point calls it once.
+fn finalize(part: IndexPart, generation: String, config: &QueryConfig) -> QueryIndex {
+    let mut acc = part.0;
+    acc.generation = generation;
     acc.refs.sort_by_key(|r| (r.slot, r.bundle_id.0));
+    acc.segment_files.sort();
+    acc.quarantined_files.sort();
     for (day, rollup) in acc.days.iter_mut().enumerate() {
         rollup.label = config.clock.day_label(day as u64);
     }
@@ -632,9 +545,9 @@ fn finalize(
     // The validator leaderboard is a pure function of (refs, spec,
     // max_slot): every fold path recomputes it from the merged refs, so
     // fold-vs-rebuild byte-identity extends to attribution for free.
-    let validators = spec.map(|spec| {
+    acc.validators = acc.validator_spec.map(|spec| {
         let schedule = LeaderSchedule::new(&spec);
-        let blocks_led = schedule.slots_led_through(acc.max_slot);
+        let blocks_led = schedule.slots_led_through(acc.totals.max_slot);
         let by_pubkey: HashMap<Pubkey, usize> = schedule
             .validators()
             .iter()
@@ -680,30 +593,15 @@ fn finalize(
         entries
     });
 
-    let totals = IndexTotals {
-        segments,
-        bundles: acc.days.iter().map(|d| d.bundles).sum(),
-        sandwiches: acc.refs.len() as u64,
-        non_sol_sandwiches: acc.non_sol,
-        defensive: acc.days.iter().map(|d| d.defensive).sum(),
-        victim_loss_lamports: acc.days.iter().map(|d| d.victim_loss_lamports).sum(),
-        attacker_gain_lamports: acc.days.iter().map(|d| d.attacker_gain_lamports).sum(),
-        tips_lamports: acc.days.iter().map(|d| d.tips_lamports).sum(),
-        max_slot: acc.max_slot,
-    };
-    QueryIndex {
-        generation,
-        coverage,
-        totals,
-        days: acc.days,
-        refs: acc.refs,
-        attackers,
-        pools,
-        segment_files: Vec::new(),
-        quarantined_files: Vec::new(),
-        validator_spec: spec,
-        validators,
-    }
+    acc.totals.bundles = acc.days.iter().map(|d| d.bundles).sum();
+    acc.totals.sandwiches = acc.refs.len() as u64;
+    acc.totals.defensive = acc.days.iter().map(|d| d.defensive).sum();
+    acc.totals.victim_loss_lamports = acc.days.iter().map(|d| d.victim_loss_lamports).sum();
+    acc.totals.attacker_gain_lamports = acc.days.iter().map(|d| d.attacker_gain_lamports).sum();
+    acc.totals.tips_lamports = acc.days.iter().map(|d| d.tips_lamports).sum();
+    acc.attackers = attackers;
+    acc.pools = pools;
+    acc
 }
 
 /// Why a persisted index file was not trusted.
@@ -1109,6 +1007,27 @@ mod tests {
         assert_eq!(degraded.coverage.bundles_failed, 20);
         assert_eq!(degraded.totals.bundles, 40, "skipped bundles are absent");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn out_of_range_serving_index_is_invalid_input_not_a_panic() {
+        let store = tmp_store("staleserving", 2);
+        let err = build_index_subset(&store, &QueryConfig::default(), &[0, 2], &[]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("serving segment index 2"), "{err}");
+        std::fs::remove_dir_all(store.dir()).unwrap();
+    }
+
+    #[test]
+    fn out_of_range_quarantined_index_is_invalid_input_not_dropped() {
+        let store = tmp_store("stalequarantine", 2);
+        let err = build_index_subset(&store, &QueryConfig::default(), &[0, 1], &[0]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(
+            err.to_string().contains("quarantined segment index 0"),
+            "{err}"
+        );
+        std::fs::remove_dir_all(store.dir()).unwrap();
     }
 
     #[test]

@@ -26,11 +26,11 @@ pub use engine::{
     MAX_LIMIT, MAX_LIVE_WAIT_MS,
 };
 pub use index::{
-    build_index, build_index_subset, first_ref_after_cursor, fold_indexes, generation_of,
-    live_minutes, load_index, load_index_any, load_index_as, minute_of, save_index, save_index_as,
-    save_index_with, sort_attacker_entries, sort_pool_entries, sort_validator_entries,
-    window_minutes, AttackerEntry, DayRollup, IndexCoverage, IndexReject, IndexTotals, LiveMinute,
-    PoolEntry, QueryConfig, QueryIndex, SandwichRef, ValidatorEntry, INDEX_FILE, INDEX_MAGIC,
-    LIVE_MINUTES, SLOTS_PER_MINUTE,
+    build_index, build_index_materializing, build_index_subset, first_ref_after_cursor,
+    fold_indexes, generation_of, live_minutes, load_index, load_index_any, load_index_as,
+    minute_of, save_index, save_index_as, save_index_with, sort_attacker_entries,
+    sort_pool_entries, sort_validator_entries, window_minutes, AttackerEntry, DayRollup,
+    IndexCoverage, IndexReject, IndexTotals, LiveMinute, PoolEntry, QueryConfig, QueryIndex,
+    SandwichRef, ValidatorEntry, INDEX_FILE, INDEX_MAGIC, LIVE_MINUTES, SLOTS_PER_MINUTE,
 };
 pub use service::{QueryService, QueryServiceConfig};

@@ -36,8 +36,8 @@ use sandwich_store::{BundleStore, Manifest};
 use crate::cache::{CacheOutcome, ResponseCache};
 use crate::engine::{error_response, Engine, QueryRequest};
 use crate::index::{
-    build_index, build_index_subset, fold_indexes, generation_of, load_index, load_index_any,
-    save_index, IndexReject, QueryConfig, QueryIndex, INDEX_FILE,
+    build_index, fold_delta, generation_of, load_index, load_index_any, save_index, IndexReject,
+    QueryConfig, QueryIndex, INDEX_FILE,
 };
 
 /// How often a long-poll re-checks the engine for rows past its cursor.
@@ -123,10 +123,10 @@ fn rebuild_all(
 /// segment left the serving or quarantine list, or the base itself is
 /// incomplete — and the caller must rebuild from scratch.
 ///
-/// The fold scans only the *new* segments and merges their partial with
-/// the base through the same associative merge the full build uses, so
-/// the result is byte-identical to a from-scratch rebuild (the invariant
-/// `tests/live_fold_props.rs` pins).
+/// The fold scans only the *new* segments, merges their un-finalized part
+/// with the base's through the same associative merge the full build
+/// uses, and finalizes once, so the result is byte-identical to a
+/// from-scratch rebuild (the invariant `tests/live_fold_props.rs` pins).
 fn fold_from_base(
     store: &BundleStore,
     base: QueryIndex,
@@ -157,9 +157,7 @@ fn fold_from_base(
         return Ok(None);
     };
     let started = Instant::now();
-    let delta_index =
-        build_index_subset(store, config, &delta.new_serving, &delta.new_quarantined)?;
-    let folded = fold_indexes(generation, vec![base, delta_index], config);
+    let folded = fold_delta(store, base, &delta, generation, config)?;
     registry.counter(names::QUERY_INDEX_FOLDS).inc();
     registry
         .counter(names::QUERY_INDEX_FOLD_SEGMENTS)
@@ -170,11 +168,42 @@ fn fold_from_base(
     Ok(Some(folded))
 }
 
-/// Record attribution coverage for an index that is about to go live:
-/// one schedule build when a validator spec was in play, plus how many
-/// sealed sandwiches joined to a slot leader and how many fell back to
-/// the unattributed decode path.
-fn record_attrib_metrics(index: &QueryIndex, registry: &Registry) {
+/// Bring the index to `generation` and persist it: fold the manifest
+/// delta into `base` when there is one and it is foldable, rebuild from
+/// segments (counted as a full rebuild) otherwise.
+fn fold_or_rebuild(
+    store: &BundleStore,
+    base: Option<QueryIndex>,
+    generation: &str,
+    config: &QueryConfig,
+    registry: &Registry,
+) -> std::io::Result<QueryIndex> {
+    let folded = match base {
+        Some(base) => fold_from_base(store, base, generation, config, registry)?,
+        None => None,
+    };
+    match folded {
+        Some(folded) => {
+            save_index(store.dir(), &folded)?;
+            Ok(folded)
+        }
+        None => {
+            registry.counter(names::QUERY_INDEX_FULL_REBUILDS).inc();
+            rebuild_all(store, config, registry)
+        }
+    }
+}
+
+/// Record coverage for an index that is about to go live: segments the
+/// build had to skip, one schedule build when a validator spec was in
+/// play, plus how many sealed sandwiches joined to a slot leader and how
+/// many fell back to the unattributed decode path.
+fn record_index_metrics(index: &QueryIndex, registry: &Registry) {
+    if index.coverage.segments_failed > 0 {
+        registry
+            .counter(names::QUERY_INDEX_SEGMENTS_FAILED)
+            .add(index.coverage.segments_failed);
+    }
     if index.validator_spec.is_some() {
         registry.counter(names::ATTRIB_SCHEDULE_BUILDS).inc();
     }
@@ -207,20 +236,8 @@ fn load_or_build(
         Err(IndexReject::StaleGeneration { .. }) => {
             // The frame is intact, just older: fold the manifest delta
             // into it instead of rescanning the world.
-            let folded = match load_index_any(store.dir(), INDEX_FILE) {
-                Ok(base) => fold_from_base(store, base, &generation, config, registry)?,
-                Err(_) => None,
-            };
-            match folded {
-                Some(folded) => {
-                    save_index(store.dir(), &folded)?;
-                    folded
-                }
-                None => {
-                    registry.counter(names::QUERY_INDEX_FULL_REBUILDS).inc();
-                    rebuild_all(store, config, registry)?
-                }
-            }
+            let base = load_index_any(store.dir(), INDEX_FILE).ok();
+            fold_or_rebuild(store, base, &generation, config, registry)?
         }
         Err(reject) => {
             if reject != IndexReject::Missing {
@@ -229,12 +246,7 @@ fn load_or_build(
             rebuild_all(store, config, registry)?
         }
     };
-    if index.coverage.segments_failed > 0 {
-        registry
-            .counter(names::QUERY_INDEX_SEGMENTS_FAILED)
-            .add(index.coverage.segments_failed);
-    }
-    record_attrib_metrics(&index, registry);
+    record_index_metrics(&index, registry);
     Ok(Engine::new(Arc::new(index)))
 }
 
@@ -307,22 +319,8 @@ impl QueryService {
         // (compaction, quarantine of a covered segment) falls back to a
         // full rebuild.
         let base = self.inner.engine.read().index().clone();
-        let index = match fold_from_base(&store, base, &generation, config, registry)? {
-            Some(folded) => {
-                save_index(store.dir(), &folded)?;
-                folded
-            }
-            None => {
-                registry.counter(names::QUERY_INDEX_FULL_REBUILDS).inc();
-                rebuild_all(&store, config, registry)?
-            }
-        };
-        if index.coverage.segments_failed > 0 {
-            registry
-                .counter(names::QUERY_INDEX_SEGMENTS_FAILED)
-                .add(index.coverage.segments_failed);
-        }
-        record_attrib_metrics(&index, registry);
+        let index = fold_or_rebuild(&store, Some(base), &generation, config, registry)?;
+        record_index_metrics(&index, registry);
         *self.inner.engine.write() = Arc::new(Engine::new(Arc::new(index)));
         registry.counter(names::QUERY_RELOADS).inc();
         Ok(true)
@@ -627,6 +625,12 @@ mod tests {
     #[test]
     fn reload_folds_the_delta_instead_of_rebuilding() {
         let dir = seed_store("fold", 2);
+        // A validator spec in the manifest makes the fold recompute the
+        // leaderboard too (the expensive half of a finalize).
+        let sealed = Manifest::load(&dir).unwrap().segments;
+        let mut w = StoreWriter::resume(&dir, &sealed).unwrap();
+        w.set_validators(sandwich_attrib::ValidatorSpec::new(7, 6))
+            .unwrap();
         let registry = Registry::new();
         let service = QueryService::open(QueryServiceConfig::new(&dir), registry.clone()).unwrap();
         assert_eq!(
@@ -664,6 +668,10 @@ mod tests {
             serde_json::to_string(&folded).unwrap(),
             serde_json::to_string(&full).unwrap()
         );
+        // ...and so is the frame the reload persisted.
+        let persisted = std::fs::read(dir.join(INDEX_FILE)).unwrap();
+        save_index(&dir, &full).unwrap();
+        assert_eq!(persisted, std::fs::read(dir.join(INDEX_FILE)).unwrap());
 
         // The fold was persisted: a cold reopen is a pure load.
         let r2 = Registry::new();

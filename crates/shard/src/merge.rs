@@ -151,13 +151,7 @@ pub struct LivePartial {
 pub fn merge_coverage(parts: &[IndexCoverage]) -> IndexCoverage {
     let mut merged = IndexCoverage::default();
     for c in parts {
-        merged.segments_total += c.segments_total;
-        merged.segments_scanned += c.segments_scanned;
-        merged.segments_quarantined += c.segments_quarantined;
-        merged.segments_failed += c.segments_failed;
-        merged.bundles_scanned += c.bundles_scanned;
-        merged.bundles_quarantined += c.bundles_quarantined;
-        merged.bundles_failed += c.bundles_failed;
+        merged.add(c);
     }
     merged
 }
@@ -189,28 +183,14 @@ pub fn distinct_count(lists: &[Vec<Pubkey>]) -> u64 {
 /// as the longest input and every day keeps its label.
 pub fn merge_days(parts: &[Vec<DayRollup>]) -> Vec<DayRollup> {
     let len = parts.iter().map(|d| d.len()).max().unwrap_or(0);
-    let mut merged: Vec<DayRollup> = (0..len as u64)
-        .map(|day| DayRollup {
-            day,
-            bundles_by_len: vec![0; 5],
-            ..DayRollup::default()
-        })
-        .collect();
+    let mut merged: Vec<DayRollup> = (0..len as u64).map(DayRollup::new).collect();
     for part in parts {
         for rollup in part {
             let into = &mut merged[rollup.day as usize];
             if into.label.is_empty() {
                 into.label = rollup.label.clone();
             }
-            into.bundles += rollup.bundles;
-            for (a, b) in into.bundles_by_len.iter_mut().zip(&rollup.bundles_by_len) {
-                *a += b;
-            }
-            into.sandwiches += rollup.sandwiches;
-            into.defensive += rollup.defensive;
-            into.victim_loss_lamports += rollup.victim_loss_lamports;
-            into.attacker_gain_lamports += rollup.attacker_gain_lamports;
-            into.tips_lamports += rollup.tips_lamports;
+            into.add(rollup);
         }
     }
     merged

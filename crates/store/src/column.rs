@@ -24,9 +24,9 @@
 //! The flag bits are **conservative pre-filters**, sound by construction:
 //!
 //! * `LINKED` — the bundle has length 3 and all three tx ids resolve in
-//!   the segment's last-wins tx-id → detail map (the exact map
-//!   `partial_of_segment` builds). Unset ⇒ the scan cannot assemble metas
-//!   and never calls the detector.
+//!   the segment's last-wins tx-id → detail map (the exact map the scan's
+//!   decode route, `core::scan::visit_decoded`, builds). Unset ⇒ the scan
+//!   cannot assemble metas and never calls the detector.
 //! * `C1` — the three resolved metas satisfy criterion 1 structurally
 //!   (`signer₁ == signer₃ && signer₁ != signer₂`). Unset ⇒ `detect`
 //!   returns `None` whenever `same_outer_signer` is enabled (both the

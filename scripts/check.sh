@@ -251,4 +251,14 @@ if [ -f results/BENCH_attrib.json ]; then
   gate_attrib_json results/BENCH_attrib.json
 fi
 
+# The repository's one benchmark lives in benchmark/, a package of its own
+# outside the workspace. Its unit tests compile bench-run *and* bench-trace
+# against the crates' public API — a refactor that breaks a call either
+# binary makes fails here, not at the next benchmark run — and the smoke
+# run drives all five workloads once (~16 s) with every op checked against
+# its reference.
+echo "==> benchmark package tests + smoke (bounded)"
+timeout 900 cargo test --offline -q --manifest-path benchmark/Cargo.toml
+timeout 420 bash benchmark/run.sh --smoke
+
 echo "==> all checks passed"

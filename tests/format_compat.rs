@@ -139,6 +139,62 @@ fn mixed_version_store_scans_byte_identically() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Seal `bases` as a store of its own, every segment in one format.
+fn sealed_store(tag: &str, v1: bool, bases: &[u64]) -> BundleStore {
+    let dir = std::env::temp_dir().join(format!("format-compat-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut manifest = Manifest::new();
+    for (i, &base) in bases.iter().enumerate() {
+        let data = segment_data(base);
+        let (image, footer) = if v1 {
+            encode_segment_v1(&data)
+        } else {
+            encode_segment(&data)
+        };
+        let file = format!("seg-{i:05}.seg");
+        write_segment_file(&dir.join(&file), &image).unwrap();
+        manifest.segments.push(SegmentMeta {
+            file,
+            bundles: data.bundles.len() as u64,
+            details: data.details.len() as u64,
+            polls: data.polls.len() as u64,
+            min_slot: footer.min_slot,
+            max_slot: footer.max_slot,
+            bytes: image.len() as u64,
+            checksum: format!("{:016x}", footer.checksum),
+        });
+    }
+    manifest.save(&dir).unwrap();
+    BundleStore::open(&dir).unwrap()
+}
+
+/// The query index is built by the same walk as the report: the same
+/// records sealed all-v1 (every segment takes the decode route) and
+/// all-v2 (every segment takes the columnar route) must index to the same
+/// contents. Only the generation differs — it fingerprints the manifest,
+/// and the two formats' checksums and sizes are not the same.
+#[test]
+fn index_is_the_same_whichever_route_the_format_selects() {
+    let bases = [100, 100_000, 200_000];
+    let v1 = sealed_store("ix-v1", true, &bases);
+    let v2 = sealed_store("ix-v2", false, &bases);
+    let config = sandwich_query::QueryConfig::default();
+    let from_decode = sandwich_query::build_index(&v1, &config).unwrap();
+    let from_columns = sandwich_query::build_index(&v2, &config).unwrap();
+
+    assert_eq!(from_columns.totals.sandwiches, 3, "one per segment");
+    assert_ne!(from_decode.generation, from_columns.generation);
+    assert_eq!(from_decode.totals, from_columns.totals);
+    assert_eq!(from_decode.days, from_columns.days);
+    assert_eq!(from_decode.refs, from_columns.refs);
+    assert_eq!(from_decode.attackers, from_columns.attackers);
+    assert_eq!(from_decode.pools, from_columns.pools);
+
+    std::fs::remove_dir_all(v1.dir()).unwrap();
+    std::fs::remove_dir_all(v2.dir()).unwrap();
+}
+
 /// A mixed-version store with one quarantined segment keeps scanning: the
 /// serving segments (one v1, one v2) produce the same results on every
 /// path, and the degraded scan reports the quarantined segment's bundles

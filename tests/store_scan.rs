@@ -173,6 +173,21 @@ async fn store_scan_matches_legacy_and_is_thread_invariant() {
             > 0
     );
 
+    // A strict scan that fails on one segment reports the segments it
+    // actually scanned, not every segment it was asked for.
+    std::fs::remove_file(dir.join(&store.segments()[2].file)).unwrap();
+    let registry = Registry::new();
+    assert!(scan_store_observed(store, &run.clock, &cfg, 4, Some(&registry)).is_err());
+    let snap = registry.snapshot();
+    assert_eq!(
+        snap.counter(sandwich_obs::names::SCAN_SEGMENTS_SCANNED),
+        Some(store.segments().len() as u64 - 1)
+    );
+    assert_eq!(
+        snap.counter(sandwich_obs::names::SCAN_SEGMENTS_FAILED),
+        Some(1)
+    );
+
     // The binary store is dramatically smaller than the JSONL archive.
     // The v2 columnar section spends ~11% of segment size buying the
     // zero-copy fast path, so the bound is 2.5x rather than the 3.1x the
