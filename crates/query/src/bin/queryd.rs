@@ -20,15 +20,13 @@
 //! seconds; when the collector seals a new segment it folds just the
 //! delta into the live index (`query.index.fold.*` metrics) and swaps it
 //! in — a full rebuild happens only if the manifest history stopped being
-//! append-only. `/api/live` streams the newly folded sandwiches behind an
+//! append-only. A failed reload is retried on the next tick. `/api/live` streams the newly folded sandwiches behind an
 //! opaque cursor, with bounded long-polling, so a tracker UI pointed at
 //! this process follows the measurement live.
 
-use std::time::Duration;
-
 use sandwich_obs::Registry;
+use sandwich_query::ladder::follow_seals;
 use sandwich_query::{QueryService, QueryServiceConfig};
-use sandwich_store::SealWatcher;
 
 fn env_or(key: &str, default: &str) -> String {
     std::env::var(key).unwrap_or_else(|_| default.to_string())
@@ -77,23 +75,7 @@ fn main() {
             server.shutdown().await;
             return;
         }
-        let mut watcher = SealWatcher::new(std::path::Path::new(&store_dir));
-        watcher.changed(); // arm at the already-served manifest
-        loop {
-            tokio::time::sleep(Duration::from_secs(3)).await;
-            if !watcher.changed() {
-                continue;
-            }
-            match service.reload() {
-                Ok(true) => {
-                    println!(
-                        "queryd: folded forward, generation {}",
-                        service.generation()
-                    )
-                }
-                Ok(false) => {}
-                Err(e) => eprintln!("queryd: reload failed: {e}"),
-            }
-        }
+        let reload = || Ok(service.reload()?.then(|| service.generation()));
+        follow_seals(&store_dir, "queryd", reload).await
     });
 }

@@ -126,7 +126,10 @@ pub enum QueryRequest {
     },
 }
 
-fn parse_usize(request: &Request, key: &str, default: usize) -> Result<usize, String> {
+/// An optional non-negative `usize` query parameter, or the 400 message.
+/// Public with its two siblings so the `/shard/*` wire format parses —
+/// and words its 400s — exactly as [`QueryRequest::parse`] does.
+pub fn parse_usize(request: &Request, key: &str, default: usize) -> Result<usize, String> {
     match request.query.get(key) {
         None => Ok(default),
         Some(raw) => raw.parse::<usize>().map_err(|_| {
@@ -135,7 +138,8 @@ fn parse_usize(request: &Request, key: &str, default: usize) -> Result<usize, St
     }
 }
 
-fn parse_u64(request: &Request, key: &str, default: u64) -> Result<u64, String> {
+/// An optional non-negative `u64` query parameter, or the 400 message.
+pub fn parse_u64(request: &Request, key: &str, default: u64) -> Result<u64, String> {
     match request.query.get(key) {
         None => Ok(default),
         Some(raw) => raw.parse::<u64>().map_err(|_| {
@@ -144,7 +148,8 @@ fn parse_u64(request: &Request, key: &str, default: u64) -> Result<u64, String> 
     }
 }
 
-fn parse_pubkey(request: &Request, param: &str) -> Result<Pubkey, String> {
+/// A required base58 address path parameter, or the 400 message.
+pub fn parse_pubkey(request: &Request, param: &str) -> Result<Pubkey, String> {
     let raw = request
         .path_param(param)
         .ok_or_else(|| format!("missing path parameter {param:?}"))?;
@@ -154,8 +159,8 @@ fn parse_pubkey(request: &Request, param: &str) -> Result<Pubkey, String> {
 
 impl QueryRequest {
     /// Parse an HTTP request for `endpoint` into a typed query, or a
-    /// human-readable 400 message. `endpoint` is one of the names returned
-    /// by [`QueryRequest::endpoint`].
+    /// human-readable 400 message. `endpoint` is one of the names in
+    /// [`crate::serve::ENDPOINTS`].
     pub fn parse(endpoint: &str, request: &Request) -> Result<QueryRequest, String> {
         match endpoint {
             "summary" => Ok(QueryRequest::Summary),
@@ -206,21 +211,6 @@ impl QueryRequest {
         }
     }
 
-    /// Endpoint name, used for metric names and routing.
-    pub fn endpoint(&self) -> &'static str {
-        match self {
-            QueryRequest::Summary => "summary",
-            QueryRequest::Days => "days",
-            QueryRequest::Attackers { .. } => "attackers",
-            QueryRequest::Attacker { .. } => "attacker",
-            QueryRequest::Pool { .. } => "pool",
-            QueryRequest::Validators { .. } => "validators",
-            QueryRequest::Validator { .. } => "validator",
-            QueryRequest::Sandwiches { .. } => "sandwiches",
-            QueryRequest::Live { .. } => "live",
-        }
-    }
-
     /// Canonical cache key for this request (excludes the generation; the
     /// cache prepends it).
     pub fn canonical_key(&self) -> String {
@@ -255,11 +245,6 @@ impl QueryRequest {
         }
     }
 }
-
-// Response bodies are rendered by [`crate::render`], shared with the
-// shard router so single-engine and scatter-gather answers are built by
-// the same code. Re-exported here for source compatibility.
-pub use crate::render::error_response;
 
 /// Immutable evaluation over one index snapshot, plus the lookup maps the
 /// persisted form does not carry.

@@ -355,7 +355,7 @@ impl IndexPart {
     }
 }
 
-fn whole_store(store: &BundleStore) -> (Vec<usize>, Vec<usize>) {
+pub(crate) fn whole_store(store: &BundleStore) -> (Vec<usize>, Vec<usize>) {
     let all = |n: usize| (0..n).collect();
     (all(store.segments().len()), all(store.quarantined().len()))
 }
@@ -677,19 +677,10 @@ pub fn save_index_with(
     write_durable_with(&dir.join(file), &image, &cuts, plan)
 }
 
-/// Load a persisted index, trusting it only when the framing, the
-/// checksum, and the manifest generation all verify.
+/// Load the persisted whole-store index, trusting it only when the
+/// framing, the checksum, and the manifest generation all verify.
 pub fn load_index(dir: &Path, expected_generation: &str) -> Result<QueryIndex, IndexReject> {
-    load_index_as(dir, INDEX_FILE, expected_generation)
-}
-
-/// [`load_index`] under an explicit file name (see [`save_index_as`]).
-pub fn load_index_as(
-    dir: &Path,
-    file: &str,
-    expected_generation: &str,
-) -> Result<QueryIndex, IndexReject> {
-    let index = load_index_any(dir, file)?;
+    let index = load_index_any(dir, INDEX_FILE)?;
     if index.generation != expected_generation {
         return Err(IndexReject::StaleGeneration {
             found: index.generation,
@@ -699,10 +690,10 @@ pub fn load_index_as(
     Ok(index)
 }
 
-/// Load a persisted index accepting **any** generation, as long as the
-/// framing, checksum, and body all verify. This is the fold base after a
-/// restart: a stale-but-valid index plus the manifest delta replaces a
-/// full rebuild.
+/// Load the index persisted as `file` (the whole store's [`INDEX_FILE`],
+/// or one shard's) accepting **any** generation, as long as the framing,
+/// checksum, and body all verify. What the index ladder opens with: the
+/// frame is the answer when it is current, the fold base when it is stale.
 pub fn load_index_any(dir: &Path, file: &str) -> Result<QueryIndex, IndexReject> {
     let image = match std::fs::read(dir.join(file)) {
         Ok(image) => image,

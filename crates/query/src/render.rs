@@ -255,7 +255,9 @@ struct ErrorBody {
     error: String,
 }
 
-fn json_response<T: Serialize>(status: u16, value: &T) -> CachedResponse {
+/// Serialize `value` as a JSON response body. Public so a shard's wire
+/// partials are framed by the same code as the rendered `/api/*` bodies.
+pub fn json_response<T: Serialize>(status: u16, value: &T) -> CachedResponse {
     let body = serde_json::to_vec(value)
         .unwrap_or_else(|e| format!("{{\"error\":\"serialization failed: {e}\"}}").into_bytes());
     CachedResponse {

@@ -1,44 +1,30 @@
-//! The `queryd` HTTP service: routes, caching, metrics, and engine
-//! lifecycle (load-fold-or-build on open, atomic swap on reload).
+//! [`QueryService`] — the local-engine [`Backend`]: one engine over the
+//! whole store behind the [`crate::serve`] skeleton, as `queryd` runs it.
 //!
-//! Reloads are **incremental**: a generation change is absorbed by
-//! scanning only the manifest delta and folding it into the live index
-//! ([`fold_from_base`]), which is byte-identical to a full rebuild;
+//! Reloads are **incremental**: a generation change is absorbed by the
+//! index ladder ([`crate::ladder::bring_up`]) folding only the manifest
+//! delta into the live index, which is byte-identical to a full rebuild;
 //! `query.index.full_rebuilds` counts the (expected-never) fallbacks.
 //! `/api/live` streams newly folded sandwiches behind an opaque cursor,
-//! with a bounded long-poll that waits for the next fold.
-//!
-//! Consistency model: a handler snapshots the engine `Arc` exactly once
-//! per request, so every response is computed against a single manifest
-//! generation even while a reload swaps the engine mid-flight — there are
-//! no torn reads by construction. The generation that answered is echoed
-//! in the `x-query-generation` response header.
-//!
-//! Degraded mode: the service keeps serving through partial failure
-//! instead of dying. Index builds skip unreadable segments (coverage is
-//! reported on `/api/summary`), a failed reload keeps the last good
-//! engine serving (stale-while-revalidate; `/readyz` flips to 503 until
-//! a reload succeeds), and bounded-in-flight admission control sheds
-//! excess API load with `503` + `Retry-After` rather than queueing
-//! without bound. `/healthz` answers as long as the process serves.
+//! with a bounded long-poll that waits for the next fold. Index builds
+//! skip unreadable segments (coverage is reported on `/api/summary` and
+//! `/readyz`) rather than failing the open.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
 
-use sandwich_net::{Method, Request, Response, Router};
+use sandwich_net::{Request, Router};
 use sandwich_obs::{names, Registry};
 use sandwich_store::{BundleStore, Manifest};
 
-use crate::cache::{CacheOutcome, ResponseCache};
-use crate::engine::{error_response, Engine, QueryRequest};
-use crate::index::{
-    build_index, fold_delta, generation_of, load_index, load_index_any, save_index, IndexReject,
-    QueryConfig, QueryIndex, INDEX_FILE,
-};
+use crate::cache::CachedResponse;
+use crate::engine::{Engine, QueryRequest};
+use crate::index::{generation_of, QueryConfig};
+use crate::ladder::{bring_up, IndexScope};
+use crate::serve::{Backend, Serving};
 
 /// How often a long-poll re-checks the engine for rows past its cursor.
 const LONG_POLL_TICK: Duration = Duration::from_millis(12);
@@ -50,10 +36,6 @@ pub struct QueryServiceConfig {
     pub store_dir: PathBuf,
     /// Index-build semantics (detector, threshold, clock, threads).
     pub query: QueryConfig,
-    /// Response-cache shards.
-    pub cache_shards: usize,
-    /// Entries per cache shard.
-    pub cache_per_shard: usize,
     /// Bound on concurrently-admitted API requests; excess load is shed
     /// with `503` + `Retry-After`. Zero admits nothing (useful in tests);
     /// `/healthz`, `/readyz`, and `/metrics` are always exempt.
@@ -61,193 +43,96 @@ pub struct QueryServiceConfig {
 }
 
 impl QueryServiceConfig {
-    /// Paper-default semantics over `store_dir` with a small cache.
+    /// Paper-default semantics over `store_dir`.
     pub fn new(store_dir: impl Into<PathBuf>) -> Self {
         QueryServiceConfig {
             store_dir: store_dir.into(),
             query: QueryConfig::default(),
-            cache_shards: 8,
-            cache_per_shard: 128,
             max_in_flight: 256,
         }
     }
 }
 
-struct ServiceInner {
+/// The local-engine backend: answers come from one in-process [`Engine`].
+struct LocalEngine {
     config: QueryServiceConfig,
     engine: RwLock<Arc<Engine>>,
-    cache: ResponseCache,
     registry: Registry,
-    /// API requests currently admitted (admission control).
-    in_flight: AtomicUsize,
-    /// Whether the most recent reload attempt succeeded. Starts true (an
-    /// open that fails never constructs a service at all).
-    last_reload_ok: AtomicBool,
 }
 
-/// Decrements the in-flight gauge when an admitted request finishes,
-/// however it finishes.
-struct InFlightGuard<'a>(&'a AtomicUsize);
+impl Backend for LocalEngine {
+    const PUBLIC: bool = true;
+    type Query = QueryRequest;
+    type Snapshot = Arc<Engine>;
 
-impl Drop for InFlightGuard<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Release);
+    fn snapshot(&self) -> Arc<Engine> {
+        self.engine.read().clone()
+    }
+
+    fn generation(engine: &Arc<Engine>) -> &str {
+        engine.generation()
+    }
+
+    fn parse(endpoint: &str, request: &Request) -> Result<QueryRequest, String> {
+        QueryRequest::parse(endpoint, request)
+    }
+
+    fn canonical_key(query: &QueryRequest) -> String {
+        query.canonical_key()
+    }
+
+    async fn evaluate(&self, engine: &Arc<Engine>, query: &QueryRequest) -> CachedResponse {
+        engine.evaluate(query)
+    }
+
+    /// Live long-poll: before taking the answering snapshot, wait
+    /// (bounded by the request's `wait_ms`) for a reload to fold in rows
+    /// past the caller's cursor. The wait itself holds no lock — each
+    /// tick re-reads the freshest engine.
+    async fn snapshot_for(&self, query: &QueryRequest) -> (Arc<Engine>, Option<CachedResponse>) {
+        let QueryRequest::Live {
+            after_slot,
+            after_id,
+            limit,
+            wait_ms,
+        } = query
+        else {
+            return (self.snapshot(), None);
+        };
+        let registry = &self.registry;
+        registry.counter(names::QUERY_LIVE_REQUESTS).inc();
+        if *wait_ms > 0 {
+            registry.counter(names::QUERY_LIVE_LONG_POLLS).inc();
+            let waited = Instant::now();
+            let deadline = Duration::from_millis(*wait_ms);
+            while self.engine.read().live_rows_after(*after_slot, after_id) == 0
+                && waited.elapsed() < deadline
+            {
+                tokio::time::sleep(LONG_POLL_TICK).await;
+            }
+            registry
+                .histogram(names::QUERY_LIVE_WAIT_SECONDS)
+                .observe(waited.elapsed().as_secs_f64());
+        }
+        let engine = self.snapshot();
+        let rows = engine.live_rows_after(*after_slot, after_id).min(*limit);
+        if rows > 0 {
+            registry.counter(names::QUERY_LIVE_ROWS).add(rows as u64);
+        }
+        (engine, None)
+    }
+
+    /// Also reports whether the served index covers the whole store.
+    async fn ready(&self, engine: &Arc<Engine>) -> (bool, String) {
+        let complete = engine.index().coverage.complete();
+        (true, format!(",\"complete\":{complete}"))
     }
 }
 
 /// The query service: open once, serve many, reload on demand.
 #[derive(Clone)]
 pub struct QueryService {
-    inner: Arc<ServiceInner>,
-}
-
-/// Rebuild the whole index from segments, persist it, and record timing.
-fn rebuild_all(
-    store: &BundleStore,
-    config: &QueryConfig,
-    registry: &Registry,
-) -> std::io::Result<QueryIndex> {
-    let started = Instant::now();
-    let index = build_index(store, config)?;
-    registry
-        .histogram(names::QUERY_INDEX_BUILD_SECONDS)
-        .observe(started.elapsed().as_secs_f64());
-    registry.counter(names::QUERY_INDEX_REBUILDS).inc();
-    save_index(store.dir(), &index)?;
-    Ok(index)
-}
-
-/// Try to absorb a generation change by folding only the manifest delta
-/// into `base` (an index built for an earlier generation of the same
-/// store). Returns `Ok(None)` when the delta is not foldable — a covered
-/// segment left the serving or quarantine list, or the base itself is
-/// incomplete — and the caller must rebuild from scratch.
-///
-/// The fold scans only the *new* segments, merges their un-finalized part
-/// with the base's through the same associative merge the full build
-/// uses, and finalizes once, so the result is byte-identical to a
-/// from-scratch rebuild (the invariant `tests/live_fold_props.rs` pins).
-fn fold_from_base(
-    store: &BundleStore,
-    base: QueryIndex,
-    generation: &str,
-    config: &QueryConfig,
-    registry: &Registry,
-) -> std::io::Result<Option<QueryIndex>> {
-    // A base that skipped segments (degraded build) or predates per-file
-    // coverage tracking cannot prove what it already scanned: folding
-    // would bake the gap in forever, so rebuild instead.
-    if base.coverage.segments_failed > 0
-        || base.segment_files.len() as u64 != base.coverage.segments_total
-    {
-        return Ok(None);
-    }
-    // An attribution-stale base — built under a different (or no)
-    // validator spec than the manifest now carries — cannot be folded:
-    // its refs lack or mis-assign leaders, and the fold would bake that
-    // in forever. Rebuild from segments under the current spec instead.
-    if base.validator_spec != store.manifest().validators {
-        registry.counter(names::ATTRIB_SPEC_MISMATCH_REBUILDS).inc();
-        return Ok(None);
-    }
-    let Some(delta) = store
-        .manifest()
-        .delta_from(&base.segment_files, &base.quarantined_files)
-    else {
-        return Ok(None);
-    };
-    let started = Instant::now();
-    let folded = fold_delta(store, base, &delta, generation, config)?;
-    registry.counter(names::QUERY_INDEX_FOLDS).inc();
-    registry
-        .counter(names::QUERY_INDEX_FOLD_SEGMENTS)
-        .add(delta.len() as u64);
-    registry
-        .histogram(names::QUERY_INDEX_FOLD_SECONDS)
-        .observe(started.elapsed().as_secs_f64());
-    Ok(Some(folded))
-}
-
-/// Bring the index to `generation` and persist it: fold the manifest
-/// delta into `base` when there is one and it is foldable, rebuild from
-/// segments (counted as a full rebuild) otherwise.
-fn fold_or_rebuild(
-    store: &BundleStore,
-    base: Option<QueryIndex>,
-    generation: &str,
-    config: &QueryConfig,
-    registry: &Registry,
-) -> std::io::Result<QueryIndex> {
-    let folded = match base {
-        Some(base) => fold_from_base(store, base, generation, config, registry)?,
-        None => None,
-    };
-    match folded {
-        Some(folded) => {
-            save_index(store.dir(), &folded)?;
-            Ok(folded)
-        }
-        None => {
-            registry.counter(names::QUERY_INDEX_FULL_REBUILDS).inc();
-            rebuild_all(store, config, registry)
-        }
-    }
-}
-
-/// Record coverage for an index that is about to go live: segments the
-/// build had to skip, one schedule build when a validator spec was in
-/// play, plus how many sealed sandwiches joined to a slot leader and how
-/// many fell back to the unattributed decode path.
-fn record_index_metrics(index: &QueryIndex, registry: &Registry) {
-    if index.coverage.segments_failed > 0 {
-        registry
-            .counter(names::QUERY_INDEX_SEGMENTS_FAILED)
-            .add(index.coverage.segments_failed);
-    }
-    if index.validator_spec.is_some() {
-        registry.counter(names::ATTRIB_SCHEDULE_BUILDS).inc();
-    }
-    let joined = index.refs.iter().filter(|r| r.leader.is_some()).count() as u64;
-    let unattributed = index.refs.len() as u64 - joined;
-    if joined > 0 {
-        registry.counter(names::ATTRIB_JOINS).add(joined);
-    }
-    if unattributed > 0 {
-        registry
-            .counter(names::ATTRIB_UNATTRIBUTED)
-            .add(unattributed);
-    }
-}
-
-/// Load the persisted index when it verifies, fold forward when it is
-/// merely stale, rebuild from segments only when neither works, and
-/// record which happened.
-fn load_or_build(
-    store: &BundleStore,
-    config: &QueryConfig,
-    registry: &Registry,
-) -> std::io::Result<Engine> {
-    let generation = generation_of(store.manifest());
-    let index = match load_index(store.dir(), &generation) {
-        Ok(index) => {
-            registry.counter(names::QUERY_INDEX_LOADS).inc();
-            index
-        }
-        Err(IndexReject::StaleGeneration { .. }) => {
-            // The frame is intact, just older: fold the manifest delta
-            // into it instead of rescanning the world.
-            let base = load_index_any(store.dir(), INDEX_FILE).ok();
-            fold_or_rebuild(store, base, &generation, config, registry)?
-        }
-        Err(reject) => {
-            if reject != IndexReject::Missing {
-                registry.counter(names::QUERY_INDEX_REJECTED).inc();
-            }
-            rebuild_all(store, config, registry)?
-        }
-    };
-    record_index_metrics(&index, registry);
-    Ok(Engine::new(Arc::new(index)))
+    serving: Arc<Serving<LocalEngine>>,
 }
 
 impl QueryService {
@@ -255,276 +140,78 @@ impl QueryService {
     /// ready to serve. Metrics land in `registry`.
     pub fn open(config: QueryServiceConfig, registry: Registry) -> std::io::Result<QueryService> {
         let store = BundleStore::open(&config.store_dir)?;
-        let engine = load_or_build(&store, &config.query, &registry)?;
-        let cache = ResponseCache::new(config.cache_shards, config.cache_per_shard);
+        let scope = IndexScope::whole(&store);
+        let index = bring_up(&store, &scope, None, &config.query, &registry)?;
+        let max_in_flight = config.max_in_flight;
+        let backend = LocalEngine {
+            config,
+            engine: RwLock::new(Arc::new(Engine::new(Arc::new(index)))),
+            registry: registry.clone(),
+        };
         Ok(QueryService {
-            inner: Arc::new(ServiceInner {
-                config,
-                engine: RwLock::new(Arc::new(engine)),
-                cache,
-                registry,
-                in_flight: AtomicUsize::new(0),
-                last_reload_ok: AtomicBool::new(true),
-            }),
+            serving: Serving::new(backend, max_in_flight, registry),
         })
     }
 
     /// The generation currently being served.
     pub fn generation(&self) -> String {
-        self.inner.engine.read().generation().to_string()
+        self.engine_snapshot().generation().to_string()
     }
 
     /// The metrics registry this service records into.
     pub fn registry(&self) -> &Registry {
-        &self.inner.registry
+        &self.serving.registry
     }
 
     /// The engine snapshot currently serving (for harnesses that compare
     /// live responses against uncached evaluation).
     pub fn engine_snapshot(&self) -> Arc<Engine> {
-        self.inner.engine.read().clone()
+        self.serving.backend.snapshot()
     }
 
-    /// Re-check the manifest; when its generation changed, load-or-build
-    /// the new index and swap it in atomically. Returns `true` when a new
-    /// generation went live. In-flight requests keep the engine snapshot
-    /// they already took.
+    /// Re-check the manifest; when its generation changed, bring the
+    /// index to it and swap the new engine in atomically. Returns `true`
+    /// when a new generation went live. In-flight requests keep the
+    /// engine snapshot they already took.
     ///
     /// Stale-while-revalidate: a failed reload leaves the last good
     /// engine serving and flips `/readyz` to 503 until a later reload
     /// succeeds. The error is still returned for the caller to log.
     pub fn reload(&self) -> std::io::Result<bool> {
-        let result = self.reload_inner();
-        self.inner
-            .last_reload_ok
-            .store(result.is_ok(), Ordering::Release);
-        result
+        self.serving.track(self.reload_inner())
     }
 
     fn reload_inner(&self) -> std::io::Result<bool> {
-        let manifest = Manifest::load(&self.inner.config.store_dir)?;
-        let generation = generation_of(&manifest);
+        let local = &self.serving.backend;
+        let manifest = Manifest::load(&local.config.store_dir)?;
         // Same generation (including a no-op manifest touch): nothing to
         // do, and crucially the response cache — whose keys are
         // generation-prefixed — keeps every warm entry.
-        if *self.inner.engine.read().generation() == generation {
+        let live = local.snapshot();
+        if live.generation() == generation_of(&manifest) {
             return Ok(false);
         }
-        let store = BundleStore::open(&self.inner.config.store_dir)?;
-        let generation = generation_of(store.manifest());
-        let registry = &self.inner.registry;
-        let config = &self.inner.config.query;
         // Fold forward from the index already in memory — the common
-        // seal-only case scans just the new segments. Anything else
-        // (compaction, quarantine of a covered segment) falls back to a
-        // full rebuild.
-        let base = self.inner.engine.read().index().clone();
-        let index = fold_or_rebuild(&store, Some(base), &generation, config, registry)?;
-        record_index_metrics(&index, registry);
-        *self.inner.engine.write() = Arc::new(Engine::new(Arc::new(index)));
+        // seal-only case scans just the new segments.
+        let store = BundleStore::open(&local.config.store_dir)?;
+        let scope = IndexScope::whole(&store);
+        let (config, registry) = (&local.config.query, &local.registry);
+        let index = bring_up(&store, &scope, Some(live.index()), config, registry)?;
+        *local.engine.write() = Arc::new(Engine::new(Arc::new(index)));
         registry.counter(names::QUERY_RELOADS).inc();
         Ok(true)
     }
 
-    /// Try to admit one API request under the in-flight bound.
-    fn admit(&self) -> Option<InFlightGuard<'_>> {
-        let inner = &self.inner;
-        let prev = inner.in_flight.fetch_add(1, Ordering::AcqRel);
-        if prev >= inner.config.max_in_flight {
-            inner.in_flight.fetch_sub(1, Ordering::Release);
-            inner.registry.counter(names::QUERY_SHED).inc();
-            None
-        } else {
-            Some(InFlightGuard(&inner.in_flight))
-        }
-    }
-
-    /// `GET /healthz`: liveness. 200 as long as the process can answer at
-    /// all — never gated on admission control or reload state.
-    fn health_response(&self) -> Response {
-        let body = format!(
-            "{{\"status\":\"ok\",\"generation\":\"{}\"}}",
-            self.generation()
-        );
-        Response::new(200, body.into_bytes()).header("content-type", "application/json")
-    }
-
-    /// `GET /readyz`: readiness. 503 while the last reload attempt
-    /// failed (the service keeps serving its stale generation meanwhile);
-    /// also reports whether the served index covers the whole store.
-    fn ready_response(&self) -> Response {
-        let ok = self.inner.last_reload_ok.load(Ordering::Acquire);
-        let engine = self.engine_snapshot();
-        let body = format!(
-            "{{\"ready\":{ok},\"complete\":{},\"generation\":\"{}\"}}",
-            engine.index().coverage.complete(),
-            engine.generation()
-        );
-        let response = Response::new(if ok { 200 } else { 503 }, body.into_bytes())
-            .header("content-type", "application/json");
-        if ok {
-            response
-        } else {
-            response.header("retry-after", "3")
-        }
-    }
-
-    async fn handle(&self, endpoint: &'static str, request: Request) -> Response {
-        let inner = &self.inner;
-        inner.registry.counter(names::QUERY_REQUESTS).inc();
-        match endpoint {
-            "validators" => inner
-                .registry
-                .counter(names::QUERY_VALIDATORS_REQUESTS)
-                .inc(),
-            "validator" => inner
-                .registry
-                .counter(names::QUERY_VALIDATOR_DETAIL_REQUESTS)
-                .inc(),
-            _ => {}
-        }
-        let timer = Instant::now();
-
-        // Admission control: bound concurrent API work, shed the rest
-        // with an explicit retry hint instead of queueing without bound.
-        let Some(_guard) = self.admit() else {
-            let shed = error_response(503, "server at capacity, retry shortly");
-            return Response::new(shed.status, shed.body)
-                .header("content-type", &shed.content_type)
-                .header("retry-after", "1");
-        };
-
-        let parsed = QueryRequest::parse(endpoint, &request);
-
-        // Live long-poll: before taking the answering snapshot, wait
-        // (bounded by the request's `wait_ms`) for a reload to fold in
-        // rows past the caller's cursor. The wait itself holds no lock —
-        // each tick re-reads the freshest engine.
-        if let Ok(QueryRequest::Live {
-            after_slot,
-            after_id,
-            wait_ms,
-            ..
-        }) = &parsed
-        {
-            inner.registry.counter(names::QUERY_LIVE_REQUESTS).inc();
-            if *wait_ms > 0 {
-                inner.registry.counter(names::QUERY_LIVE_LONG_POLLS).inc();
-                let waited = Instant::now();
-                let deadline = Duration::from_millis(*wait_ms);
-                while inner.engine.read().live_rows_after(*after_slot, after_id) == 0
-                    && waited.elapsed() < deadline
-                {
-                    tokio::time::sleep(LONG_POLL_TICK).await;
-                }
-                inner
-                    .registry
-                    .histogram(names::QUERY_LIVE_WAIT_SECONDS)
-                    .observe(waited.elapsed().as_secs_f64());
-            }
-        }
-
-        // One engine snapshot per request: everything below answers from
-        // this generation, reloads notwithstanding.
-        let engine: Arc<Engine> = inner.engine.read().clone();
-
-        if let Ok(QueryRequest::Live {
-            after_slot,
-            after_id,
-            limit,
-            ..
-        }) = &parsed
-        {
-            let rows = engine.live_rows_after(*after_slot, after_id).min(*limit);
-            if rows > 0 {
-                inner
-                    .registry
-                    .counter(names::QUERY_LIVE_ROWS)
-                    .add(rows as u64);
-            }
-        }
-
-        let response = match parsed {
-            Err(message) => {
-                // Invalid parameters never reach the cache.
-                let cached = error_response(400, message);
-                (Arc::new(cached), CacheOutcome::Miss, 0)
-            }
-            Ok(query) => {
-                let key = format!("{}|{}", engine.generation(), query.canonical_key());
-                let evaluate = {
-                    let engine = engine.clone();
-                    move || engine.evaluate(&query)
-                };
-                inner.cache.get_or_compute(&key, evaluate).await
-            }
-        };
-        let (cached, outcome, evicted) = response;
-        match outcome {
-            CacheOutcome::Hit => inner.registry.counter(names::QUERY_CACHE_HITS).inc(),
-            CacheOutcome::Miss => inner.registry.counter(names::QUERY_CACHE_MISSES).inc(),
-            CacheOutcome::Deduped => {
-                inner
-                    .registry
-                    .counter(names::QUERY_CACHE_SINGLE_FLIGHT_WAITS)
-                    .inc();
-                inner.registry.counter(names::QUERY_CACHE_HITS).inc();
-            }
-        }
-        if evicted > 0 {
-            inner
-                .registry
-                .counter(names::QUERY_CACHE_EVICTIONS)
-                .add(evicted);
-        }
-        inner
-            .registry
-            .histogram(&format!("{}{endpoint}", names::QUERY_SECONDS_PREFIX))
-            .observe(timer.elapsed().as_secs_f64());
-
-        Response::new(cached.status, cached.body.clone())
-            .header("content-type", &cached.content_type)
-            .header("x-query-generation", engine.generation())
-    }
-
-    /// The API router (plus `GET /metrics` from the shared registry).
+    /// The API router (plus the probes and `GET /metrics`).
     pub fn router(&self) -> Router {
-        let endpoints: [(&'static str, &'static str); 9] = [
-            ("summary", "/api/summary"),
-            ("days", "/api/days"),
-            ("attackers", "/api/attackers"),
-            ("attacker", "/api/attacker/{pubkey}"),
-            ("pool", "/api/pool/{mint}"),
-            ("sandwiches", "/api/sandwiches"),
-            ("live", "/api/live"),
-            ("validators", "/api/validators"),
-            ("validator", "/api/validator/{pubkey}"),
-        ];
-        let mut router = Router::new();
-        for (endpoint, path) in endpoints {
-            let service = self.clone();
-            router = router.route(Method::Get, path, move |request: Request| {
-                let service = service.clone();
-                async move { service.handle(endpoint, request).await }
-            });
-        }
-        let service = self.clone();
-        router = router.route(Method::Get, "/healthz", move |_request: Request| {
-            let service = service.clone();
-            async move { service.health_response() }
-        });
-        let service = self.clone();
-        router = router.route(Method::Get, "/readyz", move |_request: Request| {
-            let service = service.clone();
-            async move { service.ready_response() }
-        });
-        router.with_metrics(self.inner.registry.clone())
+        self.serving.router()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::{build_index, save_index, INDEX_FILE};
     use sandwich_net::{HttpClient, Server};
     use sandwich_store::{CollectedBundle, StoreWriter};
     use sandwich_types::{Hash, Keypair, Lamports, Slot};
@@ -679,6 +366,117 @@ mod tests {
         assert_eq!(reopened.generation(), service.generation());
         assert_eq!(r2.snapshot().counter(names::QUERY_INDEX_LOADS), Some(1));
         assert_eq!(r2.snapshot().counter(names::QUERY_INDEX_REBUILDS), None);
+
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// One detectable sandwich at `slot`: attacker buys, victim buys at a
+    /// worse rate, attacker sells back at a profit and tips on the close.
+    fn sandwich(n: u8, slot: u64) -> (CollectedBundle, Vec<sandwich_store::CollectedDetail>) {
+        use sandwich_ledger::{SolDelta, TokenDelta, TransactionMeta};
+        use sandwich_types::{LamportDelta, Pubkey};
+        let kp = Keypair::from_label("qsvc-attacker");
+        let tx_ids: Vec<_> = (0..3u8).map(|leg| kp.sign(&[n, leg, 0x5A])).collect();
+        let bundle_id = sandwich_jito::bundle_id_of(&tx_ids);
+        let (attacker, victim) = (Pubkey::derive("qsvc-a"), Pubkey::derive("qsvc-v"));
+        let mint = Pubkey::derive("qsvc-pool");
+        let tip = 1_000_000u64;
+        let legs = [
+            (attacker, -2_000_000_000i64, 10_000i128, 0u64),
+            (victim, -2_600_000_000, 10_000, 0),
+            (attacker, 2_150_000_000, -10_000, tip),
+        ];
+        let details = legs
+            .into_iter()
+            .zip(&tx_ids)
+            .map(|((signer, sol, tokens, tip), tx_id)| {
+                let mut sol_deltas = vec![SolDelta {
+                    account: signer,
+                    delta: LamportDelta(sol - 5_000 - tip as i64),
+                }];
+                if tip > 0 {
+                    sol_deltas.push(SolDelta {
+                        account: sandwich_jito::tip_account(0),
+                        delta: LamportDelta(tip as i64),
+                    });
+                }
+                sandwich_store::CollectedDetail {
+                    bundle_id,
+                    slot: Slot(slot),
+                    meta: TransactionMeta {
+                        tx_id: *tx_id,
+                        signer,
+                        fee: Lamports(5_000),
+                        priority_fee: Lamports::ZERO,
+                        success: true,
+                        error: None,
+                        sol_deltas,
+                        token_deltas: vec![TokenDelta {
+                            owner: signer,
+                            mint,
+                            delta: tokens,
+                        }],
+                    },
+                }
+            })
+            .collect();
+        let bundle = CollectedBundle {
+            bundle_id,
+            slot: Slot(slot),
+            timestamp_ms: slot * 400,
+            tip: Lamports(tip),
+            tx_ids,
+        };
+        (bundle, details)
+    }
+
+    /// Seal one segment carrying sandwiches `first..first + count`.
+    fn seal_sandwiches(w: &mut StoreWriter, first: u8, count: u8) {
+        let (bundles, details): (Vec<_>, Vec<_>) = (first..first + count)
+            .map(|n| sandwich(n, 100 + u64::from(n) * 10))
+            .unzip();
+        let details = details.into_iter().flatten().collect();
+        w.seal_segment(bundles, details, Vec::new()).unwrap();
+    }
+
+    #[test]
+    fn attribution_is_counted_on_the_rung_that_did_the_work() {
+        let dir = std::env::temp_dir().join(format!("swqsvc-attrib-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut w = StoreWriter::create(&dir).unwrap();
+        w.set_validators(sandwich_attrib::ValidatorSpec::new(7, 6))
+            .unwrap();
+        seal_sandwiches(&mut w, 0, 2);
+
+        // Rebuild: the whole index's joins, one schedule.
+        let registry = Registry::new();
+        let service = QueryService::open(QueryServiceConfig::new(&dir), registry.clone()).unwrap();
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter(names::ATTRIB_JOINS), Some(2));
+        assert_eq!(snap.counter(names::ATTRIB_SCHEDULE_BUILDS), Some(1));
+        assert_eq!(snap.counter(names::ATTRIB_UNATTRIBUTED), None);
+
+        // Two folds: each adds only what its delta joined, never the base
+        // again (the whole index re-added per reload would read 2+5+6).
+        seal_sandwiches(&mut w, 2, 3);
+        assert!(service.reload().unwrap());
+        assert_eq!(registry.snapshot().counter(names::ATTRIB_JOINS), Some(5));
+        seal_sandwiches(&mut w, 5, 1);
+        assert!(service.reload().unwrap());
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter(names::QUERY_INDEX_FOLDS), Some(2));
+        assert_eq!(snap.counter(names::ATTRIB_JOINS), Some(6));
+        assert_eq!(snap.counter(names::ATTRIB_SCHEDULE_BUILDS), Some(3));
+        assert_eq!(service.engine_snapshot().index().refs.len(), 6);
+
+        // A pure frame load scans nothing, finalizes nothing, schedules
+        // nothing: it counts nothing.
+        let fresh = Registry::new();
+        QueryService::open(QueryServiceConfig::new(&dir), fresh.clone()).unwrap();
+        let snap = fresh.snapshot();
+        assert_eq!(snap.counter(names::QUERY_INDEX_LOADS), Some(1));
+        assert_eq!(snap.counter(names::ATTRIB_JOINS), None);
+        assert_eq!(snap.counter(names::ATTRIB_SCHEDULE_BUILDS), None);
 
         std::fs::remove_dir_all(&dir).unwrap();
     }

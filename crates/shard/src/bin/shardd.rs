@@ -23,14 +23,12 @@
 //! The daemon watches the manifest (cheap stat, no JSON parse) every few
 //! seconds; when a seal or a rebalance lands it re-plans the shard map,
 //! installs the new slices on every shard, and moves the router forward
-//! atomically. The router's `/api/live` merges per-shard live pages so
+//! atomically; a failed reload is retried on the next tick. The router's `/api/live` merges per-shard live pages so
 //! the streaming tail is byte-identical to a single-engine `queryd`.
 
-use std::time::Duration;
-
 use sandwich_obs::Registry;
+use sandwich_query::ladder::follow_seals;
 use sandwich_shard::{ClusterConfig, ServingCluster};
-use sandwich_store::SealWatcher;
 
 fn env_or(key: &str, default: &str) -> String {
     std::env::var(key).unwrap_or_else(|_| default.to_string())
@@ -75,20 +73,7 @@ fn main() {
             cluster.shutdown().await;
             return;
         }
-        let mut watcher = SealWatcher::new(std::path::Path::new(&store_dir));
-        watcher.changed(); // arm at the already-served manifest
-        loop {
-            tokio::time::sleep(Duration::from_secs(3)).await;
-            if !watcher.changed() {
-                continue;
-            }
-            match cluster.reload() {
-                Ok(true) => {
-                    println!("shardd: reloaded, generation {}", cluster.generation())
-                }
-                Ok(false) => {}
-                Err(e) => eprintln!("shardd: reload failed: {e}"),
-            }
-        }
+        let reload = || Ok(cluster.reload()?.then(|| cluster.generation()));
+        follow_seals(&store_dir, "shardd", reload).await
     });
 }

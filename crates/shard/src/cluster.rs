@@ -18,7 +18,7 @@ use sandwich_store::{BundleStore, Manifest};
 
 use crate::map::ShardMap;
 use crate::router::{RouterConfig, RouterService};
-use crate::shard::{shard_index_file, ShardConfig, ShardService, SHARD_INDEX_PREFIX};
+use crate::shard::{index_file_under, ShardConfig, ShardService, SHARD_INDEX_PREFIX};
 
 /// Tunables for one serving cluster.
 #[derive(Clone, Debug)]
@@ -32,15 +32,13 @@ pub struct ClusterConfig {
     pub query: QueryConfig,
     /// Bind address for the router listener.
     pub router_addr: String,
-    /// Bind address for each shard listener (port 0 for ephemeral).
-    pub shard_addr: String,
-    /// Router response-cache shards.
-    pub cache_shards: usize,
-    /// Entries per router cache shard.
-    pub cache_per_shard: usize,
     /// Router admission-control bound.
     pub max_in_flight: usize,
 }
+
+/// Bind address of every shard listener: loopback, ephemeral port. Shards
+/// are an internal face; only the router's address is a deployment choice.
+const SHARD_ADDR: &str = "127.0.0.1:0";
 
 impl ClusterConfig {
     /// Paper-default semantics: `shards` shards over `store_dir`, all
@@ -51,9 +49,6 @@ impl ClusterConfig {
             shards: shards.max(1),
             query: QueryConfig::default(),
             router_addr: "127.0.0.1:0".to_string(),
-            shard_addr: "127.0.0.1:0".to_string(),
-            cache_shards: 8,
-            cache_per_shard: 128,
             max_in_flight: 256,
         }
     }
@@ -74,7 +69,7 @@ pub struct ServingCluster {
 /// failure to remove is ignored, a stale file only costs disk.
 fn gc_stale_shard_indexes(dir: &std::path::Path, map: &ShardMap) {
     let expected: std::collections::BTreeSet<String> = (0..map.shard_count())
-        .map(|shard| shard_index_file(shard, map.shard_count(), &map.fingerprint(shard)))
+        .map(|shard| index_file_under(shard, map))
         .collect();
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
@@ -108,7 +103,7 @@ impl ServingCluster {
             shard_config.query = config.query.clone();
             shard_config.query.threads = per_shard_threads;
             let service = ShardService::open(shard_config, &map, registry.clone())?;
-            let server = Server::bind(&config.shard_addr, service.router()).await?;
+            let server = Server::bind(SHARD_ADDR, service.router()).await?;
             shard_addrs.push(server.local_addr());
             services.push(service);
             shard_servers.push(server);
@@ -118,8 +113,6 @@ impl ServingCluster {
             shard_addrs,
             map.generation.clone(),
             RouterConfig {
-                cache_shards: config.cache_shards,
-                cache_per_shard: config.cache_per_shard,
                 max_in_flight: config.max_in_flight,
             },
             registry.clone(),

@@ -8,18 +8,19 @@
 //!   of every manifest segment (serving and quarantined) to exactly one
 //!   shard, planned deterministically by slot order and balanced by
 //!   bundle count.
-//! - [`merge`] — the wire partials each shard serves under `/shard/*`
-//!   and the pure, associative merge functions the router folds them
-//!   with. Merged inputs feed the same `sandwich-query` render layer the
-//!   single-engine path uses, so responses are byte-identical at every
-//!   shard count.
-//! - [`shard`] — [`ShardService`]: one engine per shard, built with
-//!   `build_index_subset` over the shard's slice of the manifest,
-//!   persisted per-shard, with its own response cache and health probes.
-//! - [`router`] — [`RouterService`]: fans `/api/*` out to the shards,
-//!   checks generation agreement, merges partials, re-paginates, and
-//!   aggregates `/healthz` / `/readyz` (degraded-but-serving while at
-//!   least one shard is ready).
+//! - [`merge`] — the `/shard/*` wire format (the [`merge::ShardQuery`]
+//!   the router sends and the partials a shard answers) and the pure,
+//!   associative merge functions the router folds them with. Merged
+//!   inputs feed the same `sandwich-query` render layer the single-engine
+//!   path uses, so responses are byte-identical at every shard count.
+//! - [`shard`] — [`ShardService`], the shard-partial backend of the
+//!   `sandwich_query::serve` skeleton: one engine per shard, brought up
+//!   the `sandwich_query::ladder` over the shard's slice of the manifest
+//!   and persisted per-shard.
+//! - [`router`] — [`RouterService`], the skeleton's scatter-gather
+//!   backend: fans `/api/*` out to the shards, checks generation
+//!   agreement, merges partials, re-paginates, and aggregates `/readyz`
+//!   (degraded-but-serving while at least one shard is ready).
 //! - [`cluster`] — single-process assembly: N shard listeners plus the
 //!   router over real sockets, so multi-node is a config change, not a
 //!   rewrite.

@@ -28,12 +28,158 @@ use std::collections::{BTreeSet, HashMap};
 
 use serde::{Deserialize, Serialize};
 
+use sandwich_net::Request;
+use sandwich_query::engine::{parse_pubkey, parse_u64, parse_usize};
 use sandwich_query::{
     sort_attacker_entries, sort_pool_entries, sort_validator_entries, window_minutes,
-    AttackerEntry, DayRollup, IndexCoverage, IndexTotals, LiveMinute, PoolEntry, SandwichRef,
-    ValidatorEntry,
+    AttackerEntry, DayRollup, IndexCoverage, IndexTotals, LiveMinute, PoolEntry, QueryRequest,
+    SandwichRef, ValidatorEntry,
 };
-use sandwich_types::Pubkey;
+use sandwich_types::{Hash, Pubkey};
+
+/// One `/shard/*` request: what the router asks of every shard to answer
+/// an `/api/*` request. The wire format lives here and nowhere else —
+/// [`ShardQuery::path`] writes it, [`ShardQuery::parse`] reads it back,
+/// and a round trip is the identity.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ShardQuery {
+    /// `GET /shard/summary` → [`SummaryPartial`].
+    Summary,
+    /// `GET /shard/days` → [`DaysPartial`].
+    Days,
+    /// `GET /shard/attackers` → [`AttackersPartial`]. Paging happens on
+    /// the router, after the merge, so no page parameters travel.
+    Attackers,
+    /// `GET /shard/attacker/{pubkey}` → [`AttackerDetailPartial`].
+    Attacker(Pubkey),
+    /// `GET /shard/pool/{mint}` → [`PoolDetailPartial`].
+    Pool(Pubkey),
+    /// `GET /shard/validators` → [`ValidatorsPartial`].
+    Validators,
+    /// `GET /shard/validator/{pubkey}` → [`ValidatorDetailPartial`].
+    Validator(Pubkey),
+    /// `GET /shard/sandwiches?from_slot=&to_slot=&need=` → [`RangePartial`].
+    Range {
+        /// Inclusive lower slot bound.
+        from_slot: u64,
+        /// Inclusive upper slot bound.
+        to_slot: u64,
+        /// In-range refs to ship; absent means all of them.
+        need: usize,
+    },
+    /// `GET /shard/live?after_slot=&after_id=&need=` → [`LivePartial`].
+    Live {
+        /// Cursor slot (exclusive, paired with `after_id`).
+        after_slot: u64,
+        /// Cursor bundle id (exclusive tie-break within `after_slot`).
+        after_id: Hash,
+        /// Post-cursor refs to ship; absent means all of them.
+        need: usize,
+    },
+}
+
+impl From<&QueryRequest> for ShardQuery {
+    fn from(query: &QueryRequest) -> ShardQuery {
+        match *query {
+            QueryRequest::Summary => ShardQuery::Summary,
+            QueryRequest::Days => ShardQuery::Days,
+            QueryRequest::Attackers { .. } => ShardQuery::Attackers,
+            QueryRequest::Attacker { pubkey } => ShardQuery::Attacker(pubkey),
+            QueryRequest::Pool { mint } => ShardQuery::Pool(mint),
+            QueryRequest::Validators { .. } => ShardQuery::Validators,
+            QueryRequest::Validator { pubkey } => ShardQuery::Validator(pubkey),
+            // Each shard ships its first `after + limit` in-range refs;
+            // the union contains every ref the page can need (each
+            // shard's refs are a subsequence of the global slot order).
+            QueryRequest::Sandwiches {
+                from_slot,
+                to_slot,
+                limit,
+                after,
+            } => ShardQuery::Range {
+                from_slot,
+                to_slot,
+                need: after.saturating_add(limit),
+            },
+            QueryRequest::Live {
+                after_slot,
+                after_id,
+                limit,
+                ..
+            } => ShardQuery::Live {
+                after_slot,
+                after_id,
+                need: limit,
+            },
+        }
+    }
+}
+
+impl ShardQuery {
+    /// The request path and query string. Distinct per distinct answer,
+    /// so it doubles as the shard's cache key.
+    pub fn path(&self) -> String {
+        match self {
+            ShardQuery::Summary => "/shard/summary".to_string(),
+            ShardQuery::Days => "/shard/days".to_string(),
+            ShardQuery::Attackers => "/shard/attackers".to_string(),
+            ShardQuery::Attacker(pubkey) => format!("/shard/attacker/{pubkey}"),
+            ShardQuery::Pool(mint) => format!("/shard/pool/{mint}"),
+            ShardQuery::Validators => "/shard/validators".to_string(),
+            ShardQuery::Validator(pubkey) => format!("/shard/validator/{pubkey}"),
+            ShardQuery::Range {
+                from_slot,
+                to_slot,
+                need,
+            } => format!("/shard/sandwiches?from_slot={from_slot}&to_slot={to_slot}&need={need}"),
+            ShardQuery::Live {
+                after_slot,
+                after_id,
+                need,
+            } => format!("/shard/live?after_slot={after_slot}&after_id={after_id}&need={need}"),
+        }
+    }
+
+    /// Parse a request routed to `kind` (an endpoint name from
+    /// `sandwich_query::serve::ENDPOINTS`), or the message of its `400` —
+    /// worded by the helpers `QueryRequest::parse` uses. Parameters this
+    /// format does not know are ignored, so an `/api/*` query string
+    /// under the `/shard` prefix parses too.
+    pub fn parse(kind: &str, request: &Request) -> Result<ShardQuery, String> {
+        match kind {
+            "summary" => Ok(ShardQuery::Summary),
+            "days" => Ok(ShardQuery::Days),
+            "attackers" => Ok(ShardQuery::Attackers),
+            "attacker" => Ok(ShardQuery::Attacker(parse_pubkey(request, "pubkey")?)),
+            "pool" => Ok(ShardQuery::Pool(parse_pubkey(request, "mint")?)),
+            "validators" => Ok(ShardQuery::Validators),
+            "validator" => Ok(ShardQuery::Validator(parse_pubkey(request, "pubkey")?)),
+            "sandwiches" => {
+                let from_slot = parse_u64(request, "from_slot", 0)?;
+                let to_slot = parse_u64(request, "to_slot", u64::MAX)?;
+                if from_slot > to_slot {
+                    return Err(format!("from_slot {from_slot} exceeds to_slot {to_slot}"));
+                }
+                Ok(ShardQuery::Range {
+                    from_slot,
+                    to_slot,
+                    need: parse_usize(request, "need", usize::MAX)?,
+                })
+            }
+            "live" => Ok(ShardQuery::Live {
+                after_slot: parse_u64(request, "after_slot", 0)?,
+                after_id: match request.query.get("after_id") {
+                    None => Hash([0u8; 32]),
+                    Some(raw) => Hash::from_base58(raw).ok_or_else(|| {
+                        format!("query parameter \"after_id\" must be base58, got {raw:?}")
+                    })?,
+                },
+                need: parse_usize(request, "need", usize::MAX)?,
+            }),
+            other => Err(format!("unknown endpoint {other:?}")),
+        }
+    }
+}
 
 /// Shard partial for `GET /api/summary`.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -335,4 +481,189 @@ pub fn merge_live(parts: Vec<LivePartial>) -> (u64, usize, Vec<SandwichRef>, Vec
     refs.sort_by_key(|a| (a.slot, a.bundle_id.0));
     let minutes = window_minutes(minutes, tip);
     (tip, total_after, refs, minutes)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use sandwich_net::http::parse_query;
+    use sandwich_net::{HttpClient, Method, Server};
+    use sandwich_obs::Registry;
+    use sandwich_store::{CollectedBundle, StoreWriter};
+    use sandwich_types::{Keypair, Lamports, Slot};
+    use std::collections::HashMap;
+
+    /// What the shard's HTTP router hands the parser for `path`: the
+    /// endpoint kind, and a request with the query string and the `{name}`
+    /// path parameter split out.
+    fn request_for(path: &str) -> (String, Request) {
+        let (route, query) = path.split_once('?').unwrap_or((path, ""));
+        let mut segments = route.trim_start_matches("/shard/").splitn(2, '/');
+        let kind = segments.next().unwrap().to_string();
+        let mut params = HashMap::new();
+        if let Some(key) = segments.next() {
+            let name = if kind == "pool" { "mint" } else { "pubkey" };
+            params.insert(name.to_string(), key.to_string());
+        }
+        let request = Request {
+            method: Method::Get,
+            path: route.to_string(),
+            query: parse_query(query),
+            params,
+            headers: HashMap::new(),
+            body: Default::default(),
+        };
+        (kind, request)
+    }
+
+    /// Variant `which` of [`QueryRequest`] over the generated parameters.
+    fn api_query(which: usize, a: u64, b: u64, limit: usize, after: usize) -> QueryRequest {
+        let key = Pubkey::derive(&format!("wire-{a}"));
+        match which {
+            0 => QueryRequest::Summary,
+            1 => QueryRequest::Days,
+            2 => QueryRequest::Attackers { limit, after },
+            3 => QueryRequest::Attacker { pubkey: key },
+            4 => QueryRequest::Pool { mint: key },
+            5 => QueryRequest::Validators { limit, after },
+            6 => QueryRequest::Validator { pubkey: key },
+            7 => QueryRequest::Sandwiches {
+                from_slot: a.min(b),
+                to_slot: a.max(b),
+                limit,
+                after,
+            },
+            _ => QueryRequest::Live {
+                after_slot: a,
+                after_id: Hash::digest(&b.to_le_bytes()),
+                limit,
+                wait_ms: b % 5_000,
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `parse` inverts `path` for whatever the router can ask.
+        #[test]
+        fn shard_wire_format_round_trips(
+            which in 0usize..9,
+            a in any::<u64>(),
+            b in any::<u64>(),
+            limit in 1usize..501,
+            after in any::<usize>(),
+        ) {
+            let query = api_query(which, a, b, limit, after);
+            let wire = ShardQuery::from(&query);
+            let (kind, request) = request_for(&wire.path());
+            prop_assert_eq!(ShardQuery::parse(&kind, &request), Ok(wire));
+        }
+    }
+
+    #[test]
+    fn malformed_parameters_are_worded_like_the_api_parser() {
+        // A parameter both formats know fails with the same message.
+        for path in [
+            "/shard/sandwiches?from_slot=banana",
+            "/shard/sandwiches?to_slot=-1",
+            "/shard/sandwiches?from_slot=9&to_slot=3",
+            "/shard/attacker/not-base58!",
+            "/shard/pool/0OIl",
+            "/shard/validator/short",
+        ] {
+            let (kind, request) = request_for(path);
+            let wire = ShardQuery::parse(&kind, &request).expect_err(path);
+            let api = QueryRequest::parse(&kind, &request).expect_err(path);
+            assert_eq!(wire, api, "{path}");
+        }
+        // `need` / `after_slot` are the shard's own: same helper, so the
+        // same wording as the API's `limit` / `from_slot`.
+        for (path, ours, api_path, theirs) in [
+            (
+                "/shard/sandwiches?need=banana",
+                "need",
+                "/shard/sandwiches?limit=banana",
+                "limit",
+            ),
+            (
+                "/shard/live?need=1.5",
+                "need",
+                "/shard/live?limit=1.5",
+                "limit",
+            ),
+            (
+                "/shard/live?after_slot=x",
+                "after_slot",
+                "/shard/sandwiches?from_slot=x",
+                "from_slot",
+            ),
+        ] {
+            let (kind, request) = request_for(path);
+            let wire = ShardQuery::parse(&kind, &request).expect_err(path);
+            let (kind, request) = request_for(api_path);
+            let api = QueryRequest::parse(&kind, &request).expect_err(api_path);
+            assert_eq!(wire, api.replace(theirs, ours), "{path}");
+        }
+        let (kind, request) = request_for("/shard/live?after_id=0OIl");
+        let message = ShardQuery::parse(&kind, &request).unwrap_err();
+        assert!(message.contains("\"after_id\" must be base58"), "{message}");
+    }
+
+    /// `bench-trace`'s leg probe: an `/api/sandwiches` path with only the
+    /// prefix swapped still answers a decodable [`RangePartial`], and a
+    /// malformed parameter is a `400` over the socket.
+    #[test]
+    fn an_api_query_string_under_the_shard_prefix_answers_a_range_partial() {
+        let dir = std::env::temp_dir().join(format!("sw-wire-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut writer = StoreWriter::create(&dir).unwrap();
+        let kp = Keypair::from_label("wire");
+        let bundles = (0..10u64)
+            .map(|i| CollectedBundle {
+                bundle_id: Hash::digest(&i.to_le_bytes()),
+                slot: Slot(100 + i),
+                timestamp_ms: i * 400,
+                tip: Lamports(30_000),
+                tx_ids: vec![kp.sign(&i.to_le_bytes())],
+            })
+            .collect();
+        writer
+            .seal_segment(bundles, Vec::new(), Vec::new())
+            .unwrap();
+        let manifest = sandwich_store::Manifest::load(&dir).unwrap();
+        let map = crate::ShardMap::plan(&manifest, 1);
+
+        tokio::runtime::Builder::new_multi_thread()
+            .enable_all()
+            .build()
+            .unwrap()
+            .block_on(async {
+                let config = crate::ShardConfig::new(&dir, 0);
+                let shard = crate::ShardService::open(config, &map, Registry::new()).unwrap();
+                let server = Server::bind("127.0.0.1:0", shard.router()).await.unwrap();
+                let client = HttpClient::new(server.local_addr());
+
+                let api_path = "/api/sandwiches?from_slot=0&to_slot=5000&limit=20&after=40";
+                let leg = client
+                    .get(&api_path.replacen("/api/", "/shard/", 1))
+                    .await
+                    .unwrap();
+                assert_eq!(leg.status, 200);
+                let partial: RangePartial = serde_json::from_slice(&leg.body).unwrap();
+                assert_eq!(partial.generation, map.generation);
+                assert_eq!(partial.total, 0, "plain bundles, no sandwiches");
+
+                let bad = client.get("/shard/sandwiches?need=banana").await.unwrap();
+                assert_eq!(bad.status, 400);
+                let body = String::from_utf8_lossy(&bad.body).to_string();
+                assert!(
+                    body.contains("\"need\\\" must be a non-negative integer"),
+                    "{body}"
+                );
+                server.shutdown().await;
+            });
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -1,8 +1,10 @@
-//! [`ShardService`] — one shard's engine and its `/shard/*` partial API.
+//! [`ShardService`] — the shard-partial [`Backend`]: one shard's engine
+//! behind the `sandwich_query::serve` skeleton, answering `/shard/*`.
 //!
 //! A shard owns a slice of the manifest (per the [`crate::ShardMap`]),
-//! builds its index with `build_index_subset` over exactly that slice,
-//! persists it under a shard-and-fingerprint-qualified file name
+//! brings its index over exactly that slice up the same load → fold →
+//! rebuild ladder `queryd` uses (`sandwich_query::ladder`), persists it
+//! under a shard-and-fingerprint-qualified file name
 //! (`query-index.shard-{i}of{n}-{fp}.bin`, same `SWQIX01` frame), and
 //! serves merge-ready partials from its own response cache. Coverage is
 //! exact per shard: a shard whose slice contains quarantined or
@@ -10,19 +12,17 @@
 //! router's sum reproduces the whole-store block.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::RwLock;
 
-use sandwich_net::{Method, Request, Response, Router};
+use sandwich_net::{Request, Router};
 use sandwich_obs::{names, Registry};
-use sandwich_query::render::{error_response, DETAIL_REF_CAP};
+use sandwich_query::ladder::{bring_up, IndexScope};
+use sandwich_query::render::{json_response, DETAIL_REF_CAP};
 use sandwich_query::{
-    build_index_subset, first_ref_after_cursor, generation_of, live_minutes, load_index_as,
-    save_index_as, AttackerEntry, CachedResponse, Engine, PoolEntry, QueryConfig, ResponseCache,
-    SandwichRef, ValidatorEntry,
+    first_ref_after_cursor, generation_of, live_minutes, AttackerEntry, Backend, CachedResponse,
+    Engine, PoolEntry, QueryConfig, QueryIndex, SandwichRef, Serving, ValidatorEntry,
 };
 use sandwich_store::BundleStore;
 use sandwich_types::{Hash, Pubkey};
@@ -30,7 +30,7 @@ use sandwich_types::{Hash, Pubkey};
 use crate::map::ShardMap;
 use crate::merge::{
     AttackerDetailPartial, AttackersPartial, DaysPartial, LivePartial, PoolDetailPartial,
-    RangePartial, SummaryPartial, ValidatorDetailPartial, ValidatorsPartial,
+    RangePartial, ShardQuery, SummaryPartial, ValidatorDetailPartial, ValidatorsPartial,
 };
 
 /// File name of one shard's persisted index: qualified by shard id, shard
@@ -53,10 +53,6 @@ pub struct ShardConfig {
     pub query: QueryConfig,
     /// This shard's id (index into the shard map).
     pub shard: usize,
-    /// Response-cache shards.
-    pub cache_shards: usize,
-    /// Entries per cache shard.
-    pub cache_per_shard: usize,
 }
 
 impl ShardConfig {
@@ -66,84 +62,37 @@ impl ShardConfig {
             store_dir: store_dir.into(),
             query: QueryConfig::default(),
             shard,
-            cache_shards: 4,
-            cache_per_shard: 64,
         }
     }
 }
 
-/// An owned, validated shard query (the `Request` itself is not `Clone`,
-/// and the single-flight compute closure must own its inputs).
-enum ShardQuery {
-    Summary,
-    Days,
-    Attackers,
-    Attacker(Pubkey),
-    Pool(Pubkey),
-    Validators,
-    Validator(Pubkey),
-    Range {
-        from_slot: u64,
-        to_slot: u64,
-        need: usize,
-    },
-    Live {
-        after_slot: u64,
-        after_id: Hash,
-        need: usize,
-    },
-}
-
-impl ShardQuery {
-    /// Canonical cache-key tail (unique per distinct answer).
-    fn canonical(&self) -> String {
-        match self {
-            ShardQuery::Summary => "summary".to_string(),
-            ShardQuery::Days => "days".to_string(),
-            ShardQuery::Attackers => "attackers".to_string(),
-            ShardQuery::Attacker(pubkey) => format!("attacker/{pubkey}"),
-            ShardQuery::Pool(mint) => format!("pool/{mint}"),
-            ShardQuery::Validators => "validators".to_string(),
-            ShardQuery::Validator(pubkey) => format!("validator/{pubkey}"),
-            ShardQuery::Range {
-                from_slot,
-                to_slot,
-                need,
-            } => format!("sandwiches?from={from_slot}&to={to_slot}&need={need}"),
-            ShardQuery::Live {
-                after_slot,
-                after_id,
-                need,
-            } => format!("live?after={after_slot:016x}.{after_id}&need={need}"),
-        }
-    }
-}
-
+/// The engine serving and the index file it persists under — which names
+/// the assignment (shard count and fingerprint) it was built for.
 struct ShardState {
     engine: Arc<Engine>,
-    fingerprint: String,
-    shards: usize,
+    file: String,
 }
 
-struct ShardInner {
+/// The shard-partial backend: answers are partials over one slice.
+struct ShardPartials {
     config: ShardConfig,
     state: RwLock<ShardState>,
-    cache: ResponseCache,
     registry: Registry,
-    last_install_ok: AtomicBool,
 }
 
 /// One shard: an engine over its manifest slice plus the partial API.
 #[derive(Clone)]
 pub struct ShardService {
-    inner: Arc<ShardInner>,
+    serving: Arc<Serving<ShardPartials>>,
 }
 
-/// Load the shard's persisted index when it verifies, rebuild its subset
-/// from segments when it does not, and record which happened.
-fn load_or_build_shard(
+/// Bring this shard's slice of the index, as `map` assigns it, to the
+/// manifest's generation — folding forward from `live` (the index being
+/// served) when the slice only grew.
+fn bring_up_slice(
     config: &ShardConfig,
     map: &ShardMap,
+    live: Option<&QueryIndex>,
     registry: &Registry,
 ) -> std::io::Result<ShardState> {
     let store = BundleStore::open(&config.store_dir)?;
@@ -163,54 +112,40 @@ fn load_or_build_shard(
             format!("stale shard map: {e}"),
         )
     })?;
-    let fingerprint = map.fingerprint(config.shard);
-    let file = shard_index_file(config.shard, map.shard_count(), &fingerprint);
-    let index = match load_index_as(store.dir(), &file, &generation) {
-        Ok(index) => {
-            registry.counter(names::QUERY_INDEX_LOADS).inc();
-            index
-        }
-        Err(_) => {
-            let started = Instant::now();
-            let index = build_index_subset(&store, &config.query, &serving, &quarantined)?;
-            registry
-                .histogram(names::QUERY_INDEX_BUILD_SECONDS)
-                .observe(started.elapsed().as_secs_f64());
-            registry.counter(names::QUERY_INDEX_REBUILDS).inc();
-            save_index_as(store.dir(), &index, &file)?;
-            index
-        }
+    let scope = IndexScope {
+        serving,
+        quarantined,
+        file: index_file_under(config.shard, map),
     };
-    if index.coverage.segments_failed > 0 {
-        registry
-            .counter(names::QUERY_INDEX_SEGMENTS_FAILED)
-            .add(index.coverage.segments_failed);
-    }
+    let index = bring_up(&store, &scope, live, &config.query, registry)?;
     Ok(ShardState {
         engine: Arc::new(Engine::new(Arc::new(index))),
-        fingerprint,
-        shards: map.shard_count(),
+        file: scope.file,
     })
 }
 
+/// The index file of `shard` under the assignment `map` gives it.
+pub(crate) fn index_file_under(shard: usize, map: &ShardMap) -> String {
+    shard_index_file(shard, map.shard_count(), &map.fingerprint(shard))
+}
+
 impl ShardService {
-    /// Open the store and build (or load) this shard's slice of the index
+    /// Open the store and load or build this shard's slice of the index
     /// per `map`. Metrics land in `registry`.
     pub fn open(
         config: ShardConfig,
         map: &ShardMap,
         registry: Registry,
     ) -> std::io::Result<ShardService> {
-        let state = load_or_build_shard(&config, map, &registry)?;
-        let cache = ResponseCache::new(config.cache_shards, config.cache_per_shard);
+        let state = bring_up_slice(&config, map, None, &registry)?;
+        let backend = ShardPartials {
+            config,
+            state: RwLock::new(state),
+            registry: registry.clone(),
+        };
         Ok(ShardService {
-            inner: Arc::new(ShardInner {
-                config,
-                state: RwLock::new(state),
-                cache,
-                registry,
-                last_install_ok: AtomicBool::new(true),
-            }),
+            // Unbounded: the router in front of a shard is what sheds.
+            serving: Serving::new(backend, usize::MAX, registry),
         })
     }
 
@@ -219,365 +154,225 @@ impl ShardService {
     /// generation or assignment went live. A failed install keeps the
     /// last good engine serving and flips `/readyz` until one succeeds.
     pub fn install(&self, map: &ShardMap) -> std::io::Result<bool> {
-        let result = self.install_inner(map);
-        self.inner
-            .last_install_ok
-            .store(result.is_ok(), Ordering::Release);
-        result
+        self.serving.track(self.install_inner(map))
     }
 
     fn install_inner(&self, map: &ShardMap) -> std::io::Result<bool> {
-        {
-            let state = self.inner.state.read();
+        let shard = &self.serving.backend;
+        let live = {
+            let state = shard.state.read();
             if state.engine.generation() == map.generation
-                && state.fingerprint == map.fingerprint(self.inner.config.shard)
-                && state.shards == map.shard_count()
+                && state.file == index_file_under(shard.config.shard, map)
             {
                 return Ok(false);
             }
-        }
-        let state = load_or_build_shard(&self.inner.config, map, &self.inner.registry)?;
-        *self.inner.state.write() = state;
-        self.inner.registry.counter(names::QUERY_RELOADS).inc();
+            state.engine.clone()
+        };
+        let state = bring_up_slice(&shard.config, map, Some(live.index()), &shard.registry)?;
+        *shard.state.write() = state;
+        shard.registry.counter(names::QUERY_RELOADS).inc();
         Ok(true)
-    }
-
-    /// This shard's id.
-    pub fn shard(&self) -> usize {
-        self.inner.config.shard
     }
 
     /// The generation currently being served.
     pub fn generation(&self) -> String {
-        self.inner.state.read().engine.generation().to_string()
+        self.serving.backend.snapshot().generation().to_string()
     }
 
-    /// The engine snapshot currently serving (for tests and benches).
-    pub fn engine_snapshot(&self) -> Arc<Engine> {
-        self.inner.state.read().engine.clone()
-    }
-
-    fn engine(&self) -> Arc<Engine> {
-        self.inner.state.read().engine.clone()
-    }
-
-    fn json<T: serde::Serialize>(value: &T) -> CachedResponse {
-        CachedResponse {
-            status: 200,
-            content_type: "application/json".to_string(),
-            body: serde_json::to_vec(value).unwrap_or_default(),
-        }
-    }
-
-    fn summary_partial(engine: &Engine) -> CachedResponse {
-        let index = engine.index();
-        Self::json(&SummaryPartial {
-            generation: index.generation.clone(),
-            coverage: index.coverage.clone(),
-            totals: index.totals.clone(),
-            days: index.days.len() as u64,
-            attacker_keys: index.attackers.iter().map(|e| e.attacker).collect(),
-            pool_keys: index.pools.iter().map(|e| e.mint).collect(),
-        })
-    }
-
-    /// Entries with refs cleared: rank and row data only, off the wire.
-    fn wire_attackers(engine: &Engine) -> Vec<AttackerEntry> {
-        engine
-            .index()
-            .attackers
-            .iter()
-            .map(|e| AttackerEntry {
-                refs: Vec::new(),
-                ..e.clone()
-            })
-            .collect()
-    }
-
-    fn wire_pools(engine: &Engine) -> Vec<PoolEntry> {
-        engine
-            .index()
-            .pools
-            .iter()
-            .map(|e| PoolEntry {
-                refs: Vec::new(),
-                ..e.clone()
-            })
-            .collect()
-    }
-
-    /// Entries with refs cleared; `sandwich_slots` stays on the wire
-    /// (the router's distinct-block merge needs the slot union).
-    fn wire_validators(engine: &Engine) -> Vec<ValidatorEntry> {
-        engine
-            .validator_entries()
-            .iter()
-            .map(|e| ValidatorEntry {
-                refs: Vec::new(),
-                ..e.clone()
-            })
-            .collect()
-    }
-
-    fn validator_detail_partial(engine: &Engine, pubkey: &Pubkey) -> CachedResponse {
-        let recent = engine
-            .validator_entry(pubkey)
-            .map(|(_, entry)| engine.ref_tail(&entry.refs, DETAIL_REF_CAP))
-            .unwrap_or_default();
-        Self::json(&ValidatorDetailPartial {
-            generation: engine.generation().to_string(),
-            entries: Self::wire_validators(engine),
-            recent,
-        })
-    }
-
-    fn attacker_detail_partial(engine: &Engine, pubkey: &Pubkey) -> CachedResponse {
-        let recent = engine
-            .attacker_entry(pubkey)
-            .map(|(_, entry)| engine.ref_tail(&entry.refs, DETAIL_REF_CAP))
-            .unwrap_or_default();
-        Self::json(&AttackerDetailPartial {
-            generation: engine.generation().to_string(),
-            entries: Self::wire_attackers(engine),
-            recent,
-        })
-    }
-
-    fn pool_detail_partial(engine: &Engine, mint: &Pubkey) -> CachedResponse {
-        let (attackers, recent) = match engine.pool_entry(mint) {
-            None => (Vec::new(), Vec::new()),
-            Some((_, entry)) => {
-                let all: Vec<SandwichRef> = engine.ref_tail(&entry.refs, usize::MAX);
-                let set: std::collections::BTreeSet<Pubkey> =
-                    all.iter().map(|r| r.attacker).collect();
-                (
-                    set.into_iter().collect(),
-                    engine.ref_tail(&entry.refs, DETAIL_REF_CAP),
-                )
-            }
-        };
-        Self::json(&PoolDetailPartial {
-            generation: engine.generation().to_string(),
-            pools: Self::wire_pools(engine),
-            attackers,
-            recent,
-        })
-    }
-
-    fn range_partial(engine: &Engine, from_slot: u64, to_slot: u64, need: usize) -> CachedResponse {
-        let refs = &engine.index().refs;
-        let start = sandwich_query::index::first_ref_at_or_after(refs, from_slot);
-        let end = match to_slot.checked_add(1) {
-            Some(bound) => sandwich_query::index::first_ref_at_or_after(refs, bound),
-            None => refs.len(),
-        };
-        let in_range = &refs[start..end];
-        Self::json(&RangePartial {
-            generation: engine.generation().to_string(),
-            total: in_range.len() as u64,
-            refs: in_range.iter().take(need).cloned().collect(),
-        })
-    }
-
-    fn live_partial(
-        engine: &Engine,
-        after_slot: u64,
-        after_id: &Hash,
-        need: usize,
-    ) -> CachedResponse {
-        let index = engine.index();
-        let refs = &index.refs;
-        let start = first_ref_after_cursor(refs, after_slot, after_id);
-        let after = &refs[start..];
-        Self::json(&LivePartial {
-            generation: engine.generation().to_string(),
-            tip_slot: index.totals.max_slot,
-            total_after: after.len() as u64,
-            refs: after.iter().take(need).cloned().collect(),
-            minutes: live_minutes(refs, index.totals.max_slot),
-        })
-    }
-
-    async fn handle(&self, kind: &'static str, request: Request) -> Response {
-        let engine = self.engine();
-        let generation = engine.generation().to_string();
-
-        // Parse into an owned query (Request is not Clone) or a 400.
-        let parsed: Result<ShardQuery, String> = match kind {
-            "summary" => Ok(ShardQuery::Summary),
-            "days" => Ok(ShardQuery::Days),
-            "attackers" => Ok(ShardQuery::Attackers),
-            "validators" => Ok(ShardQuery::Validators),
-            "attacker" | "pool" | "validator" => {
-                let param = if kind == "pool" { "mint" } else { "pubkey" };
-                match request.path_param(param).map(str::parse::<Pubkey>) {
-                    Some(Ok(key)) if kind == "attacker" => Ok(ShardQuery::Attacker(key)),
-                    Some(Ok(key)) if kind == "validator" => Ok(ShardQuery::Validator(key)),
-                    Some(Ok(key)) => Ok(ShardQuery::Pool(key)),
-                    _ => Err(format!("invalid {param}")),
-                }
-            }
-            "sandwiches" => {
-                let parse = |key: &str, default: u64| -> Result<u64, String> {
-                    match request.query.get(key) {
-                        None => Ok(default),
-                        Some(raw) => raw
-                            .parse::<u64>()
-                            .map_err(|_| format!("query parameter {key:?} must be an integer")),
-                    }
-                };
-                match (
-                    parse("from_slot", 0),
-                    parse("to_slot", u64::MAX),
-                    parse("need", u64::MAX),
-                ) {
-                    (Ok(f), Ok(t), Ok(n)) if f <= t => Ok(ShardQuery::Range {
-                        from_slot: f,
-                        to_slot: t,
-                        need: n.min(usize::MAX as u64) as usize,
-                    }),
-                    (Ok(f), Ok(t), Ok(_)) => Err(format!("from_slot {f} exceeds to_slot {t}")),
-                    (Err(e), ..) | (_, Err(e), _) | (_, _, Err(e)) => Err(e),
-                }
-            }
-            "live" => {
-                let after_slot = match request.query.get("after_slot") {
-                    None => Ok(0),
-                    Some(raw) => raw.parse::<u64>().map_err(|_| {
-                        "query parameter \"after_slot\" must be an integer".to_string()
-                    }),
-                };
-                let after_id = match request.query.get("after_id") {
-                    None => Ok(Hash([0u8; 32])),
-                    Some(raw) => Hash::from_base58(raw)
-                        .ok_or_else(|| "query parameter \"after_id\" must be base58".to_string()),
-                };
-                let need = match request.query.get("need") {
-                    None => Ok(usize::MAX),
-                    Some(raw) => raw
-                        .parse::<usize>()
-                        .map_err(|_| "query parameter \"need\" must be an integer".to_string()),
-                };
-                match (after_slot, after_id, need) {
-                    (Ok(after_slot), Ok(after_id), Ok(need)) => Ok(ShardQuery::Live {
-                        after_slot,
-                        after_id,
-                        need,
-                    }),
-                    (Err(e), ..) | (_, Err(e), _) | (_, _, Err(e)) => Err(e),
-                }
-            }
-            other => Err(format!("unknown shard endpoint {other:?}")),
-        };
-
-        let cached = match parsed {
-            Err(message) => Arc::new(error_response(400, message)),
-            Ok(query) => {
-                let key = format!("{generation}|{}", query.canonical());
-                let compute = {
-                    let engine = engine.clone();
-                    move || match query {
-                        ShardQuery::Summary => Self::summary_partial(&engine),
-                        ShardQuery::Days => Self::json(&DaysPartial {
-                            generation: engine.generation().to_string(),
-                            days: engine.index().days.clone(),
-                        }),
-                        ShardQuery::Attackers => Self::json(&AttackersPartial {
-                            generation: engine.generation().to_string(),
-                            entries: Self::wire_attackers(&engine),
-                        }),
-                        ShardQuery::Attacker(pubkey) => {
-                            Self::attacker_detail_partial(&engine, &pubkey)
-                        }
-                        ShardQuery::Pool(mint) => Self::pool_detail_partial(&engine, &mint),
-                        ShardQuery::Validators => Self::json(&ValidatorsPartial {
-                            generation: engine.generation().to_string(),
-                            entries: Self::wire_validators(&engine),
-                        }),
-                        ShardQuery::Validator(pubkey) => {
-                            Self::validator_detail_partial(&engine, &pubkey)
-                        }
-                        ShardQuery::Range {
-                            from_slot,
-                            to_slot,
-                            need,
-                        } => Self::range_partial(&engine, from_slot, to_slot, need),
-                        ShardQuery::Live {
-                            after_slot,
-                            after_id,
-                            need,
-                        } => Self::live_partial(&engine, after_slot, &after_id, need),
-                    }
-                };
-                let (cached, _outcome, _evicted) =
-                    self.inner.cache.get_or_compute(&key, compute).await;
-                cached
-            }
-        };
-
-        Response::new(cached.status, cached.body.clone())
-            .header("content-type", &cached.content_type)
-            .header("x-query-generation", &generation)
-    }
-
-    fn health_response(&self) -> Response {
-        let body = format!(
-            "{{\"status\":\"ok\",\"shard\":{},\"generation\":\"{}\"}}",
-            self.shard(),
-            self.generation()
-        );
-        Response::new(200, body.into_bytes()).header("content-type", "application/json")
-    }
-
-    fn ready_response(&self) -> Response {
-        let ok = self.inner.last_install_ok.load(Ordering::Acquire);
-        let engine = self.engine();
-        let body = format!(
-            "{{\"ready\":{ok},\"shard\":{},\"complete\":{},\"generation\":\"{}\"}}",
-            self.shard(),
-            engine.index().coverage.complete(),
-            engine.generation()
-        );
-        let response = Response::new(if ok { 200 } else { 503 }, body.into_bytes())
-            .header("content-type", "application/json");
-        if ok {
-            response
-        } else {
-            response.header("retry-after", "3")
-        }
-    }
-
-    /// The partial API router (plus `GET /metrics` from the registry).
+    /// The partial API router (plus the probes and `GET /metrics`).
     pub fn router(&self) -> Router {
-        let endpoints: [(&'static str, &'static str); 9] = [
-            ("summary", "/shard/summary"),
-            ("days", "/shard/days"),
-            ("attackers", "/shard/attackers"),
-            ("attacker", "/shard/attacker/{pubkey}"),
-            ("pool", "/shard/pool/{mint}"),
-            ("sandwiches", "/shard/sandwiches"),
-            ("live", "/shard/live"),
-            ("validators", "/shard/validators"),
-            ("validator", "/shard/validator/{pubkey}"),
-        ];
-        let mut router = Router::new();
-        for (kind, path) in endpoints {
-            let service = self.clone();
-            router = router.route(Method::Get, path, move |request: Request| {
-                let service = service.clone();
-                async move { service.handle(kind, request).await }
-            });
-        }
-        let service = self.clone();
-        router = router.route(Method::Get, "/healthz", move |_request: Request| {
-            let service = service.clone();
-            async move { service.health_response() }
-        });
-        let service = self.clone();
-        router = router.route(Method::Get, "/readyz", move |_request: Request| {
-            let service = service.clone();
-            async move { service.ready_response() }
-        });
-        router.with_metrics(self.inner.registry.clone())
+        self.serving.router()
     }
+}
+
+impl Backend for ShardPartials {
+    const PUBLIC: bool = false;
+    type Query = ShardQuery;
+    type Snapshot = Arc<Engine>;
+
+    fn snapshot(&self) -> Arc<Engine> {
+        self.state.read().engine.clone()
+    }
+
+    fn generation(engine: &Arc<Engine>) -> &str {
+        engine.generation()
+    }
+
+    fn parse(kind: &str, request: &Request) -> Result<ShardQuery, String> {
+        ShardQuery::parse(kind, request)
+    }
+
+    fn canonical_key(query: &ShardQuery) -> String {
+        query.path()
+    }
+
+    async fn evaluate(&self, engine: &Arc<Engine>, query: &ShardQuery) -> CachedResponse {
+        let generation = engine.generation().to_string();
+        match query {
+            ShardQuery::Summary => summary_partial(engine),
+            ShardQuery::Days => partial(&DaysPartial {
+                generation,
+                days: engine.index().days.clone(),
+            }),
+            ShardQuery::Attackers => partial(&AttackersPartial {
+                generation,
+                entries: wire_attackers(engine),
+            }),
+            ShardQuery::Attacker(pubkey) => attacker_detail_partial(engine, pubkey),
+            ShardQuery::Pool(mint) => pool_detail_partial(engine, mint),
+            ShardQuery::Validators => partial(&ValidatorsPartial {
+                generation,
+                entries: wire_validators(engine),
+            }),
+            ShardQuery::Validator(pubkey) => validator_detail_partial(engine, pubkey),
+            ShardQuery::Range {
+                from_slot,
+                to_slot,
+                need,
+            } => range_partial(engine, *from_slot, *to_slot, *need),
+            ShardQuery::Live {
+                after_slot,
+                after_id,
+                need,
+            } => live_partial(engine, *after_slot, after_id, *need),
+        }
+    }
+
+    fn health_fields(&self) -> (String, String) {
+        (format!(",\"shard\":{}", self.config.shard), String::new())
+    }
+
+    async fn ready(&self, engine: &Arc<Engine>) -> (bool, String) {
+        let complete = engine.index().coverage.complete();
+        let shard = self.config.shard;
+        (true, format!(",\"shard\":{shard},\"complete\":{complete}"))
+    }
+}
+
+/// A wire partial: `200` and the JSON body the router decodes.
+fn partial<T: serde::Serialize>(value: &T) -> CachedResponse {
+    json_response(200, value)
+}
+
+fn summary_partial(engine: &Engine) -> CachedResponse {
+    let index = engine.index();
+    partial(&SummaryPartial {
+        generation: index.generation.clone(),
+        coverage: index.coverage.clone(),
+        totals: index.totals.clone(),
+        days: index.days.len() as u64,
+        attacker_keys: index.attackers.iter().map(|e| e.attacker).collect(),
+        pool_keys: index.pools.iter().map(|e| e.mint).collect(),
+    })
+}
+
+/// Entries with refs cleared: rank and row data only, off the wire.
+fn wire_attackers(engine: &Engine) -> Vec<AttackerEntry> {
+    engine
+        .index()
+        .attackers
+        .iter()
+        .map(|e| AttackerEntry {
+            refs: Vec::new(),
+            ..e.clone()
+        })
+        .collect()
+}
+
+fn wire_pools(engine: &Engine) -> Vec<PoolEntry> {
+    engine
+        .index()
+        .pools
+        .iter()
+        .map(|e| PoolEntry {
+            refs: Vec::new(),
+            ..e.clone()
+        })
+        .collect()
+}
+
+/// Entries with refs cleared; `sandwich_slots` stays on the wire
+/// (the router's distinct-block merge needs the slot union).
+fn wire_validators(engine: &Engine) -> Vec<ValidatorEntry> {
+    engine
+        .validator_entries()
+        .iter()
+        .map(|e| ValidatorEntry {
+            refs: Vec::new(),
+            ..e.clone()
+        })
+        .collect()
+}
+
+fn validator_detail_partial(engine: &Engine, pubkey: &Pubkey) -> CachedResponse {
+    let recent = engine
+        .validator_entry(pubkey)
+        .map(|(_, entry)| engine.ref_tail(&entry.refs, DETAIL_REF_CAP))
+        .unwrap_or_default();
+    partial(&ValidatorDetailPartial {
+        generation: engine.generation().to_string(),
+        entries: wire_validators(engine),
+        recent,
+    })
+}
+
+fn attacker_detail_partial(engine: &Engine, pubkey: &Pubkey) -> CachedResponse {
+    let recent = engine
+        .attacker_entry(pubkey)
+        .map(|(_, entry)| engine.ref_tail(&entry.refs, DETAIL_REF_CAP))
+        .unwrap_or_default();
+    partial(&AttackerDetailPartial {
+        generation: engine.generation().to_string(),
+        entries: wire_attackers(engine),
+        recent,
+    })
+}
+
+fn pool_detail_partial(engine: &Engine, mint: &Pubkey) -> CachedResponse {
+    let (attackers, recent) = match engine.pool_entry(mint) {
+        None => (Vec::new(), Vec::new()),
+        Some((_, entry)) => {
+            let all: Vec<SandwichRef> = engine.ref_tail(&entry.refs, usize::MAX);
+            let set: std::collections::BTreeSet<Pubkey> = all.iter().map(|r| r.attacker).collect();
+            (
+                set.into_iter().collect(),
+                engine.ref_tail(&entry.refs, DETAIL_REF_CAP),
+            )
+        }
+    };
+    partial(&PoolDetailPartial {
+        generation: engine.generation().to_string(),
+        pools: wire_pools(engine),
+        attackers,
+        recent,
+    })
+}
+
+fn range_partial(engine: &Engine, from_slot: u64, to_slot: u64, need: usize) -> CachedResponse {
+    let refs = &engine.index().refs;
+    let start = sandwich_query::index::first_ref_at_or_after(refs, from_slot);
+    let end = match to_slot.checked_add(1) {
+        Some(bound) => sandwich_query::index::first_ref_at_or_after(refs, bound),
+        None => refs.len(),
+    };
+    let in_range = &refs[start..end];
+    partial(&RangePartial {
+        generation: engine.generation().to_string(),
+        total: in_range.len() as u64,
+        refs: in_range.iter().take(need).cloned().collect(),
+    })
+}
+
+fn live_partial(engine: &Engine, after_slot: u64, after_id: &Hash, need: usize) -> CachedResponse {
+    let index = engine.index();
+    let refs = &index.refs;
+    let start = first_ref_after_cursor(refs, after_slot, after_id);
+    let after = &refs[start..];
+    partial(&LivePartial {
+        generation: engine.generation().to_string(),
+        tip_slot: index.totals.max_slot,
+        total_after: after.len() as u64,
+        refs: after.iter().take(need).cloned().collect(),
+        minutes: live_minutes(refs, index.totals.max_slot),
+    })
 }

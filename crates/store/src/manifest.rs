@@ -205,51 +205,73 @@ impl Manifest {
     /// Diff this manifest against a previously covered snapshot, given as
     /// the file names the consumer already folded (`covered_serving` from
     /// the serving list, `covered_quarantined` from the quarantine list).
-    ///
-    /// Returns the strictly-new work when the history is append-only:
-    /// every covered serving file is still serving and every covered
-    /// quarantined file is still quarantined. Any other shape — a covered
-    /// segment deleted, moved into quarantine, or resurrected — returns
-    /// `None`, because folded aggregates cannot be subtracted.
+    /// [`Manifest::delta_within`] over the whole manifest.
     pub fn delta_from(
         &self,
         covered_serving: &[String],
         covered_quarantined: &[String],
     ) -> Option<ManifestDelta> {
-        let serving: std::collections::BTreeSet<&str> =
-            covered_serving.iter().map(String::as_str).collect();
-        let quarantined: std::collections::BTreeSet<&str> =
-            covered_quarantined.iter().map(String::as_str).collect();
+        let serving: Vec<usize> = (0..self.segments.len()).collect();
+        let quarantined: Vec<usize> = (0..self.quarantined().len()).collect();
+        self.delta_within(covered_serving, covered_quarantined, &serving, &quarantined)
+    }
 
-        let current_serving: std::collections::BTreeSet<&str> =
-            self.segments.iter().map(|s| s.file.as_str()).collect();
-        let current_quarantined: std::collections::BTreeSet<&str> = self
-            .quarantined()
-            .iter()
-            .map(|q| q.meta.file.as_str())
-            .collect();
-        if !serving.iter().all(|f| current_serving.contains(f))
-            || !quarantined.iter().all(|f| current_quarantined.contains(f))
+    /// Diff a covered snapshot against a **scope** of this manifest: the
+    /// entries at `serving` (indexes into [`Manifest::segments`]) and
+    /// `quarantined` (indexes into [`Manifest::quarantined`]) — the whole
+    /// manifest for one index over the store, one shard's slice for a
+    /// shard.
+    ///
+    /// Returns the strictly-new work when the scope only grew: every
+    /// covered serving file is still serving inside it and every covered
+    /// quarantined file is still quarantined inside it. Any other shape —
+    /// a covered segment deleted, moved out of the scope, moved into
+    /// quarantine, or resurrected — returns `None`, because folded
+    /// aggregates cannot be subtracted. So does an index outside the
+    /// manifest.
+    pub fn delta_within(
+        &self,
+        covered_serving: &[String],
+        covered_quarantined: &[String],
+        serving: &[usize],
+        quarantined: &[usize],
+    ) -> Option<ManifestDelta> {
+        use std::collections::BTreeSet;
+        let covered_serving: BTreeSet<&str> = covered_serving.iter().map(String::as_str).collect();
+        let covered_quarantined: BTreeSet<&str> =
+            covered_quarantined.iter().map(String::as_str).collect();
+        let mut scope_serving = Vec::with_capacity(serving.len());
+        for &i in serving {
+            scope_serving.push((i, self.segments.get(i)?.file.as_str()));
+        }
+        let mut scope_quarantined = Vec::with_capacity(quarantined.len());
+        for &i in quarantined {
+            scope_quarantined.push((i, self.quarantined().get(i)?.meta.file.as_str()));
+        }
+        let still = |scope: &[(usize, &str)], covered: &BTreeSet<&str>| {
+            let scope: BTreeSet<&str> = scope.iter().map(|(_, file)| *file).collect();
+            covered.iter().all(|file| scope.contains(file))
+        };
+        if !still(&scope_serving, &covered_serving)
+            || !still(&scope_quarantined, &covered_quarantined)
         {
             return None;
         }
 
         let mut delta = ManifestDelta::default();
-        for (i, meta) in self.segments.iter().enumerate() {
-            let file = meta.file.as_str();
-            if quarantined.contains(file) {
+        for (i, file) in scope_serving {
+            if covered_quarantined.contains(file) {
                 return None; // resurrected from quarantine: not foldable
             }
-            if !serving.contains(file) {
+            if !covered_serving.contains(file) {
                 delta.new_serving.push(i);
             }
         }
-        for (i, q) in self.quarantined().iter().enumerate() {
-            let file = q.meta.file.as_str();
-            if serving.contains(file) {
+        for (i, file) in scope_quarantined {
+            if covered_serving.contains(file) {
                 return None; // covered while serving, now quarantined
             }
-            if !quarantined.contains(file) {
+            if !covered_quarantined.contains(file) {
                 delta.new_quarantined.push(i);
             }
         }
@@ -296,6 +318,15 @@ impl SealWatcher {
                 changed
             }
         }
+    }
+
+    /// Forget the last observation, so the next [`Self::changed`] fires
+    /// even over an untouched manifest. A daemon calls this when the
+    /// reload a change triggered failed: the failure may be transient
+    /// (index save out of space, a segment briefly unreadable) and must
+    /// be retried on the next tick, not at the next seal.
+    pub fn rearm(&mut self) {
+        self.last = None;
     }
 }
 
@@ -459,6 +490,46 @@ mod tests {
         let mut back = Manifest::new();
         back.segments.push(meta("seg-00000.seg", 10));
         assert_eq!(back.delta_from(&[], &["seg-00000.seg".to_string()]), None);
+    }
+
+    #[test]
+    fn delta_within_a_scope_folds_growth_and_refuses_a_lost_segment() {
+        let mut m = Manifest::new();
+        for (i, bundles) in [10, 20, 30, 40].into_iter().enumerate() {
+            m.segments.push(meta(&format!("seg-0000{i}.seg"), bundles));
+        }
+        // A shard that covered segment 2 and now owns 2 and 3: it grew.
+        let covered = vec!["seg-00002.seg".to_string()];
+        let delta = m.delta_within(&covered, &[], &[2, 3], &[]).unwrap();
+        assert_eq!(delta.new_serving, vec![3]);
+        // Unchanged slice under a new generation: an empty delta.
+        assert!(m.delta_within(&covered, &[], &[2], &[]).unwrap().is_empty());
+        // A re-plan moved segment 2 to another shard: not foldable, even
+        // though the manifest still serves it.
+        assert_eq!(m.delta_within(&covered, &[], &[3], &[]), None);
+        // A scope index outside the manifest is never foldable.
+        assert_eq!(m.delta_within(&covered, &[], &[2, 9], &[]), None);
+        assert_eq!(m.delta_within(&covered, &[], &[2], &[0]), None);
+    }
+
+    #[test]
+    fn seal_watcher_rearm_fires_again_over_an_untouched_manifest() {
+        let dir = tmp_dir("rearm");
+        let mut m = Manifest::new();
+        m.segments.push(meta("seg-00000.seg", 1));
+        m.save(&dir).unwrap();
+
+        let mut watcher = SealWatcher::new(&dir);
+        assert!(watcher.changed());
+        assert!(!watcher.changed());
+        // The reload that change triggered failed: retry without a seal.
+        watcher.rearm();
+        assert!(
+            watcher.changed(),
+            "rearmed: fires without touching the file"
+        );
+        assert!(!watcher.changed(), "and only once");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -182,13 +182,16 @@ if [ -f results/BENCH_query.json ]; then
   gate_query_json results/BENCH_query.json
 fi
 
-# The sharded router: merge-layer properties, byte-identity across shard
-# counts (incl. pagination, coverage, 404s), degraded shards, and
-# rebalance under a live router.
+# The sharded router: merge-layer properties, the /shard/* wire round
+# trip, byte-identity across shard counts (incl. pagination, coverage,
+# 404s), degraded shards, and rebalance under a live router; then the
+# serving skeleton seen from outside — pinned probe bodies of all three
+# services, the shed response, and shards folding on growth.
 echo "==> shard router tests (bounded)"
 timeout 420 cargo test --offline -p sandwich-shard -q
 timeout 420 cargo test --offline -p sandwich-suite --test shard_props -q
 timeout 420 cargo test --offline -p sandwich-suite --test shard_router -q
+timeout 420 cargo test --offline -p sandwich-suite --test serving_core -q
 
 # A bounded shard_bench run drives a 50k-bundle store through 1/2/4/8
 # shards over real sockets. The hard gate is merged_identical: every

@@ -1,0 +1,455 @@
+//! The serving skeleton and the index ladder, seen from outside: what the
+//! three services (`queryd`'s `QueryService`, a `ShardService`, the
+//! `RouterService`) share by construction must look identical on the
+//! wire, and a shard must climb the same load → fold → rebuild ladder the
+//! single engine does.
+//!
+//! 1. A shard whose slice only grew folds from its in-memory engine on a
+//!    reload instead of re-scanning the slice, and the folded cluster is
+//!    byte-identical to a fresh single engine.
+//! 2. The `/healthz` and `/readyz` bodies and headers of all three
+//!    services are pinned byte-for-byte, ready and after a failed reload,
+//!    a failed install and dead shards.
+//! 3. A shed request looks the same from the router as from the service.
+
+use std::path::{Path, PathBuf};
+
+use sandwich_jito::{bundle_id_of, tip_account};
+use sandwich_ledger::{SolDelta, TokenDelta, TransactionMeta};
+use sandwich_net::{HttpClient, Response, Server};
+use sandwich_obs::{names, Registry};
+use sandwich_query::{QueryService, QueryServiceConfig};
+use sandwich_shard::{
+    ClusterConfig, RouterConfig, RouterService, ServingCluster, ShardConfig, ShardMap, ShardService,
+};
+use sandwich_store::{
+    BundleStore, CollectedBundle, CollectedDetail, Manifest, StoreWriter, ValidatorSpec,
+};
+use sandwich_types::{Hash, Keypair, LamportDelta, Lamports, Pubkey, Signature, Slot};
+
+fn plain_bundle(seed: u64, slot: u64) -> CollectedBundle {
+    let kp = Keypair::from_label("serving-core");
+    CollectedBundle {
+        bundle_id: Hash::digest(&seed.to_le_bytes()),
+        slot: Slot(slot),
+        timestamp_ms: slot * 400,
+        tip: Lamports(25_000 + seed % 7),
+        tx_ids: vec![kp.sign(&seed.to_le_bytes())],
+    }
+}
+
+fn swap_meta(
+    tx_id: Signature,
+    signer: Pubkey,
+    mint: Pubkey,
+    sol: i64,
+    tokens: i128,
+) -> TransactionMeta {
+    TransactionMeta {
+        tx_id,
+        signer,
+        fee: Lamports(5_000),
+        priority_fee: Lamports::ZERO,
+        success: true,
+        error: None,
+        sol_deltas: vec![SolDelta {
+            account: signer,
+            delta: LamportDelta(sol - 5_000),
+        }],
+        token_deltas: vec![TokenDelta {
+            owner: signer,
+            mint,
+            delta: tokens,
+        }],
+    }
+}
+
+/// One detectable sandwich at `slot`: attacker buys, victim buys at a
+/// worse rate, attacker sells back at a profit and tips on the close.
+fn sandwich(n: u64, slot: u64) -> (CollectedBundle, Vec<CollectedDetail>) {
+    let kp = Keypair::from_label("serving-core-attacker");
+    let tx_ids: Vec<Signature> = (0..3u8).map(|leg| kp.sign(&[n as u8, leg, 0xC0])).collect();
+    let bundle_id = bundle_id_of(&tx_ids);
+    let attacker = Pubkey::derive(&format!("serving-core-attacker-{}", n % 3));
+    let victim = Pubkey::derive(&format!("serving-core-victim-{n}"));
+    let mint = Pubkey::derive(&format!("serving-core-pool-{}", n % 2));
+    let tip = 1_000_000u64;
+    let mut close = swap_meta(
+        tx_ids[2],
+        attacker,
+        mint,
+        2_150_000_000 - tip as i64,
+        -10_000,
+    );
+    close.sol_deltas.push(SolDelta {
+        account: tip_account(0),
+        delta: LamportDelta(tip as i64),
+    });
+    let metas = [
+        swap_meta(tx_ids[0], attacker, mint, -2_000_000_000, 10_000),
+        swap_meta(tx_ids[1], victim, mint, -2_600_000_000, 10_000),
+        close,
+    ];
+    let details = metas
+        .into_iter()
+        .map(|meta| CollectedDetail {
+            bundle_id,
+            slot: Slot(slot),
+            meta,
+        })
+        .collect();
+    let bundle = CollectedBundle {
+        bundle_id,
+        slot: Slot(slot),
+        timestamp_ms: slot * 400,
+        tip: Lamports(tip),
+        tx_ids,
+    };
+    (bundle, details)
+}
+
+/// Seal segment `seg`: nine plain bundles and one planted sandwich, at
+/// slots no other segment uses (so the shard plan is a clean slot range).
+fn seal_segment(writer: &mut StoreWriter, seg: u64) {
+    let base = seg * 1_000;
+    let mut bundles: Vec<_> = (0..9)
+        .map(|i| plain_bundle(seg * 100 + i, base + i * 3))
+        .collect();
+    let (planted, details) = sandwich(seg, base + 40);
+    bundles.push(planted);
+    writer.seal_segment(bundles, details, Vec::new()).unwrap();
+}
+
+/// A store of `segments` equal segments under a validator spec, so the
+/// attribution half of a finalize runs in every build and fold.
+fn seed_store(tag: &str, segments: u64) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("sw-serving-core-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut writer = StoreWriter::create(&dir).unwrap();
+    writer
+        .set_validators(ValidatorSpec::new(20_250_209, 8))
+        .unwrap();
+    for seg in 0..segments {
+        seal_segment(&mut writer, seg);
+    }
+    dir
+}
+
+fn seal_one_more(dir: &Path, seg: u64) {
+    let sealed = Manifest::load(dir).unwrap().segments;
+    let mut writer = StoreWriter::resume(dir, &sealed).unwrap();
+    seal_segment(&mut writer, seg);
+}
+
+/// Every endpoint family over the store's own leaderboards, 404s included.
+fn probe_paths(dir: &Path) -> Vec<String> {
+    let fresh = QueryService::open(QueryServiceConfig::new(dir), Registry::new()).unwrap();
+    let engine = fresh.engine_snapshot();
+    let index = engine.index();
+    let mut paths: Vec<String> = [
+        "/api/summary",
+        "/api/days",
+        "/api/attackers?limit=2",
+        "/api/attackers?limit=2&after=2",
+        "/api/validators?limit=3",
+        "/api/sandwiches?from_slot=0&to_slot=2500&limit=2&after=1",
+        "/api/sandwiches?limit=500",
+        "/api/live?limit=64",
+        "/api/attacker/1111111111111111111111111111111111111111111",
+        "/api/attackers?limit=banana",
+    ]
+    .iter()
+    .map(|p| p.to_string())
+    .collect();
+    paths.push(format!("/api/attacker/{}", index.attackers[0].attacker));
+    paths.push(format!("/api/pool/{}", index.pools[0].mint));
+    let validators = index.validators.as_deref().unwrap();
+    paths.push(format!("/api/validator/{}", validators[0].pubkey));
+    paths
+}
+
+#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
+async fn a_shard_whose_slice_only_grew_folds_instead_of_rescanning() {
+    let dir = seed_store("fold", 3);
+    let registry = Registry::new();
+    let cluster = ServingCluster::serve(ClusterConfig::new(&dir, 2), registry.clone())
+        .await
+        .unwrap();
+    let before = ShardMap::plan(&Manifest::load(&dir).unwrap(), 2);
+    let opened = registry.snapshot();
+    assert_eq!(
+        opened.counter(names::QUERY_INDEX_REBUILDS),
+        Some(2),
+        "each shard builds its slice once on a cold open"
+    );
+    let joined_at_open = opened.counter(names::ATTRIB_JOINS);
+    assert_eq!(joined_at_open, Some(3), "shards count attribution too");
+
+    seal_one_more(&dir, 3);
+    // The premise: the re-plan only appends to each shard's slice.
+    let after = ShardMap::plan(&Manifest::load(&dir).unwrap(), 2);
+    for (old, new) in before.shards.iter().zip(&after.shards) {
+        assert!(
+            new.segments.starts_with(&old.segments),
+            "test store must re-plan by growth only: {old:?} -> {new:?}"
+        );
+    }
+    assert!(cluster.reload().unwrap(), "the new generation goes live");
+
+    let snap = registry.snapshot();
+    assert!(snap.counter(names::QUERY_INDEX_FOLDS) >= Some(1));
+    assert_eq!(snap.counter(names::QUERY_INDEX_FOLD_SEGMENTS), Some(1));
+    assert_eq!(snap.counter(names::QUERY_INDEX_FULL_REBUILDS), None);
+    assert_eq!(
+        snap.counter(names::QUERY_INDEX_REBUILDS),
+        Some(2),
+        "no slice was re-scanned"
+    );
+    assert_eq!(
+        snap.counter(names::ATTRIB_JOINS),
+        Some(4),
+        "the fold counts only the sandwich its delta joined"
+    );
+
+    // Fold ≡ rebuild, all the way to the socket: the folded cluster answers
+    // every path with the bytes of a fresh single engine.
+    let single = QueryService::open(QueryServiceConfig::new(&dir), Registry::new()).unwrap();
+    let single_server = Server::bind("127.0.0.1:0", single.router()).await.unwrap();
+    let single_client = HttpClient::new(single_server.local_addr());
+    let router_client = HttpClient::new(cluster.router_addr());
+    assert_eq!(cluster.generation(), single.generation());
+    for path in probe_paths(&dir) {
+        let want = single_client.get(&path).await.unwrap();
+        let got = router_client.get(&path).await.unwrap();
+        assert_eq!(got.status, want.status, "{path}");
+        assert_eq!(&got.body[..], &want.body[..], "{path}");
+        assert_eq!(
+            got.header_value("x-query-generation"),
+            want.header_value("x-query-generation"),
+            "{path}"
+        );
+    }
+
+    single_server.shutdown().await;
+    cluster.shutdown().await;
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Status, body text and the headers a handler set (the server's own
+/// `content-length` / `connection` framing aside), in order.
+fn wire(response: &Response) -> (u16, String, Vec<(String, String)>) {
+    let headers = response
+        .headers
+        .iter()
+        .filter(|(k, _)| k != "content-length" && k != "connection")
+        .cloned()
+        .collect();
+    let body = String::from_utf8(response.body.to_vec()).unwrap();
+    (response.status, body, headers)
+}
+
+fn probe(
+    status: u16,
+    body: String,
+    retry_after: Option<&str>,
+) -> (u16, String, Vec<(String, String)>) {
+    let mut headers = vec![("content-type".to_string(), "application/json".to_string())];
+    if let Some(seconds) = retry_after {
+        headers.push(("retry-after".to_string(), seconds.to_string()));
+    }
+    (status, body, headers)
+}
+
+#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
+async fn probe_bodies_and_headers_are_pinned_for_all_three_services() {
+    let dir = seed_store("probes", 3);
+    let store = BundleStore::open(&dir).unwrap();
+    let map = ShardMap::load_or_plan(store.dir(), store.manifest(), 2).unwrap();
+    drop(store);
+    let g = map.generation.clone();
+
+    // --- the single-engine service -------------------------------------
+    let service = QueryService::open(QueryServiceConfig::new(&dir), Registry::new()).unwrap();
+    let server = Server::bind("127.0.0.1:0", service.router()).await.unwrap();
+    let client = HttpClient::new(server.local_addr());
+    assert_eq!(
+        wire(&client.get("/healthz").await.unwrap()),
+        probe(
+            200,
+            format!("{{\"status\":\"ok\",\"generation\":\"{g}\"}}"),
+            None
+        )
+    );
+    assert_eq!(
+        wire(&client.get("/readyz").await.unwrap()),
+        probe(
+            200,
+            format!("{{\"ready\":true,\"complete\":true,\"generation\":\"{g}\"}}"),
+            None
+        )
+    );
+    // A failed reload: still serving the old generation, readiness red.
+    let manifest_path = dir.join(sandwich_store::MANIFEST_FILE);
+    let manifest_bytes = std::fs::read(&manifest_path).unwrap();
+    std::fs::remove_file(&manifest_path).unwrap();
+    assert!(service.reload().is_err());
+    std::fs::write(&manifest_path, &manifest_bytes).unwrap();
+    assert_eq!(
+        wire(&client.get("/readyz").await.unwrap()),
+        probe(
+            503,
+            format!("{{\"ready\":false,\"complete\":true,\"generation\":\"{g}\"}}"),
+            Some("3")
+        )
+    );
+    assert_eq!(
+        wire(&client.get("/healthz").await.unwrap()).0,
+        200,
+        "liveness is not readiness"
+    );
+    server.shutdown().await;
+
+    // --- two shards and a router, assembled by hand --------------------
+    let registry = Registry::new();
+    let mut shards = Vec::new();
+    let mut servers = Vec::new();
+    for shard in 0..2 {
+        let service =
+            ShardService::open(ShardConfig::new(&dir, shard), &map, registry.clone()).unwrap();
+        servers.push(Server::bind("127.0.0.1:0", service.router()).await.unwrap());
+        shards.push(service);
+    }
+    let addrs: Vec<_> = servers.iter().map(Server::local_addr).collect();
+    let shard1 = HttpClient::new(addrs[1]);
+    assert_eq!(
+        wire(&shard1.get("/healthz").await.unwrap()),
+        probe(
+            200,
+            format!("{{\"status\":\"ok\",\"shard\":1,\"generation\":\"{g}\"}}"),
+            None
+        )
+    );
+    assert_eq!(
+        wire(&shard1.get("/readyz").await.unwrap()),
+        probe(
+            200,
+            format!("{{\"ready\":true,\"shard\":1,\"complete\":true,\"generation\":\"{g}\"}}"),
+            None
+        )
+    );
+    // A failed install (a map for a generation the manifest is not at).
+    let mut stale = map.clone();
+    stale.generation = "0000000000000000".to_string();
+    assert!(shards[1].install(&stale).is_err());
+    assert_eq!(
+        wire(&shard1.get("/readyz").await.unwrap()),
+        probe(
+            503,
+            format!("{{\"ready\":false,\"shard\":1,\"complete\":true,\"generation\":\"{g}\"}}"),
+            Some("3")
+        )
+    );
+    let partial = shard1.get("/shard/summary").await.unwrap();
+    assert_eq!(partial.status, 200, "the last good engine keeps serving");
+    assert_eq!(partial.header_value("x-query-generation"), Some(g.as_str()));
+
+    let router = RouterService::new(addrs, g.clone(), RouterConfig::default(), registry);
+    let router_server = Server::bind("127.0.0.1:0", router.router()).await.unwrap();
+    let client = HttpClient::new(router_server.local_addr());
+    assert_eq!(
+        wire(&client.get("/healthz").await.unwrap()),
+        probe(
+            200,
+            format!("{{\"status\":\"ok\",\"generation\":\"{g}\",\"shards\":2}}"),
+            None
+        )
+    );
+    // Shard 1 is not ready (its install failed): degraded, still green.
+    assert_eq!(
+        wire(&client.get("/readyz").await.unwrap()),
+        probe(
+            200,
+            format!(
+                "{{\"ready\":true,\"degraded\":true,\"shards\":2,\"ready_shards\":1,\"generation\":\"{g}\"}}"
+            ),
+            None
+        )
+    );
+    // A good install clears it.
+    assert!(
+        !shards[1].install(&map).unwrap(),
+        "same map: nothing to swap"
+    );
+    assert_eq!(
+        wire(&client.get("/readyz").await.unwrap()),
+        probe(
+            200,
+            format!(
+                "{{\"ready\":true,\"degraded\":false,\"shards\":2,\"ready_shards\":2,\"generation\":\"{g}\"}}"
+            ),
+            None
+        )
+    );
+    // Every shard dead: red, with the retry hint; liveness unaffected.
+    for server in servers {
+        server.shutdown().await;
+    }
+    assert_eq!(
+        wire(&client.get("/readyz").await.unwrap()),
+        probe(
+            503,
+            format!(
+                "{{\"ready\":false,\"degraded\":true,\"shards\":2,\"ready_shards\":0,\"generation\":\"{g}\"}}"
+            ),
+            Some("3")
+        )
+    );
+    assert_eq!(wire(&client.get("/healthz").await.unwrap()).0, 200);
+
+    router_server.shutdown().await;
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
+async fn a_shed_request_looks_the_same_from_the_router_as_from_the_service() {
+    let dir = seed_store("shed", 2);
+
+    let service_registry = Registry::new();
+    let mut config = QueryServiceConfig::new(&dir);
+    config.max_in_flight = 0; // admit nothing: every API call sheds
+    let service = QueryService::open(config, service_registry.clone()).unwrap();
+    let server = Server::bind("127.0.0.1:0", service.router()).await.unwrap();
+    let from_service = HttpClient::new(server.local_addr())
+        .get("/api/summary")
+        .await
+        .unwrap();
+
+    let cluster_registry = Registry::new();
+    let mut config = ClusterConfig::new(&dir, 2);
+    config.max_in_flight = 0;
+    let cluster = ServingCluster::serve(config, cluster_registry.clone())
+        .await
+        .unwrap();
+    let client = HttpClient::new(cluster.router_addr());
+    let from_router = client.get("/api/summary").await.unwrap();
+
+    assert_eq!(wire(&from_router), wire(&from_service));
+    assert_eq!(from_router.status, 503);
+    assert_eq!(from_router.header_value("retry-after"), Some("1"));
+    assert_eq!(from_router.header_value("x-query-generation"), None);
+    for registry in [&service_registry, &cluster_registry] {
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter(names::QUERY_SHED), Some(1));
+        assert_eq!(snap.counter(names::QUERY_REQUESTS), Some(1));
+        // Shed before any parse, cache or engine work.
+        assert_eq!(snap.counter(names::QUERY_CACHE_MISSES), None);
+        assert_eq!(snap.counter(names::QUERY_SHARD_FANOUTS), None);
+    }
+    // The probes are exempt from admission.
+    assert_eq!(client.get("/healthz").await.unwrap().status, 200);
+    assert_eq!(client.get("/readyz").await.unwrap().status, 200);
+
+    cluster.shutdown().await;
+    server.shutdown().await;
+    std::fs::remove_dir_all(&dir).unwrap();
+}
