@@ -109,6 +109,8 @@ struct CollectorMetrics {
     breaker_state: Arc<Gauge>,
     segments_sealed: Arc<Counter>,
     store_bytes_written: Arc<Counter>,
+    /// Where the client's `client.connections.*` counts are mirrored.
+    registry: Registry,
 }
 
 impl CollectorMetrics {
@@ -130,6 +132,7 @@ impl CollectorMetrics {
             breaker_state: registry.gauge("client.breaker_state"),
             segments_sealed: registry.counter(sandwich_obs::names::STORE_SEGMENTS_SEALED),
             store_bytes_written: registry.counter(sandwich_obs::names::STORE_BYTES_WRITTEN),
+            registry: registry.clone(),
         }
     }
 }
@@ -304,12 +307,15 @@ impl Collector {
         }
     }
 
-    fn count_timeouts(&mut self, n: u64) {
-        if n > 0 {
-            self.stats.timeouts += n;
-            if let Some(m) = &self.metrics {
-                m.client_timeouts.add(n);
-            }
+    /// Book what one retry ladder cost the transport: the attempts that hit
+    /// a client deadline, and the connection pool's running counts.
+    fn record_transport(&mut self, timed_out: u64) {
+        self.stats.timeouts += timed_out;
+        if let Some(m) = &self.metrics {
+            m.client_timeouts.add(timed_out);
+            self.client
+                .stats()
+                .publish(&m.registry, sandwich_obs::names::CLIENT_CONNECTIONS_PREFIX);
         }
     }
 
@@ -333,7 +339,7 @@ impl Collector {
             }
             return Ok(None);
         }
-        let client = self.client;
+        let client = self.client.clone();
         let policy = self.policy_for(now_ms);
         let path = format!("/api/v1/bundles?limit={}", self.config.page_limit);
         let started = std::time::Instant::now();
@@ -352,7 +358,7 @@ impl Collector {
             },
         )
         .await;
-        self.count_timeouts(timed_out.get());
+        self.record_transport(timed_out.get());
         self.stats.attempts += outcome.attempts as u64;
         if let Some(m) = &self.metrics {
             m.poll_seconds.observe(started.elapsed().as_secs_f64());
@@ -402,7 +408,7 @@ impl Collector {
     /// already-collected bundles, comes back empty, or the page budget is
     /// spent. Returns true when the gap was closed.
     async fn backfill(&mut self, clock: &SlotClock, mut cursor: u64) -> bool {
-        let client = self.client;
+        let client = self.client.clone();
         for _ in 0..self.config.backfill_max_pages {
             let path = format!(
                 "/api/v1/bundles?limit={}&before={}",
@@ -420,7 +426,7 @@ impl Collector {
                 },
             )
             .await;
-            self.count_timeouts(timed_out.get());
+            self.record_transport(timed_out.get());
             self.stats.attempts += outcome.attempts as u64;
             if let Some(m) = &self.metrics {
                 m.retry_attempts
@@ -460,7 +466,7 @@ impl Collector {
         if !self.breaker.allow(now_ms) {
             return Ok(0);
         }
-        let client = self.client;
+        let client = self.client.clone();
         let mut total = 0usize;
         for &len in self.config.detail_bundle_lens {
             loop {
@@ -487,7 +493,7 @@ impl Collector {
                     },
                 )
                 .await;
-                self.count_timeouts(timed_out.get());
+                self.record_transport(timed_out.get());
                 self.stats.attempts += outcome.attempts as u64;
                 if let Some(m) = &self.metrics {
                     m.retry_attempts

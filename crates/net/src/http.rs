@@ -141,8 +141,9 @@ pub enum WireFault {
     /// Close the connection without writing anything (hard outage).
     Drop,
     /// Write the status line and headers (declaring the full body length),
-    /// then never send the body — the connection stays open until server
-    /// shutdown, so only a client-side deadline can recover.
+    /// then never send the body — the connection stays open until the
+    /// client hangs up or the server shuts down, so only a client-side
+    /// deadline can recover.
     StallAfterHeaders,
     /// Declare the full body length but send only this many bytes, then
     /// close the connection mid-body.
@@ -355,7 +356,7 @@ pub async fn read_request(reader: &mut BufReader<OwnedReadHalf>) -> Result<Reque
 
 /// Serialize the status line and headers (always declaring the full body
 /// length, even when a wire fault will withhold part of it).
-pub fn response_head(response: &Response, keep_alive: bool) -> String {
+fn response_head(response: &Response, keep_alive: bool) -> String {
     let mut head = format!(
         "HTTP/1.1 {} {}\r\ncontent-length: {}\r\nconnection: {}\r\n",
         response.status,
@@ -373,24 +374,28 @@ pub fn response_head(response: &Response, keep_alive: bool) -> String {
     head
 }
 
-/// Write a response to a socket half, honoring [`WireFault::TruncateBody`]
-/// (the `Drop` and `StallAfterHeaders` faults are connection-scoped and
-/// handled by the server loop).
+/// Write a response to a socket half as one buffer and one write, so head
+/// and body leave in the same segment: a body written after its head would
+/// wait out the peer's delayed ACK on a keep-alive connection.
+///
+/// The body-shaped wire faults are applied inside that buffer:
+/// [`WireFault::TruncateBody`] keeps a prefix of the body and
+/// [`WireFault::StallAfterHeaders`] none of it. What happens to the
+/// connection afterwards (and [`WireFault::Drop`], which never gets here) is
+/// the server loop's business.
 pub async fn write_response(
     writer: &mut OwnedWriteHalf,
     response: &Response,
     keep_alive: bool,
 ) -> Result<(), HttpError> {
-    let head = response_head(response, keep_alive);
-    writer.write_all(head.as_bytes()).await?;
-    match response.wire_fault {
-        WireFault::TruncateBody(n) => {
-            let n = n.min(response.body.len());
-            writer.write_all(&response.body[..n]).await?;
-        }
-        _ => writer.write_all(&response.body).await?,
-    }
-    writer.flush().await?;
+    let sent = match response.wire_fault {
+        WireFault::StallAfterHeaders => 0,
+        WireFault::TruncateBody(n) => n.min(response.body.len()),
+        WireFault::None | WireFault::Drop => response.body.len(),
+    };
+    let mut message = response_head(response, keep_alive).into_bytes();
+    message.extend_from_slice(&response.body[..sent]);
+    writer.write_all(&message).await?;
     Ok(())
 }
 

@@ -16,7 +16,7 @@ pub mod retry;
 pub mod server;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
-pub use client::{ClientError, ClientTimeouts, HttpClient};
+pub use client::{ClientError, ClientTimeouts, HttpClient, PoolStats};
 pub use http::{HttpError, Method, Request, Response, WireFault};
 pub use metrics::metrics_response;
 pub use ratelimit::TokenBucket;

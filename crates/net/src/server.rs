@@ -7,16 +7,16 @@
 use std::future::Future;
 use std::net::SocketAddr;
 use std::pin::Pin;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use tokio::io::BufReader;
+use tokio::io::{AsyncReadExt, BufReader};
 use tokio::net::{TcpListener, TcpStream};
 use tokio::sync::watch;
 use tokio::task::JoinSet;
 
-use crate::http::{
-    read_request, response_head, write_response, HttpError, Method, Request, Response, WireFault,
-};
+use crate::http::{read_request, write_response, HttpError, Method, Request, Response, WireFault};
 
 /// Boxed async handler.
 pub type Handler =
@@ -155,6 +155,17 @@ pub struct Server {
     local_addr: SocketAddr,
     shutdown_tx: watch::Sender<bool>,
     accept_task: tokio::task::JoinHandle<()>,
+    open: Arc<AtomicUsize>,
+}
+
+/// Takes one connection off the server's open count when its task ends,
+/// however it ends.
+struct OpenConnection(Arc<AtomicUsize>);
+
+impl Drop for OpenConnection {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 impl Server {
@@ -164,12 +175,14 @@ impl Server {
         let local_addr = listener.local_addr()?;
         let (shutdown_tx, shutdown_rx) = watch::channel(false);
         let router = Arc::new(router);
+        let open = Arc::new(AtomicUsize::new(0));
 
-        let accept_task = tokio::spawn(accept_loop(listener, router, shutdown_rx));
+        let accept_task = tokio::spawn(accept_loop(listener, router, shutdown_rx, open.clone()));
         Ok(Server {
             local_addr,
             shutdown_tx,
             accept_task,
+            open,
         })
     }
 
@@ -183,6 +196,12 @@ impl Server {
         format!("http://{}", self.local_addr)
     }
 
+    /// Connections accepted whose task has not ended yet: in-flight
+    /// requests plus keep-alive connections a client holds idle.
+    pub fn open_connections(&self) -> usize {
+        self.open.load(Ordering::Relaxed)
+    }
+
     /// Stop accepting, close connections, wait for tasks to finish.
     pub async fn shutdown(self) {
         let _ = self.shutdown_tx.send(true);
@@ -194,6 +213,7 @@ async fn accept_loop(
     listener: TcpListener,
     router: Arc<Router>,
     shutdown_rx: watch::Receiver<bool>,
+    open: Arc<AtomicUsize>,
 ) {
     let mut connections = JoinSet::new();
     let mut shutdown = shutdown_rx.clone();
@@ -204,7 +224,10 @@ async fn accept_loop(
                     Ok((stream, peer)) => {
                         let router = router.clone();
                         let conn_shutdown = shutdown_rx.clone();
+                        open.fetch_add(1, Ordering::Relaxed);
+                        let counted = OpenConnection(open.clone());
                         connections.spawn(async move {
+                            let _counted = counted;
                             let _ = serve_connection(stream, peer, router, conn_shutdown).await;
                         });
                     }
@@ -221,15 +244,53 @@ async fn accept_loop(
     while connections.join_next().await.is_some() {}
 }
 
+/// The shortest time between two requests served back to back on one
+/// connection, once it has used up its [`KEEPALIVE_BURST`]: twice the tokio
+/// shim's park interval, so 2 000 requests a second per connection.
+///
+/// Without it the scheduler sets a hot connection's speed. Under the shim a
+/// connection is an OS thread that re-polls its socket every 250 µs; when
+/// the kernel happens to run the client on that thread's core the moment
+/// the response is written, the next request is in the socket before the
+/// loop comes round and the exchange spins at ≈ 25 µs a request, otherwise
+/// every request waits out a park — half-second stretches of one process
+/// served anywhere from 2 000 to 27 000 requests a second on two
+/// connections. A cadence the loop can keep either way makes the rate the
+/// server's own, and bounds the share of a core one connection's thread can
+/// take from the others. A connection slower than this never waits, which
+/// is where router→shard legs and collector polls run (`HttpClient` re-polls
+/// on a park of its own); a readiness reactor (ROADMAP item 1 (c)) retires
+/// both the park and this.
+const KEEPALIVE_CADENCE: Duration = Duration::from_micros(500);
+
+/// Turns a connection may hold in hand: one that was idle, or was held up
+/// (a slow handler, a descheduled thread), serves this many requests as
+/// they come before the cadence applies again, so time lost is made up
+/// instead of lowering the rate.
+const KEEPALIVE_BURST: u32 = 16;
+
+/// How long a connection asking at `now` waits for its turn, which is one
+/// cadence after its last or, if it holds turns in hand, now; books the
+/// turn after in `turn`.
+fn take_turn(turn: &mut Instant, now: Instant) -> Duration {
+    let in_hand = KEEPALIVE_CADENCE * KEEPALIVE_BURST;
+    let at = (*turn).max(now.checked_sub(in_hand).unwrap_or(now));
+    *turn = at + KEEPALIVE_CADENCE;
+    at.saturating_duration_since(now)
+}
+
 async fn serve_connection(
     stream: TcpStream,
     _peer: SocketAddr,
     router: Arc<Router>,
     mut shutdown: watch::Receiver<bool>,
 ) -> Result<(), HttpError> {
+    stream.set_nodelay(true)?;
     let (read, mut write) = stream.into_split();
     let mut reader = BufReader::new(read);
+    let mut turn = Instant::now();
     loop {
+        tokio::time::sleep(take_turn(&mut turn, Instant::now())).await;
         let request = tokio::select! {
             r = read_request(&mut reader) => match r {
                 Ok(req) => req,
@@ -259,14 +320,17 @@ async fn serve_connection(
                 return Ok(());
             }
             WireFault::StallAfterHeaders => {
-                // Send the head (declaring the full body length), then hold
-                // the connection open without the body until shutdown. Only
-                // a client-side deadline gets the caller unstuck.
-                use tokio::io::AsyncWriteExt;
-                let head = response_head(&response, keep_alive);
-                write.write_all(head.as_bytes()).await?;
-                write.flush().await?;
-                let _ = shutdown.changed().await;
+                // write_response sends the head alone (declaring the full
+                // body length); the body never follows, so only a
+                // client-side deadline gets the caller unstuck. Hold the
+                // connection until the peer gives up on it (EOF, or
+                // anything else it sends) or the server shuts down.
+                write_response(&mut write, &response, keep_alive).await?;
+                let mut byte = [0u8; 1];
+                tokio::select! {
+                    _ = reader.read(&mut byte) => {},
+                    _ = shutdown.changed() => {},
+                }
                 return Ok(());
             }
             WireFault::TruncateBody(_) => {
@@ -461,6 +525,99 @@ mod tests {
         assert!(text.contains("connection: keep-alive"));
         assert!(text.contains("connection: close"));
         server.shutdown().await;
+    }
+
+    #[tokio::test]
+    async fn keep_alive_responses_do_not_wait_out_a_delayed_ack() {
+        use std::io::{BufRead, Read, Write};
+
+        let server = Server::bind("127.0.0.1:0", test_router()).await.unwrap();
+        // A plain blocking client that leaves Nagle on, as a proxy or a
+        // dashboard would: a response split into head and body segments
+        // would stall ~40 ms on its delayed ACK from the second request on.
+        let stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+            .unwrap();
+        let mut reader = std::io::BufReader::new(stream);
+        let mut round_trips = Vec::new();
+        for _ in 0..9 {
+            let started = std::time::Instant::now();
+            reader
+                .get_mut()
+                .write_all(b"GET /ping HTTP/1.1\r\nhost: x\r\n\r\n")
+                .unwrap();
+            let mut line = String::new();
+            while line != "\r\n" {
+                line.clear();
+                reader.read_line(&mut line).unwrap();
+            }
+            let mut body = [0u8; 4];
+            reader.read_exact(&mut body).unwrap();
+            assert_eq!(&body, b"pong");
+            round_trips.push(started.elapsed());
+        }
+        round_trips.sort();
+        let median = round_trips[round_trips.len() / 2];
+        assert!(
+            median < std::time::Duration::from_millis(20),
+            "median keep-alive round trip {median:?}: {round_trips:?}"
+        );
+        server.shutdown().await;
+    }
+
+    #[tokio::test]
+    async fn a_hot_keep_alive_connection_is_served_on_the_cadence() {
+        let server = Server::bind("127.0.0.1:0", test_router()).await.unwrap();
+        // A blocking client asks again the moment it has its answer, far
+        // faster than the cadence: a fresh connection holds no turns in
+        // hand, so request k is served no earlier than k cadences in.
+        let started = Instant::now();
+        let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let hot = 200;
+        for _ in 0..=hot {
+            std::io::Write::write_all(&mut stream, b"GET /ping HTTP/1.1\r\nhost: x\r\n\r\n")
+                .unwrap();
+            let mut response = Vec::new();
+            while !response.ends_with(b"pong") {
+                let mut chunk = [0u8; 256];
+                let n = std::io::Read::read(&mut stream, &mut chunk).unwrap();
+                assert!(n > 0, "server hung up");
+                response.extend_from_slice(&chunk[..n]);
+            }
+        }
+        let paced = started.elapsed();
+        assert!(
+            paced >= KEEPALIVE_CADENCE * hot,
+            "{hot} requests after the first in {paced:?}"
+        );
+        server.shutdown().await;
+    }
+
+    #[test]
+    fn a_connection_makes_up_at_most_its_burst() {
+        let opened = Instant::now();
+        let mut turn = opened;
+        assert_eq!(take_turn(&mut turn, opened), Duration::ZERO);
+        assert_eq!(take_turn(&mut turn, opened), KEEPALIVE_CADENCE);
+        // Idle (or held up) for a second, it is served as it asks for the
+        // turns in hand and the one now due, then back on the cadence.
+        let later = opened + Duration::from_secs(1);
+        for _ in 0..=KEEPALIVE_BURST {
+            assert_eq!(take_turn(&mut turn, later), Duration::ZERO);
+        }
+        assert_eq!(take_turn(&mut turn, later), KEEPALIVE_CADENCE);
+        assert_eq!(take_turn(&mut turn, later), KEEPALIVE_CADENCE * 2);
+        // Asking slower than the cadence never waits.
+        let mut now = later + Duration::from_secs(1);
+        for _ in 0..100 {
+            assert_eq!(take_turn(&mut turn, now), Duration::ZERO);
+            now += KEEPALIVE_CADENCE + Duration::from_micros(1);
+        }
     }
 
     #[tokio::test]

@@ -28,6 +28,12 @@ impl Counter {
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Raise the total to `total` if it is below it: how a monotone count
+    /// kept elsewhere is mirrored here, safely from several threads.
+    pub fn raise_to(&self, total: u64) {
+        self.value.fetch_max(total, Ordering::Relaxed);
+    }
+
     /// Current total.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
@@ -91,6 +97,17 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(counter.get(), 80_000);
+    }
+
+    #[test]
+    fn raise_to_never_lowers() {
+        let c = Counter::new();
+        c.raise_to(7);
+        c.raise_to(3);
+        assert_eq!(c.get(), 7);
+        c.inc();
+        c.raise_to(8);
+        assert_eq!(c.get(), 8);
     }
 
     #[test]

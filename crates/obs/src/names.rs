@@ -117,6 +117,16 @@ pub const QUERY_SHARD_STRAGGLERS: &str = "query.shard.stragglers";
 /// non-200, or disagreed on the store generation) and were answered 503.
 pub const QUERY_SHARD_FANOUT_FAILURES: &str = "query.shard.fanout_failures";
 
+/// Prefix for the router's shard-leg connection pool counters, summed over
+/// its per-shard clients: `query.shard.connections.dialed` (connections
+/// established), `.reused` (legs sent on an idle connection) and
+/// `.discarded` (idle connections found closed at checkout).
+pub const QUERY_SHARD_CONNECTIONS_PREFIX: &str = "query.shard.connections.";
+
+/// Prefix for the collector's connection pool counters, same three
+/// suffixes: `client.connections.dialed`, `.reused`, `.discarded`.
+pub const CLIENT_CONNECTIONS_PREFIX: &str = "client.connections.";
+
 /// Counter: generation changes where the delta was **not** foldable (a
 /// covered segment left the serving or quarantine list) and the whole
 /// index had to be rebuilt from segments. A live-tail deployment expects

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use parking_lot::RwLock;
 use serde::de::DeserializeOwned;
 
-use sandwich_net::{HttpClient, Request, Router};
+use sandwich_net::{HttpClient, PoolStats, Request, Router};
 use sandwich_obs::{names, Registry};
 use sandwich_query::render::{self, error_response, DETAIL_REF_CAP};
 use sandwich_query::{Backend, CachedResponse, QueryRequest, SandwichRef, Serving};
@@ -153,7 +153,7 @@ impl ScatterGather {
         let path = Arc::new(query.path());
         let mut set = tokio::task::JoinSet::new();
         for (shard, client) in self.shards.iter().enumerate() {
-            let client = *client;
+            let client = client.clone();
             let path = path.clone();
             set.spawn(async move {
                 let started = Instant::now();
@@ -194,6 +194,12 @@ impl ScatterGather {
                 },
             }
         }
+
+        let mut connections = PoolStats::default();
+        for client in &self.shards {
+            connections += client.stats();
+        }
+        connections.publish(registry, names::QUERY_SHARD_CONNECTIONS_PREFIX);
 
         // Stragglers: shards that took more than twice the fastest answer.
         let done: Vec<Duration> = latencies.iter().flatten().copied().collect();
@@ -490,7 +496,7 @@ impl Backend for ScatterGather {
         let n = self.shards.len();
         let mut set = tokio::task::JoinSet::new();
         for client in &self.shards {
-            let client = *client;
+            let client = client.clone();
             set.spawn(async move {
                 matches!(client.get("/readyz").await, Ok(response) if response.status == 200)
             });

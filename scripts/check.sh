@@ -7,6 +7,9 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+echo "==> bash -n scripts/bench_pairs.sh"
+bash -n scripts/bench_pairs.sh
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -24,6 +27,14 @@ cargo test --offline --workspace -q
 # runs again by name under a hard wall-clock bound.
 echo "==> chaos matrix (bounded)"
 timeout 420 cargo test --offline -p sandwich-suite --test chaos_matrix -q
+
+# The transport under the same profiles: the keep-alive pool never replays
+# a request (explorer requests == collector attempts), deadline-free
+# profiles repeat to the byte with their connection counts, and router legs
+# ride a bounded pool and still fail closed. A pooled connection that hangs
+# would hang here, hence the bound.
+echo "==> transport (bounded)"
+timeout 420 cargo test --offline -p sandwich-suite --test transport -q
 
 # The segment store scan must stay byte-identical across worker counts and
 # against the legacy in-memory analysis; a divergence here is a determinism

@@ -3,7 +3,8 @@
 //! Design, in one paragraph: every task (the `block_on` caller and each
 //! `spawn`) runs on its own OS thread with a private poll loop. The loop
 //! polls the task's future with a real waker that unparks the thread; if the
-//! future is pending it parks for at most 250µs and re-polls. Because of
+//! future is pending it parks for at most 250µs — less when a `time::sleep`
+//! it waits on falls due sooner — and re-polls. Because of
 //! that bounded park there is no reactor — I/O futures run over
 //! `std::net` sockets in non-blocking mode and simply return `Pending` on
 //! `WouldBlock`, relying on the timed re-poll. Cross-task events that can be
@@ -12,10 +13,11 @@
 //! waiting out the park interval.
 //!
 //! Surface: `spawn`/`JoinHandle`, `task::JoinSet`, `sync::watch`,
-//! `net::{TcpListener, TcpStream}` with `into_split`, buffered async I/O
-//! traits, `time::sleep`, a 2-branch `select!`, `runtime::Builder`/`Runtime`,
-//! and the `#[tokio::test]`/`#[tokio::main]` attribute re-exports. Exactly
-//! what this workspace uses; nothing more.
+//! `net::{TcpListener, TcpStream}` with `into_split`, `set_nodelay` and a
+//! non-blocking `try_read`, buffered async I/O traits, `time::sleep`, a
+//! 2-branch `select!`, `runtime::Builder`/`Runtime`, and the
+//! `#[tokio::test]`/`#[tokio::main]` attribute re-exports. Exactly what this
+//! workspace uses; nothing more.
 
 use std::future::Future;
 
@@ -24,12 +26,13 @@ pub use tokio_macros::{main, test};
 /// Runtime plumbing used by the attribute macros and `select!`. Public for
 /// macro expansion; not a stable API.
 pub mod macros_support {
+    use std::cell::Cell;
     use std::future::Future;
     use std::pin::Pin;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use std::task::{Context, Poll, Wake, Waker};
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     /// How long a task thread parks before re-polling a pending future.
     /// Bounds the latency of every I/O readiness check (there is no
@@ -53,6 +56,21 @@ pub mod macros_support {
         }
     }
 
+    thread_local! {
+        /// The earliest timer deadline the future being polled on this
+        /// thread is waiting for; cleared before every poll.
+        static NEXT_TIMER: Cell<Option<Instant>> = const { Cell::new(None) };
+    }
+
+    /// Have the polling thread's next park end at `deadline` if that comes
+    /// before the park interval does, so a timer fires when it is due and
+    /// not at the re-poll after.
+    pub(crate) fn park_until(deadline: Instant) {
+        NEXT_TIMER.with(|next| {
+            next.set(Some(next.get().map_or(deadline, |d| d.min(deadline))));
+        });
+    }
+
     /// Drive a future to completion on the current thread.
     pub fn block_on<F: Future>(fut: F) -> F::Output {
         let mut fut = std::pin::pin!(fut);
@@ -63,11 +81,16 @@ pub mod macros_support {
         let waker = Waker::from(waker_state.clone());
         let mut cx = Context::from_waker(&waker);
         loop {
+            NEXT_TIMER.with(|next| next.set(None));
             if let Poll::Ready(v) = fut.as_mut().poll(&mut cx) {
                 return v;
             }
             if !waker_state.notified.swap(false, Ordering::SeqCst) {
-                std::thread::park_timeout(PARK_INTERVAL);
+                let park = match NEXT_TIMER.with(|next| next.get()) {
+                    Some(due) => PARK_INTERVAL.min(due.saturating_duration_since(Instant::now())),
+                    None => PARK_INTERVAL,
+                };
+                std::thread::park_timeout(park);
                 waker_state.notified.store(false, Ordering::SeqCst);
             }
         }
@@ -424,7 +447,9 @@ pub mod sync {
 }
 
 pub mod time {
-    //! Timers. Granularity is the runtime's park interval (~250µs).
+    //! Timers. A pending `sleep` cuts its task thread's park short at the
+    //! deadline, so it fires when due (plus the OS timer's slack), not at the
+    //! re-poll after.
 
     use std::future::Future;
     use std::task::Poll;
@@ -437,8 +462,9 @@ pub mod time {
             if Instant::now() >= deadline {
                 Poll::Ready(())
             } else {
-                // No timer wheel: the task thread re-polls on its park
-                // interval, which bounds oversleep to ~250µs.
+                // No timer wheel: the task thread's next park is cut short
+                // at the deadline.
+                crate::macros_support::park_until(deadline);
                 Poll::Pending
             }
         })
@@ -602,7 +628,13 @@ pub mod io {
             }
         }
 
-        fn buffered(&self) -> &[u8] {
+        /// The wrapped reader.
+        pub fn get_ref(&self) -> &R {
+            &self.inner
+        }
+
+        /// Bytes read from the wrapped reader and not yet consumed.
+        pub fn buffer(&self) -> &[u8] {
             &self.buf[self.pos..]
         }
 
@@ -635,7 +667,7 @@ pub mod io {
             match self.poll_fill(cx) {
                 Poll::Ready(Ok(0)) => Poll::Ready(Ok(0)),
                 Poll::Ready(Ok(_)) => {
-                    let available = self.buffered();
+                    let available = self.buffer();
                     let n = available.len().min(buf.len());
                     buf[..n].copy_from_slice(&available[..n]);
                     self.pos += n;
@@ -666,7 +698,7 @@ pub mod io {
                     if available == 0 {
                         break; // EOF
                     }
-                    let buffered = self.buffered();
+                    let buffered = self.buffer();
                     if let Some(idx) = buffered.iter().position(|&b| b == b'\n') {
                         collected.extend_from_slice(&buffered[..=idx]);
                         self.pos += idx + 1;
@@ -766,6 +798,17 @@ pub mod net {
             self.inner.peer_addr()
         }
 
+        /// Set `TCP_NODELAY`: with it on, a small write leaves at once
+        /// instead of waiting for the peer to acknowledge the previous one.
+        pub fn set_nodelay(&self, nodelay: bool) -> io::Result<()> {
+            self.inner.set_nodelay(nodelay)
+        }
+
+        /// Whether `TCP_NODELAY` is set.
+        pub fn nodelay(&self) -> io::Result<bool> {
+            self.inner.nodelay()
+        }
+
         /// Split into independently usable read and write halves.
         pub fn into_split(self) -> (tcp::OwnedReadHalf, tcp::OwnedWriteHalf) {
             (
@@ -806,6 +849,14 @@ pub mod net {
         /// Write half; the socket closes when both halves are dropped.
         pub struct OwnedWriteHalf {
             pub(super) inner: Arc<std::net::TcpStream>,
+        }
+
+        impl OwnedReadHalf {
+            /// Read what the socket holds right now without waiting:
+            /// `WouldBlock` when nothing has arrived, `Ok(0)` at EOF.
+            pub fn try_read(&self, buf: &mut [u8]) -> io::Result<usize> {
+                (&*self.inner).read(buf)
+            }
         }
 
         impl AsyncRead for OwnedReadHalf {
@@ -927,6 +978,25 @@ mod tests {
     }
 
     #[test]
+    fn a_short_sleep_does_not_wait_out_the_park_interval() {
+        let short = Duration::from_micros(50);
+        let mut slept: Vec<Duration> = (0..21)
+            .map(|_| {
+                let start = Instant::now();
+                block_on(super::time::sleep(short));
+                start.elapsed()
+            })
+            .collect();
+        slept.sort();
+        assert!(slept[0] >= short, "woke early: {slept:?}");
+        // The median, so that a descheduled thread cannot fail it.
+        assert!(
+            slept[slept.len() / 2] < super::macros_support::PARK_INTERVAL,
+            "{slept:?}"
+        );
+    }
+
+    #[test]
     fn watch_signals_change() {
         block_on(async {
             let (tx, mut rx) = watch::channel(false);
@@ -997,6 +1067,62 @@ mod tests {
             reader.read_to_end(&mut rest).await.unwrap();
             assert_eq!(rest, b"rest");
             assert_eq!(server.await.unwrap(), "ping\n");
+        });
+    }
+
+    #[test]
+    fn nodelay_sets_on_accepted_and_connected_streams() {
+        block_on(async {
+            let listener = super::net::TcpListener::bind("127.0.0.1:0").await.unwrap();
+            let connected = super::net::TcpStream::connect(listener.local_addr().unwrap())
+                .await
+                .unwrap();
+            let (accepted, _) = listener.accept().await.unwrap();
+            for stream in [&accepted, &connected] {
+                assert!(!stream.nodelay().unwrap(), "off until asked for");
+                stream.set_nodelay(true).unwrap();
+                assert!(stream.nodelay().unwrap());
+            }
+        });
+    }
+
+    #[test]
+    fn try_read_tells_idle_from_data_from_eof() {
+        block_on(async {
+            let listener = super::net::TcpListener::bind("127.0.0.1:0").await.unwrap();
+            let client = super::net::TcpStream::connect(listener.local_addr().unwrap())
+                .await
+                .unwrap();
+            let (mut server, _) = listener.accept().await.unwrap();
+            let (read, _write) = client.into_split();
+            let reader = BufReader::new(read);
+            let mut byte = [0u8; 1];
+
+            let idle = reader.get_ref().try_read(&mut byte).unwrap_err();
+            assert_eq!(idle.kind(), std::io::ErrorKind::WouldBlock);
+
+            server.write_all(b"x").await.unwrap();
+            let arrived = Instant::now();
+            while reader.get_ref().try_read(&mut byte).is_err() {
+                assert!(
+                    arrived.elapsed() < Duration::from_secs(5),
+                    "byte never arrived"
+                );
+                super::time::sleep(Duration::from_millis(1)).await;
+            }
+            assert_eq!(&byte, b"x");
+            assert!(reader.buffer().is_empty(), "try_read bypasses the buffer");
+
+            drop(server);
+            let closed = Instant::now();
+            while reader.get_ref().try_read(&mut byte).is_err() {
+                assert!(
+                    closed.elapsed() < Duration::from_secs(5),
+                    "EOF never arrived"
+                );
+                super::time::sleep(Duration::from_millis(1)).await;
+            }
+            assert_eq!(reader.get_ref().try_read(&mut byte).unwrap(), 0);
         });
     }
 
