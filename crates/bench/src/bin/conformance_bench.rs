@@ -1,34 +1,52 @@
-//! Ground-truth conformance bench: run the full measurement pipeline over
-//! a labeled scenario, join the findings back to the simulator's
-//! per-bundle labels, and score the detector exactly — precision, recall,
-//! F1, quantification error, the per-criterion ablation grid, and the
+//! The detector scorecard: run the full measurement pipeline over a labeled
+//! scenario, join the findings back to the simulator's per-bundle labels,
+//! and score the detector exactly — confusion matrix, quantification error,
+//! the per-criterion ablation grid, the defensive classifier, and the
 //! adversarial near-miss fuzzer sweep. Asserts the headline contract
 //! (precision = recall = 1.0, every criterion load-bearing, every fuzzer
-//! family rejected) and writes a deterministic JSON snapshot
-//! (`BENCH_conformance.json` or `$SANDWICH_BENCH_OUT`).
+//! family rejected, a second same-seed lab byte-identical — each also held
+//! by `tests/conformance.rs` at tiny scale) and writes the scorecard to
+//! `$SANDWICH_BENCH_OUT` (default `results/BENCH_conformance.json`).
+//!
+//! Knobs: `SANDWICH_DAYS` (default 8) and `SANDWICH_SEED` as for the figure
+//! binaries, `SANDWICH_FUZZ_CASES` (cases per fuzzer family, default 50).
 
-use std::time::Instant;
-
+use sandwich_bench::{env_or, write_snapshot};
 use sandwich_core::{
-    ablation_grid, conformance, defensive_confusion, detect, detect_in_bundle, score,
-    AnalysisConfig, Conformance, DetectorConfig,
+    ablation_grid, defensive_confusion, detect, detect_in_bundle, score, AblationRow,
+    AnalysisConfig, Conformance, ConfusionMatrix, DetectorConfig,
 };
-use sandwich_obs::Registry;
 use sandwich_sim::{NearMissFamily, NearMissFuzzer};
 use sandwich_types::DEFENSIVE_TIP_THRESHOLD;
 
+/// Everything one labeled run scores; serialized whole as the scorecard.
+#[derive(serde::Serialize)]
 struct Lab {
-    conf: Conformance,
-    conf_json: String,
-    rows: Vec<sandwich_core::AblationRow>,
-    defensive: Vec<(sandwich_types::Lamports, sandwich_core::ConfusionMatrix)>,
+    days: u64,
+    seed: u64,
+    bundles_collected: usize,
+    bundles_labeled: usize,
     findings: usize,
-    bundles: usize,
-    labeled: usize,
-    /// (criterion, precision, recall, f1) of each ablated detector.
-    per_criterion: Vec<(u8, f64, f64, f64)>,
-    /// Labeled bundles scored per second by the join (best of reps).
-    score_rate: f64,
+    precision: f64,
+    recall: f64,
+    conformance: Conformance,
+    /// The detector with criterion 1..=5 disabled, scored against the same labels.
+    per_criterion_ablated: Vec<ConfusionMatrix>,
+    ablation_grid: Vec<AblationRow>,
+    defensive_at_paper_threshold: ConfusionMatrix,
+}
+
+#[derive(serde::Serialize)]
+struct Fuzzer {
+    cases: usize,
+    mutants: usize,
+    families: usize,
+}
+
+#[derive(serde::Serialize)]
+struct Snapshot {
+    lab: Lab,
+    fuzzer: Fuzzer,
 }
 
 fn run_lab(scenario: &sandwich_sim::ScenarioConfig) -> Lab {
@@ -48,177 +66,50 @@ fn run_lab(scenario: &sandwich_sim::ScenarioConfig) -> Lab {
     let run = runtime
         .block_on(sandwich_core::run_measurement(&mut sim, pipeline))
         .unwrap();
-    let report = run.analyze(&AnalysisConfig::paper_defaults(scenario.days));
-
+    let paper = AnalysisConfig::paper_defaults(scenario.days);
+    let report = run.analyze(&paper);
     let labels = sim.labels();
-    let reps: usize = std::env::var("SANDWICH_SCORE_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5);
-    let mut best = f64::INFINITY;
-    let mut conf = score(&report, labels);
-    for _ in 0..reps {
-        let started = Instant::now();
-        conf = score(&report, labels);
-        let elapsed = started.elapsed().as_secs_f64();
-        if elapsed < best {
-            best = elapsed;
-        }
-    }
-    let conf_json = serde_json::to_string(&conf).expect("scorecard serializes");
-    let rows = ablation_grid(&run.dataset, labels).expect("criteria 1-5");
+    let conformance = score(&report, labels);
 
-    // Per-criterion precision/recall: re-analyze with each criterion
-    // disabled and score the ablated detector against the same labels.
-    let per_criterion = (1..=5u8)
+    // Re-analyze with each criterion disabled and score the ablated
+    // detector against the same labels.
+    let per_criterion_ablated = (1..=5u8)
         .map(|n| {
             let config = AnalysisConfig {
                 detector: DetectorConfig::without_criterion(n).expect("1-5"),
-                ..AnalysisConfig::paper_defaults(scenario.days)
+                ..paper.clone()
             };
-            let ablated = score(&run.analyze(&config), labels);
-            let m = ablated.detector;
-            (n, m.precision(), m.recall(), m.f1())
+            score(&run.analyze(&config), labels).detector
         })
         .collect();
-    let thresholds = [
-        1_000u64, 5_000, 10_000, 50_000, 100_000, 200_000, 500_000, 1_000_000,
-    ];
-    let defensive = defensive_confusion(run.dataset.bundles().iter(), labels, &thresholds);
+    let defensive = defensive_confusion(
+        run.dataset.bundles().iter(),
+        labels,
+        &[DEFENSIVE_TIP_THRESHOLD.0],
+    );
 
     Lab {
-        conf,
-        conf_json,
-        rows,
-        defensive,
+        days: scenario.days,
+        seed: scenario.seed,
+        bundles_collected: run.dataset.len(),
+        bundles_labeled: labels.len(),
         findings: report.findings.len(),
-        bundles: run.dataset.len(),
-        labeled: labels.len(),
-        per_criterion,
-        score_rate: labels.len() as f64 / best.max(1e-9),
+        precision: conformance.detector.precision(),
+        recall: conformance.detector.recall(),
+        conformance,
+        per_criterion_ablated,
+        ablation_grid: ablation_grid(&run.dataset, labels).expect("criteria 1-5"),
+        defensive_at_paper_threshold: defensive[0].1,
     }
 }
 
-fn main() {
-    let scenario = sandwich_sim::ScenarioConfig {
-        days: std::env::var("SANDWICH_DAYS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(8),
-        downtime_days: vec![],
-        ..sandwich_bench::figure_scenario()
-    };
-
-    println!(
-        "conformance_bench: {} days, seed {}",
-        scenario.days, scenario.seed
-    );
-    let lab = run_lab(&scenario);
-    let c = &lab.conf;
-
-    // --- headline contract -------------------------------------------------
-    let m = &c.detector;
-    println!(
-        "detector: TP={} FP={} FN={} TN={}  precision={:.4} recall={:.4} f1={:.4}",
-        m.true_positives,
-        m.false_positives,
-        m.false_negatives,
-        m.true_negatives,
-        m.precision(),
-        m.recall(),
-        m.f1()
-    );
-    assert!(m.true_positives > 0, "scenario produced sandwiches");
-    assert_eq!(m.precision(), 1.0, "no false positives on labeled traffic");
-    assert_eq!(m.recall(), 1.0, "every detectable sandwich found");
-    assert_eq!(c.unlabeled_findings, 0, "every finding joins to a label");
-    assert!(
-        c.near_misses_all_rejected(),
-        "near-miss flagged: {:?}",
-        c.near_miss_flagged
-    );
-    assert!(c.near_misses_labeled_total() > 0, "decoys present");
-
-    // --- quantification error ---------------------------------------------
-    let loss_cdf = c.quant.loss_abs_cdf();
-    let (loss_p50, loss_p90, loss_max) = (
-        loss_cdf.quantile(0.5).unwrap_or(0.0),
-        loss_cdf.quantile(0.9).unwrap_or(0.0),
-        c.quant.max_abs_loss_err(),
-    );
-    println!(
-        "loss error (lamports, |detected - expected|): p50={loss_p50:.0} p90={loss_p90:.0} max={loss_max} over {} priced TPs",
-        c.quant.loss_err_lamports.len()
-    );
-    let gain_exact = c
-        .quant
-        .gain_err_lamports
-        .iter()
-        .filter(|&&e| e == 0)
-        .count();
-    println!(
-        "gain error: {}/{} exact after tip netting",
-        gain_exact,
-        c.quant.gain_err_lamports.len()
-    );
-
-    // --- ablation grid -----------------------------------------------------
-    println!("per-criterion ablated detectors (scored against the same labels):");
-    for (n, p, r, f1) in &lab.per_criterion {
-        println!("  without c{n}: precision={p:.4} recall={r:.4} f1={f1:.4}");
-    }
-    println!("ablation grid (criterion disabled -> matching family admitted):");
-    for row in &lab.rows {
-        println!(
-            "  c{}: {:<24} labeled={:<4} admitted={:<4} admitted_any={:<4} full_detector={}",
-            row.criterion,
-            row.family,
-            row.labeled_matching,
-            row.admitted_matching,
-            row.admitted_total,
-            row.full_detector_admitted
-        );
-        assert!(
-            row.labeled_matching > 0,
-            "scenario landed no c{} decoys",
-            row.criterion
-        );
-        assert!(
-            row.admitted_matching > 0,
-            "criterion {} not load-bearing: its near-miss family survives ablation",
-            row.criterion
-        );
-        assert_eq!(row.full_detector_admitted, 0);
-    }
-
-    // --- defensive classifier ----------------------------------------------
-    for (threshold, dm) in &lab.defensive {
-        if *threshold == DEFENSIVE_TIP_THRESHOLD {
-            println!(
-                "defensive @ {} lamports: TP={} FP={} FN={} TN={} precision={:.4} recall={:.4}",
-                threshold.0,
-                dm.true_positives,
-                dm.false_positives,
-                dm.false_negatives,
-                dm.true_negatives,
-                dm.precision(),
-                dm.recall()
-            );
-        }
-    }
-
-    // --- adversarial fuzzer sweep -------------------------------------------
-    let seed: u64 = std::env::var("SANDWICH_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20_250_209);
-    let per_family: usize = std::env::var("SANDWICH_FUZZ_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(50);
+/// Every fuzzer mutant is rejected by the full detector (or, for the
+/// metamorphic families, behaves as its family specifies), every original
+/// is caught, and each criterion family slips through once its criterion is
+/// disabled.
+fn run_fuzzer(seed: u64) -> Fuzzer {
     let full = DetectorConfig::default();
-    let mut fuzzer = NearMissFuzzer::new(seed);
-    let cases = fuzzer.cases(per_family);
+    let cases = NearMissFuzzer::new(seed).cases(env_or("SANDWICH_FUZZ_CASES", 50));
     let mut mutants = 0usize;
     for case in &cases {
         let o = &case.original;
@@ -249,10 +140,8 @@ fn main() {
                     );
                 }
             }
-        }
-        if let Some(n) = case.family.criterion() {
-            let ablated = DetectorConfig::without_criterion(n).unwrap();
-            for bundle in &case.mutated {
+            if let Some(n) = case.family.criterion() {
+                let ablated = DetectorConfig::without_criterion(n).unwrap();
                 assert!(
                     detect(&ablated, [&bundle[0], &bundle[1], &bundle[2]]).is_some(),
                     "without c{n} the {} mutant must slip through",
@@ -261,88 +150,124 @@ fn main() {
             }
         }
     }
-    println!(
-        "fuzzer: {} cases / {} mutants across {} families — all rejected, originals caught",
-        cases.len(),
+    Fuzzer {
+        cases: cases.len(),
         mutants,
-        NearMissFamily::all().len()
+        families: NearMissFamily::all().len(),
+    }
+}
+
+fn main() {
+    let scenario = sandwich_sim::ScenarioConfig {
+        days: env_or("SANDWICH_DAYS", 8),
+        downtime_days: vec![],
+        ..sandwich_bench::figure_scenario()
+    };
+    println!(
+        "conformance_bench: {} days, seed {}",
+        scenario.days, scenario.seed
+    );
+    let lab = run_lab(&scenario);
+    let c = &lab.conformance;
+
+    // --- headline contract -------------------------------------------------
+    let m = &c.detector;
+    println!(
+        "detector: TP={} FP={} FN={} TN={}  precision={:.4} recall={:.4} f1={:.4}",
+        m.true_positives,
+        m.false_positives,
+        m.false_negatives,
+        m.true_negatives,
+        m.precision(),
+        m.recall(),
+        m.f1()
+    );
+    assert!(m.true_positives > 0, "scenario produced sandwiches");
+    assert_eq!(m.precision(), 1.0, "no false positives on labeled traffic");
+    assert_eq!(m.recall(), 1.0, "every detectable sandwich found");
+    assert_eq!(c.unlabeled_findings, 0, "every finding joins to a label");
+    assert!(
+        c.near_misses_all_rejected(),
+        "near-miss flagged: {:?}",
+        c.near_miss_flagged
+    );
+    assert!(c.near_misses_labeled_total() > 0, "decoys present");
+
+    // --- quantification error ---------------------------------------------
+    let gain_exact = c
+        .quant
+        .gain_err_lamports
+        .iter()
+        .filter(|&&e| e == 0)
+        .count();
+    println!(
+        "loss error: max |detected - expected| = {} lamports over {} priced TPs; gain error: {gain_exact}/{} exact after tip netting",
+        c.quant.max_abs_loss_err(),
+        c.quant.loss_err_lamports.len(),
+        c.quant.gain_err_lamports.len()
     );
 
-    // --- scoring throughput -------------------------------------------------
+    // --- ablation grid -----------------------------------------------------
+    println!("per-criterion ablated detectors (scored against the same labels):");
+    for (n, m) in (1..).zip(&lab.per_criterion_ablated) {
+        println!(
+            "  without c{n}: precision={:.4} recall={:.4} f1={:.4}",
+            m.precision(),
+            m.recall(),
+            m.f1()
+        );
+    }
+    println!("ablation grid (criterion disabled -> matching family admitted):");
+    for row in &lab.ablation_grid {
+        println!(
+            "  c{}: {:<24} labeled={:<4} admitted={:<4} admitted_any={:<4} full_detector={}",
+            row.criterion,
+            row.family,
+            row.labeled_matching,
+            row.admitted_matching,
+            row.admitted_total,
+            row.full_detector_admitted
+        );
+        assert!(
+            row.labeled_matching > 0,
+            "scenario landed no c{} decoys",
+            row.criterion
+        );
+        assert!(
+            row.admitted_matching > 0,
+            "criterion {} not load-bearing: its near-miss family survives ablation",
+            row.criterion
+        );
+        assert_eq!(row.full_detector_admitted, 0);
+    }
+
+    // --- defensive classifier ----------------------------------------------
+    let dm = &lab.defensive_at_paper_threshold;
     println!(
-        "scoring throughput: {:.0} labeled bundles/sec",
-        lab.score_rate
+        "defensive @ {} lamports: TP={} FP={} FN={} TN={} precision={:.4} recall={:.4}",
+        DEFENSIVE_TIP_THRESHOLD.0,
+        dm.true_positives,
+        dm.false_positives,
+        dm.false_negatives,
+        dm.true_negatives,
+        dm.precision(),
+        dm.recall()
+    );
+
+    // --- adversarial fuzzer sweep -------------------------------------------
+    let fuzzer = run_fuzzer(scenario.seed);
+    println!(
+        "fuzzer: {} cases / {} mutants across {} families — all rejected, originals caught",
+        fuzzer.cases, fuzzer.mutants, fuzzer.families
     );
 
     // --- determinism --------------------------------------------------------
-    let lab2 = run_lab(&scenario);
     assert_eq!(
-        lab.conf_json, lab2.conf_json,
+        serde_json::to_string(&lab).unwrap(),
+        serde_json::to_string(&run_lab(&scenario)).unwrap(),
         "scorecard must be deterministic for a fixed seed"
     );
     println!("determinism: second identical run produced a byte-identical scorecard");
 
-    // --- obs + snapshot ------------------------------------------------------
-    let registry = Registry::new();
-    conformance::record(&registry, c);
-
-    let crit_rows: Vec<String> = lab
-        .per_criterion
-        .iter()
-        .map(|(n, p, r, f1)| {
-            format!(
-                "    {{\"criterion\": {n}, \"precision\": {p:.4}, \"recall\": {r:.4}, \"f1\": {f1:.4}}}"
-            )
-        })
-        .collect();
-    let grid_rows: Vec<String> = lab
-        .rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"criterion\": {}, \"family\": \"{}\", \"labeled\": {}, \"admitted_matching\": {}, \"admitted_total\": {}, \"full_detector_admitted\": {}}}",
-                r.criterion,
-                r.family,
-                r.labeled_matching,
-                r.admitted_matching,
-                r.admitted_total,
-                r.full_detector_admitted
-            )
-        })
-        .collect();
-    let paper_defensive = lab
-        .defensive
-        .iter()
-        .find(|(t, _)| *t == DEFENSIVE_TIP_THRESHOLD)
-        .map(|(_, m)| *m)
-        .unwrap_or_default();
-    let out =
-        std::env::var("SANDWICH_BENCH_OUT").unwrap_or_else(|_| "BENCH_conformance.json".into());
-    let snapshot = format!(
-        "{{\n  \"days\": {days},\n  \"seed\": {seed},\n  \"bundles_collected\": {bundles},\n  \"bundles_labeled\": {labeled},\n  \"findings\": {findings},\n  \"detector\": {{\n    \"true_positives\": {tp},\n    \"false_positives\": {fp},\n    \"false_negatives\": {fnn},\n    \"true_negatives\": {tn},\n    \"precision\": {precision:.4},\n    \"recall\": {recall:.4},\n    \"f1\": {f1:.4}\n  }},\n  \"missed_disguised\": {missed_disguised},\n  \"loss_abs_err_lamports\": {{\"p50\": {loss_p50:.0}, \"p90\": {loss_p90:.0}, \"max\": {loss_max}}},\n  \"gain_exact_after_tip\": \"{gain_exact}/{gain_total}\",\n  \"per_criterion_ablated\": [\n{crits}\n  ],\n  \"ablation_grid\": [\n{grid}\n  ],\n  \"defensive_at_paper_threshold\": {{\"true_positives\": {dtp}, \"false_positives\": {dfp}, \"false_negatives\": {dfn}, \"true_negatives\": {dtn}}},\n  \"fuzzer\": {{\"cases\": {cases}, \"mutants\": {mutants}, \"families\": {families}, \"all_rejected\": true, \"originals_caught\": true}},\n  \"deterministic\": true\n}}\n",
-        days = scenario.days,
-        seed = scenario.seed,
-        bundles = lab.bundles,
-        labeled = lab.labeled,
-        findings = lab.findings,
-        tp = m.true_positives,
-        fp = m.false_positives,
-        fnn = m.false_negatives,
-        tn = m.true_negatives,
-        precision = m.precision(),
-        recall = m.recall(),
-        f1 = m.f1(),
-        missed_disguised = c.missed_disguised,
-        gain_total = c.quant.gain_err_lamports.len(),
-        crits = crit_rows.join(",\n"),
-        grid = grid_rows.join(",\n"),
-        dtp = paper_defensive.true_positives,
-        dfp = paper_defensive.false_positives,
-        dfn = paper_defensive.false_negatives,
-        dtn = paper_defensive.true_negatives,
-        cases = cases.len(),
-        families = NearMissFamily::all().len(),
-    );
-    std::fs::write(&out, snapshot).expect("write snapshot");
-    println!("snapshot → {out}");
+    write_snapshot("conformance", &Snapshot { lab, fuzzer });
 }

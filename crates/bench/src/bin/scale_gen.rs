@@ -13,27 +13,21 @@
 //! Prints the planted ground truth (sandwiches, near misses) so scans of
 //! the store can be checked against it.
 
+use sandwich_bench::env_or;
 use sandwich_bench::scale::{generate, ScaleConfig};
 use sandwich_store::StoreWriter;
-
-fn env_parse<T: std::str::FromStr>(name: &str, default: T) -> T {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn main() {
     let defaults = ScaleConfig::default();
     let config = ScaleConfig {
-        bundles: env_parse("SANDWICH_SCALE_BUNDLES", defaults.bundles),
-        segment_bundles: env_parse("SANDWICH_SCALE_SEGMENT", defaults.segment_bundles),
-        sandwich_density: env_parse("SANDWICH_SCALE_DENSITY", defaults.sandwich_density),
-        seed: env_parse("SANDWICH_SCALE_SEED", defaults.seed),
-        days: env_parse("SANDWICH_SCALE_DAYS", defaults.days),
+        bundles: env_or("SANDWICH_SCALE_BUNDLES", defaults.bundles),
+        segment_bundles: env_or("SANDWICH_SCALE_SEGMENT", defaults.segment_bundles),
+        sandwich_density: env_or("SANDWICH_SCALE_DENSITY", defaults.sandwich_density),
+        seed: env_or("SANDWICH_SCALE_SEED", defaults.seed),
+        days: env_or("SANDWICH_SCALE_DAYS", defaults.days),
         ..defaults
     };
-    let dir = std::env::var("SANDWICH_STORE_DIR").unwrap_or_else(|_| "scale.store".into());
+    let dir = env_or("SANDWICH_STORE_DIR", String::from("scale.store"));
     let _ = std::fs::remove_dir_all(&dir);
 
     let started = std::time::Instant::now();

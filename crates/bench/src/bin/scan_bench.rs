@@ -1,25 +1,29 @@
-//! Throughput benchmark for the segment scan at mainnet scale.
+//! Recorder: single-thread scan rates on the 1 M-bundle `scale_gen` store,
+//! which the repository benchmark (`benchmark/README.md`, "Deliberately not
+//! covered") leaves out because generating it does not fit a 25 s run.
 //!
-//! Synthesizes a scale store (see `scale_gen`), then measures two scan
-//! paths over it:
+//! Synthesizes the store, then times two routes over it, best of three:
 //!
 //! * **zero-copy** — the default `scan_store`: segments are memory-mapped
 //!   and the columnar fast path decodes a bundle only after the detector
 //!   pre-filters pass;
 //! * **materializing** — `scan_store_materializing`: every record of every
-//!   segment is decoded, the pre-columnar reference path.
+//!   segment is decoded, the reference route.
 //!
-//! Asserts the two reports are byte-identical, sweeps 1/2/4/8 worker
-//! threads on the zero-copy path, and — at ≥200k bundles — gates the
-//! single-thread zero-copy speedup at ≥2x over materializing. Writes a
-//! JSON snapshot (`BENCH_scan.json` or `$SANDWICH_BENCH_OUT`).
+//! Asserts in-process that the scan finds exactly what `scale_gen` planted,
+//! that every route and thread count serializes byte-identically, and — at
+//! ≥ 200k bundles — that zero-copy is ≥ 2x materializing on one thread (both
+//! sides of the ratio run on the same thread, so it survives any core
+//! count). The 1/2/4/8-thread sweep is recorded, never gated. Nothing reads
+//! the snapshot back: a failed assert is the only gate.
 //!
-//! Scale knobs: `SANDWICH_SCAN_BUNDLES` (default 1,000,000; this is the
-//! store size, so the default run needs ~100 MB of disk and a few minutes)
-//! and `SANDWICH_SCAN_REPS` (best-of, default 3).
+//! Knobs: `SANDWICH_SCAN_BUNDLES` (store size, default 1,000,000 — ~100 MB
+//! of disk), `SANDWICH_STORE_DIR` (scratch store, removed on exit),
+//! `SANDWICH_BENCH_OUT` (default `results/BENCH_scan.json`).
 
 use sandwich_bench::scale::{generate, ScaleConfig};
-use sandwich_core::{scan_store, scan_store_materializing, AnalysisConfig};
+use sandwich_bench::{env_or, write_snapshot};
+use sandwich_core::{scan_store, scan_store_materializing, AnalysisConfig, AnalysisReport};
 use sandwich_store::StoreWriter;
 use sandwich_types::SlotClock;
 
@@ -27,144 +31,108 @@ use sandwich_types::SlotClock;
 /// single thread, once the store is big enough to measure reliably.
 const GATE_MIN_SPEEDUP: f64 = 2.0;
 const GATE_MIN_BUNDLES: u64 = 200_000;
+const REPS: usize = 3;
+
+#[derive(serde::Serialize)]
+struct ThreadRate {
+    threads: usize,
+    bundles_per_sec: u64,
+}
+
+#[derive(serde::Serialize)]
+struct Snapshot {
+    bundles: u64,
+    segments: usize,
+    sandwiches: u64,
+    cores: usize,
+    materializing_bundles_per_sec: u64,
+    zero_copy_bundles_per_sec: Vec<ThreadRate>,
+    zero_copy_speedup_1_thread: f64,
+}
 
 fn main() {
-    let bundles: u64 = std::env::var("SANDWICH_SCAN_BUNDLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1_000_000);
-    let reps: usize = std::env::var("SANDWICH_SCAN_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
-    let defaults = ScaleConfig::default();
     let config = ScaleConfig {
-        bundles,
-        sandwich_density: std::env::var("SANDWICH_SCAN_DENSITY")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(defaults.sandwich_density),
-        near_miss_density: std::env::var("SANDWICH_SCAN_NEAR_MISS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(defaults.near_miss_density),
-        ..defaults
+        bundles: env_or("SANDWICH_SCAN_BUNDLES", 1_000_000),
+        ..ScaleConfig::default()
     };
-
-    let store_dir =
-        std::env::var("SANDWICH_STORE_DIR").unwrap_or_else(|_| "scan_bench.store".into());
+    let store_dir = env_or("SANDWICH_STORE_DIR", String::from("scan_bench.store"));
     let _ = std::fs::remove_dir_all(&store_dir);
-    let started = std::time::Instant::now();
     let mut writer = StoreWriter::create(&store_dir).expect("create store");
     let stats = generate(&mut writer, &config).expect("generate store");
     let store = writer.into_reader();
-    eprintln!(
-        "[scan_bench] synthesized {} bundles ({} sandwiches, {} near misses) in {:.1}s",
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!(
+        "scan_bench: {} bundles ({} sandwiches, {} near misses) in {} segments, best of {REPS}, {cores} core(s)",
         stats.bundles,
         stats.sandwiches,
         stats.near_misses,
-        started.elapsed().as_secs_f64()
+        store.segments().len(),
     );
 
     let clock = SlotClock::default();
     let cfg = AnalysisConfig::paper_defaults(config.days);
-    let segment_bundles = config.segment_bundles;
-
-    println!(
-        "scan_bench: {} bundles in {} segments ({segment_bundles} bundles/segment), best of {reps} reps",
-        stats.bundles,
-        store.segments().len(),
-    );
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let single_core = cores == 1;
-    if single_core {
-        println!(
-            "  WARNING: single-core machine — thread-sweep speedups are bounded at ~1x \
-             and say nothing about the executor; trust the zero-copy speedup only"
-        );
-    }
-
-    let bench = |label: &str, f: &dyn Fn() -> sandwich_core::AnalysisReport| {
+    // Best-of-REPS rate of one route, and the report bytes it produced.
+    let bench = |label: &str, scan: &dyn Fn() -> AnalysisReport| {
         let mut best = f64::INFINITY;
-        let mut json = String::new();
-        for _ in 0..reps {
+        let mut report = None;
+        for _ in 0..REPS {
             let t = std::time::Instant::now();
-            let report = f();
+            report = Some(scan());
             best = best.min(t.elapsed().as_secs_f64());
-            json = serde_json::to_string(&report).unwrap();
         }
-        let rate = stats.bundles as f64 / best;
-        println!("  {label}: {:.1} ms, {:.0} bundles/sec", best * 1e3, rate);
-        (rate, json)
+        let report = report.expect("REPS > 0");
+        let rate = (stats.bundles as f64 / best).round() as u64;
+        println!("  {label}: {:.1} ms, {rate} bundles/sec", best * 1e3);
+        (rate, report)
     };
 
-    // The reference: full record-by-record decode, single thread.
-    let reference = scan_store_materializing(&store, &clock, &cfg, 1).expect("scan");
+    let (mat_rate, reference) = bench("materializing threads=1", &|| {
+        scan_store_materializing(&store, &clock, &cfg, 1).expect("scan")
+    });
     assert_eq!(
         reference.findings.len() as u64,
         stats.sandwiches,
         "scan found a different sandwich count than scale_gen planted"
     );
-    let (mat_rate, mat_json) = bench("materializing threads=1", &|| {
-        scan_store_materializing(&store, &clock, &cfg, 1).expect("scan")
-    });
+    let reference = serde_json::to_string(&reference).expect("report serializes");
 
-    // The zero-copy path across thread counts.
-    let thread_counts = [1usize, 2, 4, 8];
-    let mut rates = Vec::new();
-    for &threads in &thread_counts {
-        let (rate, json) = bench(&format!("zero-copy threads={threads}"), &|| {
-            scan_store(&store, &clock, &cfg, threads).expect("scan")
-        });
-        assert_eq!(
-            json, mat_json,
-            "zero-copy scan at {threads} threads diverged from the materializing scan"
-        );
-        rates.push((threads, rate));
-    }
-    let rate_of = |t: usize| {
-        rates
-            .iter()
-            .find(|(n, _)| *n == t)
-            .map(|(_, r)| *r)
-            .unwrap()
-    };
-    let zero_copy_speedup = rate_of(1) / mat_rate;
-    let speedup4 = rate_of(4) / rate_of(1);
-    println!(
-        "  zero-copy over materializing (1 thread): {zero_copy_speedup:.2}x; \
-         4-thread over 1-thread: {speedup4:.2}x on {cores} core(s)"
-    );
-    if stats.bundles >= GATE_MIN_BUNDLES {
-        assert!(
-            zero_copy_speedup >= GATE_MIN_SPEEDUP,
-            "zero-copy speedup {zero_copy_speedup:.2}x under the {GATE_MIN_SPEEDUP}x gate \
-             at {} bundles",
-            stats.bundles
-        );
-    } else {
-        println!(
-            "  note: {} bundles is under the {GATE_MIN_BUNDLES}-bundle gate threshold; \
-             speedup reported but not enforced",
-            stats.bundles
-        );
-    }
-
-    let out = std::env::var("SANDWICH_BENCH_OUT").unwrap_or_else(|_| "BENCH_scan.json".into());
-    let entries: Vec<String> = rates
-        .iter()
-        .map(|(t, r)| format!("    \"{t}\": {r:.0}"))
+    let rates: Vec<ThreadRate> = [1usize, 2, 4, 8]
+        .into_iter()
+        .map(|threads| {
+            let (bundles_per_sec, report) = bench(&format!("zero-copy threads={threads}"), &|| {
+                scan_store(&store, &clock, &cfg, threads).expect("scan")
+            });
+            assert_eq!(
+                serde_json::to_string(&report).expect("report serializes"),
+                reference,
+                "zero-copy scan at {threads} threads diverged from the materializing scan"
+            );
+            ThreadRate {
+                threads,
+                bundles_per_sec,
+            }
+        })
         .collect();
-    let snapshot = format!(
-        "{{\n  \"bundles\": {bundles},\n  \"segments\": {segments},\n  \"segment_bundles\": {segment_bundles},\n  \"sandwiches\": {sandwiches},\n  \"cores\": {cores},\n  \"single_core\": {single_core},\n  \"bundles_per_sec\": {{\n{rates}\n  }},\n  \"materializing_bundles_per_sec\": {mat_rate:.0},\n  \"zero_copy_speedup_1_thread\": {zero_copy_speedup:.2},\n  \"speedup_4_threads\": {speedup4:.2},\n  \"byte_identical_across_paths_and_threads\": true\n}}\n",
-        bundles = stats.bundles,
-        segments = store.segments().len(),
-        sandwiches = stats.sandwiches,
-        rates = entries.join(",\n"),
+
+    let speedup = rates[0].bundles_per_sec as f64 / mat_rate as f64;
+    println!("  zero-copy over materializing (1 thread): {speedup:.2}x");
+    assert!(
+        stats.bundles < GATE_MIN_BUNDLES || speedup >= GATE_MIN_SPEEDUP,
+        "zero-copy speedup {speedup:.2}x under the {GATE_MIN_SPEEDUP}x gate at {} bundles",
+        stats.bundles
     );
-    std::fs::write(&out, snapshot).expect("write snapshot");
-    println!("  snapshot → {out}");
+
+    write_snapshot(
+        "scan",
+        &Snapshot {
+            bundles: stats.bundles,
+            segments: store.segments().len(),
+            sandwiches: stats.sandwiches,
+            cores,
+            materializing_bundles_per_sec: mat_rate,
+            zero_copy_bundles_per_sec: rates,
+            zero_copy_speedup_1_thread: (speedup * 100.0).round() / 100.0,
+        },
+    );
     let _ = std::fs::remove_dir_all(&store_dir);
 }

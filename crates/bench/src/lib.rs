@@ -1,4 +1,5 @@
-//! Shared harness for the figure/table regeneration binaries.
+//! Shared harness for the figure/table regeneration binaries, the
+//! `scale_gen` corpus generator and the three `*_bench` snapshot writers.
 //!
 //! Every binary runs the same full measurement pipeline (simulated chain →
 //! explorer HTTP API → collector → analysis) at a configurable scale, then
@@ -34,18 +35,29 @@ pub struct FigureRun {
     pub clock: SlotClock,
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
+/// An environment knob: `name` parsed as `T`, or `default` when unset or
+/// unparsable.
+pub fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
     std::env::var(name)
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
 }
 
+/// Write a recorder's snapshot as one line of JSON to `$SANDWICH_BENCH_OUT`,
+/// or `results/BENCH_<name>.json` when unset.
+pub fn write_snapshot<T: serde::Serialize>(name: &str, snapshot: &T) {
+    let out = env_or("SANDWICH_BENCH_OUT", format!("results/BENCH_{name}.json"));
+    let json = serde_json::to_string(snapshot).expect("snapshot serializes");
+    std::fs::write(&out, json + "\n").expect("write snapshot");
+    println!("snapshot → {out}");
+}
+
 /// The scenario used by all figure binaries.
 pub fn figure_scenario() -> ScenarioConfig {
-    let days = env_u64("SANDWICH_DAYS", 120);
-    let scale_denominator = env_u64("SANDWICH_SCALE", 4_000).max(1);
-    let seed = env_u64("SANDWICH_SEED", 20_250_209);
+    let days = env_or("SANDWICH_DAYS", 120);
+    let scale_denominator: u64 = env_or("SANDWICH_SCALE", 4_000).max(1);
+    let seed = env_or("SANDWICH_SEED", 20_250_209);
     ScenarioConfig {
         days,
         seed,

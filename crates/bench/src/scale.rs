@@ -11,7 +11,8 @@
 //!
 //! Everything is a pure function of [`ScaleConfig`], so two runs with the
 //! same config produce byte-identical stores — the property that lets
-//! `scan_bench` and `check.sh` compare scan paths across processes.
+//! tests, `scan_bench` and the benchmark's vendored copy compare scan routes
+//! against a count planted at generation time.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

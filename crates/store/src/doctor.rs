@@ -574,6 +574,13 @@ mod tests {
         let report = repair(&dir).unwrap();
         assert_eq!(report.repaired, 1);
         assert_eq!(std::fs::read(&path).unwrap(), sealed);
+
+        // A footer with one flipped bit (rot, not a lost write) is repaired
+        // the same way: the body re-encodes to the manifest's checksum.
+        flip_byte(&path, sealed.len() as u64 - 20).unwrap();
+        let report = repair(&dir).unwrap();
+        assert_eq!((report.repaired, report.quarantined), (1, 0));
+        assert_eq!(std::fs::read(&path).unwrap(), sealed);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -616,6 +623,14 @@ mod tests {
             &report.checks[1].health,
             SegmentHealth::Quarantined { reason } if reason == "missing_file"
         ));
+        // The loss is on the books exactly: the victim's two bundles are
+        // quarantined, the other segment's two are still served.
+        assert_eq!(report.bundles_quarantined, 2);
+        assert_eq!(report.bundles_served, 2);
+        let store = BundleStore::open(&dir).unwrap();
+        assert_eq!(store.segments().len(), 1);
+        assert_eq!(store.manifest().total_bundles(), 2);
+        assert_eq!(store.manifest().total_quarantined_bundles(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

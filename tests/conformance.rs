@@ -28,7 +28,7 @@ async fn oracle_scores_the_detector_perfectly_on_labeled_ground_truth() {
     };
     let days = scenario.days;
     let pipeline = tiny_pipeline(&scenario);
-    let mut sim = Simulation::new(scenario);
+    let mut sim = Simulation::new(scenario.clone());
     let run = sandwich_core::run_measurement(&mut sim, pipeline)
         .await
         .unwrap();
@@ -37,6 +37,19 @@ async fn oracle_scores_the_detector_perfectly_on_labeled_ground_truth() {
     assert!(!labels.is_empty(), "the sim labels every landed bundle");
 
     let c = conformance::score(&report, labels);
+
+    // The scorecard is a pure function of the scenario: a second lab on
+    // the same seed serializes byte-identically.
+    let mut sim2 = Simulation::new(scenario.clone());
+    let run2 = sandwich_core::run_measurement(&mut sim2, tiny_pipeline(&scenario))
+        .await
+        .unwrap();
+    let report2 = run2.analyze(&AnalysisConfig::paper_defaults(days));
+    assert_eq!(
+        serde_json::to_string(&c).unwrap(),
+        serde_json::to_string(&conformance::score(&report2, sim2.labels())).unwrap(),
+        "scorecard must be deterministic for a fixed seed"
+    );
 
     // The headline acceptance: perfect precision and recall per bundle,
     // every finding joined to a label, every near-miss rejected outright.

@@ -75,7 +75,8 @@ fn scratch(tag: &str) -> PathBuf {
 /// Every crash point of a full seal (segment write → fsync → rename →
 /// dir fsync → manifest update), killed both cleanly and with torn-write
 /// power-loss semantics, must resume to a byte-identical store. This is
-/// the bounded in-tree twin of the `crash_bench` matrix.
+/// the gate for `silent_divergence == 0` and `crash_points >= 20`;
+/// `crash_bench` walks the same matrix only to time the recoveries.
 #[test]
 fn every_seal_crash_point_recovers_byte_identically() {
     let base = scratch("base");

@@ -120,7 +120,12 @@ fn probe_paths(dir: &PathBuf) -> Vec<String> {
     let validators = index.validators.as_deref().unwrap_or(&[]);
     paths.push("/api/validators?limit=10".to_string());
     paths.push("/api/validators?limit=5&after=5".to_string());
+    paths.push("/api/validators?limit=100".to_string());
     for entry in validators.iter().filter(|v| v.sandwiches > 0).take(2) {
+        paths.push(format!("/api/validator/{}", entry.pubkey));
+    }
+    // A validator that hosted no sandwich, when the store has one.
+    if let Some(entry) = validators.iter().find(|v| v.sandwiches == 0) {
         paths.push(format!("/api/validator/{}", entry.pubkey));
     }
     let nobody = Keypair::from_label("shard-router-nobody").pubkey();
@@ -140,6 +145,11 @@ fn probe_paths(dir: &PathBuf) -> Vec<String> {
     ));
     paths.push(format!(
         "/api/sandwiches?from_slot={}&to_slot={}&limit=100",
+        max_slot / 3,
+        2 * max_slot / 3
+    ));
+    paths.push(format!(
+        "/api/sandwiches?from_slot={}&to_slot={}&limit=10&after=10",
         max_slot / 3,
         2 * max_slot / 3
     ));
