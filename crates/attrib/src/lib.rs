@@ -33,6 +33,7 @@ pub const EPOCH_SLOTS: u64 = 432_000;
 
 /// Consecutive slots each scheduled leader produces (Solana's 4-slot group).
 pub const LEADER_GROUP_SLOTS: u64 = 4;
+const _: () = assert!(EPOCH_SLOTS.is_multiple_of(LEADER_GROUP_SLOTS));
 
 /// Stake pools validators are assigned to, with selection weights in
 /// percent. The split loosely mirrors the mainnet pool landscape the
@@ -128,6 +129,16 @@ pub struct LeaderSchedule {
     total_stake: u128,
 }
 
+/// Slots led per validator over `[0, through]`: the prefix sum
+/// [`LeaderSchedule::advance`] extends, so a keeper pays only for new slots.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct SlotsLed {
+    /// Indexed like [`LeaderSchedule::validators`]; sums to `through + 1`.
+    pub counts: Vec<u64>,
+    /// Last slot counted, `None` before the first advance.
+    pub through: Option<u64>,
+}
+
 impl LeaderSchedule {
     /// Derive the full schedule machinery from a spec.
     pub fn new(spec: &ValidatorSpec) -> LeaderSchedule {
@@ -182,21 +193,36 @@ impl LeaderSchedule {
         self.validators[self.leader_index_at(slot)].pubkey
     }
 
+    /// Extend `led` to cover `[0, max_slot]`, hashing only the leader groups
+    /// past `led.through` (first finishing one it stopped inside). Returns
+    /// how many it hashed: none for a `max_slot` the prefix already covers.
+    pub fn advance(&self, led: &mut SlotsLed, max_slot: u64) -> u64 {
+        led.counts.resize(self.validators.len(), 0);
+        let mut next = led.through.map_or(0, |through| through + 1);
+        let mut hashed = 0;
+        while next <= max_slot {
+            // Epochs are whole groups, so every group ends before a multiple
+            // of the group width.
+            let group_end = next - next % LEADER_GROUP_SLOTS + LEADER_GROUP_SLOTS - 1;
+            let end = group_end.min(max_slot);
+            led.counts[self.leader_index_at(Slot(next))] += end - next + 1;
+            led.through = Some(end);
+            hashed += 1;
+            next = end + 1;
+        }
+        hashed
+    }
+
     /// Slots led per validator over `[0, max_slot]`, indexed like
-    /// [`Self::validators`].
+    /// [`Self::validators`]: [`Self::advance`] from the empty prefix.
     ///
     /// This is the leaderboard denominator ("blocks led"). It is monotone
     /// non-decreasing in `max_slot` for every validator, which is what lets
     /// shards compute it locally and a router take the element-wise max.
     pub fn slots_led_through(&self, max_slot: u64) -> Vec<u64> {
-        let mut counts = vec![0u64; self.validators.len()];
-        let mut group_start = 0u64;
-        while group_start <= max_slot {
-            let led = (max_slot - group_start + 1).min(LEADER_GROUP_SLOTS);
-            counts[self.leader_index_at(Slot(group_start))] += led;
-            group_start += LEADER_GROUP_SLOTS;
-        }
-        counts
+        let mut led = SlotsLed::default();
+        self.advance(&mut led, max_slot);
+        led.counts
     }
 }
 
@@ -295,6 +321,62 @@ mod tests {
             }
             prev = counts;
         }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The carried prefix sum: stopping anywhere — mid-group, on either
+        /// side of an epoch boundary, twice at the same slot — and going on
+        /// counts exactly what one walk from slot 0 counts, and re-hashes at
+        /// most the one group each stop split.
+        #[test]
+        fn advancing_in_steps_equals_one_walk_from_empty(
+            seed in any::<u64>(),
+            count in 1u32..40,
+            epochs in 0u64..3,
+            edge in 0u8..3,
+            jitter in 0u64..10_000,
+            a_pick in any::<u64>(),
+            tail in 0u64..5_000,
+        ) {
+            let sched = LeaderSchedule::new(&ValidatorSpec::new(seed, count));
+            let b = match (epochs, edge) {
+                (0, _) | (_, 2) => epochs * EPOCH_SLOTS + jitter,
+                (_, 0) => epochs * EPOCH_SLOTS - 1,
+                _ => epochs * EPOCH_SLOTS,
+            };
+            let a = if a_pick % 4 == 0 { b } else { a_pick % (b + 1) };
+            let c = b + tail;
+
+            let mut led = SlotsLed::default();
+            let mut hashed = 0;
+            for stop in [a, b, c] {
+                hashed += sched.advance(&mut led, stop);
+                prop_assert_eq!(led.through, Some(stop));
+                prop_assert_eq!(led.counts.iter().sum::<u64>(), stop + 1);
+            }
+            prop_assert_eq!(&led.counts, &sched.slots_led_through(c));
+            prop_assert!(hashed <= c / LEADER_GROUP_SLOTS + 3, "{hashed} groups for {c} slots");
+
+            // A slot the prefix already covers costs nothing and moves nothing.
+            let before = led.clone();
+            prop_assert_eq!(sched.advance(&mut led, a), 0);
+            prop_assert_eq!(led, before);
+        }
+    }
+
+    #[test]
+    fn advance_hashes_only_the_groups_past_the_prefix() {
+        let sched = LeaderSchedule::new(&spec());
+        let mut led = SlotsLed::default();
+        assert_eq!(sched.advance(&mut led, 4_001), 1_001, "groups 0..=1000");
+        // 4_001 is mid-group: finishing group 1000 is one hash, then 25 more.
+        assert_eq!(sched.advance(&mut led, 4_103), 26);
+        assert_eq!(sched.advance(&mut led, 4_103), 0);
+        assert_eq!(led.counts, sched.slots_led_through(4_103));
     }
 
     #[test]

@@ -162,6 +162,12 @@ pub const QUERY_LIVE_WAIT_SECONDS: &str = "query.live.wait_seconds";
 /// per index build or fold that attributed sandwiches to slot leaders).
 pub const ATTRIB_SCHEDULE_BUILDS: &str = "attrib.schedule.builds";
 
+/// Counter: four-slot leader groups hashed to extend the blocks-led
+/// denominators (one SHA-256 each). A rebuild adds `max_slot / 4 + 1`; a
+/// fold only the groups past its base's `max_slot`, because blocks led is a
+/// carried prefix sum; a load adds none.
+pub const ATTRIB_SCHEDULE_GROUPS_HASHED: &str = "attrib.schedule.groups_hashed";
+
 /// Counter: sealed sandwiches joined to their slot leader during an
 /// index build (the attribution join).
 pub const ATTRIB_JOINS: &str = "attrib.joins";

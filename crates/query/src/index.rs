@@ -15,12 +15,12 @@ use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
-use sandwich_attrib::{LeaderSchedule, ValidatorSpec};
+use sandwich_attrib::{LeaderSchedule, SlotsLed, ValidatorSpec};
 use sandwich_core::scan::{scan_segments, visit_decoded, visit_segment, BundleFacts, Route, Walk};
 use sandwich_core::{Currency, DetectorConfig, SandwichFinding};
 use sandwich_jito::BundleId;
 use sandwich_store::crash::{write_durable_with, CrashPlan};
-use sandwich_store::{fnv1a64, BundleStore, Manifest, ManifestDelta};
+use sandwich_store::{fnv1a64, BundleStore, Manifest};
 use sandwich_types::{Lamports, Pubkey, SlotClock, DEFENSIVE_TIP_THRESHOLD};
 
 /// Index file name inside a store directory (next to `manifest.json`).
@@ -232,10 +232,19 @@ pub struct QueryIndex {
 /// and the rest waits for [`finalize`]. Build and fold share this shape:
 /// a scan of some segments produces a part, a finalized index *is* one,
 /// parts merge associatively, and every entry point finalizes once.
+/// The second field is its blocks-led checkpoint: `Some(through)` when
+/// `validators[*].blocks_led` counts `[0, through]` under `validator_spec`
+/// (a finalized index, at its `max_slot`), for [`finalize`] to extend.
 #[derive(Default)]
-struct IndexPart(QueryIndex);
+struct IndexPart(QueryIndex, Option<u64>);
 
 impl IndexPart {
+    /// A finalized index as a part.
+    fn of(index: QueryIndex) -> IndexPart {
+        let through = index.validators.is_some().then_some(index.totals.max_slot);
+        IndexPart(index, through)
+    }
+
     fn day_mut(&mut self, day: u64) -> &mut DayRollup {
         let days = &mut self.0.days;
         while days.len() <= day as usize {
@@ -287,7 +296,7 @@ impl IndexPart {
     /// Associative and commutative up to the order of `refs` and the file
     /// lists, which [`finalize`] sorts.
     fn merge(&mut self, other: IndexPart) {
-        let other = other.0;
+        let IndexPart(other, other_through) = other;
         for rollup in &other.days {
             self.day_mut(rollup.day).add(rollup);
         }
@@ -302,56 +311,11 @@ impl IndexPart {
         // Every part of one store generation carries the same spec (or
         // none); the leaderboard is recomputed from the merged refs under it.
         into.validator_spec = into.validator_spec.or(other.validator_spec);
-    }
-
-    /// Walk the `serving` segments of `store` (by `route`, on
-    /// `config.threads` workers) into one part that also accounts for the
-    /// `quarantined` ones. A segment that fails to open, verify or decode
-    /// is skipped and counted in the coverage block; an index that is not
-    /// in the manifest is the caller's error.
-    fn scan(
-        route: Route,
-        store: &BundleStore,
-        config: &QueryConfig,
-        serving: &[usize],
-        quarantined: &[usize],
-    ) -> io::Result<IndexPart> {
-        let mut acc = IndexPart::default();
-        acc.0.totals.segments = serving.len() as u64;
-        acc.0.coverage.segments_total = serving.len() as u64;
-        acc.0.coverage.segments_quarantined = quarantined.len() as u64;
-        for &q in quarantined {
-            let Some(entry) = store.quarantined().get(q) else {
-                let message = format!("quarantined segment index {q} is not in the manifest");
-                return Err(io::Error::new(io::ErrorKind::InvalidInput, message));
-            };
-            acc.0.coverage.bundles_quarantined += entry.meta.bundles;
-            acc.0.quarantined_files.push(entry.meta.file.clone());
+        // Blocks led is a prefix sum: further under that spec subsumes nearer.
+        if other_through > self.1 && other.validator_spec == into.validator_spec {
+            into.validators = other.validators;
+            self.1 = other_through;
         }
-        // One schedule for the whole scan: recomputed from the manifest's
-        // public validator spec, never read from the wire. A pre-attribution
-        // store (no spec) indexes with `leader: None` on every ref.
-        acc.0.validator_spec = store.manifest().validators;
-        let schedule = acc.0.validator_spec.as_ref().map(LeaderSchedule::new);
-        let walk = Walk {
-            clock: &config.clock,
-            detector: &config.detector,
-            extended: false,
-        };
-        let parts = scan_segments(store, serving, config.threads, None, |view| {
-            let mut part = IndexPart::default();
-            let threshold = config.defensive_threshold;
-            let mut sink = |b: &BundleFacts, s| part.observe(b, s, threshold, schedule.as_ref());
-            route(view, &walk, &mut sink)?;
-            Ok(part)
-        })?;
-        for (meta, part) in parts {
-            acc.0.segment_files.push(meta.file.clone());
-            if let Some(part) = acc.0.coverage.record(meta, part) {
-                acc.merge(part);
-            }
-        }
-        Ok(acc)
     }
 }
 
@@ -392,8 +356,7 @@ pub fn build_index_subset(
     serving: &[usize],
     quarantined: &[usize],
 ) -> io::Result<QueryIndex> {
-    let part = IndexPart::scan(visit_segment, store, config, serving, quarantined)?;
-    Ok(finalize(part, generation_of(store.manifest()), config))
+    Ok(fold_onto(visit_segment, store, None, serving, quarantined, config)?.0)
 }
 
 /// [`build_index`] that decodes every record of every segment
@@ -405,8 +368,66 @@ pub fn build_index_materializing(
     config: &QueryConfig,
 ) -> io::Result<QueryIndex> {
     let (serving, quarantined) = whole_store(store);
-    let part = IndexPart::scan(visit_decoded, store, config, &serving, &quarantined)?;
-    Ok(finalize(part, generation_of(store.manifest()), config))
+    Ok(fold_onto(visit_decoded, store, None, &serving, &quarantined, config)?.0)
+}
+
+/// Index some segments of `store` on top of `base` — the index ladder's
+/// working rungs, and every build: walk the `serving` ones (by `route`, on
+/// `config.threads` workers) into one part that also accounts for the
+/// `quarantined` ones, merge it into `base` (an index of an earlier
+/// generation of the store, under the spec the manifest still carries;
+/// `None` builds from nothing) and finalize once, at the store's
+/// generation: `finalize(merge(base, scan(delta)))`. A segment that fails
+/// to open, verify or decode is skipped and counted in the coverage block;
+/// an index that is not in the manifest is the caller's error. Also
+/// returns the leader groups the finalize hashed.
+pub(crate) fn fold_onto(
+    route: Route,
+    store: &BundleStore,
+    base: Option<QueryIndex>,
+    serving: &[usize],
+    quarantined: &[usize],
+    config: &QueryConfig,
+) -> io::Result<(QueryIndex, u64)> {
+    let mut onto = base.map_or_else(IndexPart::default, IndexPart::of);
+    let mut acc = IndexPart::default();
+    acc.0.totals.segments = serving.len() as u64;
+    acc.0.coverage.segments_total = serving.len() as u64;
+    acc.0.coverage.segments_quarantined = quarantined.len() as u64;
+    for &q in quarantined {
+        let Some(entry) = store.quarantined().get(q) else {
+            let message = format!("quarantined segment index {q} is not in the manifest");
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, message));
+        };
+        acc.0.coverage.bundles_quarantined += entry.meta.bundles;
+        acc.0.quarantined_files.push(entry.meta.file.clone());
+    }
+    // One schedule for the scan and the finalize: recomputed from the
+    // manifest's public validator spec, never read from the wire. A
+    // pre-attribution store (no spec) indexes with `leader: None`.
+    acc.0.validator_spec = store.manifest().validators;
+    let schedule = acc.0.validator_spec.as_ref().map(LeaderSchedule::new);
+    let walk = Walk {
+        clock: &config.clock,
+        detector: &config.detector,
+        extended: false,
+    };
+    let parts = scan_segments(store, serving, config.threads, None, |view| {
+        let mut part = IndexPart::default();
+        let threshold = config.defensive_threshold;
+        let mut sink = |b: &BundleFacts, s| part.observe(b, s, threshold, schedule.as_ref());
+        route(view, &walk, &mut sink)?;
+        Ok(part)
+    })?;
+    for (meta, part) in parts {
+        acc.0.segment_files.push(meta.file.clone());
+        if let Some(part) = acc.0.coverage.record(meta, part) {
+            acc.merge(part);
+        }
+    }
+    onto.merge(acc);
+    onto.0.generation = generation_of(store.manifest());
+    Ok(finalize(onto, schedule.as_ref(), config))
 }
 
 /// Fold already-built indexes into one, exactly as if their segments had
@@ -421,26 +442,11 @@ pub fn build_index_materializing(
 pub fn fold_indexes(generation: &str, parts: Vec<QueryIndex>, config: &QueryConfig) -> QueryIndex {
     let mut acc = IndexPart::default();
     for part in parts {
-        acc.merge(IndexPart(part));
+        acc.merge(IndexPart::of(part));
     }
-    finalize(acc, generation.to_string(), config)
-}
-
-/// The live-tail fold: scan only the segments of `delta` and merge them
-/// into `base` (an index of an earlier generation of the same store)
-/// before the one finalize — `finalize(merge(base, scan(delta)))`.
-pub(crate) fn fold_delta(
-    store: &BundleStore,
-    base: QueryIndex,
-    delta: &ManifestDelta,
-    generation: &str,
-    config: &QueryConfig,
-) -> io::Result<QueryIndex> {
-    let (serving, quarantined) = (&delta.new_serving, &delta.new_quarantined);
-    let scanned = IndexPart::scan(visit_segment, store, config, serving, quarantined)?;
-    let mut acc = IndexPart(base);
-    acc.merge(scanned);
-    Ok(finalize(acc, generation.to_string(), config))
+    acc.0.generation = generation.to_string();
+    let schedule = acc.0.validator_spec.as_ref().map(LeaderSchedule::new);
+    finalize(acc, schedule.as_ref(), config).0
 }
 
 /// Sort attacker entries into leaderboard order: gain desc, then count
@@ -486,11 +492,17 @@ pub fn sort_validator_entries(validators: &mut [ValidatorEntry]) {
 
 /// Turn a merged part into the served index: sort the refs and file
 /// lists, label the days, and derive the totals and the three
-/// leaderboards. The one place a leader schedule is walked end to end
-/// (`slots_led_through`), so every public entry point calls it once.
-fn finalize(part: IndexPart, generation: String, config: &QueryConfig) -> QueryIndex {
-    let mut acc = part.0;
-    acc.generation = generation;
+/// leaderboards under `schedule` (that of the part's `validator_spec`).
+/// The one place a leader schedule is walked (from the part's blocks-led
+/// checkpoint, else slot 0, to the merged `max_slot`), so every entry point
+/// calls it once; the leader groups it hashed are returned beside the index.
+fn finalize(
+    part: IndexPart,
+    schedule: Option<&LeaderSchedule>,
+    config: &QueryConfig,
+) -> (QueryIndex, u64) {
+    let IndexPart(mut acc, led_through) = part;
+    debug_assert_eq!(schedule.map(|s| *s.spec()), acc.validator_spec);
     acc.refs.sort_by_key(|r| (r.slot, r.bundle_id.0));
     acc.segment_files.sort();
     acc.quarantined_files.sort();
@@ -543,17 +555,36 @@ fn finalize(part: IndexPart, generation: String, config: &QueryConfig) -> QueryI
     sort_pool_entries(&mut pools);
 
     // The validator leaderboard is a pure function of (refs, spec,
-    // max_slot): every fold path recomputes it from the merged refs, so
-    // fold-vs-rebuild byte-identity extends to attribution for free.
-    acc.validators = acc.validator_spec.map(|spec| {
-        let schedule = LeaderSchedule::new(&spec);
-        let blocks_led = schedule.slots_led_through(acc.totals.max_slot);
+    // max_slot): every fold path recomputes it from the merged refs and
+    // extends blocks led, a prefix sum, to the same `max_slot`, so
+    // fold-vs-rebuild byte-identity extends to attribution.
+    let (carried, max_slot) = (acc.validators.take(), acc.totals.max_slot);
+    let mut groups_hashed = 0;
+    acc.validators = schedule.map(|schedule| {
         let by_pubkey: HashMap<Pubkey, usize> = schedule
             .validators()
             .iter()
             .enumerate()
             .map(|(i, v)| (v.pubkey, i))
             .collect();
+        // The carried prefix, re-keyed from pubkeys to schedule order, is
+        // trusted only if it adds up: `[0, through]` is `through + 1` slots.
+        // (`through` is some part's `max_slot`: never past the merged one.)
+        let mut led = SlotsLed::default();
+        if let (Some(through), Some(entries)) = (led_through, carried) {
+            let mut counts = vec![0u64; by_pubkey.len()];
+            for entry in &entries {
+                if let Some(&v) = by_pubkey.get(&entry.pubkey) {
+                    counts[v] = entry.blocks_led;
+                }
+            }
+            let sum: u128 = counts.iter().map(|&c| u128::from(c)).sum();
+            if sum == u128::from(through) + 1 {
+                (led.counts, led.through) = (counts, Some(through));
+            }
+        }
+        groups_hashed = schedule.advance(&mut led, max_slot);
+        let blocks_led = led.counts;
         let mut entries: Vec<ValidatorEntry> = schedule
             .validators()
             .iter()
@@ -601,7 +632,7 @@ fn finalize(part: IndexPart, generation: String, config: &QueryConfig) -> QueryI
     acc.totals.tips_lamports = acc.days.iter().map(|d| d.tips_lamports).sum();
     acc.attackers = attackers;
     acc.pools = pools;
-    acc
+    (acc, groups_hashed)
 }
 
 /// Why a persisted index file was not trusted.
@@ -1084,6 +1115,22 @@ mod tests {
             serde_json::to_string(&full).unwrap(),
             "fold must recompute the leaderboard byte-identically"
         );
+        std::fs::remove_dir_all(store.dir()).unwrap();
+    }
+
+    #[test]
+    fn fold_recounts_from_slot_zero_when_a_checkpoint_does_not_add_up() {
+        let spec = ValidatorSpec::new(11, 4);
+        let store = tmp_store_with_spec("valtamper", 4, spec);
+        let config = QueryConfig::default();
+        let full = build_index(&store, &config).unwrap();
+        let mut parts: Vec<QueryIndex> = (0..4)
+            .map(|i| build_index_subset(&store, &config, &[i], &[]).unwrap())
+            .collect();
+        // The part that counted furthest is the one the fold would extend.
+        parts[3].validators.as_mut().unwrap()[0].blocks_led += 1;
+        let folded = fold_indexes(&full.generation, parts, &config);
+        assert_eq!(folded, full);
         std::fs::remove_dir_all(store.dir()).unwrap();
     }
 

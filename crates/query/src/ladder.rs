@@ -18,18 +18,20 @@
 //!
 //! Metrics are recorded on the rung where the work happens: a load scans
 //! nothing and attributes nothing, a fold counts only what its delta
-//! contributed, a rebuild counts the whole index.
+//! contributed — the refs it joined, the leader groups past the base's
+//! `max_slot` it hashed — a rebuild counts the whole index.
 
 use std::io;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
+use sandwich_core::scan::visit_segment;
 use sandwich_obs::{names, Registry};
 use sandwich_store::{BundleStore, SealWatcher};
 
 use crate::index::{
-    build_index_subset, fold_delta, generation_of, load_index_any, save_index_as, whole_store,
-    IndexReject, QueryConfig, QueryIndex, INDEX_FILE,
+    fold_onto, generation_of, load_index_any, save_index_as, whole_store, IndexReject, QueryConfig,
+    QueryIndex, INDEX_FILE,
 };
 
 /// What one persisted index covers: a set of manifest entries and the
@@ -65,10 +67,13 @@ fn attribution(index: &QueryIndex) -> (u64, u64) {
 /// Count the attribution work behind `index` beyond what `base` (the
 /// [`attribution`] of the index it was folded from, zeros for a rebuild)
 /// already carried: one leader schedule when a validator spec was in
-/// play, and the refs the scan joined or could not.
-fn record_attribution(index: &QueryIndex, base: (u64, u64), registry: &Registry) {
+/// play, the leader groups `hashed` for the blocks-led denominators, and the
+/// refs the scan joined or could not.
+fn record_attribution(index: &QueryIndex, base: (u64, u64), hashed: u64, registry: &Registry) {
     if index.validator_spec.is_some() {
         registry.counter(names::ATTRIB_SCHEDULE_BUILDS).inc();
+        let groups_hashed = registry.counter(names::ATTRIB_SCHEDULE_GROUPS_HASHED);
+        groups_hashed.add(hashed);
     }
     let (joined, unattributed) = attribution(index);
     if joined > base.0 {
@@ -88,7 +93,6 @@ fn fold(
     store: &BundleStore,
     scope: &IndexScope,
     base: QueryIndex,
-    generation: &str,
     config: &QueryConfig,
     registry: &Registry,
 ) -> io::Result<Option<QueryIndex>> {
@@ -120,7 +124,8 @@ fn fold(
     };
     let started = Instant::now();
     let carried = attribution(&base);
-    let folded = fold_delta(store, base, &delta, generation, config)?;
+    let (sealed, isolated) = (&delta.new_serving, &delta.new_quarantined);
+    let (folded, hashed) = fold_onto(visit_segment, store, Some(base), sealed, isolated, config)?;
     registry.counter(names::QUERY_INDEX_FOLDS).inc();
     registry
         .counter(names::QUERY_INDEX_FOLD_SEGMENTS)
@@ -128,7 +133,7 @@ fn fold(
     registry
         .histogram(names::QUERY_INDEX_FOLD_SECONDS)
         .observe(started.elapsed().as_secs_f64());
-    record_attribution(&folded, carried, registry);
+    record_attribution(&folded, carried, hashed, registry);
     Ok(Some(folded))
 }
 
@@ -140,12 +145,13 @@ fn rebuild(
     registry: &Registry,
 ) -> io::Result<QueryIndex> {
     let started = Instant::now();
-    let index = build_index_subset(store, config, &scope.serving, &scope.quarantined)?;
+    let (serving, quarantined) = (&scope.serving, &scope.quarantined);
+    let (index, hashed) = fold_onto(visit_segment, store, None, serving, quarantined, config)?;
     registry
         .histogram(names::QUERY_INDEX_BUILD_SECONDS)
         .observe(started.elapsed().as_secs_f64());
     registry.counter(names::QUERY_INDEX_REBUILDS).inc();
-    record_attribution(&index, (0, 0), registry);
+    record_attribution(&index, (0, 0), hashed, registry);
     Ok(index)
 }
 
@@ -173,7 +179,7 @@ pub fn bring_up(
             registry.counter(names::QUERY_INDEX_LOADS).inc();
             return Ok(went_live(index, registry));
         }
-        Ok(base) => match fold(store, scope, base, &generation, config, registry)? {
+        Ok(base) => match fold(store, scope, base, config, registry)? {
             Some(folded) => folded,
             None => {
                 registry.counter(names::QUERY_INDEX_FULL_REBUILDS).inc();

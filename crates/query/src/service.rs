@@ -448,25 +448,33 @@ mod tests {
             .unwrap();
         seal_sandwiches(&mut w, 0, 2);
 
-        // Rebuild: the whole index's joins, one schedule.
+        // Rebuild: the whole index's joins, one schedule, every leader
+        // group of [0, 110] hashed once.
         let registry = Registry::new();
         let service = QueryService::open(QueryServiceConfig::new(&dir), registry.clone()).unwrap();
         let snap = registry.snapshot();
         assert_eq!(snap.counter(names::ATTRIB_JOINS), Some(2));
         assert_eq!(snap.counter(names::ATTRIB_SCHEDULE_BUILDS), Some(1));
         assert_eq!(snap.counter(names::ATTRIB_UNATTRIBUTED), None);
+        let hashed = |r: &Registry| r.snapshot().counter(names::ATTRIB_SCHEDULE_GROUPS_HASHED);
+        assert_eq!(hashed(&registry), Some(110 / 4 + 1));
 
         // Two folds: each adds only what its delta joined, never the base
-        // again (the whole index re-added per reload would read 2+5+6).
+        // again (the whole index re-added per reload would read 2+5+6), and
+        // hashes only the groups past the base's max slot — at most
+        // ceil(new slots / 4) + 1, the one being the group the base's
+        // mid-group tip split (110 → 140: 9 groups, not 36).
         seal_sandwiches(&mut w, 2, 3);
         assert!(service.reload().unwrap());
         assert_eq!(registry.snapshot().counter(names::ATTRIB_JOINS), Some(5));
+        assert_eq!(hashed(&registry), Some(28 + 9));
         seal_sandwiches(&mut w, 5, 1);
         assert!(service.reload().unwrap());
         let snap = registry.snapshot();
         assert_eq!(snap.counter(names::QUERY_INDEX_FOLDS), Some(2));
         assert_eq!(snap.counter(names::ATTRIB_JOINS), Some(6));
         assert_eq!(snap.counter(names::ATTRIB_SCHEDULE_BUILDS), Some(3));
+        assert_eq!(hashed(&registry), Some(28 + 9 + 3), "140 → 150");
         assert_eq!(service.engine_snapshot().index().refs.len(), 6);
 
         // A pure frame load scans nothing, finalizes nothing, schedules
@@ -477,6 +485,22 @@ mod tests {
         assert_eq!(snap.counter(names::QUERY_INDEX_LOADS), Some(1));
         assert_eq!(snap.counter(names::ATTRIB_JOINS), None);
         assert_eq!(snap.counter(names::ATTRIB_SCHEDULE_BUILDS), None);
+        assert_eq!(hashed(&fresh), None);
+
+        // An open on a stale-but-valid frame folds from it: the blocks-led
+        // checkpoint survived the save and the load, so 150 → 160 is four
+        // groups, not forty-one.
+        seal_sandwiches(&mut w, 6, 1);
+        let stale = Registry::new();
+        let reopened = QueryService::open(QueryServiceConfig::new(&dir), stale.clone()).unwrap();
+        let snap = stale.snapshot();
+        assert_eq!(snap.counter(names::QUERY_INDEX_FOLDS), Some(1));
+        assert_eq!(snap.counter(names::QUERY_INDEX_REBUILDS), None);
+        assert_eq!(snap.counter(names::ATTRIB_SCHEDULE_BUILDS), Some(1));
+        assert_eq!(hashed(&stale), Some(4));
+        let store = BundleStore::open(&dir).unwrap();
+        let full = build_index(&store, &QueryServiceConfig::new(&dir).query).unwrap();
+        assert_eq!(reopened.engine_snapshot().index(), &full);
 
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -724,6 +748,11 @@ mod tests {
             assert_eq!(snap.counter(names::ATTRIB_SPEC_MISMATCH_REBUILDS), Some(1));
             assert_eq!(snap.counter(names::QUERY_INDEX_FULL_REBUILDS), Some(1));
             assert_eq!(snap.counter(names::ATTRIB_SCHEDULE_BUILDS), Some(1));
+            // ...and, with no base to extend, hashes every group of [0, 59].
+            assert_eq!(
+                snap.counter(names::ATTRIB_SCHEDULE_GROUPS_HASHED),
+                Some(59 / 4 + 1)
+            );
 
             // Every spec validator gets a row even with zero sandwiches.
             let page = client.get("/api/validators?limit=10").await.unwrap();

@@ -128,11 +128,8 @@ impl Sha256 {
                 self.buffered = 0;
             }
         }
-        while data.len() >= 64 {
-            let (block, rest) = data.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
+        while let Some((block, rest)) = data.split_first_chunk::<64>() {
+            self.compress(block);
             data = rest;
         }
         if !data.is_empty() {
@@ -144,14 +141,13 @@ impl Sha256 {
     /// Finish and produce the digest.
     pub fn finalize(mut self) -> [u8; HASH_BYTES] {
         let bit_len = self.length_bytes.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0x00]);
-        }
-        // Length goes in raw, bypassing the length counter.
-        let mut block = self.buffer;
-        block[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&block);
+        // One update carries the whole tail: 0x80, zeros up to 56 mod 64, and
+        // the length as captured above (`update` counts these bytes too).
+        let mut tail = [0u8; 72];
+        tail[0] = 0x80;
+        let pad = (119 - self.buffered) % 64 + 1;
+        tail[pad..pad + 8].copy_from_slice(&bit_len.to_be_bytes());
+        self.update(&tail[..pad + 8]);
 
         let mut out = [0u8; HASH_BYTES];
         for (i, word) in self.state.iter().enumerate() {
@@ -251,6 +247,26 @@ mod tests {
             hex(&Hash::digest(&data).0),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         );
+    }
+
+    #[test]
+    fn padding_boundary_vectors() {
+        // Lengths on both sides of where the padding spills into a second
+        // block (55 | 56) and of a block edge, one and two blocks in;
+        // digests of `b"a" * n` from `python3 hashlib`.
+        let lengths = [55, 56, 63, 64, 119, 120];
+        let digests = [
+            "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
+            "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
+            "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34",
+            "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+            "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb",
+            "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c",
+        ];
+        for (len, digest) in lengths.into_iter().zip(digests) {
+            let message = vec![b'a'; len];
+            assert_eq!(hex(&Hash::digest(&message).0), digest, "length {len}");
+        }
     }
 
     #[test]

@@ -11,13 +11,17 @@
 # parent first and even pairs the change. Seeds are SEED_BASE+1.. (SEED_BASE
 # defaults to 100; move it to measure on seeds not used during development).
 # Prints every run's result line as it lands, then per metric both medians,
-# both quartile pairs and the pair wins. Needs python3 for the table only.
+# both quartile pairs, the pair wins and the driver's spread rule: the
+# change's quartile spread (q3 - q1) as a share of the parent's median,
+# flagged WIDE past the metric's `bound` in BENCHMARK.json — a change that
+# multiplies a rate must keep its own runs inside that absolute band.
+# Needs python3 for the table only.
 # With BENCH_PAIRS_DIR set, the parent checkout and both target dirs live
 # there and survive, so a second workload does not rebuild.
 set -euo pipefail
 
 if [[ $# -lt 2 || $# -gt 3 ]]; then
-  sed -n '2,16p' "${BASH_SOURCE[0]}" >&2
+  sed -n '2,20p' "${BASH_SOURCE[0]}" >&2
   exit 2
 fi
 workload="$1"
@@ -63,10 +67,11 @@ for ((pair = 1; pair <= pairs; pair++)); do
   done
 done
 
-python3 - "$workload" "$work/runs.txt" <<'PY'
+python3 - "$workload" "$work/runs.txt" "$repo/BENCHMARK.json" <<'PY'
 import json, statistics, sys
 
 workload, path = sys.argv[1], sys.argv[2]
+bounds = {m["name"]: m["bound"] for m in json.load(open(sys.argv[3]))["end_to_end"]}
 lower_is_better = {"setup_s", "op_p50_ms", "op_tail_ms", "peak_rss_mb", "disk_bytes_per_bundle"}
 runs = {"parent": {}, "change": {}}
 failed = {"parent": 0, "change": 0}
@@ -84,7 +89,7 @@ def quartiles(values):
 
 pairs = sorted(runs["parent"])
 print(f"\n{workload}: {len(pairs)} pairs, failed ops or checks parent {failed['parent']} change {failed['change']}")
-print(f"{'metric':<24}{'parent q1 / median / q3':>36}{'change q1 / median / q3':>36}{'median':>12}{'wins':>7}")
+print(f"{'metric':<24}{'parent q1 / median / q3':>36}{'change q1 / median / q3':>36}{'median':>12}{'wins':>7}{'spread/bound':>20}")
 for metric in runs["parent"][pairs[0]]:
     parent = [runs["parent"][p][metric] for p in pairs]
     change = [runs["change"][p][metric] for p in pairs]
@@ -95,5 +100,9 @@ for metric in runs["parent"][pairs[0]]:
     shift = (cq[1] / pq[1] - 1) * 100 if pq[1] else 0.0
     cell = lambda q: f"{q[0]:.4g} / {q[1]:.4g} / {q[2]:.4g}"
     tied = f" ={ties}" if ties else ""
-    print(f"{metric:<24}{cell(pq):>36}{cell(cq):>36}{shift:>+11.1f}%{wins:>4}/{len(pairs)}{tied}")
+    spread = (cq[2] - cq[0]) / pq[1] if pq[1] else 0.0
+    bound = bounds.get(metric)
+    wide = " WIDE" if bound is not None and spread > bound else ""
+    rule = f"{spread:.3f} / {bound}{wide}" if bound is not None else f"{spread:.3f}"
+    print(f"{metric:<24}{cell(pq):>36}{cell(cq):>36}{shift:>+11.1f}%{wins:>4}/{len(pairs)}{tied:<4}{rule:>16}")
 PY

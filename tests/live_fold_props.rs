@@ -6,16 +6,21 @@
 //! bytes a full rebuild would, so `/api/live` freshness costs nothing in
 //! correctness. The battery covers mixed v1/v2 segments and quarantined
 //! segments arriving in the delta, mirroring `tests/shard_props.rs` for
-//! the merge layer.
+//! the merge layer. Every store carries a validator spec, so the identity
+//! covers the leaderboard denominators: `blocks_led` is a prefix sum a fold
+//! carries forward from whichever part counted furthest, and the stores put
+//! those checkpoints mid-group and on both sides of an epoch boundary.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 
+use sandwich_attrib::{ValidatorSpec, EPOCH_SLOTS, LEADER_GROUP_SLOTS};
+use sandwich_obs::{names, Registry};
 use sandwich_query::{
     build_index, build_index_subset, first_ref_after_cursor, fold_indexes, generation_of,
-    live_minutes, window_minutes, QueryConfig, SandwichRef,
+    live_minutes, window_minutes, QueryConfig, QueryService, QueryServiceConfig, SandwichRef,
 };
 use sandwich_store::segment::{encode_segment, encode_segment_v1, write_segment_file};
 use sandwich_store::{BundleStore, CollectedBundle, Manifest, QuarantinedSegment, SegmentMeta};
@@ -56,16 +61,23 @@ fn permutation(n: usize, seed: u64) -> Vec<usize> {
 /// Write a store whose segments follow `specs`: each entry is
 /// `(v1, bundles, quarantine)` — encoding version, bundle count, and
 /// whether the segment lands on the quarantine list instead of serving.
+/// Segment `i` starts 500 slots after segment `i - 1`, the first at
+/// `origin`, and every bundle lands `skew` slots into its leader group, so
+/// every part's `max_slot` — the checkpoint a fold resumes from — does too.
 /// Returns the directory; remove it when done.
-fn seed_store(specs: &[(bool, u64, bool)]) -> PathBuf {
+fn seed_store(specs: &[(bool, u64, bool)], origin: u64, skew: u64) -> PathBuf {
     let dir = scratch();
     std::fs::create_dir_all(&dir).unwrap();
     let mut manifest = Manifest::new();
+    manifest.validators = Some(ValidatorSpec::new(origin ^ skew, 5));
+    let slot_of = |i: u64, b: u64| {
+        (origin + i * 500 + b * 3) / LEADER_GROUP_SLOTS * LEADER_GROUP_SLOTS + skew
+    };
     let mut quarantined = Vec::new();
     for (i, &(v1, bundles, quarantine)) in specs.iter().enumerate() {
         let data = sandwich_store::codec::SegmentData {
             bundles: (0..bundles)
-                .map(|b| bundle(i as u64 * 1_000 + b, i as u64 * 500 + b * 3, 30_000 + b))
+                .map(|b| bundle(i as u64 * 1_000 + b, slot_of(i as u64, b), 30_000 + b))
                 .collect(),
             details: Vec::new(),
             polls: Vec::new(),
@@ -117,12 +129,21 @@ proptest! {
         parts_n in 1usize..5,
         seed in any::<u64>(),
         split in 0usize..5,
+        near_epoch in any::<bool>(),
+        skew in 0u64..LEADER_GROUP_SLOTS,
     ) {
-        let dir = seed_store(&specs);
+        // Near the epoch boundary, segments 0 and 1 seal below it and the
+        // rest above: some part's checkpoint is in epoch 0 and the merged
+        // `max_slot` in epoch 1.
+        let origin = if near_epoch { EPOCH_SLOTS - 1_000 } else { 0 };
+        let dir = seed_store(&specs, origin, skew);
         let store = BundleStore::open(&dir).unwrap();
         let config = QueryConfig { threads: 2, ..QueryConfig::default() };
         let generation = generation_of(store.manifest());
-        let full = serde_json::to_string(&build_index(&store, &config).unwrap()).unwrap();
+        let built = build_index(&store, &config).unwrap();
+        let led: u64 = built.validators.iter().flatten().map(|v| v.blocks_led).sum();
+        prop_assert_eq!(led, built.totals.max_slot + 1); // the denominators are in play
+        let full = serde_json::to_string(&built).unwrap();
 
         // Partition serving and quarantined segment indexes across parts.
         let mut serving: Vec<Vec<usize>> = vec![Vec::new(); parts_n];
@@ -153,6 +174,33 @@ proptest! {
         let refolded = fold_indexes(&generation, grouped, &config);
         prop_assert_eq!(&serde_json::to_string(&refolded).unwrap(), &full);
 
+        // Late seals: the base has counted furthest and every part folded
+        // in after it tops out below — the carried checkpoint must
+        // survive them, neither replaced nor rewound.
+        let mut by_tip = parts.clone();
+        by_tip.sort_by_key(|p| std::cmp::Reverse(p.totals.max_slot));
+        let mut late = vec![fold_indexes(&generation, by_tip[..1].to_vec(), &config)];
+        late.extend(by_tip[1..].to_vec());
+        let refolded = fold_indexes(&generation, late, &config);
+        prop_assert_eq!(&serde_json::to_string(&refolded).unwrap(), &full);
+
+        // The reload itself: a service that opened on the first serving
+        // segments alone is shown the whole manifest and folds the rest
+        // in. No part reaches the new `max_slot`, so the blocks-led prefix
+        // is resumed inside a leader group, and across the epoch boundary
+        // when the store straddles it.
+        let mut early = store.manifest().clone();
+        early.segments.truncate(split.max(1));
+        early.quarantined = None;
+        early.save(&dir).unwrap();
+        let registry = Registry::new();
+        let service = QueryService::open(QueryServiceConfig::new(&dir), registry.clone()).unwrap();
+        store.manifest().save(&dir).unwrap();
+        service.reload().unwrap();
+        let reloaded = service.engine_snapshot();
+        prop_assert_eq!(&serde_json::to_string(reloaded.index()).unwrap(), &full);
+        prop_assert_eq!(registry.snapshot().counter(names::QUERY_INDEX_FULL_REBUILDS), None);
+
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -166,7 +214,7 @@ proptest! {
     ) {
         let specs: Vec<(bool, u64, bool)> =
             specs.into_iter().map(|(v1, n)| (v1, n, false)).collect();
-        let dir = seed_store(&specs);
+        let dir = seed_store(&specs, 0, 0);
         let store = BundleStore::open(&dir).unwrap();
         let config = QueryConfig { threads: 2, ..QueryConfig::default() };
         let index = build_index(&store, &config).unwrap();
@@ -201,7 +249,7 @@ proptest! {
     ) {
         let specs: Vec<(bool, u64, bool)> =
             specs.into_iter().map(|(v1, n)| (v1, n, false)).collect();
-        let dir = seed_store(&specs);
+        let dir = seed_store(&specs, 0, 0);
         let store = BundleStore::open(&dir).unwrap();
         let config = QueryConfig { threads: 2, ..QueryConfig::default() };
         let generation = generation_of(store.manifest());
