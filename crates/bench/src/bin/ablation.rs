@@ -9,10 +9,7 @@ use sandwich_core::{AnalysisConfig, DetectorConfig};
 fn main() {
     // A shorter period suffices; ablation is about classification, not trends.
     let scenario = sandwich_sim::ScenarioConfig {
-        days: std::env::var("SANDWICH_DAYS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(15),
+        days: sandwich_bench::env_or("SANDWICH_DAYS", 15),
         downtime_days: vec![],
         ..sandwich_bench::figure_scenario()
     };
@@ -33,7 +30,14 @@ fn main() {
     let run = runtime
         .block_on(sandwich_core::run_measurement(&mut sim, pipeline))
         .unwrap();
-    let truth_ids: HashSet<_> = sim.truth().sandwich_ids.iter().copied().collect();
+    let truth_ids = &sim.truth().sandwich_ids;
+    let mut collected_truth = HashSet::new();
+    run.walk(|b, _| {
+        if truth_ids.contains(&b.bundle_id) {
+            collected_truth.insert(b.bundle_id);
+        }
+    })
+    .expect("walk the run's store");
 
     println!("=== detector criteria ablation ===");
     println!(
@@ -47,14 +51,7 @@ fn main() {
         };
         let report = run.analyze(&config);
         let detected: HashSet<_> = report.findings.iter().map(|f| f.bundle_id).collect();
-        let fps = detected.difference(&truth_ids).count();
-        let collected_truth: HashSet<_> = run
-            .dataset
-            .bundles()
-            .iter()
-            .map(|b| b.bundle_id)
-            .filter(|id| truth_ids.contains(id))
-            .collect();
+        let fps = detected.difference(truth_ids).count();
         let fns = collected_truth.difference(&detected).count();
         println!("{name:<44} {:>10} {fps:>8} {fns:>8}", detected.len());
     };

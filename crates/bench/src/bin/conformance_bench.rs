@@ -82,11 +82,8 @@ fn run_lab(scenario: &sandwich_sim::ScenarioConfig) -> Lab {
             score(&run.analyze(&config), labels).detector
         })
         .collect();
-    let defensive = defensive_confusion(
-        run.dataset.bundles().iter(),
-        labels,
-        &[DEFENSIVE_TIP_THRESHOLD.0],
-    );
+    let defensive = defensive_confusion(&run, labels, &[DEFENSIVE_TIP_THRESHOLD.0])
+        .expect("walk the run's store");
 
     Lab {
         days: scenario.days,
@@ -98,7 +95,7 @@ fn run_lab(scenario: &sandwich_sim::ScenarioConfig) -> Lab {
         recall: conformance.detector.recall(),
         conformance,
         per_criterion_ablated,
-        ablation_grid: ablation_grid(&run.dataset, labels).expect("criteria 1-5"),
+        ablation_grid: ablation_grid(&run, labels).expect("walk the run's store"),
         defensive_at_paper_threshold: defensive[0].1,
     }
 }

@@ -1,32 +1,29 @@
-//! Run a measurement and archive the collected dataset both ways — JSONL
-//! (the paper's four-month-archive equivalent) and the segmented binary
-//! bundle store — reporting bytes-per-bundle for each, then reload both
-//! and verify the offline analyses are identical to the live run.
+//! Run a measurement and archive what it collected both ways — JSONL (the
+//! paper's four-month-archive equivalent) and the segmented binary bundle
+//! store the run sealed as it went — reporting bytes-per-bundle for each,
+//! then reload the JSONL and verify the offline analysis is identical to
+//! the store's.
 
 use std::io::BufReader;
 
-use sandwich_core::{analyze, scan_store, AnalysisConfig, Dataset};
-use sandwich_store::StoreWriter;
+use sandwich_bench::env_or;
+use sandwich_core::{analyze, scan_store, AnalysisConfig, Dataset, StoreOptions};
 
 fn main() {
-    let fr = sandwich_bench::run_pipeline_with(sandwich_sim::ScenarioConfig {
-        days: std::env::var("SANDWICH_DAYS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(5),
+    let path = env_or("SANDWICH_OUT", "dataset.jsonl".to_string());
+    let store_dir = env_or("SANDWICH_STORE_DIR", "dataset.store".to_string());
+    let _ = std::fs::remove_dir_all(&store_dir);
+    let scenario = sandwich_sim::ScenarioConfig {
+        days: env_or("SANDWICH_DAYS", 5),
         ..sandwich_bench::figure_scenario()
-    });
-    let path = std::env::var("SANDWICH_OUT").unwrap_or_else(|_| "dataset.jsonl".into());
-    let store_dir = std::env::var("SANDWICH_STORE_DIR").unwrap_or_else(|_| "dataset.store".into());
+    };
+    let fr = sandwich_bench::run_pipeline_with(scenario, Some(StoreOptions::new(&store_dir)));
     let bundles = fr.run.dataset.len() as f64;
 
-    // JSONL path: serialize by reference, measure, reload, re-analyze.
-    // The durable file write (temp + fsync + atomic rename) means a
-    // killed export never leaves a half-written archive behind.
-    fr.run
-        .dataset
-        .write_jsonl_file(&path)
-        .expect("write archive");
+    // JSONL path: one walk over the sealed segments, measured, reloaded,
+    // re-analyzed. The durable file write (temp + fsync + atomic rename)
+    // means a killed export never leaves a half-written archive behind.
+    fr.run.write_jsonl_file(&path).expect("write archive");
     let jsonl_bytes = std::fs::metadata(&path).unwrap().len();
     println!(
         "archived {} bundles, {} details, {} polls → {path} ({:.1} MiB, {:.1} B/bundle)",
@@ -37,14 +34,8 @@ fn main() {
         jsonl_bytes as f64 / bundles,
     );
 
-    // Binary store path: seal segments, measure, scan in parallel.
-    let _ = std::fs::remove_dir_all(&store_dir);
-    let mut writer = StoreWriter::create(&store_dir).expect("create store");
-    fr.run
-        .dataset
-        .write_store(&mut writer, 2_048)
-        .expect("seal segments");
-    let store = writer.into_reader();
+    // Binary store path: what the run sealed while it polled.
+    let store = fr.run.store.as_ref().expect("every run seals a store");
     let store_bytes = store.manifest().total_bytes();
     println!(
         "sealed {} segments → {store_dir} ({:.1} MiB, {:.1} B/bundle, {:.1}x smaller than JSONL)",
@@ -67,7 +58,7 @@ fn main() {
         offline.defense.defensive,
     );
 
-    let scanned = scan_store(&store, &fr.clock, &config, 4).expect("store scan");
+    let scanned = scan_store(store, &fr.clock, &config, 4).expect("store scan");
     assert_eq!(
         serde_json::to_string(&scanned).unwrap(),
         serde_json::to_string(&offline).unwrap(),

@@ -8,10 +8,7 @@ use sandwich_sim::{ScenarioConfig, Simulation};
 
 fn main() {
     let scenario = ScenarioConfig {
-        days: std::env::var("SANDWICH_DAYS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(15),
+        days: sandwich_bench::env_or("SANDWICH_DAYS", 15),
         downtime_days: vec![],
         // A clearly visible disguise rate for the demonstration.
         disguised_sandwich_probability: 0.12,

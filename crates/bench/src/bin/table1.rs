@@ -9,7 +9,7 @@ fn main() {
         days: 2,
         ..sandwich_sim::ScenarioConfig::tiny()
     };
-    let fr = sandwich_bench::run_pipeline_with(scenario);
+    let fr = sandwich_bench::run_pipeline_with(scenario, None);
     println!("=== Table 1: example sandwiching MEV transaction ===\n");
     println!("{}", report::table1(&fr.report));
 }

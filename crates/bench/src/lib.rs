@@ -14,7 +14,7 @@
 pub mod scale;
 
 use sandwich_core::{
-    AnalysisConfig, AnalysisReport, CollectorConfig, MeasurementRun, PipelineConfig,
+    AnalysisConfig, AnalysisReport, CollectorConfig, MeasurementRun, PipelineConfig, StoreOptions,
 };
 use sandwich_sim::{DayTruth, ScenarioConfig, Simulation};
 use sandwich_types::SlotClock;
@@ -25,7 +25,7 @@ pub struct FigureRun {
     pub scenario: ScenarioConfig,
     /// The collector's output and stats.
     pub run: MeasurementRun,
-    /// The analysis over the collected dataset.
+    /// The analysis over everything the run sealed.
     pub report: AnalysisReport,
     /// Per-day simulator ground truth.
     pub truth_per_day: Vec<DayTruth>,
@@ -68,11 +68,13 @@ pub fn figure_scenario() -> ScenarioConfig {
 
 /// Run the full pipeline for the figure scenario.
 pub fn run_figure_pipeline() -> FigureRun {
-    run_pipeline_with(figure_scenario())
+    run_pipeline_with(figure_scenario(), None)
 }
 
-/// Run the full pipeline for an explicit scenario.
-pub fn run_pipeline_with(scenario: ScenarioConfig) -> FigureRun {
+/// Run the full pipeline for an explicit scenario, sealing into `store` so
+/// the segments outlive the run (`None`: a scratch directory removed with
+/// the [`FigureRun`]).
+pub fn run_pipeline_with(scenario: ScenarioConfig, store: Option<StoreOptions>) -> FigureRun {
     let days = scenario.days;
     let page_limit = sandwich_core::scaled_page_limit(&scenario, 1);
     eprintln!(
@@ -88,6 +90,7 @@ pub fn run_pipeline_with(scenario: ScenarioConfig) -> FigureRun {
             page_limit,
             ..Default::default()
         },
+        store,
         ..Default::default()
     };
     let runtime = tokio::runtime::Builder::new_multi_thread()

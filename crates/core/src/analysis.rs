@@ -65,7 +65,7 @@ pub struct DatedFinding {
 ///
 /// Serializable so reports can be diffed byte-for-byte: the suite asserts
 /// that the parallel segment scan produces the identical JSON at any
-/// thread count, and identical to this in-memory path.
+/// thread count, and identical to the in-memory [`analyze`].
 #[derive(Clone, Debug, Serialize)]
 pub struct AnalysisReport {
     /// Days covered.
@@ -169,16 +169,19 @@ impl AnalysisReport {
     }
 }
 
-/// Run the full analysis over a collected dataset.
+/// Run the full analysis over a dataset that holds everything in memory:
+/// one reloaded from a JSONL export ([`Dataset::read_jsonl`]), or built by
+/// hand. A measurement run is analyzed from its store
+/// ([`crate::pipeline::MeasurementRun::analyze`]); this is the independent
+/// reference that must agree with it.
 ///
-/// This is the in-memory path, rebuilt as one [`crate::scan::ScanPartial`]
-/// over the dataset plus the shared finalize — the exact machinery the
-/// parallel segment scan reduces with, which is what makes the two paths
-/// produce byte-identical reports.
+/// It is one [`crate::scan::ScanPartial`] over the dataset plus the shared
+/// finalize — the exact machinery the parallel segment scan reduces with,
+/// which is what makes the two produce byte-identical reports.
 pub fn analyze(dataset: &Dataset, clock: &SlotClock, config: &AnalysisConfig) -> AnalysisReport {
     let mut partial = crate::scan::ScanPartial::new(config.days as usize);
-    for bundle in dataset.bundles() {
-        partial.observe_bundle(bundle, dataset, clock, config);
+    for bundle in dataset.resident() {
+        partial.observe_bundle(bundle, dataset.details(), clock, config);
     }
     partial.observe_polls(dataset.polls());
     partial.finalize(config)

@@ -2,15 +2,19 @@
 //!
 //! A four-month collection must survive being killed. A checkpoint is one
 //! header line carrying the poll cursor (the next tick to process), the
-//! collector's health counters, and — in store mode — a *reference* to the
-//! segment store (its directory plus the sealed-segment manifest), followed
-//! by the JSONL archive of whatever is still resident in memory. Sealed
+//! collector's health counters, and a *reference* to the segment store the
+//! run seals into (its directory plus the sealed-segment manifest), followed
+//! by the JSONL archive of whatever had not sealed yet. Sealed
 //! segments are never re-serialized into the checkpoint and never re-read
 //! on resume: the manifest entry is the segment, checksummed and on disk.
 //! Resuming replays the simulation deterministically up to the cursor
 //! without polling, reattaches the store writer (discarding any orphan
 //! segments sealed after the checkpoint was written), and continues
 //! collecting as if never interrupted.
+//!
+//! A checkpoint outlives its process only if its store does: one taken from
+//! a run that sealed into its own scratch directory owns that directory, can
+//! be resumed in-process, and refuses to be written out.
 
 use std::io::{BufRead, Write};
 
@@ -20,6 +24,7 @@ use sandwich_store::SegmentMeta;
 
 use crate::collector::CollectorStats;
 use crate::dataset::Dataset;
+use crate::pipeline::ScratchDir;
 
 /// A point-in-time snapshot of a measurement run.
 pub struct Checkpoint {
@@ -27,10 +32,13 @@ pub struct Checkpoint {
     pub next_tick: u64,
     /// Collector health counters accumulated so far.
     pub stats: CollectorStats,
-    /// Records still resident in memory (everything, in legacy mode).
+    /// The records that had not sealed yet, plus the dedup ids and totals
+    /// of the ones that had.
     pub dataset: Dataset,
-    /// The segment store this run was flushing into, if any.
-    pub store: Option<StoreCheckpoint>,
+    /// The segment store the run was sealing into.
+    pub store: StoreCheckpoint,
+    /// Held when that store is the run's own scratch directory.
+    pub(crate) scratch: Option<ScratchDir>,
 }
 
 /// A by-reference handle to a segment store: enough to reattach the writer
@@ -54,12 +62,21 @@ struct CheckpointHeader {
 struct CursorRecord {
     next_tick: u64,
     stats: CollectorStats,
-    store: Option<StoreCheckpoint>,
+    store: StoreCheckpoint,
 }
 
 impl Checkpoint {
-    /// Serialize: one header line, then the residual dataset archive.
+    /// Serialize: one header line, then the residual dataset archive. A
+    /// checkpoint that owns a scratch store is an `InvalidInput` error: the
+    /// file would reference a directory that is removed with this value.
     pub fn write<W: Write>(&self, mut w: W) -> std::io::Result<()> {
+        if self.scratch.is_some() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "a checkpoint of a run-owned scratch store cannot be written out: \
+                 name a store directory in PipelineConfig.store",
+            ));
+        }
         let header = CheckpointHeader {
             checkpoint: CursorRecord {
                 next_tick: self.next_tick,
@@ -97,6 +114,7 @@ impl Checkpoint {
             stats: header.checkpoint.stats,
             dataset,
             store: header.checkpoint.store,
+            scratch: None,
         })
     }
 }
@@ -104,6 +122,19 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn checkpoint(next_tick: u64, stats: CollectorStats, segments: Vec<SegmentMeta>) -> Checkpoint {
+        Checkpoint {
+            next_tick,
+            stats,
+            dataset: Dataset::new(),
+            store: StoreCheckpoint {
+                dir: "/tmp/some-store".into(),
+                segments,
+            },
+            scratch: None,
+        }
+    }
 
     #[test]
     fn roundtrip_preserves_cursor_and_stats() {
@@ -113,45 +144,33 @@ mod tests {
             bundles_recovered: 40,
             ..Default::default()
         };
-        let cp = Checkpoint {
-            next_tick: 77,
-            stats,
-            dataset: Dataset::new(),
-            store: None,
-        };
+        let cp = checkpoint(77, stats, Vec::new());
         let mut buf = Vec::new();
         cp.write(&mut buf).unwrap();
         let back = Checkpoint::read(std::io::BufReader::new(&buf[..])).unwrap();
         assert_eq!(back.next_tick, 77);
         assert_eq!(back.stats, stats);
         assert!(back.dataset.is_empty());
-        assert!(back.store.is_none());
+        assert!(back.store.segments.is_empty());
     }
 
     #[test]
     fn roundtrip_preserves_store_reference() {
-        let cp = Checkpoint {
-            next_tick: 9,
-            stats: CollectorStats::default(),
-            dataset: Dataset::new(),
-            store: Some(StoreCheckpoint {
-                dir: "/tmp/some-store".into(),
-                segments: vec![SegmentMeta {
-                    file: "seg-00000.seg".into(),
-                    bundles: 10,
-                    details: 3,
-                    polls: 2,
-                    min_slot: 5,
-                    max_slot: 99,
-                    bytes: 1234,
-                    checksum: "00deadbeef00f00d".into(),
-                }],
-            }),
+        let segment = SegmentMeta {
+            file: "seg-00000.seg".into(),
+            bundles: 10,
+            details: 3,
+            polls: 2,
+            min_slot: 5,
+            max_slot: 99,
+            bytes: 1234,
+            checksum: "00deadbeef00f00d".into(),
         };
+        let cp = checkpoint(9, CollectorStats::default(), vec![segment]);
         let mut buf = Vec::new();
         cp.write(&mut buf).unwrap();
         let back = Checkpoint::read(std::io::BufReader::new(&buf[..])).unwrap();
-        let store = back.store.expect("store reference survived");
+        let store = back.store;
         assert_eq!(store.dir, "/tmp/some-store");
         assert_eq!(store.segments.len(), 1);
         assert_eq!(store.segments[0].file, "seg-00000.seg");
@@ -164,23 +183,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("run.ckpt");
-        let cp = Checkpoint {
-            next_tick: 123,
-            stats: CollectorStats::default(),
-            dataset: Dataset::new(),
-            store: None,
-        };
+        let cp = checkpoint(123, CollectorStats::default(), Vec::new());
         cp.write_to_file(&path).unwrap();
         assert!(!path.with_extension("tmp").exists(), "no temp residue");
         let back = Checkpoint::read_from_file(&path).unwrap();
         assert_eq!(back.next_tick, 123);
         // Overwrite in place: still atomic, still readable.
-        let cp2 = Checkpoint {
-            next_tick: 456,
-            stats: CollectorStats::default(),
-            dataset: Dataset::new(),
-            store: None,
-        };
+        let cp2 = checkpoint(456, CollectorStats::default(), Vec::new());
         cp2.write_to_file(&path).unwrap();
         assert_eq!(Checkpoint::read_from_file(&path).unwrap().next_tick, 456);
         std::fs::remove_dir_all(&dir).unwrap();

@@ -84,9 +84,9 @@ pub struct CollectorStats {
     pub bundles_recovered: u64,
     /// Requests that hit a client-side deadline.
     pub timeouts: u64,
-    /// Segments sealed into the bundle store (store mode only).
+    /// Segments sealed into the bundle store.
     pub segments_sealed: u64,
-    /// Bytes of sealed segment files written (store mode only).
+    /// Bytes of sealed segment files written.
     pub store_bytes_written: u64,
 }
 
@@ -164,7 +164,8 @@ pub struct Collector {
     metrics: Option<CollectorMetrics>,
     breaker: CircuitBreaker,
     store: Option<StoreSink>,
-    /// Everything collected so far (the staging area in store mode).
+    /// The staging area: what was collected and has not sealed yet, plus
+    /// the dedup ids, totals and poll ledger of everything collected.
     pub dataset: Dataset,
     /// Health counters.
     pub stats: CollectorStats,
@@ -233,11 +234,6 @@ impl Collector {
             writer,
             segment_bundles: segment_bundles.max(1),
         });
-    }
-
-    /// The attached store writer's sealed-segment manifest, if any.
-    pub fn store_segments(&self) -> Option<&[SegmentMeta]> {
-        self.store.as_ref().map(|s| s.writer.segments())
     }
 
     /// Detach and return the store writer (end of run, before analysis).
@@ -712,7 +708,7 @@ mod tests {
         // Chronological order restored despite out-of-order ingestion.
         let slots: Vec<u64> = collector
             .dataset
-            .bundles()
+            .resident()
             .iter()
             .map(|b| b.slot.0)
             .collect();

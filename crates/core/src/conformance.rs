@@ -15,14 +15,14 @@
 use std::collections::{BTreeMap, HashSet};
 
 use sandwich_jito::BundleId;
-use sandwich_obs::Registry;
 use sandwich_sim::{BundleLabel, LabelBook, NearMissFamily};
 use sandwich_types::Lamports;
 
 use crate::analysis::AnalysisReport;
-use crate::dataset::{CollectedBundle, Dataset};
+use crate::dataset::metas3;
 use crate::defense::is_defensive_at;
-use crate::detector::{detect, DetectorConfig, InvalidCriterion, SandwichFinding};
+use crate::detector::{detect, DetectorConfig, SandwichFinding};
+use crate::pipeline::MeasurementRun;
 use crate::stats::Cdf;
 
 /// A 2x2 confusion matrix with the derived scores.
@@ -356,33 +356,32 @@ pub fn score_attribution<'a>(
     a
 }
 
-/// Defensive-classifier confusion at each sweep threshold: predicted =
-/// `is_defensive_at(bundle, threshold)`, actual = the simulator's label.
-/// Unlabeled bundles are skipped.
-pub fn defensive_confusion<'a>(
-    bundles: impl Iterator<Item = &'a CollectedBundle> + Clone,
+/// Defensive-classifier confusion at each sweep threshold over everything
+/// `run` collected: predicted = `is_defensive_at(bundle, threshold)`, actual
+/// = the simulator's label. Unlabeled bundles are skipped.
+pub fn defensive_confusion(
+    run: &MeasurementRun,
     labels: &LabelBook,
     thresholds: &[u64],
-) -> Vec<(Lamports, ConfusionMatrix)> {
-    thresholds
+) -> std::io::Result<Vec<(Lamports, ConfusionMatrix)>> {
+    let mut sweep: Vec<_> = thresholds
         .iter()
-        .map(|&t| {
-            let threshold = Lamports(t);
-            let mut m = ConfusionMatrix::default();
-            for b in bundles.clone() {
-                let Some(label) = labels.get(&b.bundle_id) else {
-                    continue;
-                };
-                match (is_defensive_at(b, threshold), label.is_defensive()) {
-                    (true, true) => m.true_positives += 1,
-                    (true, false) => m.false_positives += 1,
-                    (false, true) => m.false_negatives += 1,
-                    (false, false) => m.true_negatives += 1,
-                }
+        .map(|&t| (Lamports(t), ConfusionMatrix::default()))
+        .collect();
+    run.walk(|b, _| {
+        let Some(label) = labels.get(&b.bundle_id) else {
+            return;
+        };
+        for (threshold, m) in &mut sweep {
+            match (is_defensive_at(b, *threshold), label.is_defensive()) {
+                (true, true) => m.true_positives += 1,
+                (true, false) => m.false_positives += 1,
+                (false, true) => m.false_negatives += 1,
+                (false, false) => m.true_negatives += 1,
             }
-            (threshold, m)
-        })
-        .collect()
+        }
+    })?;
+    Ok(sweep)
 }
 
 /// One row of the criterion ablation grid.
@@ -404,31 +403,27 @@ pub struct AblationRow {
 }
 
 /// Run the `without_criterion(1..=5)` grid over the labeled near-miss
-/// bundles in a collected dataset: for each criterion, how many bundles of
-/// its matching family slip through once it is disabled, and that none
-/// slip through the full detector.
+/// bundles `run` collected: for each criterion, how many bundles of its
+/// matching family slip through once it is disabled, and that none slip
+/// through the full detector.
 pub fn ablation_grid(
-    dataset: &Dataset,
+    run: &MeasurementRun,
     labels: &LabelBook,
-) -> Result<Vec<AblationRow>, InvalidCriterion> {
+) -> std::io::Result<Vec<AblationRow>> {
     // Gather the labeled near-miss length-3 bundles with details once.
-    let mut near_misses: Vec<(NearMissFamily, [&sandwich_ledger::TransactionMeta; 3])> = Vec::new();
-    for b in dataset.bundles() {
-        if b.len() != 3 {
-            continue;
+    let mut near_misses = Vec::new();
+    run.walk(|b, details| {
+        if let Some(BundleLabel::NearMiss(family)) = labels.get(&b.bundle_id) {
+            if let Some(metas) = metas3(b, details) {
+                near_misses.push((*family, metas.map(Clone::clone)));
+            }
         }
-        let Some(BundleLabel::NearMiss(family)) = labels.get(&b.bundle_id) else {
-            continue;
-        };
-        if let Some(metas) = dataset.bundle_metas3(b) {
-            near_misses.push((*family, metas));
-        }
-    }
+    })?;
 
     let full = DetectorConfig::default();
     let mut rows = Vec::with_capacity(5);
     for n in 1..=5u8 {
-        let ablated = DetectorConfig::without_criterion(n)?;
+        let ablated = DetectorConfig::without_criterion(n).expect("criteria 1-5 exist");
         let family = NearMissFamily::for_criterion(n).expect("families cover 1-5");
         let mut row = AblationRow {
             criterion: n,
@@ -442,13 +437,14 @@ pub fn ablation_grid(
             if *f == family {
                 row.labeled_matching += 1;
             }
-            if detect(&ablated, *metas).is_some() {
+            let metas = metas.each_ref();
+            if detect(&ablated, metas).is_some() {
                 row.admitted_total += 1;
                 if *f == family {
                     row.admitted_matching += 1;
                 }
             }
-            if n == 1 && detect(&full, *metas).is_some() {
+            if n == 1 && detect(&full, metas).is_some() {
                 row.full_detector_admitted += 1;
             }
         }
@@ -460,26 +456,6 @@ pub fn ablation_grid(
         row.full_detector_admitted = full_admitted;
     }
     Ok(rows)
-}
-
-/// Record a scorecard into an observability registry (the
-/// `conformance.*` counters exported at `/metrics`).
-pub fn record(registry: &Registry, c: &Conformance) {
-    registry
-        .counter(sandwich_obs::names::CONFORMANCE_TRUE_POSITIVES)
-        .add(c.detector.true_positives);
-    registry
-        .counter(sandwich_obs::names::CONFORMANCE_FALSE_POSITIVES)
-        .add(c.detector.false_positives);
-    registry
-        .counter(sandwich_obs::names::CONFORMANCE_FALSE_NEGATIVES)
-        .add(c.detector.false_negatives);
-    registry
-        .counter(sandwich_obs::names::CONFORMANCE_NEAR_MISSES_SCORED)
-        .add(c.near_misses_labeled_total());
-    registry
-        .counter(sandwich_obs::names::CONFORMANCE_NEAR_MISSES_FLAGGED)
-        .add(c.near_miss_flagged.values().sum());
 }
 
 #[cfg(test)]

@@ -1,17 +1,20 @@
-//! The collector's dataset: everything scraped from the explorer API.
+//! The collector's staging area: what was scraped from the explorer API
+//! and has not been sealed into a segment yet.
 //!
 //! Bundles arrive as overlapping pages of "the most recent N"; the dataset
 //! deduplicates by bundle id and records, per poll, whether the new page
 //! overlapped the previous one — the paper's completeness argument (§3.1:
 //! 95% of successive request pairs overlapped).
 //!
-//! The dataset can run in two shapes. Standalone, it accumulates every
-//! record in memory (the original behaviour, still used by small runs and
-//! the unit tests). Backing a segment store, it is only the *staging area*:
-//! the collector periodically drains sealable records out of it into
-//! sealed segments ([`Dataset::drain_sealable`]), so resident memory stays
-//! bounded by the seal threshold plus the detail backlog while the `seen`
-//! id set keeps deduplication exact across the whole run.
+//! The pipeline drains sealable records out of it into sealed segments
+//! ([`Dataset::drain_sealable`]), so resident memory stays bounded by the
+//! seal threshold plus the detail backlog while the `seen` id set keeps
+//! deduplication exact across the whole run. [`Dataset::resident`] is
+//! therefore the unsealed residue, never "everything collected" — that is
+//! [`crate::pipeline::MeasurementRun::walk`]. The one dataset that does
+//! hold everything is the one [`Dataset::read_jsonl`] rebuilds from a JSONL
+//! export, which [`crate::analysis::analyze`] reads as the in-memory
+//! reference.
 
 use std::collections::{HashMap, HashSet};
 
@@ -23,12 +26,46 @@ use sandwich_types::{Slot, SlotClock};
 
 pub use sandwich_store::{CollectedBundle, CollectedDetail, PollRecord};
 
+/// Fetched transaction details by transaction id: the residue's, or one
+/// sealed segment's (a bundle's details always share its segment).
+pub type DetailMap = HashMap<TransactionId, CollectedDetail>;
+
+/// Key one sealed segment's details by transaction id.
+pub(crate) fn detail_map(details: Vec<CollectedDetail>) -> DetailMap {
+    details.into_iter().map(|d| (d.meta.tx_id, d)).collect()
+}
+
+/// The three metas of a length-3 bundle, if all its details are in `details`.
+pub(crate) fn metas3<'a>(
+    bundle: &CollectedBundle,
+    details: &'a DetailMap,
+) -> Option<[&'a TransactionMeta; 3]> {
+    let [a, b, c] = bundle.tx_ids.as_slice() else {
+        return None;
+    };
+    Some([
+        &details.get(a)?.meta,
+        &details.get(b)?.meta,
+        &details.get(c)?.meta,
+    ])
+}
+
+/// Share of polls after the first whose page overlapped what was already
+/// collected (the paper's 95% completeness statistic).
+pub(crate) fn overlap_rate(polls: &[PollRecord]) -> f64 {
+    let later = polls.get(1..).unwrap_or_default();
+    if later.is_empty() {
+        return 1.0;
+    }
+    later.iter().filter(|p| p.overlapped_previous).count() as f64 / later.len() as f64
+}
+
 /// The collector's accumulated dataset.
 #[derive(Default)]
 pub struct Dataset {
     bundles: Vec<CollectedBundle>,
     seen: HashSet<sandwich_jito::BundleId>,
-    details: HashMap<TransactionId, CollectedDetail>,
+    details: DetailMap,
     polls: Vec<PollRecord>,
     detail_requested: HashSet<sandwich_jito::BundleId>,
     /// Bundles drained into sealed segments and no longer resident.
@@ -155,8 +192,8 @@ impl Dataset {
     }
 
     /// Resident (not yet drained) bundles, in collection (≈ chronological)
-    /// order. In standalone mode this is everything collected.
-    pub fn bundles(&self) -> &[CollectedBundle] {
+    /// order.
+    pub fn resident(&self) -> &[CollectedBundle] {
         &self.bundles
     }
 
@@ -171,9 +208,9 @@ impl Dataset {
         self.len() == 0
     }
 
-    /// Detail for one transaction, if fetched and still resident.
-    pub fn detail(&self, id: &TransactionId) -> Option<&CollectedDetail> {
-        self.details.get(id)
+    /// Fetched details still resident.
+    pub fn details(&self) -> &DetailMap {
+        &self.details
     }
 
     /// Number of fetched transaction details, including drained ones.
@@ -186,26 +223,15 @@ impl Dataset {
         &self.polls
     }
 
-    /// Fraction of successive polls whose pages overlapped (the paper's
-    /// 95% completeness statistic). First poll excluded.
+    /// [`overlap_rate`] of the whole poll ledger.
     pub fn overlap_rate(&self) -> f64 {
-        if self.polls.len() <= 1 {
-            return 1.0;
-        }
-        let later = &self.polls[1..];
-        let overlapping = later.iter().filter(|p| p.overlapped_previous).count();
-        overlapping as f64 / later.len() as f64
+        overlap_rate(&self.polls)
     }
 
     /// Transaction ids of length-`len` bundles whose details have not been
-    /// requested yet; marks them requested. This is the paper's strategy of
-    /// fetching details only for bundles of length three (§3.1).
-    pub fn pending_detail_ids(&mut self, len: usize, max: usize) -> Vec<TransactionId> {
-        self.take_pending_details(len, max).0
-    }
-
-    /// Like [`Dataset::pending_detail_ids`], but also returns the bundle
-    /// ids that were marked — so a failed fetch can requeue them with
+    /// requested yet, marked requested — the paper's strategy of fetching
+    /// details only for bundles of length three (§3.1) — and the bundle ids
+    /// that were marked, so a failed fetch can requeue them with
     /// [`Dataset::unmark_detail_requested`] instead of silently losing the
     /// details forever.
     pub fn take_pending_details(
@@ -233,32 +259,6 @@ impl Dataset {
         for id in bundle_ids {
             self.detail_requested.remove(id);
         }
-    }
-
-    /// Measurement-day index of a collected bundle.
-    pub fn day_of(&self, bundle: &CollectedBundle, clock: &SlotClock) -> u64 {
-        clock.day_index(bundle.slot)
-    }
-
-    /// The three metas of a length-3 bundle, if all details are present.
-    pub fn bundle_metas3(&self, bundle: &CollectedBundle) -> Option<[&TransactionMeta; 3]> {
-        if bundle.len() != 3 {
-            return None;
-        }
-        let a = &self.details.get(&bundle.tx_ids[0])?.meta;
-        let b = &self.details.get(&bundle.tx_ids[1])?.meta;
-        let c = &self.details.get(&bundle.tx_ids[2])?.meta;
-        Some([a, b, c])
-    }
-
-    /// All metas of a bundle in order, if every detail is present
-    /// (extended detection over arbitrary lengths).
-    pub fn bundle_metas(&self, bundle: &CollectedBundle) -> Option<Vec<&TransactionMeta>> {
-        bundle
-            .tx_ids
-            .iter()
-            .map(|id| self.details.get(id).map(|d| &d.meta))
-            .collect()
     }
 
     /// True when a bundle can be drained into a sealed segment: either its
@@ -334,24 +334,13 @@ impl Dataset {
         self.bundles.is_empty() && self.polls_spilled == self.polls.len()
     }
 
-    /// Serialize the dataset as JSON lines: one `{"kind": ...}` record per
-    /// line (bundles, details, polls) — an archive format a four-month
-    /// collection can stream to disk and re-analyze offline. When bundles
-    /// have been drained into a store, a single `flushed` line carries the
-    /// dedup ids and counters the resident records can no longer convey.
+    /// Serialize what is resident as JSON lines: one `{"kind": ...}` record
+    /// per line (polls, bundles, details), then — when bundles have been
+    /// drained into a store — a single `flushed` line carrying the dedup ids
+    /// and counters the resident records can no longer convey. This is the
+    /// body of a checkpoint; the archive of a whole run is
+    /// [`crate::pipeline::MeasurementRun::write_jsonl`], in the same format.
     pub fn write_jsonl<W: std::io::Write>(&self, mut w: W) -> std::io::Result<()> {
-        // Records are serialized by reference in the externally-tagged
-        // shape (`{"poll": {...}}`) the owned `DatasetRecord` enum reads
-        // back — without cloning every record through an enum first.
-        fn tagged<W: std::io::Write, T: Serialize>(
-            w: &mut W,
-            tag: &str,
-            value: &T,
-        ) -> std::io::Result<()> {
-            write!(w, "{{\"{tag}\":")?;
-            serde_json::to_writer(&mut *w, value)?;
-            w.write_all(b"}\n")
-        }
         for p in &self.polls {
             tagged(&mut w, "poll", p)?;
         }
@@ -384,15 +373,6 @@ impl Dataset {
             tagged(&mut w, "flushed", &flushed)?;
         }
         Ok(())
-    }
-
-    /// [`Dataset::write_jsonl`] straight to a file, durably: the archive
-    /// streams into a temp file which is fsynced, atomically renamed over
-    /// `path`, and made durable with a parent-directory fsync — a crash
-    /// mid-export leaves either the old archive or the new one, never a
-    /// half-written file.
-    pub fn write_jsonl_file(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        write_file_durable(path.as_ref(), |w| self.write_jsonl(w))
     }
 
     /// Reload a dataset from [`Dataset::write_jsonl`] output. Unknown lines
@@ -444,32 +424,19 @@ impl Dataset {
         ds.detail_requested.extend(requested);
         Ok(ds)
     }
+}
 
-    /// Archive the whole (resident) dataset into a segment store, sealing
-    /// one segment per `segment_bundles` bundles. Details ride in the same
-    /// segment as their bundle; the poll ledger goes with the first
-    /// segment. This is the offline JSONL → binary conversion path.
-    pub fn write_store(
-        &self,
-        writer: &mut sandwich_store::StoreWriter,
-        segment_bundles: usize,
-    ) -> std::io::Result<()> {
-        let chunk = segment_bundles.max(1);
-        let mut polls = Some(self.polls.clone());
-        if self.bundles.is_empty() {
-            writer.seal_segment(Vec::new(), Vec::new(), polls.take().unwrap_or_default())?;
-            return Ok(());
-        }
-        for bundles in self.bundles.chunks(chunk) {
-            let details = bundles
-                .iter()
-                .flat_map(|b| b.tx_ids.iter())
-                .filter_map(|tx| self.details.get(tx).cloned())
-                .collect();
-            writer.seal_segment(bundles.to_vec(), details, polls.take().unwrap_or_default())?;
-        }
-        Ok(())
-    }
+/// Write one archive line by reference, in the externally-tagged shape
+/// (`{"poll": {...}}`) the owned [`DatasetRecord`] enum reads back — without
+/// cloning every record through an enum first.
+pub(crate) fn tagged<W: std::io::Write, T: Serialize>(
+    w: &mut W,
+    tag: &str,
+    value: &T,
+) -> std::io::Result<()> {
+    write!(w, "{{\"{tag}\":")?;
+    serde_json::to_writer(&mut *w, value)?;
+    w.write_all(b"}\n")
 }
 
 /// One line of the JSONL archive format (externally tagged:
@@ -572,21 +539,21 @@ mod tests {
         let mut ds = Dataset::new();
         let page: Vec<_> = (0..4).rev().map(|i| page_entry(i, i * 100, 1)).collect();
         ds.ingest_page(&page, &clock, 0);
-        let slots: Vec<u64> = ds.bundles().iter().map(|b| b.slot.0).collect();
+        let slots: Vec<u64> = ds.resident().iter().map(|b| b.slot.0).collect();
         assert_eq!(slots, vec![0, 100, 200, 300]);
     }
 
     #[test]
-    fn pending_detail_ids_marks_and_caps() {
+    fn take_pending_details_marks_and_caps() {
         let clock = SlotClock::default();
         let mut ds = Dataset::new();
         let page: Vec<_> = (0..4).map(|i| page_entry(i, i, 3)).collect();
         ds.ingest_page(&page, &clock, 0);
-        let first = ds.pending_detail_ids(3, 6); // room for two bundles
+        let first = ds.take_pending_details(3, 6).0; // room for two bundles
         assert_eq!(first.len(), 6);
-        let second = ds.pending_detail_ids(3, 100);
+        let second = ds.take_pending_details(3, 100).0;
         assert_eq!(second.len(), 6, "remaining two bundles");
-        assert!(ds.pending_detail_ids(3, 100).is_empty());
+        assert!(ds.take_pending_details(3, 100).0.is_empty());
     }
 
     #[test]
@@ -624,11 +591,11 @@ mod tests {
         assert_eq!(back.detail_count(), 1);
         assert_eq!(back.polls().len(), ds.polls().len());
         assert!((back.overlap_rate() - ds.overlap_rate()).abs() < 1e-12);
-        let slots: Vec<u64> = back.bundles().iter().map(|b| b.slot.0).collect();
+        let slots: Vec<u64> = back.resident().iter().map(|b| b.slot.0).collect();
         let mut sorted = slots.clone();
         sorted.sort_unstable();
         assert_eq!(slots, sorted, "chronological after reload");
-        assert!(back.detail(&detail.tx_id).is_some());
+        assert!(back.details().contains_key(&detail.tx_id));
     }
 
     #[test]
@@ -657,7 +624,7 @@ mod tests {
         ds.mark_last_poll_overlapped();
         assert!(ds.polls().last().unwrap().overlapped_previous);
         ds.sort_chronological();
-        let slots: Vec<u64> = ds.bundles().iter().map(|b| b.slot.0).collect();
+        let slots: Vec<u64> = ds.resident().iter().map(|b| b.slot.0).collect();
         let mut sorted = slots.clone();
         sorted.sort_unstable();
         assert_eq!(slots, sorted);
@@ -672,10 +639,10 @@ mod tests {
         let (ids, marked) = ds.take_pending_details(3, 100);
         assert_eq!(ids.len(), 6);
         assert_eq!(marked.len(), 2);
-        assert!(ds.pending_detail_ids(3, 100).is_empty());
+        assert!(ds.take_pending_details(3, 100).0.is_empty());
         // Fetch failed: requeue, then the same work comes back.
         ds.unmark_detail_requested(&marked);
-        assert_eq!(ds.pending_detail_ids(3, 100).len(), 6);
+        assert_eq!(ds.take_pending_details(3, 100).0.len(), 6);
     }
 
     #[test]
@@ -691,7 +658,7 @@ mod tests {
         let mut buf = Vec::new();
         ds.write_jsonl(&mut buf).unwrap();
         let mut back = Dataset::read_jsonl(std::io::BufReader::new(&buf[..])).unwrap();
-        assert_eq!(back.pending_detail_ids(3, 100).len(), 6);
+        assert_eq!(back.take_pending_details(3, 100).0.len(), 6);
     }
 
     #[test]
@@ -701,11 +668,11 @@ mod tests {
     }
 
     #[test]
-    fn pending_detail_ids_filters_length() {
+    fn take_pending_details_filters_length() {
         let clock = SlotClock::default();
         let mut ds = Dataset::new();
         ds.ingest_page(&[page_entry(1, 1, 1), page_entry(2, 2, 3)], &clock, 0);
-        let ids = ds.pending_detail_ids(3, 100);
+        let ids = ds.take_pending_details(3, 100).0;
         assert_eq!(ids.len(), 3);
     }
 
@@ -727,7 +694,7 @@ mod tests {
         let (bundles, details) = ds.drain_sealable(&[3], 100, false);
         assert_eq!(bundles.len(), 2);
         assert!(details.is_empty());
-        assert_eq!(ds.bundles().len(), 1, "len-3 bundle stays resident");
+        assert_eq!(ds.resident().len(), 1, "len-3 bundle stays resident");
         assert_eq!(ds.len(), 3, "len counts drained bundles too");
         // Re-poll with the same page: everything deduped against `seen`.
         let rec = ds.ingest_page(&[page_entry(1, 1, 1)], &clock, 0);
@@ -736,7 +703,7 @@ mod tests {
         // Force drains the pending bundle as well.
         let (bundles, _) = ds.drain_sealable(&[3], 100, true);
         assert_eq!(bundles.len(), 1);
-        assert!(ds.bundles().is_empty());
+        assert!(ds.resident().is_empty());
     }
 
     #[test]
@@ -768,7 +735,9 @@ mod tests {
         assert_eq!(bundles.len(), 1);
         assert_eq!(drained.len(), 3, "all three details drain together");
         assert_eq!(ds.detail_count(), 3, "count remembers drained details");
-        assert!(ds.detail(&details[0].as_ref().unwrap().tx_id).is_none());
+        assert!(!ds
+            .details()
+            .contains_key(&details[0].as_ref().unwrap().tx_id));
     }
 
     #[test]
@@ -785,7 +754,7 @@ mod tests {
         ds.write_jsonl(&mut buf).unwrap();
         let back = Dataset::read_jsonl(std::io::BufReader::new(&buf[..])).unwrap();
         assert_eq!(back.len(), 6);
-        assert_eq!(back.bundles().len(), 2, "only resident bundles rehydrate");
+        assert_eq!(back.resident().len(), 2, "only resident bundles rehydrate");
         assert_eq!(back.newest_slot(), Some(5));
         assert!(back.fully_spilled() || !back.fully_spilled()); // smoke: callable
                                                                 // Dedup still covers the drained ids.

@@ -13,10 +13,12 @@
 //!   for Table 1 and Figures 1–4;
 //! * [`counterfactual`] — the §5 what-ifs: defense economics quantified;
 //! * [`scan`] — the one walk over a sealed segment and its sinks (report
-//!   partials here, the query index's parts in `sandwich-query`), the one
-//!   parallel driver over segments, and the streaming incremental scan;
-//! * [`pipeline`] — the whole measurement end to end over real HTTP,
-//!   optionally flushing into a `sandwich-store` segment store as it runs.
+//!   partials here, the query index's parts in `sandwich-query`) and the one
+//!   parallel driver over segments;
+//! * [`pipeline`] — the whole measurement end to end over real HTTP, sealed
+//!   into a `sandwich-store` segment store as it runs and analyzed from it;
+//! * [`dataset`] — the collector's staging area ahead of the store, and the
+//!   JSONL archive reader behind the in-memory reference analysis.
 
 #![warn(missing_docs)]
 
@@ -44,7 +46,7 @@ pub use counterfactual::{
     defense_economics, defensive_counterfactual, slippage_counterfactual, DefenseEconomics,
     DefensiveCounterfactual, SlippageCounterfactual,
 };
-pub use dataset::{CollectedBundle, CollectedDetail, Dataset, PollRecord};
+pub use dataset::{CollectedBundle, CollectedDetail, Dataset, DetailMap, PollRecord};
 pub use defense::{is_defensive, is_defensive_at, threshold_sweep, DefenseStats};
 pub use detector::{
     detect, detect_in_bundle, extract_trade, Currency, DetectorConfig, InvalidCriterion,
@@ -56,6 +58,6 @@ pub use pipeline::{
 };
 pub use scan::{
     scan_store, scan_store_degraded, scan_store_materializing, scan_store_observed, DayRollup,
-    DetailLookup, IncrementalScan, ScanCoverage, ScanPartial,
+    ScanCoverage, ScanPartial,
 };
 pub use stats::{Cdf, DailySeries};

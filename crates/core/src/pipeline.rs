@@ -1,14 +1,18 @@
 //! The end-to-end measurement pipeline: simulated chain → explorer API over
-//! HTTP → polling collector → analysis.
+//! HTTP → polling collector → segment store → analysis.
 //!
 //! This is the whole paper in one function: the simulation produces blocks,
 //! the explorer serves its two endpoints (injecting whatever faults its
 //! plan schedules — including the configured downtime windows, which
 //! become Figure 1's shaded gaps), and the collector polls every two
 //! simulated minutes, riding out faults with retries, a circuit breaker,
-//! and overlap backfill. The analysis turns the dataset into the figures.
+//! and overlap backfill, sealing what it collected into a segment store as
+//! it goes. The analysis scans that store into the figures: there is one
+//! route from collector to report, and it is the one `benchmark/` times.
 
+use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -19,11 +23,14 @@ use sandwich_sim::Simulation;
 use sandwich_store::{BundleStore, StoreWriter};
 use sandwich_types::SlotClock;
 
-use crate::analysis::{analyze, AnalysisConfig, AnalysisReport};
+use crate::analysis::{AnalysisConfig, AnalysisReport};
 use crate::checkpoint::{Checkpoint, StoreCheckpoint};
 use crate::collector::{Collector, CollectorConfig, CollectorStats};
-use crate::dataset::Dataset;
-use crate::scan::{scan_store_partial, IncrementalScan};
+use crate::dataset::{detail_map, tagged, write_file_durable, CollectedBundle, Dataset, DetailMap};
+use crate::scan::scan_store_partial;
+
+/// Bundles per sealed segment unless [`StoreOptions`] says otherwise.
+const SEGMENT_BUNDLES: usize = 5_000;
 
 /// Pipeline tunables.
 #[derive(Clone, Debug)]
@@ -40,13 +47,13 @@ pub struct PipelineConfig {
     pub poll_every_ticks: u64,
     /// Fetch pending length-3 details every N ticks.
     pub detail_every_ticks: u64,
-    /// Flush collected records into a segmented binary bundle store as the
-    /// run progresses (bounded resident memory), instead of accumulating
-    /// everything in one in-memory `Vec` until the end.
+    /// Where the run seals what it collects. `None` is a path default, not
+    /// a mode: a scratch directory under [`std::env::temp_dir`] that the
+    /// [`MeasurementRun`] owns and removes when it is dropped.
     pub store: Option<StoreOptions>,
 }
 
-/// Segment-store wiring for a measurement run.
+/// Where and how finely a measurement run seals its segment store.
 #[derive(Clone, Debug)]
 pub struct StoreOptions {
     /// Directory for the manifest and segment files. Must not already hold
@@ -54,19 +61,14 @@ pub struct StoreOptions {
     pub dir: PathBuf,
     /// Bundles per sealed segment (the flush threshold).
     pub segment_bundles: usize,
-    /// Fold each segment's analysis partial as it seals, so
-    /// [`MeasurementRun::streaming_report`] carries the report without a
-    /// separate post-run scan.
-    pub streaming: bool,
 }
 
 impl StoreOptions {
-    /// Store at `dir` with default segment size, streaming off.
+    /// Store at `dir` with the default segment size.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         StoreOptions {
             dir: dir.into(),
-            segment_bundles: 5_000,
-            streaming: false,
+            segment_bundles: SEGMENT_BUNDLES,
         }
     }
 }
@@ -108,9 +110,37 @@ pub fn scaled_page_limit(scenario: &sandwich_sim::ScenarioConfig, poll_every_tic
     ((per_poll * 2.43).round() as usize).max(10)
 }
 
+/// A run-owned store directory, removed when its owner — the run, the
+/// checkpoint made from it, or the run resumed from that — is dropped.
+#[derive(Debug)]
+pub(crate) struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    /// A directory name under the system temp dir no other run of this
+    /// process has; whatever a killed process of the same pid left there
+    /// is cleared.
+    fn new() -> Self {
+        static RUNS: AtomicU64 = AtomicU64::new(0);
+        let run = RUNS.fetch_add(1, Ordering::Relaxed);
+        let name = format!("sandwich-run-{}-{run}.store", std::process::id());
+        let dir = std::env::temp_dir().join(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        ScratchDir(dir)
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// Result of a full measurement run.
 pub struct MeasurementRun {
-    /// The collected dataset.
+    /// The collector's staging area as the run left it: the totals
+    /// (`len`, `detail_count`), the poll ledger, and whatever never sealed
+    /// — nothing after a completed run, a halted run's residue otherwise.
+    /// Everything collected is [`MeasurementRun::walk`].
     pub dataset: Dataset,
     /// Collector health counters.
     pub collector_stats: CollectorStats,
@@ -124,61 +154,114 @@ pub struct MeasurementRun {
     /// Whether the run stopped at `halt_at_tick` rather than completing.
     pub halted: bool,
     /// Final metrics snapshot across every layer (`sim.`, `engine.`,
-    /// `bank.`, `explorer.`, `collector.`, `pipeline.`, `store.`, `scan.`).
+    /// `bank.`, `explorer.`, `collector.`, `pipeline.`, `store.`).
     pub metrics: Snapshot,
     /// The slot clock shared by chain and collector.
     pub clock: SlotClock,
-    /// The sealed segment store, when the run flushed into one.
+    /// The segment store the run sealed into. Always `Some`.
     pub store: Option<BundleStore>,
-    /// The streaming report (store mode with `streaming: true`): folded
-    /// segment by segment as each sealed, identical to a post-run scan.
-    pub streaming_report: Option<AnalysisReport>,
+    /// Held when the store is the run's own scratch directory.
+    scratch: Option<ScratchDir>,
 }
 
 impl MeasurementRun {
-    /// Analyze the collected data with the given configuration. In store
-    /// mode the sealed segments are scanned (single-threaded here; use
-    /// [`MeasurementRun::try_analyze`] for a thread count) plus whatever is
-    /// still resident; legacy mode analyzes the in-memory dataset.
+    fn sealed(&self) -> &BundleStore {
+        self.store.as_ref().expect("every run seals into a store")
+    }
+
+    /// Analyze the collected data with the given configuration on one scan
+    /// thread (use [`MeasurementRun::try_analyze`] for a thread count).
     pub fn analyze(&self, config: &AnalysisConfig) -> AnalysisReport {
         self.try_analyze(config, 1)
             .expect("segment store scan failed")
     }
 
-    /// [`MeasurementRun::analyze`] over `threads` scan workers. The report
-    /// is byte-identical for any thread count.
+    /// Scan the sealed segments on `threads` workers, then fold in whatever
+    /// never sealed (a halted run's residue; nothing after a completed
+    /// run's final flush). The report is byte-identical for any thread
+    /// count.
     pub fn try_analyze(
         &self,
         config: &AnalysisConfig,
         threads: usize,
-    ) -> std::io::Result<AnalysisReport> {
-        match &self.store {
-            Some(store) if !store.segments().is_empty() => {
-                let mut acc = scan_store_partial(store, &self.clock, config, threads, None)?;
-                // Fold in whatever never sealed (a halted run's residue;
-                // empty after a completed run's final flush).
-                for bundle in self.dataset.bundles() {
-                    acc.observe_bundle(bundle, &self.dataset, &self.clock, config);
-                }
-                acc.observe_polls(self.dataset.unspilled_polls());
-                Ok(acc.finalize(config))
-            }
-            _ => Ok(analyze(&self.dataset, &self.clock, config)),
+    ) -> io::Result<AnalysisReport> {
+        let mut acc = scan_store_partial(self.sealed(), &self.clock, config, threads, None)?;
+        for bundle in self.dataset.resident() {
+            acc.observe_bundle(bundle, self.dataset.details(), &self.clock, config);
         }
+        acc.observe_polls(self.dataset.unspilled_polls());
+        Ok(acc.finalize(config))
     }
 
-    /// Convert a (typically halted) run into a resumable checkpoint. Store
-    /// mode checkpoints by reference: the manifest entry list, not the
-    /// segment data.
+    /// Visit every collected bundle exactly once, with the details that
+    /// travel with it: the sealed segments in manifest order (each read and
+    /// checksum-verified by [`BundleStore::read_segment`]), then the
+    /// unsealed residue. This is the one way to enumerate what a run
+    /// collected; one segment is resident at a time.
+    pub fn walk(&self, mut visit: impl FnMut(&CollectedBundle, &DetailMap)) -> io::Result<()> {
+        let store = self.sealed();
+        for index in 0..store.segments().len() {
+            let data = store.read_segment(index)?;
+            let details = detail_map(data.details);
+            for bundle in &data.bundles {
+                visit(bundle, &details);
+            }
+        }
+        for bundle in self.dataset.resident() {
+            visit(bundle, self.dataset.details());
+        }
+        Ok(())
+    }
+
+    /// Archive everything collected as JSON lines — the poll ledger, then
+    /// each bundle of [`MeasurementRun::walk`] followed by its details —
+    /// which [`Dataset::read_jsonl`] reloads for offline re-analysis.
+    pub fn write_jsonl<W: io::Write>(&self, mut w: W) -> io::Result<()> {
+        fn bundle_lines<W: io::Write>(
+            w: &mut W,
+            bundle: &CollectedBundle,
+            details: &DetailMap,
+        ) -> io::Result<()> {
+            tagged(w, "bundle", bundle)?;
+            let mut fetched = bundle.tx_ids.iter().filter_map(|id| details.get(id));
+            fetched.try_for_each(|d| tagged(w, "detail", d))
+        }
+        for poll in self.dataset.polls() {
+            tagged(&mut w, "poll", poll)?;
+        }
+        let mut written = Ok(());
+        self.walk(|bundle, details| {
+            if written.is_ok() {
+                written = bundle_lines(&mut w, bundle, details);
+            }
+        })?;
+        written
+    }
+
+    /// [`MeasurementRun::write_jsonl`] straight to a file, durably: the
+    /// archive streams into a temp file which is fsynced, atomically renamed
+    /// over `path`, and made durable with a parent-directory fsync — a crash
+    /// mid-export leaves either the old archive or the new one, never a
+    /// half-written file.
+    pub fn write_jsonl_file(&self, path: impl AsRef<Path>) -> io::Result<()> {
+        write_file_durable(path.as_ref(), |w| self.write_jsonl(w))
+    }
+
+    /// Convert a (typically halted) run into a resumable checkpoint. The
+    /// store rides by reference: the manifest entry list, not the segment
+    /// data.
     pub fn into_checkpoint(self) -> Checkpoint {
+        let store = self.sealed();
+        let store = StoreCheckpoint {
+            dir: store.dir().to_string_lossy().into_owned(),
+            segments: store.segments().to_vec(),
+        };
         Checkpoint {
             next_tick: self.next_tick,
             stats: self.collector_stats,
-            store: self.store.map(|s| StoreCheckpoint {
-                dir: s.dir().to_string_lossy().into_owned(),
-                segments: s.segments().to_vec(),
-            }),
+            store,
             dataset: self.dataset,
+            scratch: self.scratch,
         }
     }
 }
@@ -188,7 +271,7 @@ impl MeasurementRun {
 pub async fn run_measurement(
     sim: &mut Simulation,
     config: PipelineConfig,
-) -> std::io::Result<MeasurementRun> {
+) -> io::Result<MeasurementRun> {
     run_measurement_with(sim, config, RunOptions::default()).await
 }
 
@@ -197,7 +280,7 @@ pub async fn run_measurement_with(
     sim: &mut Simulation,
     config: PipelineConfig,
     opts: RunOptions,
-) -> std::io::Result<MeasurementRun> {
+) -> io::Result<MeasurementRun> {
     let clock = sim.clock();
     // Retain details exactly where the collector will ask for them.
     let retention = if config.collector.detail_bundle_lens == [3] {
@@ -223,64 +306,42 @@ pub async fn run_measurement_with(
     let poll_errors = registry.counter("pipeline.poll_errors");
     let detail_errors = registry.counter("pipeline.detail_errors");
 
-    // Resume: restore the collected state, then fast-forward the (fully
-    // deterministic) simulation to the cursor without touching the network.
-    let (start_tick, resumed_store) = match opts.resume {
+    // The store the run seals into: the one its checkpoint references
+    // (reattached from the manifest — no sealed segment is re-read into
+    // memory), the one the caller named, or a scratch directory it owns.
+    let segment_bundles = config
+        .store
+        .as_ref()
+        .map_or(SEGMENT_BUNDLES, |options| options.segment_bundles);
+    let (start_tick, writer, scratch) = match opts.resume {
+        // Resume: restore the collected state, then fast-forward the (fully
+        // deterministic) simulation to the cursor without touching the
+        // network.
         Some(cp) => {
             // Keep the pipeline-level ledger in step with the restored
             // collector counters (poll_errors mirrors polls_failed).
             poll_errors.add(cp.stats.polls_failed);
-            let resumed_store = cp.store;
             collector.restore(cp.stats, cp.dataset);
-            (cp.next_tick, resumed_store)
+            let writer = StoreWriter::resume(Path::new(&cp.store.dir), &cp.store.segments)?;
+            (cp.next_tick, writer, cp.scratch)
         }
-        None => (0, None),
-    };
-
-    // Store mode: reattach the checkpointed writer (manifest only — no
-    // sealed segment is re-read into memory) or create a fresh store.
-    let segment_bundles = config
-        .store
-        .as_ref()
-        .map(|s| s.segment_bundles)
-        .unwrap_or(5_000);
-    let store_dir: Option<PathBuf> = match (&resumed_store, &config.store) {
-        (Some(sc), _) => {
-            let writer = StoreWriter::resume(Path::new(&sc.dir), &sc.segments)?;
-            let dir = writer.dir().to_path_buf();
-            collector.attach_store(writer, segment_bundles);
-            Some(dir)
-        }
-        (None, Some(options)) => {
-            let mut writer = StoreWriter::create(&options.dir)?;
+        None => {
+            let (dir, scratch) = match &config.store {
+                Some(options) => (options.dir.clone(), None),
+                None => {
+                    let scratch = ScratchDir::new();
+                    (scratch.0.clone(), Some(scratch))
+                }
+            };
+            let mut writer = StoreWriter::create(dir)?;
             // Stamp the chain's validator spec into the manifest: public
             // chain data from which the index recomputes the full leader
             // schedule, attributing each sandwich to its slot leader.
             writer.set_validators(sim.config().validator_spec())?;
-            let dir = writer.dir().to_path_buf();
-            collector.attach_store(writer, options.segment_bundles);
-            Some(dir)
+            (0, writer, scratch)
         }
-        (None, None) => None,
     };
-
-    // Streaming analysis folds each segment as it seals. A resumed run
-    // must first catch up on the segments sealed before the checkpoint.
-    let mut incremental = match (&config.store, &store_dir) {
-        (Some(options), Some(dir)) if options.streaming => {
-            let mut inc =
-                IncrementalScan::new(clock, AnalysisConfig::paper_defaults(sim.config().days));
-            if let Some(segments) = collector.store_segments() {
-                for meta in segments {
-                    inc.fold_sealed(dir, meta)?;
-                }
-            }
-            Some(inc)
-        }
-        _ => None,
-    };
-    let partials_emitted = registry.counter(sandwich_obs::names::SCAN_PARTIALS_EMITTED);
-    let streaming_sandwiches = registry.gauge(sandwich_obs::names::SCAN_STREAMING_SANDWICHES);
+    collector.attach_store(writer, segment_bundles);
 
     let mut tick_counter = 0u64;
     let mut halted = false;
@@ -314,13 +375,7 @@ pub async fn run_measurement_with(
             }
             // Seal every full segment's worth of drained records, keeping
             // resident memory bounded while the run is still polling.
-            for meta in collector.flush_store(false)? {
-                if let (Some(inc), Some(dir)) = (incremental.as_mut(), &store_dir) {
-                    inc.fold_sealed(dir, &meta)?;
-                    partials_emitted.inc();
-                    streaming_sandwiches.set(inc.sandwich_count() as i64);
-                }
-            }
+            collector.flush_store(false)?;
         }
         tick_counter += 1;
     }
@@ -333,13 +388,7 @@ pub async fn run_measurement_with(
         if collector.fetch_pending_details(now_ms).await.is_err() {
             detail_errors.inc();
         }
-        for meta in collector.flush_store(true)? {
-            if let (Some(inc), Some(dir)) = (incremental.as_mut(), &store_dir) {
-                inc.fold_sealed(dir, &meta)?;
-                partials_emitted.inc();
-                streaming_sandwiches.set(inc.sandwich_count() as i64);
-            }
-        }
+        collector.flush_store(true)?;
     }
 
     let explorer_requests = explorer.requests_served();
@@ -356,7 +405,7 @@ pub async fn run_measurement_with(
         metrics: registry.snapshot(),
         clock,
         store: sealed_store,
-        streaming_report: incremental.map(|inc| inc.report()),
+        scratch,
     })
 }
 
@@ -394,25 +443,16 @@ mod tests {
 
         let report = run.analyze(&AnalysisConfig::paper_defaults(days));
 
-        // Detection matches ground truth: every landed sandwich that was
-        // collected must be found, and nothing else.
+        // Detection matches ground truth: nothing is found that did not
+        // land as a sandwich.
         let truth = sim.truth();
-        let found: std::collections::HashSet<_> = report
-            .findings
-            .iter()
-            .map(|f| {
-                // Recover the bundle id via the day+victim pair is ambiguous;
-                // instead check counts below.
-                (f.day, f.finding.victim)
-            })
-            .collect();
-        assert!(!found.is_empty());
-        assert!(
-            report.total_sandwiches() <= truth.total_sandwiches(),
-            "no false positives beyond ground truth: found {} vs truth {}",
-            report.total_sandwiches(),
-            truth.total_sandwiches()
-        );
+        assert!(!report.findings.is_empty());
+        for f in &report.findings {
+            assert!(
+                truth.sandwich_ids.contains(&f.bundle_id),
+                "false positive: {f:?} is not a ground-truth sandwich"
+            );
+        }
         // The collector missed at most the downtime window; outside it,
         // detection should recover the bulk of ground truth.
         assert!(

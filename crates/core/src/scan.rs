@@ -14,15 +14,13 @@
 //! [`Cdf::from_samples`] sorts); floats appear only in
 //! [`ScanPartial::finalize`]. The result: [`AnalysisReport`] is
 //! bit-identical at 1, 2, or 8 threads, and identical to the single-pass
-//! in-memory path ([`crate::analysis::analyze`] is itself one partial +
-//! finalize).
+//! in-memory reference over a reloaded JSONL export
+//! ([`crate::analysis::analyze`] is itself one partial + finalize).
 
-use std::collections::HashMap;
 use std::io;
 
 use serde::{Deserialize, Serialize};
 
-use sandwich_ledger::{TransactionId, TransactionMeta};
 use sandwich_obs::{names, Registry};
 use sandwich_store::{
     parallel_map, BundleStore, Columns, CorruptSegment, SegmentMeta, SegmentView, META_C1, META_C2,
@@ -31,31 +29,10 @@ use sandwich_store::{
 use sandwich_types::{Hash, Lamports, Slot, SlotClock};
 
 use crate::analysis::{AnalysisConfig, AnalysisReport, DatedFinding};
-use crate::dataset::{CollectedBundle, Dataset, PollRecord};
+use crate::dataset::{detail_map, overlap_rate, CollectedBundle, DetailMap, PollRecord};
 use crate::defense::{is_defensive_tip, DefenseStats};
 use crate::detector::{detect, detect_in_bundle, DetectorConfig, SandwichFinding};
 use crate::stats::{Cdf, DailySeries};
-
-/// Where a scan finds the transaction metas behind a bundle: the dataset's
-/// detail map in-memory, or the segment-local map during a store scan
-/// (sealed segments are self-contained — a bundle's details always share
-/// its segment).
-pub trait DetailLookup {
-    /// The meta for one transaction, if its detail was fetched.
-    fn meta_of(&self, id: &TransactionId) -> Option<&TransactionMeta>;
-}
-
-impl DetailLookup for Dataset {
-    fn meta_of(&self, id: &TransactionId) -> Option<&TransactionMeta> {
-        self.detail(id).map(|d| &d.meta)
-    }
-}
-
-impl DetailLookup for HashMap<TransactionId, TransactionMeta> {
-    fn meta_of(&self, id: &TransactionId) -> Option<&TransactionMeta> {
-        self.get(id)
-    }
-}
 
 /// What a walk knows about a bundle before running the detector — on the
 /// columnar route, without decoding its record.
@@ -174,20 +151,15 @@ impl DayRollup {
     }
 }
 
-/// Walk one materialized bundle: the per-bundle step of the decode route,
-/// and the whole of the in-memory path.
-fn visit_bundle<D: DetailLookup>(
-    bundle: &CollectedBundle,
-    lookup: &D,
-    walk: &Walk,
-    sink: &mut Sink,
-) {
+/// Walk one materialized bundle, its details looked up in `details`: the
+/// per-bundle step of the decode route, and the whole of the residue fold.
+fn visit_bundle(bundle: &CollectedBundle, details: &DetailMap, walk: &Walk, sink: &mut Sink) {
     let len = bundle.len().clamp(1, 5);
     let metas = if len == 3 || (walk.extended && len > 3) {
         bundle
             .tx_ids
             .iter()
-            .map(|id| lookup.meta_of(id))
+            .map(|id| details.get(id).map(|d| &d.meta))
             .collect::<Option<Vec<_>>>()
     } else {
         None
@@ -221,13 +193,9 @@ pub fn visit_decoded(
     sink: &mut Sink,
 ) -> io::Result<Vec<PollRecord>> {
     let data = view.decode_all().map_err(corrupt)?;
-    let lookup: HashMap<TransactionId, TransactionMeta> = data
-        .details
-        .into_iter()
-        .map(|d| (d.meta.tx_id, d.meta))
-        .collect();
+    let details = detail_map(data.details);
     for bundle in &data.bundles {
-        visit_bundle(bundle, &lookup, walk, sink);
+        visit_bundle(bundle, &details, walk, sink);
     }
     Ok(data.polls)
 }
@@ -378,21 +346,16 @@ impl ScanPartial {
         }
     }
 
-    /// Detected sandwiches folded in so far (streaming progress signal).
-    pub fn sandwich_count(&self) -> u64 {
-        self.findings.len() as u64
-    }
-
-    /// Fold one in-memory bundle in, resolving details through `lookup`.
-    pub fn observe_bundle<D: DetailLookup>(
+    /// Fold one in-memory bundle in, resolving its details through `details`.
+    pub fn observe_bundle(
         &mut self,
         bundle: &CollectedBundle,
-        lookup: &D,
+        details: &DetailMap,
         clock: &SlotClock,
         config: &AnalysisConfig,
     ) {
         let walk = walk_of(clock, config);
-        visit_bundle(bundle, lookup, &walk, &mut |b, s| {
+        visit_bundle(bundle, details, &walk, &mut |b, s| {
             self.observe(b, s, config)
         });
     }
@@ -464,12 +427,6 @@ impl ScanPartial {
         let series = |of: &dyn Fn(&DayRollup) -> f64| DailySeries {
             values: self.days.iter().map(of).collect(),
         };
-        let overlap_rate = if self.polls.len() <= 1 {
-            1.0
-        } else {
-            let later = &self.polls[1..];
-            later.iter().filter(|p| p.overlapped_previous).count() as f64 / later.len() as f64
-        };
         AnalysisReport {
             days: config.days,
             bundles_by_len_per_day: std::array::from_fn(|i| {
@@ -487,7 +444,7 @@ impl ScanPartial {
             findings: self.findings,
             non_sol_sandwiches: self.non_sol,
             len3_with_details: self.len3_with_details,
-            overlap_rate,
+            overlap_rate: overlap_rate(&self.polls),
             oracle: config.oracle.clone(),
         }
     }
@@ -678,55 +635,6 @@ pub fn scan_store_materializing(
     Ok(scan_store_via(visit_decoded, store, clock, config, threads, None)?.finalize(config))
 }
 
-/// Streaming analysis: fold each segment's partial as it seals, so a
-/// partial report is available mid-run. Because the fold happens in seal
-/// (= segment) order, the final streaming report equals the batch scan.
-/// Folding also re-reads (and checksums) the file just written — a free
-/// end-to-end verification of every sealed segment.
-pub struct IncrementalScan {
-    clock: SlotClock,
-    config: AnalysisConfig,
-    partial: ScanPartial,
-    segments_folded: u64,
-}
-
-impl IncrementalScan {
-    /// A scanner ready to fold sealed segments.
-    pub fn new(clock: SlotClock, config: AnalysisConfig) -> Self {
-        let partial = ScanPartial::new(config.days as usize);
-        IncrementalScan {
-            clock,
-            config,
-            partial,
-            segments_folded: 0,
-        }
-    }
-
-    /// Fold one just-sealed segment in (in seal order).
-    pub fn fold_sealed(&mut self, dir: &std::path::Path, meta: &SegmentMeta) -> io::Result<()> {
-        let view = SegmentView::open(&dir.join(&meta.file))?;
-        let partial = partial_of_view_or_segment(&view, &self.clock, &self.config)?;
-        self.partial.merge(partial);
-        self.segments_folded += 1;
-        Ok(())
-    }
-
-    /// Segments folded so far.
-    pub fn segments_folded(&self) -> u64 {
-        self.segments_folded
-    }
-
-    /// Sandwiches detected so far (cheap, no finalize).
-    pub fn sandwich_count(&self) -> u64 {
-        self.partial.sandwich_count()
-    }
-
-    /// The report over everything folded so far.
-    pub fn report(&self) -> AnalysisReport {
-        self.partial.clone().finalize(&self.config)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -751,7 +659,7 @@ mod tests {
         let clock = SlotClock::default();
         let config = AnalysisConfig::paper_defaults(2);
         let bundles: Vec<_> = (0..40u64).map(|i| bundle(i, i, 1, 30_000 + i)).collect();
-        let lookup: HashMap<TransactionId, TransactionMeta> = HashMap::new();
+        let lookup = DetailMap::new();
 
         let mut whole = ScanPartial::new(2);
         for b in &bundles {

@@ -11,7 +11,7 @@ pub const STORE_SEGMENTS_SEALED: &str = "store.segments_sealed";
 /// Counter: bytes of sealed segment files written (manifest excluded).
 pub const STORE_BYTES_WRITTEN: &str = "store.bytes_written";
 
-/// Counter: segments read and folded by scans (batch or streaming).
+/// Counter: segments read and folded by scans.
 pub const SCAN_SEGMENTS_SCANNED: &str = "scan.segments_scanned";
 
 /// Histogram: per-worker busy time inside one parallel scan, seconds.
@@ -19,27 +19,6 @@ pub const SCAN_WORKER_BUSY_SECONDS: &str = "scan.worker_busy_seconds";
 
 /// Histogram: wall-clock duration of one whole parallel scan, seconds.
 pub const SCAN_SECONDS: &str = "scan.seconds";
-
-/// Counter: streaming partials folded as segments sealed mid-run.
-pub const SCAN_PARTIALS_EMITTED: &str = "scan.partials_emitted";
-
-/// Gauge: sandwiches detected so far by the streaming scan.
-pub const SCAN_STREAMING_SANDWICHES: &str = "scan.streaming_sandwiches";
-
-/// Counter: findings matched to a labeled sandwich by the conformance join.
-pub const CONFORMANCE_TRUE_POSITIVES: &str = "conformance.true_positives";
-
-/// Counter: findings whose label was not a sandwich (or missing).
-pub const CONFORMANCE_FALSE_POSITIVES: &str = "conformance.false_positives";
-
-/// Counter: labeled, detectable sandwiches the analysis did not find.
-pub const CONFORMANCE_FALSE_NEGATIVES: &str = "conformance.false_negatives";
-
-/// Counter: labeled near-miss bundles scored by the conformance join.
-pub const CONFORMANCE_NEAR_MISSES_SCORED: &str = "conformance.near_misses_scored";
-
-/// Counter: near-miss bundles wrongly flagged by the full detector.
-pub const CONFORMANCE_NEAR_MISSES_FLAGGED: &str = "conformance.near_misses_flagged";
 
 /// Counter: query indexes rebuilt from segments (a persisted-index reuse
 /// shows up as zero rebuilds).

@@ -29,8 +29,9 @@ cargo build --offline --release --workspace
 #   requests == collector attempts) under the same profiles, deadline-free
 #   profiles repeat to the byte, router legs ride a bounded pool and still
 #   fail closed; a pooled connection that hangs would hang here.
-# - store_scan: the segment scan stays byte-identical across worker counts
-#   and against the in-memory analysis.
+# - store_scan: the segment scan stays byte-identical across worker counts,
+#   seal thresholds and against the materializing reference scan and the
+#   in-memory analysis of the run's reloaded JSONL export.
 # - crash_matrix: the store writer killed at every crash point of a seal
 #   (>= 20, clean kill and torn write), truncations and bit flips fuzzed over
 #   sealed segments: byte-identical recovery or explicit quarantine, never a
@@ -66,15 +67,20 @@ if [ -z "$spec_ver" ] || [ -z "$code_ver" ] || [ "$spec_ver" != "$code_ver" ]; t
 fi
 
 # The committed paper-facing results must come from this code: a 5-day
-# headline (sim -> explorer -> collector -> detector -> report, ~6 s) is
-# diffed against the copy scripts/regen_results.sh wrote. A change that
-# moves any of those layers fails here until it regenerates results/.
-echo "==> results drift (5-day headline vs results/headline_5d.txt)"
-SANDWICH_DAYS=5 timeout 420 target/release/headline 2>/dev/null |
-  diff -u results/headline_5d.txt - || {
-    echo "results/ is older than the code: run scripts/regen_results.sh" >&2
-    exit 1
-  }
+# headline (sim -> explorer -> collector -> store -> scan -> report, ~6 s)
+# is diffed against the copy scripts/regen_results.sh wrote, and so is a
+# 5-day threshold sweep — the figure that reads what was collected through
+# MeasurementRun::walk and not through the report, so it can go to zero
+# while the headline stays put. A change that moves any of those layers
+# fails here until it regenerates results/.
+for figure in headline threshold_sweep; do
+  echo "==> results drift (5-day $figure vs results/${figure}_5d.txt)"
+  SANDWICH_DAYS=5 timeout 420 "target/release/$figure" 2>/dev/null |
+    diff -u "results/${figure}_5d.txt" - || {
+      echo "results/ is older than the code: run scripts/regen_results.sh" >&2
+      exit 1
+    }
+done
 
 # The three snapshot writers assert their own invariants in-process
 # (planted == found and zero-copy == materializing bytes; zero silent

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Regenerate results/ from the current code, default seed and scale: one
 # results/<name>.txt per figure binary (stdout only; the [bench] progress
-# lines go to stderr), the 5-day headline scripts/check.sh diffs against,
-# and the detector scorecard. All of these are pure functions of the seed,
+# lines go to stderr), the 5-day headline and threshold sweep
+# scripts/check.sh diffs against, and the detector scorecard. All of these are pure functions of the seed,
 # so a second run leaves `git status results/` clean (~15 min).
 #
 # Usage: scripts/regen_results.sh [--timed]
@@ -40,6 +40,7 @@ for name in fig1 fig2 fig3 fig4 table1 headline ablation threshold_sweep \
   figure "$name" "$name.txt"
 done
 SANDWICH_DAYS=5 figure headline headline_5d.txt
+SANDWICH_DAYS=5 figure threshold_sweep threshold_sweep_5d.txt
 
 writers=(conformance)
 if [[ "${1:-}" == --timed ]]; then

@@ -1,20 +1,23 @@
 //! Checkpoint/resume: killing the collector mid-run and resuming from the
-//! checkpoint must yield a dataset identical to an uninterrupted run over
-//! the same seed — same bundles, same details, same poll ledger. Faults
+//! checkpoint must collect exactly what an uninterrupted run over the same
+//! seed collects — same bundles, same details, same poll ledger. Faults
 //! are injected throughout to prove the plan replays identically on the
-//! simulated clock.
+//! simulated clock. A checkpoint written out needs a store directory that
+//! outlives the process; one resumed in-process may ride the run's own
+//! scratch store, which lives exactly as long as whoever holds it.
 
 use std::io::BufReader;
 use std::time::Duration;
 
 use sandwich_core::{
     run_measurement_with, Checkpoint, CollectorConfig, MeasurementRun, PipelineConfig, RunOptions,
+    StoreOptions,
 };
 use sandwich_explorer::{ExplorerConfig, FaultPlanConfig};
 use sandwich_net::RetryPolicy;
 use sandwich_sim::{ScenarioConfig, Simulation};
 
-fn faulty_pipeline(scenario: &ScenarioConfig) -> PipelineConfig {
+fn faulty_pipeline(scenario: &ScenarioConfig, store: Option<StoreOptions>) -> PipelineConfig {
     PipelineConfig {
         explorer: ExplorerConfig {
             // Enough 503s that retries fire constantly; decisions are keyed
@@ -33,12 +36,28 @@ fn faulty_pipeline(scenario: &ScenarioConfig) -> PipelineConfig {
             },
             ..Default::default()
         },
+        store,
         ..Default::default()
     }
 }
 
+/// A fresh store directory sealing every 100 bundles, so a run halted at
+/// tick 70 has sealed segments *and* a residue.
+fn small_segments(label: &str) -> StoreOptions {
+    let dir = std::env::temp_dir().join(format!("ckpt-resume-{label}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    StoreOptions {
+        dir,
+        segment_bundles: 100,
+    }
+}
+
+/// Everything the run collected, in walk order: sealed segments, then the
+/// residue.
 fn bundle_ids(run: &MeasurementRun) -> Vec<sandwich_jito::BundleId> {
-    run.dataset.bundles().iter().map(|b| b.bundle_id).collect()
+    let mut ids = Vec::new();
+    run.walk(|b, _| ids.push(b.bundle_id)).unwrap();
+    ids
 }
 
 #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
@@ -49,17 +68,23 @@ async fn killed_run_resumed_from_checkpoint_equals_uninterrupted_run() {
     };
 
     // Reference: one uninterrupted run.
+    let store_full = small_segments("full");
     let mut sim = Simulation::new(scenario.clone());
-    let full = run_measurement_with(&mut sim, faulty_pipeline(&scenario), RunOptions::default())
-        .await
-        .unwrap();
+    let full = run_measurement_with(
+        &mut sim,
+        faulty_pipeline(&scenario, Some(store_full.clone())),
+        RunOptions::default(),
+    )
+    .await
+    .unwrap();
     assert!(!full.halted);
 
     // The same run killed at tick 70...
+    let store = small_segments("killed");
     let mut sim1 = Simulation::new(scenario.clone());
     let halted = run_measurement_with(
         &mut sim1,
-        faulty_pipeline(&scenario),
+        faulty_pipeline(&scenario, Some(store.clone())),
         RunOptions {
             halt_at_tick: Some(70),
             resume: None,
@@ -72,6 +97,13 @@ async fn killed_run_resumed_from_checkpoint_equals_uninterrupted_run() {
     let collected_at_halt = halted.dataset.len();
     assert!(collected_at_halt > 0);
     assert!(collected_at_halt < full.dataset.len());
+    // The walk yields every id collected so far exactly once, sealed or not.
+    assert!(!halted.store.as_ref().unwrap().segments().is_empty());
+    assert!(!halted.dataset.resident().is_empty());
+    let at_halt = bundle_ids(&halted);
+    assert_eq!(at_halt.len(), collected_at_halt);
+    let distinct: std::collections::HashSet<_> = at_halt.iter().collect();
+    assert_eq!(distinct.len(), collected_at_halt, "walk repeated an id");
 
     // ...checkpointed through the wire format...
     let mut buf = Vec::new();
@@ -84,7 +116,7 @@ async fn killed_run_resumed_from_checkpoint_equals_uninterrupted_run() {
     let mut sim2 = Simulation::new(scenario.clone());
     let resumed = run_measurement_with(
         &mut sim2,
-        faulty_pipeline(&scenario),
+        faulty_pipeline(&scenario, Some(store.clone())),
         RunOptions {
             halt_at_tick: None,
             resume: Some(cp),
@@ -121,12 +153,16 @@ async fn killed_run_resumed_from_checkpoint_equals_uninterrupted_run() {
         full.analyze(&cfg).total_sandwiches(),
         resumed.analyze(&cfg).total_sandwiches()
     );
+
+    std::fs::remove_dir_all(&store.dir).unwrap();
+    std::fs::remove_dir_all(&store_full.dir).unwrap();
 }
 
 #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
 async fn halting_at_tick_zero_resumes_into_a_complete_run() {
-    // Degenerate kill: nothing collected yet. Resume must still produce
-    // the full dataset.
+    // Degenerate kill: nothing collected yet. Resume must still collect
+    // everything — here without naming a store, so the runs seal into
+    // scratch directories of their own.
     let scenario = ScenarioConfig {
         downtime_days: vec![],
         ..ScenarioConfig::tiny()
@@ -134,7 +170,7 @@ async fn halting_at_tick_zero_resumes_into_a_complete_run() {
     let mut sim1 = Simulation::new(scenario.clone());
     let halted = run_measurement_with(
         &mut sim1,
-        faulty_pipeline(&scenario),
+        faulty_pipeline(&scenario, None),
         RunOptions {
             halt_at_tick: Some(0),
             resume: None,
@@ -144,22 +180,37 @@ async fn halting_at_tick_zero_resumes_into_a_complete_run() {
     .unwrap();
     assert!(halted.dataset.is_empty());
 
+    // The scratch store belongs to whoever holds the run: it passes to the
+    // checkpoint, which can be resumed but not written out...
+    let scratch = halted.store.as_ref().unwrap().dir().to_path_buf();
+    assert!(scratch.starts_with(std::env::temp_dir()));
+    let cp = halted.into_checkpoint();
+    assert!(scratch.is_dir(), "scratch store died with the halted run");
+    assert!(cp.write(Vec::new()).is_err());
+
     let mut sim2 = Simulation::new(scenario.clone());
     let resumed = run_measurement_with(
         &mut sim2,
-        faulty_pipeline(&scenario),
+        faulty_pipeline(&scenario, None),
         RunOptions {
             halt_at_tick: None,
-            resume: Some(halted.into_checkpoint()),
+            resume: Some(cp),
         },
     )
     .await
     .unwrap();
+    // ...then to the resumed run, which sealed into it...
+    assert_eq!(resumed.store.as_ref().unwrap().dir(), scratch);
+    assert!(!resumed.store.as_ref().unwrap().segments().is_empty());
 
-    let pipeline = faulty_pipeline(&scenario);
+    let pipeline = faulty_pipeline(&scenario, None);
     let mut sim3 = Simulation::new(scenario);
     let full = run_measurement_with(&mut sim3, pipeline, RunOptions::default())
         .await
         .unwrap();
     assert_eq!(bundle_ids(&full), bundle_ids(&resumed));
+
+    // ...and is removed with it.
+    drop(resumed);
+    assert!(!scratch.exists(), "scratch store outlived its run");
 }

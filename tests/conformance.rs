@@ -70,7 +70,7 @@ async fn oracle_scores_the_detector_perfectly_on_labeled_ground_truth() {
     // The ablation grid: the full detector admits no near-miss, and every
     // criterion with labeled decoys in this run is load-bearing (disabling
     // it admits its matching family).
-    let grid = conformance::ablation_grid(&run.dataset, labels).unwrap();
+    let grid = conformance::ablation_grid(&run, labels).unwrap();
     assert_eq!(grid.len(), 5);
     let mut load_bearing = 0;
     for row in &grid {
@@ -86,28 +86,12 @@ async fn oracle_scores_the_detector_perfectly_on_labeled_ground_truth() {
     );
 
     // Defensive classifier: perfect at the paper's 100k threshold.
-    let sweep = conformance::defensive_confusion(
-        run.dataset.bundles().iter(),
-        labels,
-        &[DEFENSIVE_TIP_THRESHOLD.0],
-    );
+    let sweep =
+        conformance::defensive_confusion(&run, labels, &[DEFENSIVE_TIP_THRESHOLD.0]).unwrap();
     let (_, m) = &sweep[0];
     assert!(m.true_positives > 0);
     assert_eq!(m.false_positives, 0, "{m:?}");
     assert_eq!(m.false_negatives, 0, "{m:?}");
-
-    // The scorecard lands on /metrics under conformance.*.
-    let registry = sandwich_obs::Registry::new();
-    conformance::record(&registry, &c);
-    let snap = registry.snapshot();
-    assert_eq!(
-        snap.counter(sandwich_obs::names::CONFORMANCE_TRUE_POSITIVES),
-        Some(c.detector.true_positives)
-    );
-    assert_eq!(
-        snap.counter(sandwich_obs::names::CONFORMANCE_NEAR_MISSES_FLAGGED),
-        Some(0)
-    );
 }
 
 #[tokio::test(flavor = "multi_thread", worker_threads = 2)]

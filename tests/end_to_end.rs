@@ -3,8 +3,18 @@
 
 use std::collections::HashSet;
 
-use sandwich_core::{AnalysisConfig, CollectorConfig, PipelineConfig};
+use sandwich_core::{AnalysisConfig, CollectorConfig, MeasurementRun, PipelineConfig};
 use sandwich_sim::{ScenarioConfig, Simulation};
+
+/// The id of every bundle the run collected.
+fn collected_ids(run: &MeasurementRun) -> HashSet<sandwich_jito::BundleId> {
+    let mut ids = HashSet::new();
+    run.walk(|b, _| {
+        ids.insert(b.bundle_id);
+    })
+    .unwrap();
+    ids
+}
 
 fn tiny_pipeline(scenario: &ScenarioConfig) -> PipelineConfig {
     PipelineConfig {
@@ -43,7 +53,7 @@ async fn detector_has_no_false_positives_and_high_recall() {
     // Recall: every *collected*, *undisguised* ground-truth sandwich is
     // detected. (Disguised length-4 attacks are invisible to the paper's
     // length-3 methodology by design — see the lower_bound bench.)
-    let collected: HashSet<_> = run.dataset.bundles().iter().map(|b| b.bundle_id).collect();
+    let collected = collected_ids(&run);
     for id in &truth.sandwich_ids {
         if collected.contains(id) && !truth.disguised_sandwich_ids.contains(id) {
             assert!(detected.contains(id), "missed collected sandwich {id}");
@@ -122,8 +132,7 @@ async fn financial_estimates_track_ground_truth() {
 
     // Non-SOL share matches ground truth exactly on collected, undisguised
     // bundles (disguised length-4 attacks are invisible to this analysis).
-    let collected: std::collections::HashSet<_> =
-        run.dataset.bundles().iter().map(|b| b.bundle_id).collect();
+    let collected = collected_ids(&run);
     let truth_non_sol_collected = truth
         .non_sol_sandwich_ids
         .iter()
@@ -150,12 +159,13 @@ async fn defensive_classification_matches_ground_truth() {
     // Every ground-truth defensive bundle that was collected classifies as
     // defensive (tips were generated ≤ 100k by construction).
     let mut matched = 0u64;
-    for b in run.dataset.bundles() {
+    run.walk(|b, _| {
         if truth.defensive_ids.contains(&b.bundle_id) {
             assert!(sandwich_core::is_defensive(b), "missed defensive {b:?}");
             matched += 1;
         }
-    }
+    })
+    .unwrap();
     assert!(matched > 0);
     // And the classifier's overall count only adds bundles that ground
     // truth also considers defensive (priority tips are > 100k by

@@ -142,7 +142,7 @@ proptest! {
         ds.sort_chronological();
 
         // Every slot in [0, head+gap+tail) present exactly once, in order.
-        let slots: Vec<u64> = ds.bundles().iter().map(|b| b.slot.0).collect();
+        let slots: Vec<u64> = ds.resident().iter().map(|b| b.slot.0).collect();
         let expect: Vec<u64> = (0..head + gap + tail).collect();
         prop_assert_eq!(slots, expect);
     }

@@ -1,11 +1,11 @@
 //! The segment store and parallel scan engine, end to end:
 //!
-//! * store-mode collection (bounded resident memory, segments sealed while
-//!   polling) collects exactly what legacy in-memory mode collects;
+//! * collection is unchanged by sealing: a run that seals every 100 bundles
+//!   while polling collects exactly what a run that drains nothing until
+//!   its final flush collects;
 //! * the parallel scan produces a byte-identical `AnalysisReport` at 1, 2,
-//!   and 8 threads, and byte-identical to the legacy in-memory analysis;
-//! * the streaming incremental scan (folded as segments sealed) equals the
-//!   post-run batch scan;
+//!   and 8 threads, byte-identical to the materializing reference scan and
+//!   to the in-memory analysis of the run's reloaded JSONL export;
 //! * a mid-run checkpoint references the store by manifest, stays small,
 //!   and resumes into a run identical to an uninterrupted one.
 
@@ -14,8 +14,8 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use sandwich_core::{
-    run_measurement_with, scan_store_observed, AnalysisConfig, Checkpoint, CollectorConfig,
-    PipelineConfig, RunOptions, StoreOptions,
+    analyze, run_measurement_with, scan_store_observed, AnalysisConfig, Checkpoint,
+    CollectorConfig, Dataset, MeasurementRun, PipelineConfig, RunOptions, StoreOptions,
 };
 use sandwich_explorer::{ExplorerConfig, FaultPlanConfig};
 use sandwich_net::RetryPolicy;
@@ -56,24 +56,41 @@ fn store_dir(label: &str) -> PathBuf {
     dir
 }
 
+/// Every collected bundle id, sorted, each exactly as often as the walk
+/// yields it.
+fn collected_ids(run: &MeasurementRun) -> Vec<sandwich_jito::BundleId> {
+    let mut ids = Vec::new();
+    run.walk(|b, _| ids.push(b.bundle_id)).unwrap();
+    ids.sort_by_key(|id| id.0);
+    ids
+}
+
 #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
 async fn store_scan_matches_legacy_and_is_thread_invariant() {
     let scenario = scenario();
     let days = scenario.days;
     let cfg = AnalysisConfig::paper_defaults(days);
 
-    // Reference: the legacy in-memory run on the same seed.
-    let mut sim_legacy = Simulation::new(scenario.clone());
-    let legacy = run_measurement_with(
-        &mut sim_legacy,
-        pipeline(&scenario, None),
+    // Reference: the same seed with a seal threshold no run reaches, so
+    // nothing drains until the final flush — everything stays resident
+    // while polling.
+    let dir_late = store_dir("late");
+    let mut sim_late = Simulation::new(scenario.clone());
+    let unreachable = StoreOptions {
+        dir: dir_late.clone(),
+        segment_bundles: usize::MAX,
+    };
+    let late = run_measurement_with(
+        &mut sim_late,
+        pipeline(&scenario, Some(unreachable)),
         RunOptions::default(),
     )
     .await
     .unwrap();
-    let legacy_report = serde_json::to_string(&legacy.analyze(&cfg)).unwrap();
+    assert_eq!(late.store.as_ref().unwrap().segments().len(), 1);
+    let late_report = serde_json::to_string(&late.analyze(&cfg)).unwrap();
 
-    // Store mode with streaming, small segments so many seal mid-run.
+    // Small segments, so many seal mid-run.
     let dir = store_dir("matches");
     let mut sim_store = Simulation::new(scenario.clone());
     let run = run_measurement_with(
@@ -83,7 +100,6 @@ async fn store_scan_matches_legacy_and_is_thread_invariant() {
             Some(StoreOptions {
                 dir: dir.clone(),
                 segment_bundles: 100,
-                streaming: true,
             }),
         ),
         RunOptions::default(),
@@ -91,15 +107,19 @@ async fn store_scan_matches_legacy_and_is_thread_invariant() {
     .await
     .unwrap();
 
-    // Collection is unchanged by flushing: same totals as the legacy run.
-    assert_eq!(run.dataset.len(), legacy.dataset.len());
-    assert_eq!(run.dataset.detail_count(), legacy.dataset.detail_count());
-    assert_eq!(run.dataset.polls().len(), legacy.dataset.polls().len());
-    // ...but resident memory is drained: everything sealed to disk.
-    assert!(run.dataset.bundles().is_empty(), "final flush left residue");
+    // Collection is unchanged by flushing: same ids, same totals.
+    assert_eq!(collected_ids(&run), collected_ids(&late));
+    assert_eq!(run.dataset.len(), late.dataset.len());
+    assert_eq!(run.dataset.detail_count(), late.dataset.detail_count());
+    assert_eq!(run.dataset.polls().len(), late.dataset.polls().len());
+    // ...and nothing is left resident: everything sealed to disk.
+    assert!(
+        run.dataset.resident().is_empty(),
+        "final flush left residue"
+    );
     assert!(run.dataset.fully_spilled());
 
-    let store = run.store.as_ref().expect("store mode returns the store");
+    let store = run.store.as_ref().expect("every run returns its store");
     assert!(
         store.segments().len() >= 3,
         "expected several segments, got {}",
@@ -116,15 +136,23 @@ async fn store_scan_matches_legacy_and_is_thread_invariant() {
     );
     assert!(run.collector_stats.store_bytes_written > 0);
 
-    // The scan is byte-identical across thread counts and equal to legacy.
+    // The scan is byte-identical across thread counts, equal to the
+    // late-sealing run's, and equal to the independent in-memory reference:
+    // `analyze` over the run's JSONL export, reloaded.
     let base = serde_json::to_string(&run.try_analyze(&cfg, 1).unwrap()).unwrap();
     for threads in [2, 8] {
         let r = serde_json::to_string(&run.try_analyze(&cfg, threads).unwrap()).unwrap();
         assert_eq!(base, r, "report diverged at {threads} threads");
     }
+    assert_eq!(base, late_report, "report moved with the seal threshold");
+    let mut jsonl = Vec::new();
+    run.write_jsonl(&mut jsonl).unwrap();
+    let reloaded = Dataset::read_jsonl(BufReader::new(&jsonl[..])).unwrap();
+    assert_eq!(reloaded.resident().len(), run.dataset.len());
     assert_eq!(
-        base, legacy_report,
-        "store scan diverged from the legacy in-memory analysis"
+        base,
+        serde_json::to_string(&analyze(&reloaded, &run.clock, &cfg)).unwrap(),
+        "store scan diverged from the in-memory analysis of the JSONL export"
     );
 
     // The zero-copy columnar scan (the default path above) is byte-identical
@@ -138,11 +166,6 @@ async fn store_scan_matches_legacy_and_is_thread_invariant() {
         "zero-copy scan diverged from the materializing scan"
     );
 
-    // The streaming report (folded segment by segment as each sealed)
-    // equals the batch scan.
-    let streaming = run.streaming_report.as_ref().expect("streaming was on");
-    assert_eq!(serde_json::to_string(streaming).unwrap(), base);
-
     // Store/scan metrics reached the shared registry.
     let m = &run.metrics;
     assert_eq!(
@@ -152,10 +175,6 @@ async fn store_scan_matches_legacy_and_is_thread_invariant() {
     assert_eq!(
         m.counter(sandwich_obs::names::STORE_BYTES_WRITTEN),
         Some(run.collector_stats.store_bytes_written)
-    );
-    assert_eq!(
-        m.counter(sandwich_obs::names::SCAN_PARTIALS_EMITTED),
-        Some(store.segments().len() as u64)
     );
 
     // A standalone observed scan records the scan.* metrics too.
@@ -192,8 +211,6 @@ async fn store_scan_matches_legacy_and_is_thread_invariant() {
     // The v2 columnar section spends ~11% of segment size buying the
     // zero-copy fast path, so the bound is 2.5x rather than the 3.1x the
     // pure row encoding measured.
-    let mut jsonl = Vec::new();
-    legacy.dataset.write_jsonl(&mut jsonl).unwrap();
     let store_bytes = store.manifest().total_bytes();
     assert!(
         store_bytes * 5 <= jsonl.len() as u64 * 2,
@@ -202,6 +219,7 @@ async fn store_scan_matches_legacy_and_is_thread_invariant() {
     );
 
     std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&dir_late).unwrap();
 }
 
 #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
@@ -212,7 +230,6 @@ async fn store_checkpoint_resumes_from_manifest() {
     let options = |dir: &PathBuf| StoreOptions {
         dir: dir.clone(),
         segment_bundles: 100,
-        streaming: false,
     };
 
     // Reference: an uninterrupted store-mode run.
@@ -252,7 +269,7 @@ async fn store_checkpoint_resumes_from_manifest() {
         .map(|m| m.checksum.clone())
         .collect();
     let total_at_halt = halted.dataset.len();
-    let resident_at_halt = halted.dataset.bundles().len();
+    let resident_at_halt = halted.dataset.resident().len();
     assert!(
         resident_at_halt < total_at_halt,
         "nothing was drained out of memory before the halt"
@@ -263,9 +280,9 @@ async fn store_checkpoint_resumes_from_manifest() {
     let mut buf = Vec::new();
     halted.into_checkpoint().write(&mut buf).unwrap();
     let cp = Checkpoint::read(BufReader::new(&buf[..])).unwrap();
-    let cp_store = cp.store.as_ref().expect("checkpoint carries the store");
+    let cp_store = &cp.store;
     assert_eq!(cp_store.segments.len(), sealed_at_halt);
-    assert_eq!(cp.dataset.bundles().len(), resident_at_halt);
+    assert_eq!(cp.dataset.resident().len(), resident_at_halt);
     assert_eq!(cp.dataset.len(), total_at_halt, "drained ids still counted");
 
     // Segment files referenced by the checkpoint exist on disk, sealed.

@@ -179,10 +179,19 @@ fn assert_requests_equal_attempts(name: &str, run: &MeasurementRun) {
     assert_eq!(dialed + reused, attempts, "{name}: connections vs attempts");
 }
 
-fn dataset_bytes(run: &MeasurementRun) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    run.dataset.write_jsonl(&mut bytes).unwrap();
-    bytes
+/// What a run put on disk, to the byte: every sealed segment's file name,
+/// bundle count and checksum, and the poll ledger.
+fn sealed_bytes(run: &MeasurementRun) -> (Vec<(String, u64, String)>, Vec<u8>) {
+    let segments = run
+        .store
+        .as_ref()
+        .expect("every run seals a store")
+        .segments();
+    let sealed = segments
+        .iter()
+        .map(|m| (m.file.clone(), m.bundles, m.checksum.clone()))
+        .collect();
+    (sealed, serde_json::to_vec(run.dataset.polls()).unwrap())
 }
 
 #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
@@ -213,9 +222,10 @@ async fn deadline_free_profiles_repeat_exactly_connection_counts_included() {
             connection_counts(&second),
             "{name}: client.connections.* differ between same-seed runs"
         );
+        assert!(!sealed_bytes(&first).0.is_empty(), "{name}: sealed nothing");
         assert!(
-            dataset_bytes(&first) == dataset_bytes(&second),
-            "{name}: same-seed datasets differ"
+            sealed_bytes(&first) == sealed_bytes(&second),
+            "{name}: same-seed runs sealed different segments or poll ledgers"
         );
         if name == "clean" {
             // With nothing injected the whole run rides one connection.
