@@ -1,8 +1,8 @@
 //! `shardd` — the sharded analytics API daemon.
 //!
 //! Opens a sealed bundle store, partitions it across N shard engines per
-//! the persisted shard map (planning one on first run), and serves the
-//! same `/api/*` surface as `queryd` through a scatter-gather router.
+//! the shard map planned from its manifest, and serves the same `/api/*`
+//! surface as `queryd` through a scatter-gather router.
 //! Every shard gets its own listener; the router talks to them over HTTP,
 //! so a multi-node deployment is a config change, not a rewrite.
 //!
@@ -23,8 +23,9 @@
 //! The daemon watches the manifest (cheap stat, no JSON parse) every few
 //! seconds; when a seal or a rebalance lands it re-plans the shard map,
 //! installs the new slices on every shard, and moves the router forward
-//! atomically; a failed reload is retried on the next tick. The router's `/api/live` merges per-shard live pages so
-//! the streaming tail is byte-identical to a single-engine `queryd`.
+//! atomically; a failed reload is retried on the next tick. The router's
+//! `/api/live` merges per-shard live pages so the streaming tail is
+//! byte-identical to a single-engine `queryd`.
 
 use sandwich_obs::Registry;
 use sandwich_query::ladder::follow_seals;

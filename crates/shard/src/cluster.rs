@@ -3,9 +3,9 @@
 //! The shard boundary is a socket from day one — every shard gets its own
 //! listener and the router talks to them over HTTP exactly as it would
 //! across machines — so moving a shard to another host is a config
-//! change, not a rewrite. [`ServingCluster`] owns the whole stack:
-//! plan-or-load the [`crate::ShardMap`], build each shard's engine, bind
-//! the listeners, and put the scatter-gather router in front.
+//! change, not a rewrite. [`ServingCluster`] owns the whole stack: plan
+//! the [`crate::ShardMap`] from the manifest, build each shard's engine,
+//! bind the listeners, and put the scatter-gather router in front.
 
 use std::io;
 use std::net::SocketAddr;
@@ -25,7 +25,7 @@ use crate::shard::{index_file_under, ShardConfig, ShardService, SHARD_INDEX_PREF
 pub struct ClusterConfig {
     /// Directory of the sealed bundle store.
     pub store_dir: PathBuf,
-    /// Number of shards to partition the store across.
+    /// Number of shards to partition the store across (zero serves one).
     pub shards: usize,
     /// Index-build semantics, applied to every shard. `query.threads` is
     /// the *total* thread budget; it is split across shard builds.
@@ -83,22 +83,23 @@ fn gc_stale_shard_indexes(dir: &std::path::Path, map: &ShardMap) {
 }
 
 impl ServingCluster {
-    /// Open the store, load-or-plan the shard map, build every shard's
-    /// engine, and serve: N shard listeners plus the router.
+    /// Open the store, plan the shard map, build every shard's engine,
+    /// and serve: N shard listeners plus the router.
     pub async fn serve(config: ClusterConfig, registry: Registry) -> io::Result<ServingCluster> {
         let store = BundleStore::open(&config.store_dir)?;
-        let map = ShardMap::load_or_plan(store.dir(), store.manifest(), config.shards)?;
+        let map = ShardMap::plan(store.manifest(), config.shards);
         gc_stale_shard_indexes(store.dir(), &map);
         drop(store);
 
         // Split the thread budget across shard builds so an N-shard
         // cluster uses the same total parallelism as a single engine.
-        let per_shard_threads = (config.query.threads / config.shards).max(1);
+        let shards = map.shard_count();
+        let per_shard_threads = (config.query.threads / shards).max(1);
 
-        let mut services = Vec::with_capacity(config.shards);
-        let mut shard_servers = Vec::with_capacity(config.shards);
-        let mut shard_addrs = Vec::with_capacity(config.shards);
-        for shard in 0..config.shards {
+        let mut services = Vec::with_capacity(shards);
+        let mut shard_servers = Vec::with_capacity(shards);
+        let mut shard_addrs = Vec::with_capacity(shards);
+        for shard in 0..shards {
             let mut shard_config = ShardConfig::new(&config.store_dir, shard);
             shard_config.query = config.query.clone();
             shard_config.query.threads = per_shard_threads;
@@ -166,7 +167,7 @@ impl ServingCluster {
         if generation == self.router.generation() {
             return Ok(false);
         }
-        let map = ShardMap::load_or_plan(&self.config.store_dir, &manifest, self.config.shards)?;
+        let map = ShardMap::plan(&manifest, self.services.len());
         for service in &self.services {
             service.install(&map)?;
         }

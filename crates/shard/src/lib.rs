@@ -4,10 +4,10 @@
 //! partitions the sealed segments by slot range across N shard engines
 //! and serves them behind a scatter-gather router:
 //!
-//! - [`map`] — the [`ShardMap`]: a persisted, generation-keyed assignment
-//!   of every manifest segment (serving and quarantined) to exactly one
-//!   shard, planned deterministically by slot order and balanced by
-//!   bundle count.
+//! - [`map`] — the [`ShardMap`]: a generation-keyed assignment of every
+//!   manifest segment (serving and quarantined) to exactly one shard,
+//!   planned deterministically by slot order and balanced by bundle
+//!   count, on every open and reload — never persisted.
 //! - [`merge`] — the `/shard/*` wire format (the [`merge::ShardQuery`]
 //!   the router sends and the partials a shard answers) and the pure,
 //!   associative merge functions the router folds them with. Merged
@@ -18,8 +18,9 @@
 //!   the `sandwich_query::ladder` over the shard's slice of the manifest
 //!   and persisted per-shard.
 //! - [`router`] — [`RouterService`], the skeleton's scatter-gather
-//!   backend: fans `/api/*` out to the shards, checks generation
-//!   agreement, merges partials, re-paginates, and aggregates `/readyz`
+//!   backend: fans `/api/*` out to the shards, checks each answer's
+//!   `x-query-generation` against the pinned generation, merges
+//!   partials, re-paginates, and aggregates `/readyz`
 //!   (degraded-but-serving while at least one shard is ready).
 //! - [`cluster`] — single-process assembly: N shard listeners plus the
 //!   router over real sockets, so multi-node is a config change, not a
@@ -34,6 +35,6 @@ pub mod router;
 pub mod shard;
 
 pub use cluster::{ClusterConfig, ServingCluster};
-pub use map::{ShardMap, ShardMapReject, ShardSpec, SHARD_MAP_FILE, SHARD_MAP_MAGIC};
+pub use map::{ShardMap, ShardSpec};
 pub use router::{RouterConfig, RouterService};
 pub use shard::{shard_index_file, ShardConfig, ShardService, SHARD_INDEX_PREFIX};

@@ -8,97 +8,33 @@
 //! disjoint exhaustive partition of *all* manifest entries exists and the
 //! router's summed coverage equals the single-engine coverage exactly.
 //!
-//! The map persists next to the manifest as `shard-map.bin`, framed like
-//! the query index (`SWSMAP1\n` · JSON body · FNV-1a 64 checksum (LE) ·
-//! `SWSEND1\n`) and keyed to the manifest generation: any manifest change
-//! (a new seal, a quarantine, a rebalance) invalidates it, and the next
-//! open re-plans. Writes go through the store's durable-write primitive
-//! (temp file + fsync + atomic rename + directory fsync), so a crash
-//! mid-swap leaves the previous map or none — never a torn frame.
+//! The map is never persisted. It is a pure function of the manifest and
+//! the shard count, so every open and every reload plans it afresh; what
+//! persists is each shard's index, under a file name carrying the
+//! assignment's [`ShardMap::fingerprint`].
 
-use std::path::Path;
+use std::io;
 
-use serde::{Deserialize, Serialize};
-
-use sandwich_store::{crash, fnv1a64, Manifest, SegmentMeta};
-
-/// Shard-map file name inside a store directory (next to `manifest.json`).
-pub const SHARD_MAP_FILE: &str = "shard-map.bin";
-
-/// Leading magic of a persisted shard map (includes the format version).
-pub const SHARD_MAP_MAGIC: &[u8; 8] = b"SWSMAP1\n";
-
-/// Trailing magic of a persisted shard map.
-const SHARD_MAP_FOOTER_MAGIC: &[u8; 8] = b"SWSEND1\n";
+use sandwich_store::{fnv1a64, Manifest, SegmentMeta};
 
 /// One shard's slice of the manifest.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShardSpec {
-    /// Shard id (index into [`ShardMap::shards`]).
-    pub shard: u64,
-    /// Serving segment file names owned by this shard, manifest order.
+    /// Serving segment file names owned by this shard, slot order.
     pub segments: Vec<String>,
     /// Quarantined segment file names accounted to this shard.
     pub quarantined: Vec<String>,
-    /// Bundles inside the serving segments (planning weight).
-    pub bundles: u64,
     /// Lowest slot this shard serves (0 when empty).
     pub min_slot: u64,
-    /// Highest slot this shard serves (0 when empty).
-    pub max_slot: u64,
 }
 
 /// The complete assignment for one manifest generation.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardMap {
     /// The manifest generation this map partitions.
     pub generation: String,
     /// One spec per shard; every manifest entry appears in exactly one.
     pub shards: Vec<ShardSpec>,
-}
-
-/// Why a persisted shard map was not trusted.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ShardMapReject {
-    /// No persisted map exists yet.
-    Missing,
-    /// Bad leading or trailing magic, or too short to frame.
-    BadFrame,
-    /// Body checksum disagrees with the footer (corruption).
-    BadChecksum,
-    /// The body does not parse as a shard map.
-    BadBody,
-    /// The map describes a different manifest generation.
-    StaleGeneration {
-        /// Generation recorded in the file.
-        found: String,
-        /// Generation of the live manifest.
-        expected: String,
-    },
-    /// The map was planned for a different shard count.
-    ShardCountMismatch {
-        /// Shards in the file.
-        found: usize,
-        /// Shards requested now.
-        expected: usize,
-    },
-}
-
-impl std::fmt::Display for ShardMapReject {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ShardMapReject::Missing => write!(f, "no persisted shard map"),
-            ShardMapReject::BadFrame => write!(f, "bad shard-map framing"),
-            ShardMapReject::BadChecksum => write!(f, "shard-map checksum mismatch"),
-            ShardMapReject::BadBody => write!(f, "shard-map body does not parse"),
-            ShardMapReject::StaleGeneration { found, expected } => {
-                write!(f, "shard-map generation {found} != manifest {expected}")
-            }
-            ShardMapReject::ShardCountMismatch { found, expected } => {
-                write!(f, "shard map has {found} shards, {expected} requested")
-            }
-        }
-    }
 }
 
 /// Slot-order sort key shared by planning and quarantine assignment.
@@ -107,16 +43,11 @@ fn slot_key(meta: &SegmentMeta) -> (u64, u64, String) {
 }
 
 impl ShardMap {
-    /// Plan a fresh map for `manifest` across `shards` shards.
+    /// Plan the map for `manifest` across `shards` shards (at least one).
     /// Deterministic: depends only on the manifest contents.
     pub fn plan(manifest: &Manifest, shards: usize) -> ShardMap {
         let n = shards.max(1);
-        let mut specs: Vec<ShardSpec> = (0..n)
-            .map(|i| ShardSpec {
-                shard: i as u64,
-                ..ShardSpec::default()
-            })
-            .collect();
+        let mut specs = vec![ShardSpec::default(); n];
 
         let mut serving: Vec<&SegmentMeta> = manifest.segments.iter().collect();
         serving.sort_by_key(|m| slot_key(m));
@@ -135,15 +66,11 @@ impl ShardMap {
                 }
             }
             let spec = &mut specs[shard];
+            // Slot order: a shard's first segment starts its range.
             if spec.segments.is_empty() {
                 spec.min_slot = meta.min_slot;
-                spec.max_slot = meta.max_slot;
-            } else {
-                spec.min_slot = spec.min_slot.min(meta.min_slot);
-                spec.max_slot = spec.max_slot.max(meta.max_slot);
             }
             spec.segments.push(meta.file.clone());
-            spec.bundles += meta.bundles;
             cum += meta.bundles;
         }
 
@@ -188,13 +115,20 @@ impl ShardMap {
     }
 
     /// Resolve one shard's file names back to indices into
-    /// `manifest.segments` / `manifest.quarantined()`. Fails when the map
-    /// references a file the manifest no longer lists (stale map).
+    /// `manifest.segments` / `manifest.quarantined()`. Fails with
+    /// `InvalidData` when the map names a file the manifest does not list
+    /// (a map planned for another manifest).
     pub fn resolve(
         &self,
         manifest: &Manifest,
         shard: usize,
-    ) -> Result<(Vec<usize>, Vec<usize>), ShardMapReject> {
+    ) -> io::Result<(Vec<usize>, Vec<usize>)> {
+        let missing = |file: &str| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("stale shard map: {file} is not in the manifest"),
+            )
+        };
         let spec = &self.shards[shard];
         let mut serving = Vec::with_capacity(spec.segments.len());
         for file in &spec.segments {
@@ -202,7 +136,7 @@ impl ShardMap {
                 .segments
                 .iter()
                 .position(|m| &m.file == file)
-                .ok_or(ShardMapReject::BadBody)?;
+                .ok_or_else(|| missing(file))?;
             serving.push(i);
         }
         // Serve in manifest order so per-shard scans fold partials in the
@@ -214,88 +148,11 @@ impl ShardMap {
                 .quarantined()
                 .iter()
                 .position(|q| &q.meta.file == file)
-                .ok_or(ShardMapReject::BadBody)?;
+                .ok_or_else(|| missing(file))?;
             quarantined.push(i);
         }
         quarantined.sort_unstable();
         Ok((serving, quarantined))
-    }
-
-    /// Persist this map durably next to the manifest (atomic swap: the
-    /// previous map stays intact until the rename).
-    pub fn save(&self, dir: &Path) -> std::io::Result<()> {
-        let body = serde_json::to_vec(self)?;
-        let mut image = Vec::with_capacity(body.len() + 24);
-        image.extend_from_slice(SHARD_MAP_MAGIC);
-        image.extend_from_slice(&body);
-        image.extend_from_slice(&fnv1a64(&body).to_le_bytes());
-        image.extend_from_slice(SHARD_MAP_FOOTER_MAGIC);
-        crash::write_durable_with(&dir.join(SHARD_MAP_FILE), &image, &[], None)
-    }
-
-    /// Load the persisted map, trusting it only when the framing, the
-    /// checksum, the manifest generation, and the shard count all verify.
-    pub fn load(
-        dir: &Path,
-        expected_generation: &str,
-        expected_shards: usize,
-    ) -> Result<ShardMap, ShardMapReject> {
-        let image = match std::fs::read(dir.join(SHARD_MAP_FILE)) {
-            Ok(image) => image,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(ShardMapReject::Missing)
-            }
-            Err(_) => return Err(ShardMapReject::BadFrame),
-        };
-        let frame = SHARD_MAP_MAGIC.len() + 8 + SHARD_MAP_FOOTER_MAGIC.len();
-        if image.len() < frame
-            || &image[..SHARD_MAP_MAGIC.len()] != SHARD_MAP_MAGIC
-            || &image[image.len() - SHARD_MAP_FOOTER_MAGIC.len()..] != SHARD_MAP_FOOTER_MAGIC
-        {
-            return Err(ShardMapReject::BadFrame);
-        }
-        let body = &image[SHARD_MAP_MAGIC.len()..image.len() - 8 - SHARD_MAP_FOOTER_MAGIC.len()];
-        let checksum = u64::from_le_bytes(
-            image[image.len() - 8 - SHARD_MAP_FOOTER_MAGIC.len()
-                ..image.len() - SHARD_MAP_FOOTER_MAGIC.len()]
-                .try_into()
-                .expect("8-byte checksum slice"),
-        );
-        if fnv1a64(body) != checksum {
-            return Err(ShardMapReject::BadChecksum);
-        }
-        let map: ShardMap = serde_json::from_slice(body).map_err(|_| ShardMapReject::BadBody)?;
-        if map.generation != expected_generation {
-            return Err(ShardMapReject::StaleGeneration {
-                found: map.generation,
-                expected: expected_generation.to_string(),
-            });
-        }
-        if map.shard_count() != expected_shards {
-            return Err(ShardMapReject::ShardCountMismatch {
-                found: map.shard_count(),
-                expected: expected_shards,
-            });
-        }
-        Ok(map)
-    }
-
-    /// Load a valid persisted map or plan, persist, and return a fresh
-    /// one. The common open path for shard clusters.
-    pub fn load_or_plan(
-        dir: &Path,
-        manifest: &Manifest,
-        shards: usize,
-    ) -> std::io::Result<ShardMap> {
-        let generation = sandwich_query::generation_of(manifest);
-        match ShardMap::load(dir, &generation, shards) {
-            Ok(map) => Ok(map),
-            Err(_) => {
-                let map = ShardMap::plan(manifest, shards);
-                map.save(dir)?;
-                Ok(map)
-            }
-        }
     }
 }
 
@@ -350,40 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn persisted_map_roundtrips_and_rejects() {
-        let store = seed_store("persist", 4, 5);
-        let dir = store.dir().to_path_buf();
-        let map = ShardMap::plan(store.manifest(), 2);
-        map.save(&dir).unwrap();
-
-        let back = ShardMap::load(&dir, &map.generation, 2).unwrap();
-        assert_eq!(back, map);
-
-        assert!(matches!(
-            ShardMap::load(&dir, &map.generation, 4),
-            Err(ShardMapReject::ShardCountMismatch {
-                found: 2,
-                expected: 4
-            })
-        ));
-        assert!(matches!(
-            ShardMap::load(&dir, "0000000000000000", 2),
-            Err(ShardMapReject::StaleGeneration { .. })
-        ));
-
-        let path = dir.join(SHARD_MAP_FILE);
-        let mut image = std::fs::read(&path).unwrap();
-        let mid = image.len() / 2;
-        image[mid] ^= 0x08;
-        std::fs::write(&path, &image).unwrap();
-        assert_eq!(
-            ShardMap::load(&dir, &map.generation, 2).unwrap_err(),
-            ShardMapReject::BadChecksum
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn resolve_maps_names_back_to_manifest_indices() {
         let store = seed_store("resolve", 6, 4);
         let map = ShardMap::plan(store.manifest(), 3);
@@ -395,6 +218,12 @@ mod tests {
         }
         all.sort_unstable();
         assert_eq!(all, (0..6).collect::<Vec<_>>());
+
+        let mut stale = map.clone();
+        stale.shards[1].segments.push("gone.seg".to_string());
+        let error = stale.resolve(store.manifest(), 1).unwrap_err();
+        assert_eq!(error.kind(), std::io::ErrorKind::InvalidData);
+        assert!(error.to_string().contains("gone.seg"), "{error}");
         std::fs::remove_dir_all(store.dir()).unwrap();
     }
 

@@ -5,7 +5,9 @@
 //! merge. The merged values feed `sandwich_query::render`, the same
 //! rendering code the single-engine path uses — so byte-identity across
 //! shard counts reduces to the merge functions reproducing the
-//! single-index aggregates, which the property tests pin.
+//! single-index aggregates, which the property tests pin. A partial body
+//! is data only; the generation it was computed at travels in the
+//! `x-query-generation` header.
 //!
 //! Merge semantics per endpoint:
 //!
@@ -184,8 +186,6 @@ impl ShardQuery {
 /// Shard partial for `GET /api/summary`.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SummaryPartial {
-    /// Store generation this shard answered for.
-    pub generation: String,
     /// This shard's exact coverage block (its slice of the manifest).
     pub coverage: IndexCoverage,
     /// This shard's totals.
@@ -201,8 +201,6 @@ pub struct SummaryPartial {
 /// Shard partial for `GET /api/days`.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DaysPartial {
-    /// Store generation this shard answered for.
-    pub generation: String,
     /// Per-day rollups, dense from day 0.
     pub days: Vec<DayRollup>,
 }
@@ -212,8 +210,6 @@ pub struct DaysPartial {
 /// needs them and they dominate the wire size).
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AttackersPartial {
-    /// Store generation this shard answered for.
-    pub generation: String,
     /// This shard's attacker entries (any order; the router re-sorts).
     pub entries: Vec<AttackerEntry>,
 }
@@ -221,8 +217,6 @@ pub struct AttackersPartial {
 /// Shard partial for `GET /api/attacker/{pubkey}`.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AttackerDetailPartial {
-    /// Store generation this shard answered for.
-    pub generation: String,
     /// Every attacker entry (rank needs the whole leaderboard).
     pub entries: Vec<AttackerEntry>,
     /// The target attacker's newest refs, **oldest first**, capped.
@@ -232,8 +226,6 @@ pub struct AttackerDetailPartial {
 /// Shard partial for `GET /api/pool/{mint}`.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PoolDetailPartial {
-    /// Store generation this shard answered for.
-    pub generation: String,
     /// Every pool entry (rank needs the whole leaderboard).
     pub pools: Vec<PoolEntry>,
     /// Distinct attackers in the target pool on this shard.
@@ -248,8 +240,6 @@ pub struct PoolDetailPartial {
 /// union, not by sum.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ValidatorsPartial {
-    /// Store generation this shard answered for.
-    pub generation: String,
     /// This shard's validator entries (any order; the router re-sorts).
     pub entries: Vec<ValidatorEntry>,
 }
@@ -257,8 +247,6 @@ pub struct ValidatorsPartial {
 /// Shard partial for `GET /api/validator/{pubkey}`.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ValidatorDetailPartial {
-    /// Store generation this shard answered for.
-    pub generation: String,
     /// Every validator entry (rank needs the whole leaderboard).
     pub entries: Vec<ValidatorEntry>,
     /// The target validator's newest refs, **oldest first**, capped.
@@ -268,8 +256,6 @@ pub struct ValidatorDetailPartial {
 /// Shard partial for `GET /api/sandwiches`.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RangePartial {
-    /// Store generation this shard answered for.
-    pub generation: String,
     /// In-range sandwiches on this shard (the full count, not `refs.len()`).
     pub total: u64,
     /// The first `min(total, need)` in-range refs, slot order.
@@ -279,8 +265,6 @@ pub struct RangePartial {
 /// Shard partial for `GET /api/live`.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LivePartial {
-    /// Store generation this shard answered for.
-    pub generation: String,
     /// This shard's newest indexed slot (its contribution to the tip).
     pub tip_slot: u64,
     /// Sandwiches strictly after the cursor on this shard (full count).
@@ -651,8 +635,11 @@ mod tests {
                     .await
                     .unwrap();
                 assert_eq!(leg.status, 200);
+                assert_eq!(
+                    leg.header_value("x-query-generation"),
+                    Some(map.generation.as_str())
+                );
                 let partial: RangePartial = serde_json::from_slice(&leg.body).unwrap();
-                assert_eq!(partial.generation, map.generation);
                 assert_eq!(partial.total, 0, "plain bundles, no sandwiches");
 
                 let bad = client.get("/shard/sandwiches?need=banana").await.unwrap();

@@ -10,9 +10,11 @@
 //! single-engine path uses. That shared tail is what makes responses
 //! byte-identical at every shard count.
 //!
-//! Consistency: the router pins a generation per request and rejects any
-//! partial answered at a different one with a `503` (a reload is in
-//! flight; the client retries), which the skeleton never leaves cached.
+//! Consistency: the router pins a generation per request and reads each
+//! shard's from the `x-query-generation` header the shard's skeleton
+//! writes — partial bodies carry none. A leg whose header is missing or
+//! names another generation fails the fan-out with a `503` (a reload is
+//! in flight; the client retries), which the skeleton never leaves cached.
 //! `/readyz` aggregates shard readiness and reports degraded-but-serving
 //! while at least one shard is ready.
 
@@ -55,34 +57,6 @@ impl Default for RouterConfig {
         RouterConfig { max_in_flight: 256 }
     }
 }
-
-/// A shard partial that carries the generation it answered for.
-trait Partial: DeserializeOwned + Send + 'static {
-    /// The generation the shard answered at.
-    fn generation(&self) -> &str;
-}
-
-macro_rules! impl_partial {
-    ($($ty:ty),+) => {
-        $(impl Partial for $ty {
-            fn generation(&self) -> &str {
-                &self.generation
-            }
-        })+
-    };
-}
-
-impl_partial!(
-    SummaryPartial,
-    DaysPartial,
-    AttackersPartial,
-    AttackerDetailPartial,
-    PoolDetailPartial,
-    RangePartial,
-    LivePartial,
-    ValidatorsPartial,
-    ValidatorDetailPartial
-);
 
 /// The scatter-gather backend: answers are merged shard partials.
 struct ScatterGather {
@@ -134,11 +108,12 @@ impl RouterService {
 }
 
 impl ScatterGather {
-    /// Fan one partial request out to every shard; all must answer 200 at
-    /// `expected` generation or the whole fan-out fails with the 503 the
+    /// Fan one partial request out to every shard; all must answer 200
+    /// with an `x-query-generation` header naming `expected` — only then is
+    /// the body decoded — or the whole fan-out fails with the 503 the
     /// client should retry on. Latency, width, and straggler metrics are
     /// recorded either way.
-    async fn fetch<T: Partial>(
+    async fn fetch<T: DeserializeOwned + Send + 'static>(
         &self,
         query: &ShardQuery,
         expected: &str,
@@ -179,18 +154,23 @@ impl ScatterGather {
                 Ok(response) if response.status != 200 => {
                     failure = Some(format!("shard {shard} answered {}", response.status));
                 }
-                Ok(response) => match serde_json::from_slice::<T>(&response.body) {
-                    Err(error) => {
-                        failure =
-                            Some(format!("shard {shard} sent an unreadable partial: {error}"));
+                Ok(response) => match response.header_value("x-query-generation") {
+                    Some(generation) if generation == expected => {
+                        match serde_json::from_slice::<T>(&response.body) {
+                            Ok(partial) => partials[shard] = Some(partial),
+                            Err(error) => {
+                                failure = Some(format!(
+                                    "shard {shard} sent an unreadable partial: {error}"
+                                ));
+                            }
+                        }
                     }
-                    Ok(partial) if partial.generation() != expected => {
+                    generation => {
                         failure = Some(format!(
                             "shard {shard} is at generation {}, router expects {expected}",
-                            partial.generation()
+                            generation.unwrap_or("(none)")
                         ));
                     }
-                    Ok(partial) => partials[shard] = Some(partial),
                 },
             }
         }

@@ -1,14 +1,16 @@
 //! [`ShardService`] — the shard-partial [`Backend`]: one shard's engine
 //! behind the `sandwich_query::serve` skeleton, answering `/shard/*`.
 //!
-//! A shard owns a slice of the manifest (per the [`crate::ShardMap`]),
-//! brings its index over exactly that slice up the same load → fold →
-//! rebuild ladder `queryd` uses (`sandwich_query::ladder`), persists it
-//! under a shard-and-fingerprint-qualified file name
+//! A shard owns a slice of the manifest (per the [`crate::ShardMap`]
+//! planned for it), brings its index over exactly that slice up the same
+//! load → fold → rebuild ladder `queryd` uses (`sandwich_query::ladder`),
+//! persists it under a shard-and-fingerprint-qualified file name
 //! (`query-index.shard-{i}of{n}-{fp}.bin`, same `SWQIX01` frame), and
-//! serves merge-ready partials from its own response cache. Coverage is
-//! exact per shard: a shard whose slice contains quarantined or
-//! unreadable segments reports them in its own coverage block, and the
+//! serves merge-ready partials from its own response cache. A partial's
+//! body carries no generation: the skeleton's `x-query-generation` header
+//! names the one it was computed at, and that is what the router checks.
+//! Coverage is exact per shard: a shard whose slice contains quarantined
+//! or unreadable segments reports them in its own coverage block, and the
 //! router's sum reproduces the whole-store block.
 
 use std::path::PathBuf;
@@ -106,12 +108,7 @@ fn bring_up_slice(
             ),
         ));
     }
-    let (serving, quarantined) = map.resolve(store.manifest(), config.shard).map_err(|e| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("stale shard map: {e}"),
-        )
-    })?;
+    let (serving, quarantined) = map.resolve(store.manifest(), config.shard)?;
     let scope = IndexScope {
         serving,
         quarantined,
@@ -207,21 +204,17 @@ impl Backend for ShardPartials {
     }
 
     async fn evaluate(&self, engine: &Arc<Engine>, query: &ShardQuery) -> CachedResponse {
-        let generation = engine.generation().to_string();
         match query {
             ShardQuery::Summary => summary_partial(engine),
             ShardQuery::Days => partial(&DaysPartial {
-                generation,
                 days: engine.index().days.clone(),
             }),
             ShardQuery::Attackers => partial(&AttackersPartial {
-                generation,
                 entries: wire_attackers(engine),
             }),
             ShardQuery::Attacker(pubkey) => attacker_detail_partial(engine, pubkey),
             ShardQuery::Pool(mint) => pool_detail_partial(engine, mint),
             ShardQuery::Validators => partial(&ValidatorsPartial {
-                generation,
                 entries: wire_validators(engine),
             }),
             ShardQuery::Validator(pubkey) => validator_detail_partial(engine, pubkey),
@@ -257,7 +250,6 @@ fn partial<T: serde::Serialize>(value: &T) -> CachedResponse {
 fn summary_partial(engine: &Engine) -> CachedResponse {
     let index = engine.index();
     partial(&SummaryPartial {
-        generation: index.generation.clone(),
         coverage: index.coverage.clone(),
         totals: index.totals.clone(),
         days: index.days.len() as u64,
@@ -310,7 +302,6 @@ fn validator_detail_partial(engine: &Engine, pubkey: &Pubkey) -> CachedResponse 
         .map(|(_, entry)| engine.ref_tail(&entry.refs, DETAIL_REF_CAP))
         .unwrap_or_default();
     partial(&ValidatorDetailPartial {
-        generation: engine.generation().to_string(),
         entries: wire_validators(engine),
         recent,
     })
@@ -322,7 +313,6 @@ fn attacker_detail_partial(engine: &Engine, pubkey: &Pubkey) -> CachedResponse {
         .map(|(_, entry)| engine.ref_tail(&entry.refs, DETAIL_REF_CAP))
         .unwrap_or_default();
     partial(&AttackerDetailPartial {
-        generation: engine.generation().to_string(),
         entries: wire_attackers(engine),
         recent,
     })
@@ -341,7 +331,6 @@ fn pool_detail_partial(engine: &Engine, mint: &Pubkey) -> CachedResponse {
         }
     };
     partial(&PoolDetailPartial {
-        generation: engine.generation().to_string(),
         pools: wire_pools(engine),
         attackers,
         recent,
@@ -357,7 +346,6 @@ fn range_partial(engine: &Engine, from_slot: u64, to_slot: u64, need: usize) -> 
     };
     let in_range = &refs[start..end];
     partial(&RangePartial {
-        generation: engine.generation().to_string(),
         total: in_range.len() as u64,
         refs: in_range.iter().take(need).cloned().collect(),
     })
@@ -369,7 +357,6 @@ fn live_partial(engine: &Engine, after_slot: u64, after_id: &Hash, need: usize) 
     let start = first_ref_after_cursor(refs, after_slot, after_id);
     let after = &refs[start..];
     partial(&LivePartial {
-        generation: engine.generation().to_string(),
         tip_slot: index.totals.max_slot,
         total_after: after.len() as u64,
         refs: after.iter().take(need).cloned().collect(),

@@ -10,6 +10,7 @@ cd "$(dirname "$0")/.."
 echo "==> bash -n scripts/*.sh"
 bash -n scripts/bench_pairs.sh
 bash -n scripts/regen_results.sh
+sh -n scripts/loc.sh
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
@@ -47,7 +48,8 @@ cargo build --offline --release --workspace
 #   merge-layer properties, the /shard/* wire round trip, router responses
 #   byte-identical to the single engine at 1/2/4/8 shards (pagination,
 #   coverage, validators, 404s), degraded shards, rebalance under a live
-#   router, pinned probe bodies of all three services.
+#   router, pinned probe bodies of all three services, a shard at another
+#   generation fails the fan-out closed.
 # - conformance: detector and attribution scored exactly 1.0 against the
 #   sim's labels, every criterion load-bearing, every fuzzer family
 #   rejected, the scorecard deterministic per seed.

@@ -339,7 +339,6 @@ proptest! {
         let partials: Vec<RangePartial> = parts
             .into_iter()
             .map(|refs| RangePartial {
-                generation: "g".to_string(),
                 total: refs.len() as u64,
                 refs: refs.into_iter().take(need).collect(),
             })

@@ -283,7 +283,7 @@ async fn router_legs_ride_a_bounded_pool_and_still_fail_closed() {
     const SHARDS: usize = 2;
     let dir = seed_scale_store("router");
     let store = BundleStore::open(&dir).unwrap();
-    let map = ShardMap::load_or_plan(store.dir(), store.manifest(), SHARDS).unwrap();
+    let map = ShardMap::plan(store.manifest(), SHARDS);
     drop(store);
     let registry = Registry::new();
 
