@@ -2,12 +2,12 @@
 //!
 //! [`visit_segment`] is the only code that turns a sealed segment into
 //! detector calls. It reads each bundle's facts from the columnar section
-//! when there is one (decoding records only for candidates the pre-filters
-//! cannot reject) and from a full decode otherwise, and hands them to a
-//! [`Sink`]: the report's [`ScanPartial`], or the query index's part with
-//! its leader join. [`scan_segments`] is the only `parallel_map` over
-//! segments; every store-wide scan and index build reduces its per-segment
-//! results in segment order.
+//! (decoding records only for candidates the pre-filters cannot reject),
+//! or from a full decode when an extended scan needs every record, and
+//! hands them to a [`Sink`]: the report's [`ScanPartial`], or the query
+//! index's part with its leader join. [`scan_segments`] is the only
+//! `parallel_map` over segments; every store-wide scan and index build
+//! reduces its per-segment results in segment order.
 //!
 //! Every accumulator in [`ScanPartial`] is either an integer (lamport
 //! sums, counts) or an order-insensitive sample bag (CDF inputs, which
@@ -184,9 +184,9 @@ fn visit_bundle(bundle: &CollectedBundle, details: &DetailMap, walk: &Walk, sink
     sink(&facts, finding.map(|f| (bundle.bundle_id, f)));
 }
 
-/// Walk a segment by decoding every record: the route for v1 segments and
-/// extended scans, and the slow reference the columnar route is tested
-/// byte-for-byte against.
+/// Walk a segment by decoding every record: the route for extended scans,
+/// and the slow reference the columnar route is tested byte-for-byte
+/// against (`scan_store_materializing`, `build_index_materializing`).
 pub fn visit_decoded(
     view: &SegmentView,
     walk: &Walk,
@@ -263,21 +263,20 @@ std::thread_local! {
     static SCAN_SCRATCH: std::cell::RefCell<Columns> = std::cell::RefCell::new(Columns::default());
 }
 
-/// Walk one sealed segment into `sink`: the columnar route when it can be
-/// exact, a full decode otherwise (no columns, or an extended scan). On
-/// error the sink holds a partial walk and must be discarded.
+/// Walk one sealed segment into `sink`: the columnar route, or a full
+/// decode for an extended scan. On error the sink holds a partial walk and
+/// must be discarded.
 pub fn visit_segment(
     view: &SegmentView,
     walk: &Walk,
     sink: &mut Sink,
 ) -> io::Result<Vec<PollRecord>> {
-    if view.has_columns() && !walk.extended {
-        SCAN_SCRATCH
-            .with(|scratch| visit_columns(view, &mut scratch.borrow_mut(), walk, sink))
-            .map_err(corrupt)
-    } else {
-        visit_decoded(view, walk, sink)
+    if walk.extended {
+        return visit_decoded(view, walk, sink);
     }
+    SCAN_SCRATCH
+        .with(|scratch| visit_columns(view, &mut scratch.borrow_mut(), walk, sink))
+        .map_err(corrupt)
 }
 
 /// The one parallel pass over sealed segments: open a checksum-verified
@@ -624,7 +623,7 @@ pub fn scan_store_degraded(
 }
 
 /// Full parallel analysis that decodes every record of every segment
-/// ([`visit_decoded`] regardless of columns) — the reference the columnar
+/// ([`visit_decoded`] for every walk) — the reference the columnar
 /// route is benchmarked (and byte-equality-tested) against.
 pub fn scan_store_materializing(
     store: &BundleStore,

@@ -1,4 +1,4 @@
-//! The columnar fast-path section of a v2 segment.
+//! The columnar fast-path section of a segment.
 //!
 //! Sealed between the body and the footer, the section repeats a handful
 //! of per-record facts in struct-of-arrays form so a scan can classify

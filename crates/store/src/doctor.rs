@@ -9,9 +9,8 @@
 //!   body is intact (its FNV-1a checksum still equals the one the
 //!   manifest recorded at seal time), so the segment is re-encoded from
 //!   the decoded body and rewritten byte-identically. This covers torn
-//!   tails, a corrupted columnar section (the v2 fast path degrades to a
-//!   v1-style body decode), bit rot in the footer, and even a damaged
-//!   leading magic;
+//!   tails, a corrupted columnar section (rebuilt from the decoded body),
+//!   bit rot in the footer, and even a damaged leading magic;
 //! * **quarantined** — anything touching the body itself. The segment
 //!   moves from `segments` to the manifest's quarantine list with a
 //!   reason code; scans and index builds skip it but account for it
@@ -34,8 +33,8 @@ use crate::codec::decode_body;
 use crate::crash::remove_stale_tmp_files;
 use crate::manifest::{Manifest, QuarantinedSegment, SegmentMeta, MANIFEST_FILE};
 use crate::segment::{
-    decode_segment, encode_segment, encode_segment_v1, fnv1a64, write_segment_file, SegmentFooter,
-    FOOTER_LEN, FOOTER_MAGIC, FOOTER_MAGIC_V1, SEGMENT_MAGIC, SEGMENT_MAGIC_V1,
+    decode_segment, encode_segment, fnv1a64, write_segment_file, SegmentFooter, FOOTER_LEN,
+    FOOTER_MAGIC, SEGMENT_MAGIC,
 };
 
 /// What the doctor found (and, in repair mode, did) for one segment.
@@ -51,8 +50,7 @@ pub enum SegmentHealth {
         bytes_reclaimed: u64,
     },
     /// Body intact, columnar fast-path section damaged: columns rebuilt
-    /// from the decoded body (the v2 section degrades to a v1-style
-    /// decode during recovery).
+    /// from the decoded body.
     RepairedColumns,
     /// Not provably recoverable: moved to the quarantine list.
     Quarantined {
@@ -367,21 +365,13 @@ fn check_against_meta(image: &[u8], meta: &SegmentMeta) -> Verdict {
             reason: "manifest_mismatch",
         };
     };
-    // Version from the leading magic, or — when the magic itself is
-    // damaged — from the trailing footer magic.
-    let version = if image.len() >= 8 && &image[..8] == SEGMENT_MAGIC {
-        2
-    } else if image.len() >= 8 && &image[..8] == SEGMENT_MAGIC_V1 {
-        1
-    } else if image.ends_with(FOOTER_MAGIC) {
-        2
-    } else if image.ends_with(FOOTER_MAGIC_V1) {
-        1
-    } else {
+    // The current version's leading magic, or — when that is damaged —
+    // its trailing footer magic. Anything else is not a segment.
+    if !image.starts_with(SEGMENT_MAGIC) && !image.ends_with(FOOTER_MAGIC) {
         return Verdict::Quarantine {
             reason: "bad_magic",
         };
-    };
+    }
     let kind = if columnar_only_damage(image) {
         RepairKind::Columns
     } else {
@@ -405,11 +395,7 @@ fn check_against_meta(image: &[u8], meta: &SegmentMeta) -> Verdict {
                 reason: "count_mismatch",
             };
         }
-        let (new_image, footer) = if version == 1 {
-            encode_segment_v1(&data)
-        } else {
-            encode_segment(&data)
-        };
+        let (new_image, footer) = encode_segment(&data);
         // The re-encode must reproduce the sealed file exactly —
         // same checksum, same size — or the repair proves nothing.
         if format!("{:016x}", footer.checksum) != meta.checksum
@@ -475,7 +461,7 @@ fn columnar_only_damage(image: &[u8]) -> bool {
 fn recover_by_footer(image: &[u8]) -> Option<(usize, SegmentFooter)> {
     for end in (8..=image.len()).rev() {
         let prefix = &image[..end];
-        if !(prefix.ends_with(FOOTER_MAGIC) || prefix.ends_with(FOOTER_MAGIC_V1)) {
+        if !prefix.ends_with(FOOTER_MAGIC) {
             continue;
         }
         if let Ok((_, footer)) = decode_segment(prefix) {
@@ -533,7 +519,7 @@ mod tests {
         let sealed = std::fs::read(&path).unwrap();
         // Flip a byte inside the columnar section (body is intact).
         let parsed = crate::segment::parse_segment(&sealed).unwrap();
-        let col_mid = parsed.columns.clone().unwrap().start + 3;
+        let col_mid = parsed.columns.start + 3;
         flip_byte(&path, col_mid as u64).unwrap();
 
         let report = repair(&dir).unwrap();
@@ -578,6 +564,18 @@ mod tests {
         // A footer with one flipped bit (rot, not a lost write) is repaired
         // the same way: the body re-encodes to the manifest's checksum.
         flip_byte(&path, sealed.len() as u64 - 20).unwrap();
+        let report = repair(&dir).unwrap();
+        assert_eq!((report.repaired, report.quarantined), (1, 0));
+        assert_eq!(std::fs::read(&path).unwrap(), sealed);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn damaged_leading_magic_beside_an_intact_footer_is_repaired() {
+        let dir = store_with_two_segments("magic");
+        let path = dir.join("seg-00000.seg");
+        let sealed = std::fs::read(&path).unwrap();
+        flip_byte(&path, 0).unwrap();
         let report = repair(&dir).unwrap();
         assert_eq!((report.repaired, report.quarantined), (1, 0));
         assert_eq!(std::fs::read(&path).unwrap(), sealed);

@@ -57,6 +57,6 @@ pub use rebalance::{rebalance, RebalanceConfig, RebalanceReport};
 pub use records::{CollectedBundle, CollectedDetail, PollRecord};
 pub use sandwich_attrib::ValidatorSpec;
 pub use scan::{parallel_map, WorkerStats};
-pub use segment::{fnv1a64, SegmentFooter, FORMAT_VERSION, SEGMENT_MAGIC, SEGMENT_MAGIC_V1};
+pub use segment::{fnv1a64, SegmentFooter, FORMAT_VERSION, SEGMENT_MAGIC};
 pub use store::{BundleStore, StoreWriter};
 pub use view::{SegmentView, ViewBundle};

@@ -10,24 +10,16 @@
 //! under its final name: a segment either exists and verifies, or it
 //! does not exist.
 //!
-//! Two format versions are readable (see `docs/FORMAT.md` for the
-//! normative spec):
-//!
-//! * **v1** (`SWSEG01` / `SWEND01`): magic, body, 52-byte footer.
-//! * **v2** (`SWSEG02` / `SWEND02`): adds the columnar fast-path section
-//!   ([`crate::column`]) between body and footer, and extends the footer
-//!   with the section's length and its own FNV checksum (68 bytes). The
-//!   body encoding is byte-identical to v1.
-//!
-//! New segments are always written as v2; v1 segments decode and scan
-//! exactly as before (they simply have no fast path).
+//! One format exists (`SWSEG02` / `SWEND02`, see `docs/FORMAT.md` for the
+//! normative spec): magic, body, the columnar fast-path section
+//! ([`crate::column`]), and a 68-byte footer carrying the section's length
+//! and its own FNV checksum. A file whose magics name any other version is
+//! not a segment; `store doctor` quarantines it as `bad_magic`.
 
 use std::ops::Range;
 use std::path::Path;
 
-use crate::codec::{
-    decode_body, encode_body, encode_body_with_layout, CorruptSegment, SegmentData,
-};
+use crate::codec::{decode_body, encode_body_with_layout, CorruptSegment, SegmentData};
 use crate::column::build_columns;
 use crate::crash::{write_durable_with, CrashPlan};
 
@@ -38,15 +30,10 @@ pub const FORMAT_VERSION: u8 = 2;
 pub const SEGMENT_MAGIC: &[u8; 8] = b"SWSEG02\n";
 /// Trailing file magic of the current version.
 pub(crate) const FOOTER_MAGIC: &[u8; 8] = b"SWEND02\n";
-/// Leading file magic of the pre-columnar format.
-pub const SEGMENT_MAGIC_V1: &[u8; 8] = b"SWSEG01\n";
-/// Trailing file magic of the pre-columnar format.
-pub(crate) const FOOTER_MAGIC_V1: &[u8; 8] = b"SWEND01\n";
 
-/// v1 footer: checksum + min/max slot + 3 counts + body len + magic.
-pub(crate) const FOOTER_LEN_V1: usize = 8 + 8 + 8 + 4 + 4 + 4 + 8 + 8;
-/// v2 footer: v1 fields + columnar length + columnar checksum.
-pub(crate) const FOOTER_LEN: usize = FOOTER_LEN_V1 + 8 + 8;
+/// Footer: checksum + min/max slot + 3 counts + body len + columnar len +
+/// columnar checksum + magic.
+pub(crate) const FOOTER_LEN: usize = 68;
 
 /// FNV-1a 64-bit checksum — cheap, dependency-free, and plenty to catch
 /// torn writes and bit rot (this is an integrity check, not a MAC).
@@ -60,7 +47,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// The footer metadata of a sealed segment (also mirrored in the
-/// manifest). For v1 segments the columnar fields read as zero.
+/// manifest).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SegmentFooter {
     /// FNV-1a 64 checksum of the encoded body.
@@ -77,9 +64,9 @@ pub struct SegmentFooter {
     pub polls: u32,
     /// Encoded body length in bytes.
     pub body_len: u64,
-    /// Columnar section length in bytes (0 in a v1 segment).
+    /// Columnar section length in bytes.
     pub col_len: u64,
-    /// FNV-1a 64 checksum of the columnar section (0 in a v1 segment).
+    /// FNV-1a 64 checksum of the columnar section.
     pub col_checksum: u64,
 }
 
@@ -99,27 +86,12 @@ impl SegmentFooter {
         out
     }
 
-    fn to_bytes_v1(self) -> [u8; FOOTER_LEN_V1] {
-        let mut out = [0u8; FOOTER_LEN_V1];
-        out[0..8].copy_from_slice(&self.checksum.to_le_bytes());
-        out[8..16].copy_from_slice(&self.min_slot.to_le_bytes());
-        out[16..24].copy_from_slice(&self.max_slot.to_le_bytes());
-        out[24..28].copy_from_slice(&self.bundles.to_le_bytes());
-        out[28..32].copy_from_slice(&self.details.to_le_bytes());
-        out[32..36].copy_from_slice(&self.polls.to_le_bytes());
-        out[36..44].copy_from_slice(&self.body_len.to_le_bytes());
-        out[44..52].copy_from_slice(FOOTER_MAGIC_V1);
-        out
-    }
-
     pub(crate) fn from_bytes(b: &[u8]) -> Result<Self, CorruptSegment> {
         let u64_at = |i: usize| u64::from_le_bytes(b[i..i + 8].try_into().unwrap());
         let u32_at = |i: usize| u32::from_le_bytes(b[i..i + 4].try_into().unwrap());
-        let (col_len, col_checksum) = match b.len() {
-            FOOTER_LEN if &b[60..68] == FOOTER_MAGIC => (u64_at(44), u64_at(52)),
-            FOOTER_LEN_V1 if &b[44..52] == FOOTER_MAGIC_V1 => (0, 0),
-            _ => return Err(CorruptSegment("bad footer magic".into())),
-        };
+        if b.len() != FOOTER_LEN || &b[60..68] != FOOTER_MAGIC {
+            return Err(CorruptSegment("bad footer magic".into()));
+        }
         Ok(SegmentFooter {
             checksum: u64_at(0),
             min_slot: u64_at(8),
@@ -128,24 +100,23 @@ impl SegmentFooter {
             details: u32_at(28),
             polls: u32_at(32),
             body_len: u64_at(36),
-            col_len,
-            col_checksum,
+            col_len: u64_at(44),
+            col_checksum: u64_at(52),
         })
     }
 }
 
 /// A validated segment image carved into its sections: byte ranges into
-/// the image for the body and (in v2) the columnar section.
+/// the image for the body and the columnar section.
 #[derive(Clone, Debug)]
 pub struct ParsedSegment {
-    /// Format version of the image (1 or 2).
-    pub version: u8,
     /// The footer.
     pub footer: SegmentFooter,
     /// Byte range of the encoded body.
     pub body: Range<usize>,
-    /// Byte range of the columnar section (`None` in a v1 segment).
-    pub columns: Option<Range<usize>>,
+    /// Byte range of the columnar section (never empty: it always holds
+    /// its four counts).
+    pub columns: Range<usize>,
 }
 
 fn footer_of(data: &SegmentData, body: &[u8], columns: &[u8]) -> SegmentFooter {
@@ -163,11 +134,7 @@ fn footer_of(data: &SegmentData, body: &[u8], columns: &[u8]) -> SegmentFooter {
         polls: data.polls.len() as u32,
         body_len: body.len() as u64,
         col_len: columns.len() as u64,
-        col_checksum: if columns.is_empty() {
-            0
-        } else {
-            fnv1a64(columns)
-        },
+        col_checksum: fnv1a64(columns),
     }
 }
 
@@ -185,35 +152,21 @@ pub fn encode_segment(data: &SegmentData) -> (Vec<u8>, SegmentFooter) {
     (file, footer)
 }
 
-/// Encode `data` as a pre-columnar v1 segment image. Kept so the
-/// version-compatibility fixture can assert the old encoder never drifts;
-/// production sealing always writes the current version.
-pub fn encode_segment_v1(data: &SegmentData) -> (Vec<u8>, SegmentFooter) {
-    let body = encode_body(data);
-    let footer = footer_of(data, &body, &[]);
-    let mut file = Vec::with_capacity(SEGMENT_MAGIC_V1.len() + body.len() + FOOTER_LEN_V1);
-    file.extend_from_slice(SEGMENT_MAGIC_V1);
-    file.extend_from_slice(&body);
-    file.extend_from_slice(&footer.to_bytes_v1());
-    (file, footer)
-}
-
-/// Validate a segment image (either version) and carve it into sections,
-/// without decoding records. Checks both magics, the section lengths, and
-/// the body and columnar checksums.
+/// Validate a segment image and carve it into sections, without decoding
+/// records. Checks both magics, the section lengths, and the body and
+/// columnar checksums.
 pub fn parse_segment(image: &[u8]) -> Result<ParsedSegment, CorruptSegment> {
-    let (version, footer_len) = if image.len() >= 8 && &image[..8] == SEGMENT_MAGIC {
-        (FORMAT_VERSION, FOOTER_LEN)
-    } else if image.len() >= 8 && &image[..8] == SEGMENT_MAGIC_V1 {
-        (1, FOOTER_LEN_V1)
-    } else {
+    if !image.starts_with(SEGMENT_MAGIC) {
         return Err(CorruptSegment("bad segment magic".into()));
-    };
-    if image.len() < 8 + footer_len {
+    }
+    if image.len() < 8 + FOOTER_LEN {
         return Err(CorruptSegment("file shorter than magic + footer".into()));
     }
-    let footer = SegmentFooter::from_bytes(&image[image.len() - footer_len..])?;
-    let sections = (image.len() - 8 - footer_len) as u64;
+    let footer = SegmentFooter::from_bytes(&image[image.len() - FOOTER_LEN..])?;
+    if footer.col_len == 0 {
+        return Err(CorruptSegment("segment has no columnar section".into()));
+    }
+    let sections = (image.len() - 8 - FOOTER_LEN) as u64;
     if footer
         .body_len
         .checked_add(footer.col_len)
@@ -232,18 +185,15 @@ pub fn parse_segment(image: &[u8]) -> Result<ParsedSegment, CorruptSegment> {
             footer.checksum
         )));
     }
-    let columns = (footer.col_len > 0).then(|| body.end..body.end + footer.col_len as usize);
-    if let Some(cols) = &columns {
-        let actual = fnv1a64(&image[cols.clone()]);
-        if actual != footer.col_checksum {
-            return Err(CorruptSegment(format!(
-                "columnar checksum mismatch: section {actual:#018x}, footer {:#018x}",
-                footer.col_checksum
-            )));
-        }
+    let columns = body.end..body.end + footer.col_len as usize;
+    let actual = fnv1a64(&image[columns.clone()]);
+    if actual != footer.col_checksum {
+        return Err(CorruptSegment(format!(
+            "columnar checksum mismatch: section {actual:#018x}, footer {:#018x}",
+            footer.col_checksum
+        )));
     }
     Ok(ParsedSegment {
-        version,
         footer,
         body,
         columns,
@@ -260,13 +210,22 @@ pub fn verify_segment(image: &[u8]) -> Result<SegmentFooter, CorruptSegment> {
 pub fn decode_segment(image: &[u8]) -> Result<(SegmentData, SegmentFooter), CorruptSegment> {
     let parsed = parse_segment(image)?;
     let data = decode_body(&image[parsed.body])?;
-    if data.bundles.len() as u32 != parsed.footer.bundles
-        || data.details.len() as u32 != parsed.footer.details
-        || data.polls.len() as u32 != parsed.footer.polls
+    check_counts(&data, &parsed.footer)?;
+    Ok((data, parsed.footer))
+}
+
+/// A decoded body holds exactly the record counts its footer declares.
+pub(crate) fn check_counts(
+    data: &SegmentData,
+    footer: &SegmentFooter,
+) -> Result<(), CorruptSegment> {
+    if data.bundles.len() as u32 != footer.bundles
+        || data.details.len() as u32 != footer.details
+        || data.polls.len() as u32 != footer.polls
     {
         return Err(CorruptSegment("record counts disagree with footer".into()));
     }
-    Ok((data, parsed.footer))
+    Ok(())
 }
 
 /// Crash-step boundaries of a segment image: chunk cuts at the magic
@@ -281,15 +240,10 @@ fn section_boundaries(image: &[u8]) -> Vec<usize> {
             cuts.push(parsed.body.start + body_len * quarter / 4);
         }
         cuts.push(parsed.body.end);
-        let footer_start = match &parsed.columns {
-            Some(cols) => {
-                cuts.push((cols.start + cols.end) / 2);
-                cuts.push(cols.end);
-                cols.end
-            }
-            None => parsed.body.end,
-        };
-        cuts.push((footer_start + image.len()) / 2);
+        let cols = parsed.columns;
+        cuts.push((cols.start + cols.end) / 2);
+        cuts.push(cols.end);
+        cuts.push((cols.end + image.len()) / 2);
     } else {
         // Unparseable image (never produced by the sealer): fall back to
         // quartile cuts.
@@ -365,37 +319,21 @@ mod tests {
         assert_eq!(back, d);
         assert_eq!(back_footer, footer);
         let parsed = parse_segment(&image).unwrap();
-        assert_eq!(parsed.version, FORMAT_VERSION);
-        assert!(parsed.columns.is_some());
-    }
-
-    #[test]
-    fn v1_image_roundtrip() {
-        let d = data();
-        let (image, footer) = encode_segment_v1(&d);
-        assert_eq!((footer.col_len, footer.col_checksum), (0, 0));
-        let (back, back_footer) = decode_segment(&image).unwrap();
-        assert_eq!(back, d);
-        assert_eq!(back_footer, footer);
-        let parsed = parse_segment(&image).unwrap();
-        assert_eq!(parsed.version, 1);
-        assert!(parsed.columns.is_none());
+        assert_eq!(parsed.columns.len() as u64, footer.col_len);
     }
 
     #[test]
     fn every_flipped_byte_is_caught() {
-        for encode in [encode_segment, encode_segment_v1] {
-            let (image, _) = encode(&data());
-            // Flip a byte in the magic, the body, the columnar section (v2),
-            // and the footer: all caught.
-            for idx in [0, 8 + 3, image.len() - 5, image.len() / 2, image.len() - 80] {
-                let mut bad = image.clone();
-                bad[idx] ^= 0x40;
-                assert!(
-                    decode_segment(&bad).is_err(),
-                    "flip at byte {idx} went unnoticed"
-                );
-            }
+        let (image, _) = encode_segment(&data());
+        // Flip a byte in the magic, the body, the columnar section, and the
+        // footer: all caught.
+        for idx in [0, 8 + 3, image.len() - 5, image.len() / 2, image.len() - 80] {
+            let mut bad = image.clone();
+            bad[idx] ^= 0x40;
+            assert!(
+                decode_segment(&bad).is_err(),
+                "flip at byte {idx} went unnoticed"
+            );
         }
     }
 
@@ -412,6 +350,21 @@ mod tests {
                 "columnar flip at +{off} produced unexpected error: {err}"
             );
         }
+    }
+
+    #[test]
+    fn a_footer_without_columns_is_rejected() {
+        let (image, footer) = encode_segment(&data());
+        let body_end = 8 + footer.body_len as usize;
+        let mut bare = image[..body_end].to_vec();
+        let bare_footer = SegmentFooter {
+            col_len: 0,
+            col_checksum: 0,
+            ..footer
+        };
+        bare.extend_from_slice(&bare_footer.to_bytes());
+        let err = parse_segment(&bare).unwrap_err();
+        assert!(err.0.contains("no columnar section"), "{err}");
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::manifest::{Manifest, QuarantinedSegment, SegmentMeta};
 use crate::records::{CollectedBundle, CollectedDetail, PollRecord};
 use crate::segment::{
     encode_segment, read_segment_file, write_segment_file, write_segment_file_with, SegmentFooter,
-    FOOTER_LEN, FOOTER_LEN_V1, SEGMENT_MAGIC, SEGMENT_MAGIC_V1,
+    FOOTER_LEN, SEGMENT_MAGIC,
 };
 
 pub(crate) fn segment_file_name(index: usize) -> String {
@@ -207,30 +207,25 @@ fn quick_probe(path: &Path, meta: &SegmentMeta) -> std::io::Result<bool> {
     use std::io::{Read, Seek, SeekFrom};
     let mut f = std::fs::File::open(path)?;
     let len = f.metadata()?.len();
-    if len != meta.bytes {
+    if len != meta.bytes || len < (8 + FOOTER_LEN) as u64 {
         return Ok(false);
     }
     let mut magic = [0u8; 8];
     f.read_exact(&mut magic)?;
-    let footer_len = if &magic == SEGMENT_MAGIC {
-        FOOTER_LEN
-    } else if &magic == SEGMENT_MAGIC_V1 {
-        FOOTER_LEN_V1
-    } else {
-        return Ok(false);
-    };
-    if (len as usize) < 8 + footer_len {
+    if &magic != SEGMENT_MAGIC {
         return Ok(false);
     }
-    let mut foot = vec![0u8; footer_len];
-    f.seek(SeekFrom::End(-(footer_len as i64)))?;
+    let mut foot = [0u8; FOOTER_LEN];
+    f.seek(SeekFrom::End(-(FOOTER_LEN as i64)))?;
     f.read_exact(&mut foot)?;
     let Ok(footer) = SegmentFooter::from_bytes(&foot) else {
         return Ok(false);
     };
+    // On-disk lengths are untrusted: a sum that overflows is a mismatch.
+    let sections = footer.body_len.checked_add(footer.col_len);
     Ok(format!("{:016x}", footer.checksum) == meta.checksum
         && footer.bundles as u64 == meta.bundles
-        && 8 + footer.body_len + footer.col_len + footer_len as u64 == len)
+        && sections.and_then(|s| s.checked_add((8 + FOOTER_LEN) as u64)) == Some(len))
 }
 
 /// Probe one retained segment at resume; if the probe fails, try the
@@ -459,6 +454,30 @@ mod tests {
         // Tear into the body itself: the sealed bytes are gone, no
         // recovery can prove anything.
         crate::crash::truncate_to(&path, meta.bytes / 4).unwrap();
+        let err = StoreWriter::resume(&dir, &expected).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("store doctor"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn resume_refuses_a_footer_whose_lengths_overflow() {
+        let dir = tmp_dir("overflow");
+        let mut w = StoreWriter::create(&dir).unwrap();
+        let meta = w.seal_segment(vec![bundle(1, 10)], vec![], vec![]).unwrap();
+        let expected = w.segments().to_vec();
+        drop(w);
+        // Checksum and bundle count still match the manifest, but
+        // `body_len + col_len` wraps past `u64::MAX`, and the body is
+        // damaged too, so no recovery can prove anything.
+        let path = dir.join(&meta.file);
+        let mut image = std::fs::read(&path).unwrap();
+        image[8 + 3] ^= 0x01;
+        let footer = image.len() - FOOTER_LEN;
+        image[footer + 36..footer + 44].copy_from_slice(&(1u64 << 63).to_le_bytes());
+        image[footer + 44..footer + 52].copy_from_slice(&(1u64 << 63).to_le_bytes());
+        std::fs::write(&path, &image).unwrap();
+
         let err = StoreWriter::resume(&dir, &expected).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("store doctor"), "{err}");

@@ -18,7 +18,7 @@ use crate::codec::{self, decode_body, decode_poll_section, CorruptSegment, Segme
 use crate::column::{decode_columns, Columns};
 use crate::mmap::Mapped;
 use crate::records::{CollectedDetail, PollRecord};
-use crate::segment::{parse_segment, SegmentFooter};
+use crate::segment::{check_counts, parse_segment, SegmentFooter};
 
 /// A bundle record decoded on demand from a view — the fields the
 /// candidate path needs (slot and tip come from the columns; the
@@ -35,18 +35,17 @@ pub struct ViewBundle {
 /// lazy decoding.
 pub struct SegmentView {
     map: Mapped,
-    version: u8,
     footer: SegmentFooter,
     body: Range<usize>,
-    columns: Option<Range<usize>>,
+    columns: Range<usize>,
     key_count: u64,
     keys_at: usize,
 }
 
 impl SegmentView {
-    /// Map and validate a segment file (either format version). Both the
-    /// body and columnar checksums are verified here, so every scan of a
-    /// view re-checks segment integrity end to end.
+    /// Map and validate a segment file. Both the body and columnar
+    /// checksums are verified here, so every scan of a view re-checks
+    /// segment integrity end to end.
     pub fn open(path: &Path) -> std::io::Result<SegmentView> {
         let map = Mapped::open(path)?;
         let corrupt =
@@ -62,7 +61,6 @@ impl SegmentView {
         }
         let keys_at = pos;
         Ok(SegmentView {
-            version: parsed.version,
             footer: parsed.footer,
             body: parsed.body,
             columns: parsed.columns,
@@ -70,11 +68,6 @@ impl SegmentView {
             keys_at,
             map,
         })
-    }
-
-    /// The segment's format version (1 or 2).
-    pub fn version(&self) -> u8 {
-        self.version
     }
 
     /// The validated footer.
@@ -87,24 +80,14 @@ impl SegmentView {
         self.map.is_mapped()
     }
 
-    /// Whether the segment carries a columnar fast-path section.
-    pub fn has_columns(&self) -> bool {
-        self.columns.is_some()
-    }
-
     /// The encoded body bytes.
     pub fn body(&self) -> &[u8] {
         &self.map[self.body.clone()]
     }
 
     /// Decode the columnar section into `cols`, reusing its buffers.
-    /// Errors when the segment has none (check [`Self::has_columns`]).
     pub fn read_columns(&self, cols: &mut Columns) -> Result<(), CorruptSegment> {
-        let range = self
-            .columns
-            .clone()
-            .ok_or_else(|| CorruptSegment("v1 segment has no columnar section".into()))?;
-        decode_columns(&self.map[range], cols)
+        decode_columns(&self.map[self.columns.clone()], cols)
     }
 
     /// Pubkey `i` of the interning table, read in place.
@@ -186,15 +169,10 @@ impl SegmentView {
     }
 
     /// Fully decode the segment (the materializing path — used when the
-    /// segment has no columns or the scan needs every record anyway).
+    /// scan needs every record).
     pub fn decode_all(&self) -> Result<SegmentData, CorruptSegment> {
         let data = decode_body(self.body())?;
-        if data.bundles.len() as u32 != self.footer.bundles
-            || data.details.len() as u32 != self.footer.details
-            || data.polls.len() as u32 != self.footer.polls
-        {
-            return Err(CorruptSegment("record counts disagree with footer".into()));
-        }
+        check_counts(&data, &self.footer)?;
         Ok(data)
     }
 }
@@ -242,7 +220,7 @@ impl codec::BundleBriefs for ViewBriefs<'_> {
 mod tests {
     use super::*;
     use crate::records::CollectedBundle;
-    use crate::segment::{encode_segment, encode_segment_v1, write_segment_file};
+    use crate::segment::{encode_segment, write_segment_file};
     use crate::store::StoreWriter;
     use sandwich_ledger::{SolDelta, TransactionMeta};
     use sandwich_types::{Keypair, LamportDelta, Lamports};
@@ -308,8 +286,6 @@ mod tests {
         let (image, _) = encode_segment(&data);
         let path = write_tmp("lazy", &image);
         let view = SegmentView::open(&path).unwrap();
-        assert!(view.has_columns());
-        assert_eq!(view.version(), crate::segment::FORMAT_VERSION);
 
         let mut cols = Columns::default();
         view.read_columns(&mut cols).unwrap();
@@ -326,20 +302,6 @@ mod tests {
             assert_eq!(&view.detail(&cols, i).unwrap(), d);
         }
         assert_eq!(view.polls(&cols).unwrap(), data.polls);
-        assert_eq!(view.decode_all().unwrap(), data);
-        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
-    }
-
-    #[test]
-    fn v1_segment_opens_without_columns() {
-        let data = sample();
-        let (image, _) = encode_segment_v1(&data);
-        let path = write_tmp("v1", &image);
-        let view = SegmentView::open(&path).unwrap();
-        assert_eq!(view.version(), 1);
-        assert!(!view.has_columns());
-        let mut cols = Columns::default();
-        assert!(view.read_columns(&mut cols).is_err());
         assert_eq!(view.decode_all().unwrap(), data);
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }

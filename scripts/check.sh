@@ -37,6 +37,8 @@ cargo build --offline --release --workspace
 #   (>= 20, clean kill and torn write), truncations and bit flips fuzzed over
 #   sealed segments: byte-identical recovery or explicit quarantine, never a
 #   silently different report.
+# - format_compat: a pre-columnar segment is a `bad_magic` quarantine with
+#   exact coverage, never silently skipped.
 # - sandwich-query unit tests, query_service: index build / persistence /
 #   corruption handling, restart reuses the persisted index, no torn reads
 #   under concurrent clients and reloads, serving over a quarantined segment.

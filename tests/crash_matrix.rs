@@ -17,7 +17,7 @@ use sandwich_query::{
     build_index, build_index_subset, fold_indexes, generation_of, load_index_any, save_index_with,
     QueryService, QueryServiceConfig, INDEX_FILE,
 };
-use sandwich_store::segment::{encode_segment, encode_segment_v1, write_segment_file};
+use sandwich_store::segment::{encode_segment, write_segment_file};
 use sandwich_store::{
     crash, doctor, is_injected_crash, BundleStore, CollectedBundle, CrashPlan, Manifest,
     SegmentMeta, StoreWriter, ValidatorSpec,
@@ -145,23 +145,19 @@ fn every_seal_crash_point_recovers_byte_identically() {
     let _ = std::fs::remove_dir_all(&reference);
 }
 
-/// Build a tiny two-segment store (one v1 segment, one v2 segment) and
-/// return its directory plus the reference report JSON.
-fn seed_mixed_store(tag: &str) -> (PathBuf, String) {
+/// Build a tiny two-segment store and return its directory plus the
+/// reference report JSON.
+fn seed_store(tag: &str) -> (PathBuf, String) {
     let dir = scratch(tag);
     std::fs::create_dir_all(&dir).unwrap();
     let mut manifest = Manifest::new();
-    for (i, v1) in [(0usize, true), (1usize, false)] {
+    for i in 0..2usize {
         let data = sandwich_store::codec::SegmentData {
             bundles: batch(i as u64 + 1, 100 + i as u64 * 300, 8),
             details: Vec::new(),
             polls: Vec::new(),
         };
-        let (image, footer) = if v1 {
-            encode_segment_v1(&data)
-        } else {
-            encode_segment(&data)
-        };
+        let (image, footer) = encode_segment(&data);
         let file = format!("seg-{i:05}.seg");
         write_segment_file(&dir.join(&file), &image).unwrap();
         manifest.segments.push(SegmentMeta {
@@ -355,12 +351,12 @@ fn fold_persist_crash_matrix(tag: &str, spec: Option<ValidatorSpec>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Any prefix truncation of a sealed segment — v1 or v2, one byte or
-    /// the whole file — is either repaired bit-for-bit or explicitly
+    /// Any prefix truncation of a sealed segment — one byte or the whole
+    /// file — is either repaired bit-for-bit or explicitly
     /// quarantined. `frac` picks the cut point, `victim` the segment.
     #[test]
     fn prefix_truncations_recover_or_quarantine(frac in 0.0f64..1.0, victim in 0usize..2) {
-        let (dir, reference) = seed_mixed_store("trunc");
+        let (dir, reference) = seed_store("trunc");
         let meta = Manifest::load(&dir).unwrap().segments[victim].clone();
         let cut = (meta.bytes as f64 * frac) as u64;
         crash::truncate_to(&dir.join(&meta.file), cut).unwrap();
@@ -377,7 +373,7 @@ proptest! {
     /// explicitly quarantined, never silently mis-scanned.
     #[test]
     fn single_byte_flips_recover_or_quarantine(frac in 0.0f64..1.0, victim in 0usize..2) {
-        let (dir, reference) = seed_mixed_store("flip");
+        let (dir, reference) = seed_store("flip");
         let meta = Manifest::load(&dir).unwrap().segments[victim].clone();
         let offset = ((meta.bytes - 1) as f64 * frac) as u64;
         crash::flip_byte(&dir.join(&meta.file), offset).unwrap();

@@ -1,15 +1,22 @@
-//! Cross-version store compatibility: a store directory holding a mix of
-//! v1 (pre-columnar, `SWSEG01`) and v2 (columnar, `SWSEG02`) segments must
-//! scan to one byte-identical report on every path — the zero-copy scan
-//! falls back to a full decode per v1 segment, takes the columnar fast
-//! path per v2 segment, and neither choice may leak into the result.
+//! The one compatibility rule segments keep: a segment is current or it is
+//! quarantined. A store with a quarantined segment keeps scanning with
+//! exact coverage, and a pre-columnar segment file is not read by a second
+//! decoder — it fails the magic check like any unreadable segment,
+//! the degraded scan counts it, and `store doctor` quarantines it as
+//! `bad_magic`. It is never silently skipped.
 
-use sandwich_core::{scan_store, scan_store_degraded, scan_store_materializing, AnalysisConfig};
+use std::path::PathBuf;
+
+use sandwich_core::{
+    scan_store, scan_store_degraded, scan_store_materializing, AnalysisConfig, AnalysisReport,
+    ScanCoverage,
+};
 use sandwich_ledger::{SolDelta, TokenDelta, TransactionMeta};
 use sandwich_store::codec::SegmentData;
+use sandwich_store::doctor::{self, SegmentHealth};
 use sandwich_store::records::{CollectedBundle, CollectedDetail};
-use sandwich_store::segment::{encode_segment, encode_segment_v1, write_segment_file};
-use sandwich_store::{BundleStore, Manifest, SegmentMeta};
+use sandwich_store::segment::{encode_segment, write_segment_file};
+use sandwich_store::{BundleStore, Manifest, SegmentFooter, SegmentMeta, StoreWriter};
 use sandwich_types::{Keypair, LamportDelta, Lamports, Pubkey, Slot, SlotClock};
 
 /// One segment's worth of records: a detectable sandwich trio plus a
@@ -78,80 +85,22 @@ fn segment_data(base: u64) -> SegmentData {
     }
 }
 
-#[test]
-fn mixed_version_store_scans_byte_identically() {
-    let dir = std::env::temp_dir().join(format!("format-compat-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-
-    // Hand-assemble the store: segment 0 sealed by the old v1 encoder,
-    // segment 1 by the current columnar one, one shared manifest.
-    let mut manifest = Manifest::new();
-    for (i, (data, image, footer)) in [
-        {
-            let d = segment_data(100);
-            let (img, f) = encode_segment_v1(&d);
-            (d, img, f)
-        },
-        {
-            let d = segment_data(100_000);
-            let (img, f) = encode_segment(&d);
-            (d, img, f)
-        },
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let file = format!("seg-{i:05}.seg");
-        write_segment_file(&dir.join(&file), &image).unwrap();
-        manifest.segments.push(SegmentMeta {
-            file,
-            bundles: data.bundles.len() as u64,
-            details: data.details.len() as u64,
-            polls: data.polls.len() as u64,
-            min_slot: footer.min_slot,
-            max_slot: footer.max_slot,
-            bytes: image.len() as u64,
-            checksum: format!("{:016x}", footer.checksum),
-        });
-    }
-    manifest.save(&dir).unwrap();
-
-    let store = BundleStore::open(&dir).unwrap();
-    let clock = SlotClock::default();
-    let cfg = AnalysisConfig::paper_defaults(1);
-
-    let reference =
-        serde_json::to_string(&scan_store_materializing(&store, &clock, &cfg, 1).unwrap()).unwrap();
-    for threads in [1, 2, 4] {
-        let scanned =
-            serde_json::to_string(&scan_store(&store, &clock, &cfg, threads).unwrap()).unwrap();
-        assert_eq!(
-            scanned, reference,
-            "mixed-version scan diverged at {threads} threads"
-        );
-    }
-
-    // Both planted sandwiches (one per segment, one per format) are found.
-    let report = scan_store(&store, &clock, &cfg, 2).unwrap();
-    assert_eq!(report.findings.len(), 2, "one sandwich per segment version");
-
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// Seal `bases` as a store of its own, every segment in one format.
-fn sealed_store(tag: &str, v1: bool, bases: &[u64]) -> BundleStore {
+/// Hand-assemble a store: one segment per base, each file image built by
+/// `image_of` from the records and their current-version encoding, all in
+/// one manifest describing the records.
+fn store_of(
+    tag: &str,
+    bases: &[u64],
+    image_of: impl Fn(Vec<u8>, &SegmentFooter) -> Vec<u8>,
+) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("format-compat-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let mut manifest = Manifest::new();
     for (i, &base) in bases.iter().enumerate() {
         let data = segment_data(base);
-        let (image, footer) = if v1 {
-            encode_segment_v1(&data)
-        } else {
-            encode_segment(&data)
-        };
+        let (image, footer) = encode_segment(&data);
+        let image = image_of(image, &footer);
         let file = format!("seg-{i:05}.seg");
         write_segment_file(&dir.join(&file), &image).unwrap();
         manifest.segments.push(SegmentMeta {
@@ -166,92 +115,57 @@ fn sealed_store(tag: &str, v1: bool, bases: &[u64]) -> BundleStore {
         });
     }
     manifest.save(&dir).unwrap();
-    BundleStore::open(&dir).unwrap()
+    dir
 }
 
-/// The query index is built by the same walk as the report: the same
-/// records sealed all-v1 (every segment takes the decode route) and
-/// all-v2 (every segment takes the columnar route) must index to the same
-/// contents. Only the generation differs — it fingerprints the manifest,
-/// and the two formats' checksums and sizes are not the same.
-#[test]
-fn index_is_the_same_whichever_route_the_format_selects() {
-    let bases = [100, 100_000, 200_000];
-    let v1 = sealed_store("ix-v1", true, &bases);
-    let v2 = sealed_store("ix-v2", false, &bases);
-    let config = sandwich_query::QueryConfig::default();
-    let from_decode = sandwich_query::build_index(&v1, &config).unwrap();
-    let from_columns = sandwich_query::build_index(&v2, &config).unwrap();
-
-    assert_eq!(from_columns.totals.sandwiches, 3, "one per segment");
-    assert_ne!(from_decode.generation, from_columns.generation);
-    assert_eq!(from_decode.totals, from_columns.totals);
-    assert_eq!(from_decode.days, from_columns.days);
-    assert_eq!(from_decode.refs, from_columns.refs);
-    assert_eq!(from_decode.attackers, from_columns.attackers);
-    assert_eq!(from_decode.pools, from_columns.pools);
-
-    std::fs::remove_dir_all(v1.dir()).unwrap();
-    std::fs::remove_dir_all(v2.dir()).unwrap();
+/// The same records as a pre-columnar image, built byte by byte with no
+/// encoder: the old leading magic, the body, the footer's first 44 bytes
+/// (checksum, slot range, counts, body length) and the old trailing magic.
+fn pre_columnar(image: Vec<u8>, footer: &SegmentFooter) -> Vec<u8> {
+    let body = &image[8..8 + footer.body_len as usize];
+    let footer_at = image.len() - 68;
+    let mut old = b"SWSEG01\n".to_vec();
+    old.extend_from_slice(body);
+    old.extend_from_slice(&image[footer_at..footer_at + 44]);
+    old.extend_from_slice(b"SWEND01\n");
+    old
 }
 
-/// A mixed-version store with one quarantined segment keeps scanning: the
-/// serving segments (one v1, one v2) produce the same results on every
-/// path, and the degraded scan reports the quarantined segment's bundles
-/// exactly — the cross-version fallback and the quarantine bookkeeping
-/// must compose.
-#[test]
-fn quarantined_segment_in_a_mixed_store_scans_with_exact_coverage() {
-    let dir = std::env::temp_dir().join(format!("format-compat-q-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-
-    // Three segments: v1, v2, and a second v2 that will be damaged.
-    let mut manifest = Manifest::new();
-    let specs: [(bool, u64); 3] = [(true, 100), (false, 100_000), (false, 200_000)];
-    for (i, (v1, base)) in specs.into_iter().enumerate() {
-        let data = segment_data(base);
-        let (image, footer) = if v1 {
-            encode_segment_v1(&data)
-        } else {
-            encode_segment(&data)
-        };
-        let file = format!("seg-{i:05}.seg");
-        write_segment_file(&dir.join(&file), &image).unwrap();
-        manifest.segments.push(SegmentMeta {
-            file,
-            bundles: data.bundles.len() as u64,
-            details: data.details.len() as u64,
-            polls: data.polls.len() as u64,
-            min_slot: footer.min_slot,
-            max_slot: footer.max_slot,
-            bytes: image.len() as u64,
-            checksum: format!("{:016x}", footer.checksum),
-        });
-    }
-    manifest.save(&dir).unwrap();
-
-    // Damage the third segment's body (unrecoverable by construction) and
-    // let the doctor quarantine it.
-    sandwich_store::crash::flip_byte(&dir.join("seg-00002.seg"), 12).unwrap();
-    let report = sandwich_store::doctor::repair(&dir).unwrap();
-    assert_eq!(report.quarantined, 1, "the damaged v2 segment quarantines");
-    assert_eq!(report.clean, 2, "the v1 and v2 serving segments are clean");
-
-    let store = BundleStore::open(&dir).unwrap();
-    assert_eq!(store.segments().len(), 2);
-    assert_eq!(store.quarantined().len(), 1);
-
+/// The degraded scan of `store`, checked against the materializing scan
+/// of the same serving segments.
+fn degraded_scan(store: &BundleStore) -> (AnalysisReport, ScanCoverage) {
     let clock = SlotClock::default();
     let cfg = AnalysisConfig::paper_defaults(1);
     let reference =
-        serde_json::to_string(&scan_store_materializing(&store, &clock, &cfg, 1).unwrap()).unwrap();
-    let (degraded, coverage) = scan_store_degraded(&store, &clock, &cfg, 2, None).unwrap();
+        serde_json::to_string(&scan_store_materializing(store, &clock, &cfg, 1).unwrap()).unwrap();
+    let (degraded, coverage) = scan_store_degraded(store, &clock, &cfg, 2, None).unwrap();
     assert_eq!(
         serde_json::to_string(&degraded).unwrap(),
         reference,
         "degraded scan over the serving segments matches the materializing scan"
     );
+    (degraded, coverage)
+}
+
+/// A store with one quarantined segment keeps scanning: the serving
+/// segments produce the same results on every path, and the degraded scan
+/// reports the quarantined segment's bundles exactly.
+#[test]
+fn quarantined_segment_scans_with_exact_coverage() {
+    let dir = store_of("q", &[100, 100_000, 200_000], |image, _| image);
+
+    // Damage the third segment's body (unrecoverable by construction) and
+    // let the doctor quarantine it.
+    sandwich_store::crash::flip_byte(&dir.join("seg-00002.seg"), 12).unwrap();
+    let report = doctor::repair(&dir).unwrap();
+    assert_eq!(report.quarantined, 1, "the damaged segment quarantines");
+    assert_eq!(report.clean, 2, "the two serving segments are clean");
+
+    let store = BundleStore::open(&dir).unwrap();
+    assert_eq!(store.segments().len(), 2);
+    assert_eq!(store.quarantined().len(), 1);
+
+    let (_, coverage) = degraded_scan(&store);
     assert_eq!(coverage.segments_scanned, 2);
     assert_eq!(coverage.segments_quarantined, 1);
     assert_eq!(
@@ -262,8 +176,68 @@ fn quarantined_segment_in_a_mixed_store_scans_with_exact_coverage() {
 
     // One sandwich per *serving* segment: the quarantined one is excluded
     // explicitly, not silently miscounted.
+    let clock = SlotClock::default();
+    let cfg = AnalysisConfig::paper_defaults(1);
     let scanned = scan_store(&store, &clock, &cfg, 2).unwrap();
     assert_eq!(scanned.findings.len(), 2);
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A pre-columnar segment beside current ones is an unreadable segment
+/// like any other: the strict scan fails, the degraded scan counts its
+/// exact bundles as failed, the doctor names it `bad_magic` and moves it
+/// to quarantine (leaving the file on disk), and a collector resume
+/// refuses to build on it until the doctor has run.
+#[test]
+fn pre_columnar_segment_is_a_bad_magic_quarantine_with_exact_coverage() {
+    let bases = [100, 100_000, 200_000];
+    let dir = store_of("swseg01", &bases, |image, footer| {
+        if footer.min_slot == bases[1] {
+            pre_columnar(image, footer)
+        } else {
+            image
+        }
+    });
+    let old = dir.join("seg-00001.seg");
+    assert!(std::fs::read(&old).unwrap().starts_with(b"SWSEG01\n"));
+    let store = BundleStore::open(&dir).unwrap();
+    let clock = SlotClock::default();
+    let cfg = AnalysisConfig::paper_defaults(1);
+
+    assert!(
+        scan_store(&store, &clock, &cfg, 2).is_err(),
+        "the strict scan must not skip it"
+    );
+    let (_, coverage) = scan_store_degraded(&store, &clock, &cfg, 2, None).unwrap();
+    assert_eq!(coverage.segments_scanned, 2);
+    assert_eq!(coverage.segments_failed, 1);
+    assert_eq!(coverage.bundles_failed, 2, "its exact bundle count");
+    assert_eq!(coverage.segments_quarantined, 0);
+
+    let err = StoreWriter::resume(&dir, store.segments()).unwrap_err();
+    assert!(err.to_string().contains("store doctor"), "{err}");
+
+    let diagnosed = doctor::diagnose(&dir).unwrap();
+    assert_eq!(
+        diagnosed.checks[1].health,
+        SegmentHealth::Quarantined {
+            reason: "bad_magic".into()
+        }
+    );
+    assert_eq!((diagnosed.clean, diagnosed.quarantined), (2, 1));
+
+    doctor::repair(&dir).unwrap();
+    assert!(old.exists(), "a quarantined file stays on disk");
+    let store = BundleStore::open(&dir).unwrap();
+    assert_eq!(store.quarantined()[0].reason, "bad_magic");
+    let (report, coverage) = degraded_scan(&store);
+    assert_eq!(coverage.segments_scanned, 2);
+    assert_eq!(coverage.segments_failed, 0);
+    assert_eq!(coverage.segments_quarantined, 1);
+    assert_eq!(coverage.bundles_quarantined, 2);
+    assert_eq!(report.findings.len(), 2, "one sandwich per serving segment");
+    assert!(scan_store(&store, &clock, &cfg, 2).is_ok());
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -4,8 +4,8 @@
 //! build. This is the invariant the live-tail reload path rests on — a
 //! `queryd` that only ever folds manifest deltas serves exactly the
 //! bytes a full rebuild would, so `/api/live` freshness costs nothing in
-//! correctness. The battery covers mixed v1/v2 segments and quarantined
-//! segments arriving in the delta, mirroring `tests/shard_props.rs` for
+//! correctness. The battery covers quarantined segments arriving in the
+//! delta, mirroring `tests/shard_props.rs` for
 //! the merge layer. Every store carries a validator spec, so the identity
 //! covers the leaderboard denominators: `blocks_led` is a prefix sum a fold
 //! carries forward from whichever part counted furthest, and the stores put
@@ -22,7 +22,7 @@ use sandwich_query::{
     build_index, build_index_subset, first_ref_after_cursor, fold_indexes, generation_of,
     live_minutes, window_minutes, QueryConfig, QueryService, QueryServiceConfig, SandwichRef,
 };
-use sandwich_store::segment::{encode_segment, encode_segment_v1, write_segment_file};
+use sandwich_store::segment::{encode_segment, write_segment_file};
 use sandwich_store::{BundleStore, CollectedBundle, Manifest, QuarantinedSegment, SegmentMeta};
 use sandwich_types::{Hash, Keypair, Lamports, Slot};
 
@@ -59,13 +59,13 @@ fn permutation(n: usize, seed: u64) -> Vec<usize> {
 }
 
 /// Write a store whose segments follow `specs`: each entry is
-/// `(v1, bundles, quarantine)` — encoding version, bundle count, and
-/// whether the segment lands on the quarantine list instead of serving.
+/// `(bundles, quarantine)` — bundle count, and whether the segment lands
+/// on the quarantine list instead of serving.
 /// Segment `i` starts 500 slots after segment `i - 1`, the first at
 /// `origin`, and every bundle lands `skew` slots into its leader group, so
 /// every part's `max_slot` — the checkpoint a fold resumes from — does too.
 /// Returns the directory; remove it when done.
-fn seed_store(specs: &[(bool, u64, bool)], origin: u64, skew: u64) -> PathBuf {
+fn seed_store(specs: &[(u64, bool)], origin: u64, skew: u64) -> PathBuf {
     let dir = scratch();
     std::fs::create_dir_all(&dir).unwrap();
     let mut manifest = Manifest::new();
@@ -74,7 +74,7 @@ fn seed_store(specs: &[(bool, u64, bool)], origin: u64, skew: u64) -> PathBuf {
         (origin + i * 500 + b * 3) / LEADER_GROUP_SLOTS * LEADER_GROUP_SLOTS + skew
     };
     let mut quarantined = Vec::new();
-    for (i, &(v1, bundles, quarantine)) in specs.iter().enumerate() {
+    for (i, &(bundles, quarantine)) in specs.iter().enumerate() {
         let data = sandwich_store::codec::SegmentData {
             bundles: (0..bundles)
                 .map(|b| bundle(i as u64 * 1_000 + b, slot_of(i as u64, b), 30_000 + b))
@@ -82,11 +82,7 @@ fn seed_store(specs: &[(bool, u64, bool)], origin: u64, skew: u64) -> PathBuf {
             details: Vec::new(),
             polls: Vec::new(),
         };
-        let (image, footer) = if v1 {
-            encode_segment_v1(&data)
-        } else {
-            encode_segment(&data)
-        };
+        let (image, footer) = encode_segment(&data);
         let file = format!("seg-{i:05}.seg");
         write_segment_file(&dir.join(&file), &image).unwrap();
         let meta = SegmentMeta {
@@ -124,7 +120,7 @@ proptest! {
     /// labels, and the covered-file lists the next fold will key on.
     #[test]
     fn folding_any_partition_in_any_order_matches_the_full_build(
-        specs in prop::collection::vec((any::<bool>(), 1u64..6, any::<bool>()), 1..6),
+        specs in prop::collection::vec((1u64..6, any::<bool>()), 1..6),
         assignment in prop::collection::vec(0u8..4, 1..8),
         parts_n in 1usize..5,
         seed in any::<u64>(),
@@ -209,11 +205,10 @@ proptest! {
     /// — the cursor never skips and never repeats.
     #[test]
     fn live_cursor_pages_reconstruct_the_refs_exactly(
-        specs in prop::collection::vec((any::<bool>(), 1u64..6), 1..5),
+        specs in prop::collection::vec(1u64..6, 1..5),
         limit in 1usize..7,
     ) {
-        let specs: Vec<(bool, u64, bool)> =
-            specs.into_iter().map(|(v1, n)| (v1, n, false)).collect();
+        let specs: Vec<(u64, bool)> = specs.into_iter().map(|n| (n, false)).collect();
         let dir = seed_store(&specs, 0, 0);
         let store = BundleStore::open(&dir).unwrap();
         let config = QueryConfig { threads: 2, ..QueryConfig::default() };
@@ -243,12 +238,11 @@ proptest! {
     /// contribution to the global one.
     #[test]
     fn minute_windows_rewindow_to_the_global_window(
-        specs in prop::collection::vec((any::<bool>(), 1u64..6), 1..5),
+        specs in prop::collection::vec(1u64..6, 1..5),
         assignment in prop::collection::vec(0u8..4, 1..8),
         parts_n in 1usize..5,
     ) {
-        let specs: Vec<(bool, u64, bool)> =
-            specs.into_iter().map(|(v1, n)| (v1, n, false)).collect();
+        let specs: Vec<(u64, bool)> = specs.into_iter().map(|n| (n, false)).collect();
         let dir = seed_store(&specs, 0, 0);
         let store = BundleStore::open(&dir).unwrap();
         let config = QueryConfig { threads: 2, ..QueryConfig::default() };
