@@ -4,10 +4,12 @@
 //!
 //! The index is keyed to the store's **manifest generation** — an FNV-1a 64
 //! fingerprint of the manifest JSON. It persists next to the manifest as
-//! `query-index.bin` in the store's checksummed framing (magic · JSON body ·
-//! FNV footer), and is only trusted when the magic, checksum, *and*
+//! `query-index.bin` in the store's checksummed framing (magic · binary
+//! body · FNV footer), and is only trusted when the magic, checksum, *and*
 //! generation all agree; anything else is rejected and rebuilt from the
-//! segments.
+//! segments. The body holds only the index's primary fields, in the
+//! segment codec's varints and key table; the totals and the three
+//! leaderboards are derived again on load.
 
 use std::collections::HashMap;
 use std::io;
@@ -19,18 +21,20 @@ use sandwich_attrib::{LeaderSchedule, SlotsLed, ValidatorSpec};
 use sandwich_core::scan::{scan_segments, visit_decoded, visit_segment, BundleFacts, Route, Walk};
 use sandwich_core::{Currency, DetectorConfig, SandwichFinding};
 use sandwich_jito::BundleId;
+use sandwich_store::codec::{decode_key_table, get_bytes, get_count, CorruptSegment, KeyTable};
 use sandwich_store::crash::{write_durable_with, CrashPlan};
+use sandwich_store::varint::{get_i128, get_u128, get_u64, put_i128, put_u128, put_u64};
 use sandwich_store::{fnv1a64, BundleStore, Manifest};
-use sandwich_types::{Lamports, Pubkey, SlotClock, DEFENSIVE_TIP_THRESHOLD};
+use sandwich_types::{Hash, Lamports, Pubkey, SlotClock, DEFENSIVE_TIP_THRESHOLD};
 
 /// Index file name inside a store directory (next to `manifest.json`).
 pub const INDEX_FILE: &str = "query-index.bin";
 
 /// Leading magic of a persisted index file (includes the format version).
-pub const INDEX_MAGIC: &[u8; 8] = b"SWQIX01\n";
+pub const INDEX_MAGIC: &[u8; 8] = b"SWQIX02\n";
 
 /// Trailing magic of a persisted index file.
-const INDEX_FOOTER_MAGIC: &[u8; 8] = b"SWQEND1\n";
+const INDEX_FOOTER_MAGIC: &[u8; 8] = b"SWQEND2\n";
 
 /// What the index build needs to know about the analysis semantics.
 #[derive(Clone, Debug)]
@@ -191,7 +195,7 @@ pub struct IndexTotals {
 }
 
 /// The complete secondary index for one manifest generation.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct QueryIndex {
     /// The manifest generation this index describes.
     pub generation: String,
@@ -204,25 +208,25 @@ pub struct QueryIndex {
     /// Every detected sandwich, sorted by `(slot, bundle_id)`.
     pub refs: Vec<SandwichRef>,
     /// Attacker leaderboard: gain desc, then count desc, then address asc.
+    /// Derived from `refs`; never persisted.
     pub attackers: Vec<AttackerEntry>,
     /// Pool leaderboard: loss desc, then count desc, then mint asc.
+    /// Derived from `refs`; never persisted.
     pub pools: Vec<PoolEntry>,
     /// Sorted file names of the serving segments this index folded — the
     /// snapshot [`sandwich_store::Manifest::delta_from`] diffs against on
-    /// the incremental reload path. Pre-fold index files lack this field
-    /// and fail to parse ([`IndexReject::BadBody`]), forcing exactly one
-    /// rebuild on upgrade.
+    /// the incremental reload path.
     pub segment_files: Vec<String>,
     /// Sorted file names of the quarantined segments accounted for.
     pub quarantined_files: Vec<String>,
     /// The validator spec the leaderboard was computed under (from the
-    /// store manifest). `None` for a pre-attribution store — and for
-    /// index files persisted before this field existed, which decode
-    /// with both attribution fields absent.
+    /// store manifest). `None` for a pre-attribution store.
     pub validator_spec: Option<ValidatorSpec>,
     /// Validator leaderboard: sandwich rate (sandwiches per block led)
     /// desc, then count desc, then address asc. One entry per spec
-    /// validator. `None` when the store has no validator spec.
+    /// validator. `None` when the store has no validator spec. Derived
+    /// from `refs`, the spec and the blocks-led counts; only the counts
+    /// are persisted.
     pub validators: Option<Vec<ValidatorEntry>>,
 }
 
@@ -235,6 +239,7 @@ pub struct QueryIndex {
 /// The second field is its blocks-led checkpoint: `Some(through)` when
 /// `validators[*].blocks_led` counts `[0, through]` under `validator_spec`
 /// (a finalized index, at its `max_slot`), for [`finalize`] to extend.
+/// The persisted frame is exactly these fields plus that checkpoint.
 #[derive(Default)]
 struct IndexPart(QueryIndex, Option<u64>);
 
@@ -491,11 +496,12 @@ pub fn sort_validator_entries(validators: &mut [ValidatorEntry]) {
 }
 
 /// Turn a merged part into the served index: sort the refs and file
-/// lists, label the days, and derive the totals and the three
-/// leaderboards under `schedule` (that of the part's `validator_spec`).
-/// The one place a leader schedule is walked (from the part's blocks-led
-/// checkpoint, else slot 0, to the merged `max_slot`), so every entry point
-/// calls it once; the leader groups it hashed are returned beside the index.
+/// lists, label the days under `config`'s clock, extend the blocks-led
+/// prefix sum to the merged `max_slot` under `schedule` (that of the
+/// part's `validator_spec`), and [`derive`] the rest. The one place a
+/// leader schedule is walked (from the part's blocks-led checkpoint, else
+/// slot 0), so every entry point calls it once; the leader groups it
+/// hashed are returned beside the index.
 fn finalize(
     part: IndexPart,
     schedule: Option<&LeaderSchedule>,
@@ -509,11 +515,43 @@ fn finalize(
     for (day, rollup) in acc.days.iter_mut().enumerate() {
         rollup.label = config.clock.day_label(day as u64);
     }
+    let mut groups_hashed = 0;
+    let led = schedule.map(|schedule| {
+        // The carried prefix, re-keyed from pubkeys to schedule order, is
+        // trusted only if it adds up: `[0, through]` is `through + 1` slots.
+        // (`through` is some part's `max_slot`: never past the merged one.)
+        let mut led = SlotsLed::default();
+        if let (Some(through), Some(entries)) = (led_through, &acc.validators) {
+            let counts = blocks_led_of(schedule, entries);
+            if counts.iter().map(|&c| u128::from(c)).sum::<u128>() == u128::from(through) + 1 {
+                (led.counts, led.through) = (counts, Some(through));
+            }
+        }
+        groups_hashed = schedule.advance(&mut led, acc.totals.max_slot);
+        (schedule, led.counts)
+    });
+    (derive(acc, led), groups_hashed)
+}
 
+/// The blocks-led counts of leaderboard `entries`, in `schedule` order.
+fn blocks_led_of(schedule: &LeaderSchedule, entries: &[ValidatorEntry]) -> Vec<u64> {
+    let by_pubkey: HashMap<Pubkey, u64> =
+        entries.iter().map(|e| (e.pubkey, e.blocks_led)).collect();
+    let led = |v: &sandwich_attrib::Validator| by_pubkey.get(&v.pubkey).copied().unwrap_or(0);
+    schedule.validators().iter().map(led).collect()
+}
+
+/// The totals and the three leaderboards of `index`, a pure function of
+/// its primary fields and, when it has a validator spec, of `led`: that
+/// spec's schedule and the blocks led through `max_slot` in schedule
+/// order. [`finalize`] ends here and so does a frame load, which is why a
+/// frame stores none of it and derived data can never disagree with the
+/// refs it came from.
+fn derive(mut index: QueryIndex, led: Option<(&LeaderSchedule, Vec<u64>)>) -> QueryIndex {
     let mut attackers: HashMap<Pubkey, AttackerEntry> = HashMap::new();
     let mut pools: HashMap<Pubkey, PoolEntry> = HashMap::new();
     let mut pool_attackers: HashMap<Pubkey, std::collections::BTreeSet<Pubkey>> = HashMap::new();
-    for (i, r) in acc.refs.iter().enumerate() {
+    for (i, r) in index.refs.iter().enumerate() {
         let entry = attackers
             .entry(r.attacker)
             .or_insert_with(|| AttackerEntry {
@@ -554,37 +592,17 @@ fn finalize(
     let mut pools: Vec<PoolEntry> = pools.into_values().collect();
     sort_pool_entries(&mut pools);
 
-    // The validator leaderboard is a pure function of (refs, spec,
-    // max_slot): every fold path recomputes it from the merged refs and
-    // extends blocks led, a prefix sum, to the same `max_slot`, so
-    // fold-vs-rebuild byte-identity extends to attribution.
-    let (carried, max_slot) = (acc.validators.take(), acc.totals.max_slot);
-    let mut groups_hashed = 0;
-    acc.validators = schedule.map(|schedule| {
+    // The validator leaderboard is a pure function of (refs, spec, blocks
+    // led): every fold path recomputes it from the merged refs and extends
+    // blocks led to the same `max_slot`, so fold-vs-rebuild byte-identity
+    // extends to attribution.
+    index.validators = led.map(|(schedule, blocks_led)| {
         let by_pubkey: HashMap<Pubkey, usize> = schedule
             .validators()
             .iter()
             .enumerate()
             .map(|(i, v)| (v.pubkey, i))
             .collect();
-        // The carried prefix, re-keyed from pubkeys to schedule order, is
-        // trusted only if it adds up: `[0, through]` is `through + 1` slots.
-        // (`through` is some part's `max_slot`: never past the merged one.)
-        let mut led = SlotsLed::default();
-        if let (Some(through), Some(entries)) = (led_through, carried) {
-            let mut counts = vec![0u64; by_pubkey.len()];
-            for entry in &entries {
-                if let Some(&v) = by_pubkey.get(&entry.pubkey) {
-                    counts[v] = entry.blocks_led;
-                }
-            }
-            let sum: u128 = counts.iter().map(|&c| u128::from(c)).sum();
-            if sum == u128::from(through) + 1 {
-                (led.counts, led.through) = (counts, Some(through));
-            }
-        }
-        groups_hashed = schedule.advance(&mut led, max_slot);
-        let blocks_led = led.counts;
         let mut entries: Vec<ValidatorEntry> = schedule
             .validators()
             .iter()
@@ -604,7 +622,7 @@ fn finalize(
             .collect();
         let mut slot_sets: Vec<std::collections::BTreeSet<u64>> =
             vec![std::collections::BTreeSet::new(); entries.len()];
-        for (i, r) in acc.refs.iter().enumerate() {
+        for (i, r) in index.refs.iter().enumerate() {
             let Some(leader) = r.leader else { continue };
             let Some(&v) = by_pubkey.get(&leader) else {
                 continue;
@@ -624,15 +642,15 @@ fn finalize(
         entries
     });
 
-    acc.totals.bundles = acc.days.iter().map(|d| d.bundles).sum();
-    acc.totals.sandwiches = acc.refs.len() as u64;
-    acc.totals.defensive = acc.days.iter().map(|d| d.defensive).sum();
-    acc.totals.victim_loss_lamports = acc.days.iter().map(|d| d.victim_loss_lamports).sum();
-    acc.totals.attacker_gain_lamports = acc.days.iter().map(|d| d.attacker_gain_lamports).sum();
-    acc.totals.tips_lamports = acc.days.iter().map(|d| d.tips_lamports).sum();
-    acc.attackers = attackers;
-    acc.pools = pools;
-    (acc, groups_hashed)
+    index.totals.bundles = index.days.iter().map(|d| d.bundles).sum();
+    index.totals.sandwiches = index.refs.len() as u64;
+    index.totals.defensive = index.days.iter().map(|d| d.defensive).sum();
+    index.totals.victim_loss_lamports = index.days.iter().map(|d| d.victim_loss_lamports).sum();
+    index.totals.attacker_gain_lamports = index.days.iter().map(|d| d.attacker_gain_lamports).sum();
+    index.totals.tips_lamports = index.days.iter().map(|d| d.tips_lamports).sum();
+    index.attackers = attackers;
+    index.pools = pools;
+    index
 }
 
 /// Why a persisted index file was not trusted.
@@ -669,10 +687,264 @@ impl std::fmt::Display for IndexReject {
     }
 }
 
+const REF_SOL_LEGGED: u8 = 1;
+const REF_HAS_LOSS: u8 = 2;
+const REF_HAS_GAIN: u8 = 4;
+const REF_HAS_LEADER: u8 = 8;
+
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_u64(out, s.len() as u64);
+    out.extend_from_slice(s.as_bytes());
+}
+
+fn get_str(buf: &[u8], pos: &mut usize) -> Result<String, CorruptSegment> {
+    let len = get_count(buf, pos, 1, "string")?;
+    String::from_utf8(get_bytes(buf, pos, len)?.to_vec())
+        .map_err(|_| CorruptSegment("string is not utf-8".into()))
+}
+
+fn get_flag(buf: &[u8], pos: &mut usize, valid: u8) -> Result<u8, CorruptSegment> {
+    let flags = get_bytes(buf, pos, 1)?[0];
+    if flags & !valid != 0 {
+        return Err(CorruptSegment(format!("unknown flag bits {flags:#04x}")));
+    }
+    Ok(flags)
+}
+
+/// The `SWQIX02` body: the index's primary fields and its blocks-led
+/// checkpoint, laid out as `docs/FORMAT.md` specifies, with every pubkey
+/// interned into one key table in first-use order over the refs. A pure
+/// function of the index's value: no `HashMap` is ever iterated.
+fn encode_index(index: &QueryIndex) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_str(&mut out, &index.generation);
+    let c = &index.coverage;
+    let t = &index.totals;
+    for n in [
+        c.segments_total,
+        c.segments_scanned,
+        c.segments_quarantined,
+        c.segments_failed,
+        c.bundles_scanned,
+        c.bundles_quarantined,
+        c.bundles_failed,
+        t.segments,
+        t.non_sol_sandwiches,
+        t.max_slot,
+    ] {
+        put_u64(&mut out, n);
+    }
+    put_u64(&mut out, index.days.len() as u64);
+    for d in &index.days {
+        put_str(&mut out, &d.label);
+        put_u64(&mut out, d.bundles);
+        put_u64(&mut out, d.bundles_by_len.len() as u64);
+        for &n in &d.bundles_by_len {
+            put_u64(&mut out, n);
+        }
+        put_u64(&mut out, d.sandwiches);
+        put_u64(&mut out, d.defensive);
+        put_u128(&mut out, d.victim_loss_lamports);
+        put_i128(&mut out, d.attacker_gain_lamports);
+        put_u128(&mut out, d.tips_lamports);
+    }
+    for files in [&index.segment_files, &index.quarantined_files] {
+        put_u64(&mut out, files.len() as u64);
+        for file in files {
+            put_str(&mut out, file);
+        }
+    }
+    out.push(u8::from(index.validator_spec.is_some()));
+    if let Some(spec) = &index.validator_spec {
+        put_u64(&mut out, spec.seed);
+        put_u64(&mut out, u64::from(spec.count));
+        let entries = index.validators.as_deref().unwrap_or_default();
+        let led = blocks_led_of(&LeaderSchedule::new(spec), entries);
+        put_u64(&mut out, led.len() as u64);
+        for n in led {
+            put_u64(&mut out, n);
+        }
+    }
+    // Refs go to their own buffer while the key table fills; the table is
+    // written ahead of them.
+    let mut table = KeyTable::default();
+    let mut refs = Vec::with_capacity(48 * index.refs.len() + 8);
+    put_u64(&mut refs, index.refs.len() as u64);
+    let mut prev_slot = 0u64;
+    for r in &index.refs {
+        put_u64(&mut refs, r.slot.wrapping_sub(prev_slot));
+        prev_slot = r.slot;
+        put_u64(&mut refs, r.day);
+        refs.extend_from_slice(r.bundle_id.as_bytes());
+        put_u64(&mut refs, table.intern(&r.attacker));
+        put_u64(&mut refs, table.intern(&r.victim));
+        put_u64(&mut refs, r.mints.len() as u64);
+        for mint in &r.mints {
+            put_u64(&mut refs, table.intern(mint));
+        }
+        let flag = |on: bool, bit: u8| u8::from(on) * bit;
+        refs.push(
+            flag(r.sol_legged, REF_SOL_LEGGED)
+                | flag(r.victim_loss_lamports.is_some(), REF_HAS_LOSS)
+                | flag(r.attacker_gain_lamports.is_some(), REF_HAS_GAIN)
+                | flag(r.leader.is_some(), REF_HAS_LEADER),
+        );
+        if let Some(loss) = r.victim_loss_lamports {
+            put_u64(&mut refs, loss);
+        }
+        if let Some(gain) = r.attacker_gain_lamports {
+            put_i128(&mut refs, gain);
+        }
+        put_u64(&mut refs, r.tip_lamports);
+        if let Some(leader) = &r.leader {
+            put_u64(&mut refs, table.intern(leader));
+        }
+    }
+    table.put(&mut out);
+    out.extend_from_slice(&refs);
+    out
+}
+
+/// Whether a running total of `values` stays within `limit`, and with it
+/// every sum the derivation takes over any subset of them.
+fn sums_fit(values: impl IntoIterator<Item = u128>, limit: u128) -> bool {
+    let add = |sum: u128, v: u128| sum.checked_add(v).filter(|&s| s <= limit);
+    values.into_iter().try_fold(0, add).is_some()
+}
+
+/// Decode an [`encode_index`] body and [`derive`] what it leaves out. Any
+/// input gives an index or an error, never a panic: counts are bounded by
+/// the bytes left ([`get_count`]), refs must be in index order, the
+/// blocks-led checkpoint must add up, and every total the derivation
+/// takes must fit its type.
+fn decode_index(buf: &[u8]) -> Result<QueryIndex, CorruptSegment> {
+    let pos = &mut 0;
+    let mut index = QueryIndex {
+        generation: get_str(buf, pos)?,
+        ..QueryIndex::default()
+    };
+    let mut next = || get_u64(buf, pos);
+    index.coverage = IndexCoverage {
+        segments_total: next()?,
+        segments_scanned: next()?,
+        segments_quarantined: next()?,
+        segments_failed: next()?,
+        bundles_scanned: next()?,
+        bundles_quarantined: next()?,
+        bundles_failed: next()?,
+    };
+    index.totals.segments = next()?;
+    index.totals.non_sol_sandwiches = next()?;
+    index.totals.max_slot = next()?;
+    for day in 0..get_count(buf, pos, 1, "day")? as u64 {
+        let label = get_str(buf, pos)?;
+        let bundles = get_u64(buf, pos)?;
+        let bundles_by_len = (0..get_count(buf, pos, 1, "bundle length")?)
+            .map(|_| get_u64(buf, pos))
+            .collect::<Result<_, _>>()?;
+        index.days.push(DayRollup {
+            day,
+            label,
+            bundles,
+            bundles_by_len,
+            sandwiches: get_u64(buf, pos)?,
+            defensive: get_u64(buf, pos)?,
+            victim_loss_lamports: get_u128(buf, pos)?,
+            attacker_gain_lamports: get_i128(buf, pos)?,
+            tips_lamports: get_u128(buf, pos)?,
+        });
+    }
+    for files in [&mut index.segment_files, &mut index.quarantined_files] {
+        for _ in 0..get_count(buf, pos, 1, "file")? {
+            files.push(get_str(buf, pos)?);
+        }
+    }
+    let mut blocks_led = None;
+    if get_flag(buf, pos, 1)? == 1 {
+        let seed = get_u64(buf, pos)?;
+        let count = u32::try_from(get_u64(buf, pos)?)
+            .map_err(|_| CorruptSegment("validator count overflows".into()))?;
+        let led = (0..get_count(buf, pos, 1, "blocks led")?)
+            .map(|_| get_u64(buf, pos))
+            .collect::<Result<Vec<_>, _>>()?;
+        // One count per scheduled validator (which also bounds the schedule
+        // a load derives), summing to the `[0, max_slot]` checkpoint.
+        let sum: u128 = led.iter().map(|&c| u128::from(c)).sum();
+        if led.len() != count.max(1) as usize || sum != u128::from(index.totals.max_slot) + 1 {
+            return Err(CorruptSegment("blocks led do not add up".into()));
+        }
+        index.validator_spec = Some(ValidatorSpec { seed, count });
+        blocks_led = Some(led);
+    }
+    let keys = decode_key_table(buf, pos)?;
+    let key = |pos: &mut usize| -> Result<Pubkey, CorruptSegment> {
+        let i = get_u64(buf, pos)?;
+        let key = keys.get(i as usize).copied();
+        key.ok_or_else(|| CorruptSegment(format!("pubkey index {i} out of table")))
+    };
+    // Each ref carries a raw 32-byte bundle id.
+    let count = get_count(buf, pos, 32, "ref")?;
+    index.refs.reserve_exact(count);
+    let mut prev_slot = 0u64;
+    for _ in 0..count {
+        let slot = prev_slot
+            .checked_add(get_u64(buf, pos)?)
+            .ok_or_else(|| CorruptSegment("slot delta overflow".into()))?;
+        prev_slot = slot;
+        let day = get_u64(buf, pos)?;
+        let bundle_id = Hash(get_bytes(buf, pos, 32)?.try_into().expect("32 bytes"));
+        let (attacker, victim) = (key(pos)?, key(pos)?);
+        let mints = (0..get_count(buf, pos, 1, "mint")?)
+            .map(|_| key(pos))
+            .collect::<Result<_, _>>()?;
+        let all = REF_SOL_LEGGED | REF_HAS_LOSS | REF_HAS_GAIN | REF_HAS_LEADER;
+        let flags = get_flag(buf, pos, all)?;
+        let has = |bit: u8| flags & bit != 0;
+        let r = SandwichRef {
+            day,
+            slot,
+            bundle_id,
+            attacker,
+            victim,
+            mints,
+            sol_legged: has(REF_SOL_LEGGED),
+            victim_loss_lamports: has(REF_HAS_LOSS).then(|| get_u64(buf, pos)).transpose()?,
+            attacker_gain_lamports: has(REF_HAS_GAIN).then(|| get_i128(buf, pos)).transpose()?,
+            tip_lamports: get_u64(buf, pos)?,
+            leader: has(REF_HAS_LEADER).then(|| key(pos)).transpose()?,
+        };
+        let last = index.refs.last().map(|l| (l.slot, l.bundle_id.0));
+        if last > Some((slot, bundle_id.0)) {
+            return Err(CorruptSegment("refs out of (slot, bundle id) order".into()));
+        }
+        index.refs.push(r);
+    }
+    if *pos != buf.len() {
+        return Err(CorruptSegment("trailing bytes after the refs".into()));
+    }
+    let (u64_max, i128_max) = (u128::from(u64::MAX), i128::MAX as u128);
+    let days = &index.days;
+    let gain = |d: &DayRollup| d.attacker_gain_lamports.unsigned_abs();
+    let ref_gains = index.refs.iter().filter_map(|r| r.attacker_gain_lamports);
+    let fits = sums_fit(days.iter().map(|d| d.bundles.into()), u64_max)
+        && sums_fit(days.iter().map(|d| d.defensive.into()), u64_max)
+        && sums_fit(days.iter().map(|d| d.victim_loss_lamports), u128::MAX)
+        && sums_fit(days.iter().map(|d| d.tips_lamports), u128::MAX)
+        && sums_fit(days.iter().map(gain), i128_max)
+        && sums_fit(ref_gains.map(i128::unsigned_abs), i128_max);
+    if !fits {
+        return Err(CorruptSegment("a derived total overflows".into()));
+    }
+    let schedule = index.validator_spec.as_ref().map(LeaderSchedule::new);
+    Ok(derive(index, schedule.as_ref().zip(blocks_led)))
+}
+
 /// Persist `index` next to the manifest, durably: temp file + fsync +
-/// atomic rename + directory fsync, framed as `magic · JSON body ·
-/// FNV-1a 64 checksum (LE) · footer magic`. A crash mid-save leaves the
-/// previous index (or none) — never a torn frame.
+/// atomic rename + directory fsync, framed as `magic · binary body ·
+/// FNV-1a 64 checksum (LE) · footer magic`. The body is
+/// [`encode_index`]'s: primary fields only, so it is a fraction of the
+/// served index's size. A crash mid-save leaves the previous index (or
+/// none) — never a torn frame.
 pub fn save_index(dir: &Path, index: &QueryIndex) -> std::io::Result<()> {
     save_index_as(dir, index, INDEX_FILE)
 }
@@ -696,14 +968,14 @@ pub fn save_index_with(
     file: &str,
     plan: Option<&mut CrashPlan>,
 ) -> std::io::Result<()> {
-    let body = serde_json::to_vec(index)?;
+    let body = encode_index(index);
     let mut image = Vec::with_capacity(body.len() + 24);
     image.extend_from_slice(INDEX_MAGIC);
     image.extend_from_slice(&body);
     image.extend_from_slice(&fnv1a64(&body).to_le_bytes());
     image.extend_from_slice(INDEX_FOOTER_MAGIC);
     // Split the frame into thirds so torn-write crash points land inside
-    // the JSON body, not only at the frame edges.
+    // the body, not only at the frame edges.
     let cuts = [image.len() / 3, 2 * image.len() / 3];
     write_durable_with(&dir.join(file), &image, &cuts, plan)
 }
@@ -747,7 +1019,7 @@ pub fn load_index_any(dir: &Path, file: &str) -> Result<QueryIndex, IndexReject>
     if fnv1a64(body) != checksum {
         return Err(IndexReject::BadChecksum);
     }
-    serde_json::from_slice(body).map_err(|_| IndexReject::BadBody)
+    decode_index(body).map_err(|_| IndexReject::BadBody)
 }
 
 /// Convenience: slot range owned by day `day` (for cold range scans).
@@ -875,7 +1147,7 @@ pub fn window_minutes(
 mod tests {
     use super::*;
     use sandwich_store::StoreWriter;
-    use sandwich_types::{Hash, Keypair, Slot};
+    use sandwich_types::{Keypair, Slot};
 
     fn bundle(seed: u64, slot: u64, len: usize, tip: u64) -> sandwich_store::CollectedBundle {
         let kp = Keypair::from_label("qidx");
@@ -1180,5 +1452,162 @@ mod tests {
         let g2 = generation_of(&Manifest::load(&dir).unwrap());
         assert_ne!(g1, g2, "sealing a segment must change the generation");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `index` with synthetic sandwiches folded in, covering every ref
+    /// shape the frame encodes: priced or not, zero to two mints, keys
+    /// shared across refs and fresh ones, a leader under a spec.
+    fn with_refs(mut index: QueryIndex) -> QueryIndex {
+        let schedule = index.validator_spec.as_ref().map(LeaderSchedule::new);
+        for n in 0..40u64 {
+            let slot = n * 37 % (index.totals.max_slot + 1);
+            let priced = n % 4 != 0;
+            index.refs.push(SandwichRef {
+                day: 0,
+                slot,
+                bundle_id: Hash::digest(&n.to_le_bytes()),
+                attacker: Pubkey::derive(&format!("attacker-{}", n % 5)),
+                victim: Pubkey::derive(&format!("victim-{n}")),
+                mints: (0..n % 3)
+                    .map(|m| Pubkey::derive(&format!("mint-{}", (n + m) % 4)))
+                    .collect(),
+                sol_legged: priced,
+                victim_loss_lamports: priced.then_some(n * 1_000_003),
+                attacker_gain_lamports: priced.then_some(n as i128 * 7_919 - 150_000),
+                tip_lamports: 1_000 + n,
+                leader: schedule.as_ref().map(|s| s.leader_at(Slot(slot))),
+            });
+        }
+        let generation = index.generation.clone();
+        fold_indexes(&generation, vec![index], &QueryConfig::default())
+    }
+
+    #[test]
+    fn frame_body_roundtrips_every_index_shape() {
+        let config = QueryConfig::default();
+        let spec = ValidatorSpec::new(7, 6);
+        let plain = tmp_store("rt-plain", 3);
+        let specd = tmp_store_with_spec("rt-spec", 3, spec);
+        let degraded = tmp_store_with_spec("rt-degraded", 3, spec);
+        std::fs::remove_file(degraded.dir().join(&degraded.segments()[1].file)).unwrap();
+        let quarantined = {
+            let store = tmp_store("rt-quarantine", 3);
+            let mut manifest = Manifest::load(store.dir()).unwrap();
+            manifest.quarantine(1, "body_corrupt");
+            manifest.save(store.dir()).unwrap();
+            BundleStore::open(store.dir()).unwrap()
+        };
+        let build = |store: &BundleStore| with_refs(build_index(store, &config).unwrap());
+        let indexes = [
+            ("empty", QueryIndex::default()),
+            ("spec-less", build(&plain)),
+            ("spec'd", build(&specd)),
+            ("degraded", build(&degraded)),
+            ("quarantined", build(&quarantined)),
+        ];
+        assert!(indexes[2].1.validators.is_some());
+        assert_eq!(indexes[3].1.coverage.segments_failed, 1);
+        assert_eq!(indexes[4].1.coverage.segments_quarantined, 1);
+        for (name, index) in indexes {
+            assert_eq!(decode_index(&encode_index(&index)), Ok(index), "{name}");
+        }
+        for store in [plain, specd, degraded, quarantined] {
+            std::fs::remove_dir_all(store.dir()).unwrap();
+        }
+    }
+
+    #[test]
+    fn independent_builds_encode_to_identical_bytes() {
+        let store = tmp_store_with_spec("determinism", 4, ValidatorSpec::new(11, 8));
+        let frame = |threads| {
+            let config = QueryConfig {
+                threads,
+                ..QueryConfig::default()
+            };
+            encode_index(&with_refs(build_index(&store, &config).unwrap()))
+        };
+        let first = frame(1);
+        assert_eq!(first, frame(1));
+        assert_eq!(first, frame(4));
+        std::fs::remove_dir_all(store.dir()).unwrap();
+    }
+
+    /// A real body to mutate: a spec'd index with synthetic refs.
+    fn real_body() -> &'static [u8] {
+        static BODY: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+        BODY.get_or_init(|| {
+            let store = tmp_store_with_spec("fuzz", 2, ValidatorSpec::new(3, 5));
+            let index = with_refs(build_index(&store, &QueryConfig::default()).unwrap());
+            std::fs::remove_dir_all(store.dir()).unwrap();
+            encode_index(&index)
+        })
+    }
+
+    #[test]
+    fn every_truncation_and_byte_flip_of_a_body_is_an_error_or_an_index() {
+        let body = real_body();
+        for cut in 0..body.len() {
+            assert!(decode_index(&body[..cut]).is_err(), "cut at {cut}");
+        }
+        for at in 0..body.len() {
+            for mask in [0x01, 0x80, 0xff] {
+                let mut flipped = body.to_vec();
+                flipped[at] ^= mask;
+                let _ = decode_index(&flipped);
+            }
+        }
+    }
+
+    #[test]
+    fn a_count_past_the_bytes_left_is_refused_before_allocating() {
+        let mut body = encode_index(&QueryIndex::default());
+        assert_eq!(body.pop(), Some(0), "an empty body ends with its ref count");
+        for (count, padding) in [(u64::MAX, 0), (100, 100 * 32 - 1)] {
+            let mut claim = body.clone();
+            put_u64(&mut claim, count);
+            claim.resize(claim.len() + padding, 0);
+            assert!(decode_index(&claim).is_err(), "{count} refs");
+        }
+    }
+
+    #[test]
+    fn a_body_whose_derived_totals_would_overflow_is_an_error() {
+        let mut index = with_refs(QueryIndex::default());
+        for r in &mut index.refs[..2] {
+            r.attacker_gain_lamports = Some(i128::MAX);
+        }
+        assert!(decode_index(&encode_index(&index)).is_err(), "gains");
+        let mut index = QueryIndex::default();
+        for day in 0..2 {
+            let mut rollup = DayRollup::new(day);
+            rollup.bundles = u64::MAX;
+            index.days.push(rollup);
+        }
+        assert!(decode_index(&encode_index(&index)).is_err(), "bundles");
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn random_bytes_are_an_error_or_an_index(
+            bytes in prop::collection::vec(any::<u8>(), 0..512),
+        ) {
+            let _ = decode_index(&bytes);
+        }
+
+        #[test]
+        fn random_overwrites_of_a_body_are_an_error_or_an_index(
+            edits in prop::collection::vec((any::<u16>(), any::<u8>()), 1..8),
+        ) {
+            let mut body = real_body().to_vec();
+            for (at, byte) in edits {
+                let len = body.len();
+                body[at as usize % len] = byte;
+            }
+            let _ = decode_index(&body);
+        }
     }
 }

@@ -42,7 +42,7 @@ pub struct IndexScope {
     pub serving: Vec<usize>,
     /// Indexes into [`BundleStore::quarantined`] it accounts for.
     pub quarantined: Vec<usize>,
-    /// File name of its `SWQIX01` frame inside the store directory.
+    /// File name of its persisted index frame inside the store directory.
     pub file: String,
 }
 

@@ -5,7 +5,7 @@
 //! planned for it), brings its index over exactly that slice up the same
 //! load → fold → rebuild ladder `queryd` uses (`sandwich_query::ladder`),
 //! persists it under a shard-and-fingerprint-qualified file name
-//! (`query-index.shard-{i}of{n}-{fp}.bin`, same `SWQIX01` frame), and
+//! (`query-index.shard-{i}of{n}-{fp}.bin`, same `SWQIX02` frame), and
 //! serves merge-ready partials from its own response cache. A partial's
 //! body carries no generation: the skeleton's `x-query-generation` header
 //! names the one it was computed at, and that is what the router checks.

@@ -73,15 +73,17 @@ pub struct SegmentData {
     pub polls: Vec<PollRecord>,
 }
 
-/// Interns pubkeys into a dense per-segment table.
+/// Interns pubkeys into a dense table numbered in first-use order: a
+/// segment body's, and the query index frame's.
 #[derive(Default)]
-struct KeyTable {
+pub struct KeyTable {
     index: HashMap<Pubkey, u64>,
     keys: Vec<Pubkey>,
 }
 
 impl KeyTable {
-    fn intern(&mut self, key: &Pubkey) -> u64 {
+    /// The table index of `key`, appending it on first use.
+    pub fn intern(&mut self, key: &Pubkey) -> u64 {
         if let Some(&i) = self.index.get(key) {
             return i;
         }
@@ -89,6 +91,15 @@ impl KeyTable {
         self.index.insert(*key, i);
         self.keys.push(*key);
         i
+    }
+
+    /// Append the table as [`decode_key_table`] reads it: varint count,
+    /// then count × 32 raw bytes.
+    pub fn put(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.keys.len() as u64);
+        for key in &self.keys {
+            out.extend_from_slice(key.as_bytes());
+        }
     }
 }
 
@@ -133,10 +144,7 @@ pub(crate) fn encode_body_with_layout(data: &SegmentData) -> (Vec<u8>, BodyLayou
     }
 
     let mut out = Vec::new();
-    put_u64(&mut out, table.keys.len() as u64);
-    for key in &table.keys {
-        out.extend_from_slice(key.as_bytes());
-    }
+    table.put(&mut out);
 
     put_u64(&mut out, data.bundles.len() as u64);
     let mut bundle_offsets = Vec::with_capacity(data.bundles.len());
@@ -242,7 +250,8 @@ pub(crate) fn encode_body_with_layout(data: &SegmentData) -> (Vec<u8>, BodyLayou
     )
 }
 
-fn get_bytes<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], CorruptSegment> {
+/// Read `n` raw bytes at `pos`, advancing it.
+pub fn get_bytes<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], CorruptSegment> {
     let end = pos
         .checked_add(n)
         .filter(|&e| e <= buf.len())
@@ -266,19 +275,27 @@ fn get_signature(buf: &[u8], pos: &mut usize) -> Result<Signature, CorruptSegmen
     Ok(Signature(arr))
 }
 
-fn get_count(buf: &[u8], pos: &mut usize, max: usize, what: &str) -> Result<usize, CorruptSegment> {
-    let n = get_u64(buf, pos)? as usize;
-    // A count can never exceed the bytes remaining: each record is ≥ 1 byte.
-    if n > max {
+/// Read a count of records that are each at least `width` bytes long. A
+/// count that could not fit in the bytes left after it is an error, so no
+/// caller allocates for more records than the buffer can hold.
+pub fn get_count(
+    buf: &[u8],
+    pos: &mut usize,
+    width: usize,
+    what: &str,
+) -> Result<usize, CorruptSegment> {
+    let n = get_u64(buf, pos)?;
+    let fits = (buf.len() - *pos) / width.max(1);
+    if n > fits as u64 {
         return Err(CorruptSegment(format!("{what} count {n} exceeds body")));
     }
-    Ok(n)
+    Ok(n as usize)
 }
 
-/// Decode the pubkey interning table at the head of a body. Returns the
-/// table and leaves `pos` at the bundle-count varint.
-pub(crate) fn decode_key_table(buf: &[u8], pos: &mut usize) -> Result<Vec<Pubkey>, CorruptSegment> {
-    let key_count = get_count(buf, pos, buf.len() / 32, "pubkey table")?;
+/// Decode a pubkey table written by [`KeyTable::put`], leaving `pos` just
+/// past it (in a segment body, at the bundle-count varint).
+pub fn decode_key_table(buf: &[u8], pos: &mut usize) -> Result<Vec<Pubkey>, CorruptSegment> {
+    let key_count = get_count(buf, pos, 32, "pubkey table")?;
     let mut keys = Vec::with_capacity(key_count);
     for _ in 0..key_count {
         let b = get_bytes(buf, pos, 32)?;
@@ -533,7 +550,7 @@ where
         .ok_or_else(|| CorruptSegment("truncated detail flags".into()))?;
     *pos += 1;
     let error = if flags & FLAG_HAS_ERROR != 0 {
-        let len = get_count(buf, pos, buf.len(), "error string")?;
+        let len = get_count(buf, pos, 1, "error string")?;
         let bytes = get_bytes(buf, pos, len)?;
         Some(
             String::from_utf8(bytes.to_vec())
@@ -542,14 +559,14 @@ where
     } else {
         None
     };
-    let sol_count = get_count(buf, pos, buf.len(), "sol delta")?;
+    let sol_count = get_count(buf, pos, 1, "sol delta")?;
     let mut sol_deltas = Vec::with_capacity(sol_count);
     for _ in 0..sol_count {
         let account = key_at(get_u64(buf, pos)?)?;
         let delta = LamportDelta(get_i64(buf, pos)?);
         sol_deltas.push(SolDelta { account, delta });
     }
-    let token_count = get_count(buf, pos, buf.len(), "token delta")?;
+    let token_count = get_count(buf, pos, 1, "token delta")?;
     let mut token_deltas = Vec::with_capacity(token_count);
     for _ in 0..token_count {
         let owner = key_at(get_u64(buf, pos)?)?;
@@ -581,7 +598,7 @@ pub(crate) fn decode_poll_section(
     buf: &[u8],
     pos: &mut usize,
 ) -> Result<Vec<PollRecord>, CorruptSegment> {
-    let poll_count = get_count(buf, pos, buf.len(), "poll")?;
+    let poll_count = get_count(buf, pos, 1, "poll")?;
     let mut polls = Vec::with_capacity(poll_count);
     for _ in 0..poll_count {
         let day = get_u64(buf, pos)?;
@@ -612,7 +629,7 @@ pub fn decode_body(buf: &[u8]) -> Result<SegmentData, CorruptSegment> {
             .ok_or_else(|| CorruptSegment(format!("pubkey index {i} out of table")))
     };
 
-    let bundle_count = get_count(buf, &mut pos, buf.len(), "bundle")?;
+    let bundle_count = get_count(buf, &mut pos, 1, "bundle")?;
     let mut bundles = Vec::with_capacity(bundle_count);
     let mut prev_slot = 0i64;
     let mut prev_ts = 0i64;
@@ -623,7 +640,7 @@ pub fn decode_body(buf: &[u8]) -> Result<SegmentData, CorruptSegment> {
         bundles.push(b);
     }
 
-    let detail_count = get_count(buf, &mut pos, buf.len(), "detail")?;
+    let detail_count = get_count(buf, &mut pos, 1, "detail")?;
     let mut details = Vec::with_capacity(detail_count);
     let mut prev_slot = 0i64;
     for _ in 0..detail_count {

@@ -38,10 +38,12 @@ cargo build --offline --release --workspace
 #   sealed segments: byte-identical recovery or explicit quarantine, never a
 #   silently different report.
 # - format_compat: a pre-columnar segment is a `bad_magic` quarantine with
-#   exact coverage, never silently skipped.
+#   exact coverage, never silently skipped; a pre-binary `SWQIX01` index
+#   frame is rejected once and rewritten, whole-store and per shard.
 # - sandwich-query unit tests, query_service: index build / persistence /
-#   corruption handling, restart reuses the persisted index, no torn reads
-#   under concurrent clients and reloads, serving over a quarantined segment.
+#   corruption handling, the frame body's round trip, determinism and byte
+#   fuzz, restart reuses the persisted index, no torn reads under
+#   concurrent clients and reloads, serving over a quarantined segment.
 # - live_fold_props, live_tail: fold == rebuild for any partition and order;
 #   a writer seals while clients long-poll /api/live — cursors never skip or
 #   duplicate, a sandwich is on the tail one seal later, the index never
@@ -67,6 +69,17 @@ code_ver=$(sed -n 's/^pub const FORMAT_VERSION: u8 = \([0-9][0-9]*\);$/\1/p' cra
 if [ -z "$spec_ver" ] || [ -z "$code_ver" ] || [ "$spec_ver" != "$code_ver" ]; then
   echo "format version drift: docs/FORMAT.md says '${spec_ver:-missing}'," \
        "crates/store/src/segment.rs says '${code_ver:-missing}'" >&2
+  exit 1
+fi
+
+# Same for the query index frame: the magic in FORMAT.md's section heading
+# must be the INDEX_MAGIC crates/query writes.
+echo "==> FORMAT.md index frame magic matches query::INDEX_MAGIC"
+spec_magic=$(sed -n 's/^## Query index frame (`\(SWQIX[0-9][0-9]\)\\n`)$/\1/p' docs/FORMAT.md)
+code_magic=$(sed -n 's/^pub const INDEX_MAGIC: &\[u8; 8\] = b"\(SWQIX[0-9][0-9]\)\\n";$/\1/p' crates/query/src/index.rs)
+if [ -z "$spec_magic" ] || [ -z "$code_magic" ] || [ "$spec_magic" != "$code_magic" ]; then
+  echo "index frame magic drift: docs/FORMAT.md says '${spec_magic:-missing}'," \
+       "crates/query/src/index.rs says '${code_magic:-missing}'" >&2
   exit 1
 fi
 

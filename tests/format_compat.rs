@@ -4,19 +4,29 @@
 //! decoder — it fails the magic check like any unreadable segment,
 //! the degraded scan counts it, and `store doctor` quarantines it as
 //! `bad_magic`. It is never silently skipped.
+//!
+//! Query index frames keep the cache's rule instead: a frame is current or
+//! rebuilt. A pre-binary `SWQIX01` frame fails the magic check and is
+//! rewritten once, for the whole store and for a shard alike.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use sandwich_core::{
     scan_store, scan_store_degraded, scan_store_materializing, AnalysisConfig, AnalysisReport,
     ScanCoverage,
 };
 use sandwich_ledger::{SolDelta, TokenDelta, TransactionMeta};
+use sandwich_obs::{names, Registry};
+use sandwich_query::{
+    build_index, build_index_subset, load_index_any, IndexReject, QueryConfig, QueryIndex,
+    QueryService, QueryServiceConfig, INDEX_FILE,
+};
+use sandwich_shard::{shard_index_file, ShardConfig, ShardMap, ShardService};
 use sandwich_store::codec::SegmentData;
 use sandwich_store::doctor::{self, SegmentHealth};
 use sandwich_store::records::{CollectedBundle, CollectedDetail};
 use sandwich_store::segment::{encode_segment, write_segment_file};
-use sandwich_store::{BundleStore, Manifest, SegmentFooter, SegmentMeta, StoreWriter};
+use sandwich_store::{fnv1a64, BundleStore, Manifest, SegmentFooter, SegmentMeta, StoreWriter};
 use sandwich_types::{Keypair, LamportDelta, Lamports, Pubkey, Slot, SlotClock};
 
 /// One segment's worth of records: a detectable sandwich trio plus a
@@ -240,4 +250,77 @@ fn pre_columnar_segment_is_a_bad_magic_quarantine_with_exact_coverage() {
     assert!(scan_store(&store, &clock, &cfg, 2).is_ok());
 
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `index` as the frame before the binary body, built byte by byte with no
+/// encoder: the old leading magic, the JSON body, its FNV-1a 64 checksum
+/// and the old trailing magic.
+fn pre_binary_frame(index: &QueryIndex) -> Vec<u8> {
+    let body = serde_json::to_vec(index).unwrap();
+    let mut frame = b"SWQIX01\n".to_vec();
+    frame.extend_from_slice(&body);
+    frame.extend_from_slice(&fnv1a64(&body).to_le_bytes());
+    frame.extend_from_slice(b"SWQEND1\n");
+    frame
+}
+
+/// An `SWQIX01` frame, whole-store or one shard's, is a bad frame: the
+/// first open counts one rejection, rebuilds from the segments and
+/// rewrites the file in the current format, and the second open loads it.
+#[test]
+fn a_pre_binary_index_frame_is_rejected_once_and_rewritten() {
+    let dir = store_of("swqix01", &[100, 100_000], |image, _| image);
+    let store = BundleStore::open(&dir).unwrap();
+    let config = QueryConfig::default();
+    let map = ShardMap::plan(store.manifest(), 2);
+    let (serving, quarantined) = map.resolve(store.manifest(), 0).unwrap();
+    let shard_file = shard_index_file(0, 2, &map.fingerprint(0));
+    let old_frames = [
+        (INDEX_FILE, build_index(&store, &config).unwrap()),
+        (
+            shard_file.as_str(),
+            build_index_subset(&store, &config, &serving, &quarantined).unwrap(),
+        ),
+    ];
+    for (file, index) in &old_frames {
+        std::fs::write(dir.join(file), pre_binary_frame(index)).unwrap();
+        assert_eq!(
+            load_index_any(&dir, file).unwrap_err(),
+            IndexReject::BadFrame
+        );
+    }
+
+    assert_rejected_once_then_loaded(&dir, INDEX_FILE, |registry| {
+        QueryService::open(QueryServiceConfig::new(&dir), registry).map(drop)
+    });
+    assert_rejected_once_then_loaded(&dir, &shard_file, |registry| {
+        ShardService::open(ShardConfig::new(&dir, 0), &map, registry).map(drop)
+    });
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The first `open` rejects the frame at `file` once, rebuilds it and
+/// rewrites it as `SWQIX02`; the second loads it.
+fn assert_rejected_once_then_loaded(
+    dir: &Path,
+    file: &str,
+    open: impl Fn(Registry) -> std::io::Result<()>,
+) {
+    // (rejected, rebuilt, loaded) on one open.
+    let open_counts = || {
+        let registry = Registry::new();
+        open(registry.clone()).unwrap();
+        let snap = registry.snapshot();
+        let counters = [
+            names::QUERY_INDEX_REJECTED,
+            names::QUERY_INDEX_REBUILDS,
+            names::QUERY_INDEX_LOADS,
+        ];
+        counters.map(|name| snap.counter(name).unwrap_or(0))
+    };
+    assert_eq!(open_counts(), [1, 1, 0], "{file}: rejected once, rebuilt");
+    let frame = std::fs::read(dir.join(file)).unwrap();
+    assert!(frame.starts_with(b"SWQIX02\n"), "{file}: rewritten");
+    assert_eq!(open_counts(), [0, 0, 1], "{file}: the next open loads");
 }
