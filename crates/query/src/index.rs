@@ -2,14 +2,14 @@
 //! the segments produces everything the query API answers from, so no
 //! endpoint ever decodes a whole segment at request time.
 //!
-//! The index is keyed to the store's **manifest generation** — an FNV-1a 64
-//! fingerprint of the manifest JSON. It persists next to the manifest as
-//! `query-index.bin` in the store's checksummed framing (magic · binary
-//! body · FNV footer), and is only trusted when the magic, checksum, *and*
-//! generation all agree; anything else is rejected and rebuilt from the
-//! segments. The body holds only the index's primary fields, in the
-//! segment codec's varints and key table; the totals and the three
-//! leaderboards are derived again on load.
+//! The index is keyed to the store's **manifest generation**
+//! ([`BundleStore::generation`], an FNV-1a 64 fingerprint of the manifest
+//! JSON). It persists next to the manifest as `query-index.bin` in the
+//! store's checksummed framing (magic · binary body · FNV footer), and is
+//! only trusted when the magic, checksum, *and* generation all agree;
+//! anything else is rejected and rebuilt from the segments. The body holds
+//! only the index's primary fields, in the segment codec's varints and key
+//! table; the totals and the three leaderboards are derived again on load.
 
 use std::collections::HashMap;
 use std::io;
@@ -24,7 +24,7 @@ use sandwich_jito::BundleId;
 use sandwich_store::codec::{decode_key_table, get_bytes, get_count, CorruptSegment, KeyTable};
 use sandwich_store::crash::{write_durable_with, CrashPlan};
 use sandwich_store::varint::{get_i128, get_u128, get_u64, put_i128, put_u128, put_u64};
-use sandwich_store::{fnv1a64, BundleStore, Manifest};
+use sandwich_store::{fnv1a64, BundleStore};
 use sandwich_types::{Hash, Lamports, Pubkey, SlotClock, DEFENSIVE_TIP_THRESHOLD};
 
 /// Index file name inside a store directory (next to `manifest.json`).
@@ -58,13 +58,6 @@ impl Default for QueryConfig {
             threads: 4,
         }
     }
-}
-
-/// The manifest generation: a 16-hex FNV-1a 64 fingerprint of the manifest
-/// JSON. Sealing a segment changes the manifest, hence the generation.
-pub fn generation_of(manifest: &Manifest) -> String {
-    let json = serde_json::to_string(manifest).unwrap_or_default();
-    format!("{:016x}", fnv1a64(json.as_bytes()))
 }
 
 /// One detected sandwich, as the API serves it: enough to render a row on
@@ -214,7 +207,7 @@ pub struct QueryIndex {
     /// Derived from `refs`; never persisted.
     pub pools: Vec<PoolEntry>,
     /// Sorted file names of the serving segments this index folded — the
-    /// snapshot [`sandwich_store::Manifest::delta_from`] diffs against on
+    /// snapshot [`sandwich_store::Manifest::delta_within`] diffs against on
     /// the incremental reload path.
     pub segment_files: Vec<String>,
     /// Sorted file names of the quarantined segments accounted for.
@@ -431,7 +424,7 @@ pub(crate) fn fold_onto(
         }
     }
     onto.merge(acc);
-    onto.0.generation = generation_of(store.manifest());
+    onto.0.generation = store.generation().to_string();
     Ok(finalize(onto, schedule.as_ref(), config))
 }
 
@@ -1146,7 +1139,7 @@ pub fn window_minutes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sandwich_store::StoreWriter;
+    use sandwich_store::{generation_of, Manifest, StoreWriter};
     use sandwich_types::{Keypair, Slot};
 
     fn bundle(seed: u64, slot: u64, len: usize, tip: u64) -> sandwich_store::CollectedBundle {

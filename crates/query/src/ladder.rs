@@ -30,8 +30,8 @@ use sandwich_obs::{names, Registry};
 use sandwich_store::{BundleStore, SealWatcher};
 
 use crate::index::{
-    fold_onto, generation_of, load_index_any, save_index_as, whole_store, IndexReject, QueryConfig,
-    QueryIndex, INDEX_FILE,
+    fold_onto, load_index_any, save_index_as, whole_store, IndexReject, QueryConfig, QueryIndex,
+    INDEX_FILE,
 };
 
 /// What one persisted index covers: a set of manifest entries and the
@@ -169,13 +169,12 @@ pub fn bring_up(
     config: &QueryConfig,
     registry: &Registry,
 ) -> io::Result<QueryIndex> {
-    let generation = generation_of(store.manifest());
     let base = match live {
         Some(index) => Ok(index.clone()),
         None => load_index_any(store.dir(), &scope.file),
     };
     let index = match base {
-        Ok(index) if live.is_none() && index.generation == generation => {
+        Ok(index) if live.is_none() && index.generation == store.generation() => {
             registry.counter(names::QUERY_INDEX_LOADS).inc();
             return Ok(went_live(index, registry));
         }

@@ -35,12 +35,13 @@ pub use engine::{
 };
 pub use index::{
     build_index, build_index_materializing, build_index_subset, first_ref_after_cursor,
-    fold_indexes, generation_of, live_minutes, load_index, load_index_any, minute_of, save_index,
-    save_index_as, save_index_with, sort_attacker_entries, sort_pool_entries,
-    sort_validator_entries, window_minutes, AttackerEntry, DayRollup, IndexCoverage, IndexReject,
-    IndexTotals, LiveMinute, PoolEntry, QueryConfig, QueryIndex, SandwichRef, ValidatorEntry,
-    INDEX_FILE, INDEX_MAGIC, LIVE_MINUTES, SLOTS_PER_MINUTE,
+    fold_indexes, live_minutes, load_index, load_index_any, minute_of, save_index, save_index_as,
+    save_index_with, sort_attacker_entries, sort_pool_entries, sort_validator_entries,
+    window_minutes, AttackerEntry, DayRollup, IndexCoverage, IndexReject, IndexTotals, LiveMinute,
+    PoolEntry, QueryConfig, QueryIndex, SandwichRef, ValidatorEntry, INDEX_FILE, INDEX_MAGIC,
+    LIVE_MINUTES, SLOTS_PER_MINUTE,
 };
 pub use ladder::IndexScope;
+pub use sandwich_store::generation_of;
 pub use serve::{Backend, Serving};
 pub use service::{QueryService, QueryServiceConfig};

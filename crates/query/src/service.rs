@@ -18,11 +18,11 @@ use parking_lot::RwLock;
 
 use sandwich_net::{Request, Router};
 use sandwich_obs::{names, Registry};
-use sandwich_store::{BundleStore, Manifest};
+use sandwich_store::BundleStore;
 
 use crate::cache::CachedResponse;
 use crate::engine::{Engine, QueryRequest};
-use crate::index::{generation_of, QueryConfig};
+use crate::index::QueryConfig;
 use crate::ladder::{bring_up, IndexScope};
 use crate::serve::{Backend, Serving};
 
@@ -183,17 +183,17 @@ impl QueryService {
 
     fn reload_inner(&self) -> std::io::Result<bool> {
         let local = &self.serving.backend;
-        let manifest = Manifest::load(&local.config.store_dir)?;
+        // One snapshot: the generation compared is the one folded to.
+        let store = BundleStore::open(&local.config.store_dir)?;
         // Same generation (including a no-op manifest touch): nothing to
         // do, and crucially the response cache — whose keys are
         // generation-prefixed — keeps every warm entry.
         let live = local.snapshot();
-        if live.generation() == generation_of(&manifest) {
+        if live.generation() == store.generation() {
             return Ok(false);
         }
         // Fold forward from the index already in memory — the common
         // seal-only case scans just the new segments.
-        let store = BundleStore::open(&local.config.store_dir)?;
         let scope = IndexScope::whole(&store);
         let (config, registry) = (&local.config.query, &local.registry);
         let index = bring_up(&store, &scope, Some(live.index()), config, registry)?;
@@ -213,7 +213,7 @@ mod tests {
     use super::*;
     use crate::index::{build_index, save_index, INDEX_FILE};
     use sandwich_net::{HttpClient, Server};
-    use sandwich_store::{CollectedBundle, StoreWriter};
+    use sandwich_store::{CollectedBundle, Manifest, StoreWriter};
     use sandwich_types::{Hash, Keypair, Lamports, Slot};
 
     fn bundle(seed: u64, slot: u64, tip: u64) -> CollectedBundle {

@@ -3,9 +3,10 @@
 //! The shard boundary is a socket from day one — every shard gets its own
 //! listener and the router talks to them over HTTP exactly as it would
 //! across machines — so moving a shard to another host is a config
-//! change, not a rewrite. [`ServingCluster`] owns the whole stack: plan
-//! the [`crate::ShardMap`] from the manifest, build each shard's engine,
-//! bind the listeners, and put the scatter-gather router in front.
+//! change, not a rewrite. [`ServingCluster`] owns the whole stack: open
+//! the store once, plan the [`crate::ShardMap`] from that snapshot, build
+//! each shard's engine from it, bind the listeners, and put the
+//! scatter-gather router in front at the snapshot's generation.
 
 use std::io;
 use std::net::SocketAddr;
@@ -13,8 +14,8 @@ use std::path::PathBuf;
 
 use sandwich_net::Server;
 use sandwich_obs::Registry;
-use sandwich_query::{generation_of, QueryConfig};
-use sandwich_store::{BundleStore, Manifest};
+use sandwich_query::QueryConfig;
+use sandwich_store::BundleStore;
 
 use crate::map::ShardMap;
 use crate::router::{RouterConfig, RouterService};
@@ -67,11 +68,11 @@ pub struct ServingCluster {
 /// Remove per-shard index files that no current assignment references
 /// (left behind by rebalances and shard-count changes). Best-effort: a
 /// failure to remove is ignored, a stale file only costs disk.
-fn gc_stale_shard_indexes(dir: &std::path::Path, map: &ShardMap) {
+fn gc_stale_shard_indexes(map: &ShardMap) {
     let expected: std::collections::BTreeSet<String> = (0..map.shard_count())
-        .map(|shard| index_file_under(shard, map))
+        .flat_map(|shard| index_file_under(shard, map))
         .collect();
-    let Ok(entries) = std::fs::read_dir(dir) else {
+    let Ok(entries) = std::fs::read_dir(map.store().dir()) else {
         return;
     };
     for entry in entries.flatten() {
@@ -86,10 +87,8 @@ impl ServingCluster {
     /// Open the store, plan the shard map, build every shard's engine,
     /// and serve: N shard listeners plus the router.
     pub async fn serve(config: ClusterConfig, registry: Registry) -> io::Result<ServingCluster> {
-        let store = BundleStore::open(&config.store_dir)?;
-        let map = ShardMap::plan(store.manifest(), config.shards);
-        gc_stale_shard_indexes(store.dir(), &map);
-        drop(store);
+        let map = ShardMap::plan(BundleStore::open(&config.store_dir)?, config.shards);
+        gc_stale_shard_indexes(&map);
 
         // Split the thread budget across shard builds so an N-shard
         // cluster uses the same total parallelism as a single engine.
@@ -100,7 +99,7 @@ impl ServingCluster {
         let mut shard_servers = Vec::with_capacity(shards);
         let mut shard_addrs = Vec::with_capacity(shards);
         for shard in 0..shards {
-            let mut shard_config = ShardConfig::new(&config.store_dir, shard);
+            let mut shard_config = ShardConfig::new(shard);
             shard_config.query = config.query.clone();
             shard_config.query.threads = per_shard_threads;
             let service = ShardService::open(shard_config, &map, registry.clone())?;
@@ -112,7 +111,7 @@ impl ServingCluster {
 
         let router = RouterService::new(
             shard_addrs,
-            map.generation.clone(),
+            map.store().generation().to_string(),
             RouterConfig {
                 max_in_flight: config.max_in_flight,
             },
@@ -149,10 +148,10 @@ impl ServingCluster {
         self.router.generation()
     }
 
-    /// Re-check the manifest; when its generation changed (a seal or a
-    /// rebalance landed), re-plan the shard map, install the new slices
-    /// on every shard, then move the router forward. Returns `true` when
-    /// a new generation went live.
+    /// Open the store once; when that snapshot's generation is new (a seal
+    /// or a rebalance landed), re-plan the shard map from it, install its
+    /// slices on every shard, then move the router to its generation.
+    /// Returns `true` when a new generation went live.
     ///
     /// Ordering matters: shards first, router last. A request racing the
     /// reload either sees the old generation everywhere (served from the
@@ -162,17 +161,17 @@ impl ServingCluster {
     /// never a torn merge. If an install fails midway the router stays on
     /// the old generation and the failed shard flips its `/readyz`.
     pub fn reload(&self) -> io::Result<bool> {
-        let manifest = Manifest::load(&self.config.store_dir)?;
-        let generation = generation_of(&manifest);
-        if generation == self.router.generation() {
+        let store = BundleStore::open(&self.config.store_dir)?;
+        if store.generation() == self.router.generation() {
             return Ok(false);
         }
-        let map = ShardMap::plan(&manifest, self.services.len());
+        let map = ShardMap::plan(store, self.services.len());
         for service in &self.services {
             service.install(&map)?;
         }
-        gc_stale_shard_indexes(&self.config.store_dir, &map);
-        self.router.set_generation(generation);
+        gc_stale_shard_indexes(&map);
+        self.router
+            .set_generation(map.store().generation().to_string());
         Ok(true)
     }
 

@@ -4,10 +4,10 @@
 //! partitions the sealed segments by slot range across N shard engines
 //! and serves them behind a scatter-gather router:
 //!
-//! - [`map`] — the [`ShardMap`]: a generation-keyed assignment of every
-//!   manifest segment (serving and quarantined) to exactly one shard,
-//!   planned deterministically by slot order and balanced by bundle
-//!   count, on every open and reload — never persisted.
+//! - [`map`] — the [`ShardMap`]: the store snapshot it was planned from
+//!   and an assignment of its every manifest segment to exactly one shard,
+//!   by slot order and balanced by bundle count, on every open and reload
+//!   — never persisted.
 //! - [`merge`] — the `/shard/*` wire format (the [`merge::ShardQuery`]
 //!   the router sends and the partials a shard answers) and the pure,
 //!   associative merge functions the router folds them with. Merged

@@ -8,14 +8,14 @@
 //! disjoint exhaustive partition of *all* manifest entries exists and the
 //! router's summed coverage equals the single-engine coverage exactly.
 //!
-//! The map is never persisted. It is a pure function of the manifest and
-//! the shard count, so every open and every reload plans it afresh; what
-//! persists is each shard's index, under a file name carrying the
-//! assignment's [`ShardMap::fingerprint`].
+//! The map is never persisted: every open and every reload plans it
+//! afresh from one store snapshot, which it keeps ([`ShardMap::store`])
+//! and every shard is brought up from. What persists is each shard's
+//! index, under a file name carrying its [`ShardMap::fingerprint`].
 
 use std::io;
 
-use sandwich_store::{fnv1a64, Manifest, SegmentMeta};
+use sandwich_store::{fnv1a64, BundleStore, SegmentMeta};
 
 /// One shard's slice of the manifest.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -28,11 +28,11 @@ pub struct ShardSpec {
     pub min_slot: u64,
 }
 
-/// The complete assignment for one manifest generation.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// The complete assignment for one store snapshot.
+#[derive(Clone, Debug)]
 pub struct ShardMap {
-    /// The manifest generation this map partitions.
-    pub generation: String,
+    /// The snapshot this map partitions.
+    store: BundleStore,
     /// One spec per shard; every manifest entry appears in exactly one.
     pub shards: Vec<ShardSpec>,
 }
@@ -43,11 +43,12 @@ fn slot_key(meta: &SegmentMeta) -> (u64, u64, String) {
 }
 
 impl ShardMap {
-    /// Plan the map for `manifest` across `shards` shards (at least one).
+    /// Plan the map for `store` across `shards` shards (at least one).
     /// Deterministic: depends only on the manifest contents.
-    pub fn plan(manifest: &Manifest, shards: usize) -> ShardMap {
+    pub fn plan(store: BundleStore, shards: usize) -> ShardMap {
         let n = shards.max(1);
         let mut specs = vec![ShardSpec::default(); n];
+        let manifest = store.manifest();
 
         let mut serving: Vec<&SegmentMeta> = manifest.segments.iter().collect();
         serving.sort_by_key(|m| slot_key(m));
@@ -91,9 +92,14 @@ impl ShardMap {
         }
 
         ShardMap {
-            generation: sandwich_query::generation_of(manifest),
+            store,
             shards: specs,
         }
+    }
+
+    /// The store snapshot this map was planned from.
+    pub fn store(&self) -> &BundleStore {
+        &self.store
     }
 
     /// Number of shards in this map.
@@ -101,35 +107,40 @@ impl ShardMap {
         self.shards.len()
     }
 
+    /// One shard's spec, or an `InvalidInput` error naming shard and count.
+    fn spec(&self, shard: usize) -> io::Result<&ShardSpec> {
+        self.shards.get(shard).ok_or_else(|| {
+            let count = self.shard_count();
+            let message = format!("shard {shard} is out of range for a map of {count} shards");
+            io::Error::new(io::ErrorKind::InvalidInput, message)
+        })
+    }
+
     /// A 16-hex FNV-1a 64 fingerprint of one shard's assignment — embedded
     /// in the shard's persisted index file name so a re-plan (different
     /// shard count, rebalanced layout) can never alias a stale index.
-    pub fn fingerprint(&self, shard: usize) -> String {
-        let spec = &self.shards[shard];
+    pub fn fingerprint(&self, shard: usize) -> io::Result<String> {
+        let spec = self.spec(shard)?;
         let mut bytes = Vec::new();
         for file in spec.segments.iter().chain(&spec.quarantined) {
             bytes.extend_from_slice(file.as_bytes());
             bytes.push(b'\n');
         }
-        format!("{:016x}", fnv1a64(&bytes))
+        Ok(format!("{:016x}", fnv1a64(&bytes)))
     }
 
-    /// Resolve one shard's file names back to indices into
-    /// `manifest.segments` / `manifest.quarantined()`. Fails with
-    /// `InvalidData` when the map names a file the manifest does not list
-    /// (a map planned for another manifest).
-    pub fn resolve(
-        &self,
-        manifest: &Manifest,
-        shard: usize,
-    ) -> io::Result<(Vec<usize>, Vec<usize>)> {
+    /// Resolve one shard's file names back to indices into the snapshot's
+    /// `segments` / `quarantined()`. Fails with `InvalidData` when the
+    /// map names a file the manifest does not list.
+    pub fn resolve(&self, shard: usize) -> io::Result<(Vec<usize>, Vec<usize>)> {
         let missing = |file: &str| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("stale shard map: {file} is not in the manifest"),
             )
         };
-        let spec = &self.shards[shard];
+        let spec = self.spec(shard)?;
+        let manifest = self.store.manifest();
         let mut serving = Vec::with_capacity(spec.segments.len());
         for file in &spec.segments {
             let i = manifest
@@ -186,7 +197,7 @@ mod tests {
     fn plan_partitions_every_segment_exactly_once() {
         let store = seed_store("plan", 10, 8);
         for n in [1, 2, 3, 4, 8, 16] {
-            let map = ShardMap::plan(store.manifest(), n);
+            let map = ShardMap::plan(store.clone(), n);
             assert_eq!(map.shard_count(), n);
             let mut seen: Vec<&String> = map.shards.iter().flat_map(|s| &s.segments).collect();
             seen.sort();
@@ -209,10 +220,10 @@ mod tests {
     #[test]
     fn resolve_maps_names_back_to_manifest_indices() {
         let store = seed_store("resolve", 6, 4);
-        let map = ShardMap::plan(store.manifest(), 3);
+        let map = ShardMap::plan(store.clone(), 3);
         let mut all: Vec<usize> = Vec::new();
         for shard in 0..3 {
-            let (serving, quarantined) = map.resolve(store.manifest(), shard).unwrap();
+            let (serving, quarantined) = map.resolve(shard).unwrap();
             assert!(quarantined.is_empty());
             all.extend(serving);
         }
@@ -221,21 +232,28 @@ mod tests {
 
         let mut stale = map.clone();
         stale.shards[1].segments.push("gone.seg".to_string());
-        let error = stale.resolve(store.manifest(), 1).unwrap_err();
+        let error = stale.resolve(1).unwrap_err();
         assert_eq!(error.kind(), std::io::ErrorKind::InvalidData);
         assert!(error.to_string().contains("gone.seg"), "{error}");
+
+        // A shard the map does not have is the caller's error, not a panic.
+        for error in [map.resolve(3).unwrap_err(), map.fingerprint(3).unwrap_err()] {
+            assert_eq!(error.kind(), std::io::ErrorKind::InvalidInput);
+            assert!(error.to_string().contains("shard 3"), "{error}");
+            assert!(error.to_string().contains("3 shards"), "{error}");
+        }
         std::fs::remove_dir_all(store.dir()).unwrap();
     }
 
     #[test]
     fn fingerprint_tracks_assignment_changes() {
         let store = seed_store("fp", 8, 4);
-        let two = ShardMap::plan(store.manifest(), 2);
-        let four = ShardMap::plan(store.manifest(), 4);
-        assert_ne!(two.fingerprint(0), four.fingerprint(0));
+        let two = ShardMap::plan(store.clone(), 2);
+        let four = ShardMap::plan(store.clone(), 4);
+        assert_ne!(two.fingerprint(0).unwrap(), four.fingerprint(0).unwrap());
         assert_eq!(
-            two.fingerprint(0),
-            ShardMap::plan(store.manifest(), 2).fingerprint(0)
+            two.fingerprint(0).unwrap(),
+            ShardMap::plan(store.clone(), 2).fingerprint(0).unwrap()
         );
         std::fs::remove_dir_all(store.dir()).unwrap();
     }

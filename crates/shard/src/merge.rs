@@ -616,15 +616,14 @@ mod tests {
         writer
             .seal_segment(bundles, Vec::new(), Vec::new())
             .unwrap();
-        let manifest = sandwich_store::Manifest::load(&dir).unwrap();
-        let map = crate::ShardMap::plan(&manifest, 1);
+        let map = crate::ShardMap::plan(writer.into_reader(), 1);
 
         tokio::runtime::Builder::new_multi_thread()
             .enable_all()
             .build()
             .unwrap()
             .block_on(async {
-                let config = crate::ShardConfig::new(&dir, 0);
+                let config = crate::ShardConfig::new(0);
                 let shard = crate::ShardService::open(config, &map, Registry::new()).unwrap();
                 let server = Server::bind("127.0.0.1:0", shard.router()).await.unwrap();
                 let client = HttpClient::new(server.local_addr());
@@ -637,7 +636,7 @@ mod tests {
                 assert_eq!(leg.status, 200);
                 assert_eq!(
                     leg.header_value("x-query-generation"),
-                    Some(map.generation.as_str())
+                    Some(map.store().generation())
                 );
                 let partial: RangePartial = serde_json::from_slice(&leg.body).unwrap();
                 assert_eq!(partial.total, 0, "plain bundles, no sandwiches");

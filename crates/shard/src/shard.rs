@@ -2,18 +2,19 @@
 //! behind the `sandwich_query::serve` skeleton, answering `/shard/*`.
 //!
 //! A shard owns a slice of the manifest (per the [`crate::ShardMap`]
-//! planned for it), brings its index over exactly that slice up the same
-//! load → fold → rebuild ladder `queryd` uses (`sandwich_query::ladder`),
-//! persists it under a shard-and-fingerprint-qualified file name
-//! (`query-index.shard-{i}of{n}-{fp}.bin`, same `SWQIX02` frame), and
-//! serves merge-ready partials from its own response cache. A partial's
-//! body carries no generation: the skeleton's `x-query-generation` header
-//! names the one it was computed at, and that is what the router checks.
-//! Coverage is exact per shard: a shard whose slice contains quarantined
-//! or unreadable segments reports them in its own coverage block, and the
-//! router's sum reproduces the whole-store block.
+//! planned for it) and never opens the store: it brings its index over
+//! exactly that slice of the map's snapshot ([`crate::ShardMap::store`])
+//! up the same load → fold → rebuild ladder `queryd` uses
+//! (`sandwich_query::ladder`), persists it under a shard-and-fingerprint-
+//! qualified file name (`query-index.shard-{i}of{n}-{fp}.bin`, same
+//! `SWQIX02` frame), and serves merge-ready partials from its own response
+//! cache. A partial's body carries no generation: the skeleton's
+//! `x-query-generation` header names the one it was computed at, and that
+//! is what the router checks. Coverage is exact per shard: a shard whose
+//! slice contains quarantined or unreadable segments reports them in its
+//! own coverage block, and the router's sum reproduces the whole-store
+//! block.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -23,10 +24,9 @@ use sandwich_obs::{names, Registry};
 use sandwich_query::ladder::{bring_up, IndexScope};
 use sandwich_query::render::{json_response, DETAIL_REF_CAP};
 use sandwich_query::{
-    first_ref_after_cursor, generation_of, live_minutes, AttackerEntry, Backend, CachedResponse,
-    Engine, PoolEntry, QueryConfig, QueryIndex, SandwichRef, Serving, ValidatorEntry,
+    first_ref_after_cursor, live_minutes, AttackerEntry, Backend, CachedResponse, Engine,
+    PoolEntry, QueryConfig, QueryIndex, SandwichRef, Serving, ValidatorEntry,
 };
-use sandwich_store::BundleStore;
 use sandwich_types::{Hash, Pubkey};
 
 use crate::map::ShardMap;
@@ -46,11 +46,9 @@ pub fn shard_index_file(shard: usize, shards: usize, fingerprint: &str) -> Strin
 /// collection of stale fingerprints).
 pub const SHARD_INDEX_PREFIX: &str = "query-index.shard-";
 
-/// Tunables for one shard service.
+/// Tunables for one shard service (the store is the map's snapshot).
 #[derive(Clone, Debug)]
 pub struct ShardConfig {
-    /// Directory of the sealed bundle store.
-    pub store_dir: PathBuf,
     /// Index-build semantics (detector, threshold, clock, threads).
     pub query: QueryConfig,
     /// This shard's id (index into the shard map).
@@ -58,10 +56,9 @@ pub struct ShardConfig {
 }
 
 impl ShardConfig {
-    /// Paper-default semantics for shard `shard` over `store_dir`.
-    pub fn new(store_dir: impl Into<PathBuf>, shard: usize) -> Self {
+    /// Paper-default semantics for shard `shard`.
+    pub fn new(shard: usize) -> Self {
         ShardConfig {
-            store_dir: store_dir.into(),
             query: QueryConfig::default(),
             shard,
         }
@@ -89,32 +86,21 @@ pub struct ShardService {
 }
 
 /// Bring this shard's slice of the index, as `map` assigns it, to the
-/// manifest's generation — folding forward from `live` (the index being
-/// served) when the slice only grew.
+/// generation of the map's snapshot — folding forward from `live` (the
+/// index being served) when the slice only grew.
 fn bring_up_slice(
     config: &ShardConfig,
     map: &ShardMap,
     live: Option<&QueryIndex>,
     registry: &Registry,
 ) -> std::io::Result<ShardState> {
-    let store = BundleStore::open(&config.store_dir)?;
-    let generation = generation_of(store.manifest());
-    if map.generation != generation {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!(
-                "shard map generation {} does not match manifest {generation}",
-                map.generation
-            ),
-        ));
-    }
-    let (serving, quarantined) = map.resolve(store.manifest(), config.shard)?;
+    let (serving, quarantined) = map.resolve(config.shard)?;
     let scope = IndexScope {
         serving,
         quarantined,
-        file: index_file_under(config.shard, map),
+        file: index_file_under(config.shard, map)?,
     };
-    let index = bring_up(&store, &scope, live, &config.query, registry)?;
+    let index = bring_up(map.store(), &scope, live, &config.query, registry)?;
     Ok(ShardState {
         engine: Arc::new(Engine::new(Arc::new(index))),
         file: scope.file,
@@ -122,13 +108,15 @@ fn bring_up_slice(
 }
 
 /// The index file of `shard` under the assignment `map` gives it.
-pub(crate) fn index_file_under(shard: usize, map: &ShardMap) -> String {
-    shard_index_file(shard, map.shard_count(), &map.fingerprint(shard))
+pub(crate) fn index_file_under(shard: usize, map: &ShardMap) -> std::io::Result<String> {
+    let fingerprint = map.fingerprint(shard)?;
+    Ok(shard_index_file(shard, map.shard_count(), &fingerprint))
 }
 
 impl ShardService {
-    /// Open the store and load or build this shard's slice of the index
-    /// per `map`. Metrics land in `registry`.
+    /// Load or build this shard's slice of the index per `map`, from the
+    /// map's snapshot. A shard id the map does not have is an
+    /// `InvalidInput` error. Metrics land in `registry`.
     pub fn open(
         config: ShardConfig,
         map: &ShardMap,
@@ -148,19 +136,19 @@ impl ShardService {
 
     /// Swap in the engine for a (possibly new) shard map — the reload
     /// path after a seal or a rebalance. Returns `true` when a different
-    /// generation or assignment went live. A failed install keeps the
-    /// last good engine serving and flips `/readyz` until one succeeds.
+    /// generation or assignment went live. A failed install (a map with
+    /// fewer shards than this one's id, say) keeps the last good engine
+    /// serving and flips `/readyz` until one succeeds.
     pub fn install(&self, map: &ShardMap) -> std::io::Result<bool> {
         self.serving.track(self.install_inner(map))
     }
 
     fn install_inner(&self, map: &ShardMap) -> std::io::Result<bool> {
         let shard = &self.serving.backend;
+        let file = index_file_under(shard.config.shard, map)?;
         let live = {
             let state = shard.state.read();
-            if state.engine.generation() == map.generation
-                && state.file == index_file_under(shard.config.shard, map)
-            {
+            if state.engine.generation() == map.store().generation() && state.file == file {
                 return Ok(false);
             }
             state.engine.clone()
@@ -362,4 +350,40 @@ fn live_partial(engine: &Engine, after_slot: u64, after_id: &Hash, need: usize) 
         refs: after.iter().take(need).cloned().collect(),
         minutes: live_minutes(refs, index.totals.max_slot),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sandwich_store::{CollectedBundle, StoreWriter};
+    use sandwich_types::{Keypair, Lamports, Slot};
+
+    #[test]
+    fn opening_a_shard_the_map_does_not_have_is_an_error() {
+        let dir = std::env::temp_dir().join(format!("sw-shard-range-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut writer = StoreWriter::create(&dir).unwrap();
+        let kp = Keypair::from_label("shard-range");
+        let bundles = (0..4u64)
+            .map(|i| CollectedBundle {
+                bundle_id: Hash::digest(&i.to_le_bytes()),
+                slot: Slot(10 + i),
+                timestamp_ms: i * 400,
+                tip: Lamports(30_000),
+                tx_ids: vec![kp.sign(&i.to_le_bytes())],
+            })
+            .collect();
+        writer
+            .seal_segment(bundles, Vec::new(), Vec::new())
+            .unwrap();
+        let map = ShardMap::plan(writer.into_reader(), 2);
+
+        let error = ShardService::open(ShardConfig::new(2), &map, Registry::new())
+            .err()
+            .expect("shard 2 of a 2-shard map");
+        assert_eq!(error.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(error.to_string().contains("shard 2"), "{error}");
+        assert!(error.to_string().contains("2 shards"), "{error}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -58,5 +58,5 @@ pub use records::{CollectedBundle, CollectedDetail, PollRecord};
 pub use sandwich_attrib::ValidatorSpec;
 pub use scan::{parallel_map, WorkerStats};
 pub use segment::{fnv1a64, SegmentFooter, FORMAT_VERSION, SEGMENT_MAGIC};
-pub use store::{BundleStore, StoreWriter};
+pub use store::{generation_of, BundleStore, StoreWriter};
 pub use view::{SegmentView, ViewBundle};

@@ -176,9 +176,9 @@ impl Manifest {
 
 /// What changed between a previously indexed manifest snapshot and the
 /// current one, expressed as indexes into the current lists. `None` from
-/// [`Manifest::delta_from`] means the history is not append-only (a
-/// covered segment was removed, quarantined, or un-quarantined) and an
-/// incremental consumer must rebuild from scratch.
+/// [`Manifest::delta_within`] means the history is not append-only (a
+/// covered segment left the scope, was quarantined, or un-quarantined)
+/// and an incremental consumer must rebuild from scratch.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ManifestDelta {
     /// Indexes into [`Manifest::segments`] of newly sealed segments.
@@ -202,20 +202,6 @@ impl ManifestDelta {
 }
 
 impl Manifest {
-    /// Diff this manifest against a previously covered snapshot, given as
-    /// the file names the consumer already folded (`covered_serving` from
-    /// the serving list, `covered_quarantined` from the quarantine list).
-    /// [`Manifest::delta_within`] over the whole manifest.
-    pub fn delta_from(
-        &self,
-        covered_serving: &[String],
-        covered_quarantined: &[String],
-    ) -> Option<ManifestDelta> {
-        let serving: Vec<usize> = (0..self.segments.len()).collect();
-        let quarantined: Vec<usize> = (0..self.quarantined().len()).collect();
-        self.delta_within(covered_serving, covered_quarantined, &serving, &quarantined)
-    }
-
     /// Diff a covered snapshot against a **scope** of this manifest: the
     /// entries at `serving` (indexes into [`Manifest::segments`]) and
     /// `quarantined` (indexes into [`Manifest::quarantined`]) — the whole
@@ -450,20 +436,31 @@ mod tests {
         assert_eq!(Manifest::new().next_segment_index(), 0);
     }
 
+    /// [`Manifest::delta_within`] with the whole manifest as the scope.
+    fn delta_whole(
+        m: &Manifest,
+        covered_serving: &[String],
+        covered_quarantined: &[String],
+    ) -> Option<ManifestDelta> {
+        let serving: Vec<usize> = (0..m.segments.len()).collect();
+        let quarantined: Vec<usize> = (0..m.quarantined().len()).collect();
+        m.delta_within(covered_serving, covered_quarantined, &serving, &quarantined)
+    }
+
     #[test]
     fn delta_lists_only_new_segments() {
         let mut m = Manifest::new();
         m.segments.push(meta("seg-00000.seg", 10));
         m.segments.push(meta("seg-00001.seg", 20));
         let covered = vec!["seg-00000.seg".to_string()];
-        let delta = m.delta_from(&covered, &[]).unwrap();
+        let delta = delta_whole(&m, &covered, &[]).unwrap();
         assert_eq!(delta.new_serving, vec![1]);
         assert!(delta.new_quarantined.is_empty());
         assert_eq!(delta.len(), 1);
 
         // Full coverage diffs to an empty delta.
         let all = vec!["seg-00000.seg".to_string(), "seg-00001.seg".to_string()];
-        assert!(m.delta_from(&all, &[]).unwrap().is_empty());
+        assert!(delta_whole(&m, &all, &[]).unwrap().is_empty());
     }
 
     #[test]
@@ -474,22 +471,25 @@ mod tests {
 
         // A covered segment that vanished entirely.
         let gone = vec!["seg-00000.seg".to_string(), "seg-00009.seg".to_string()];
-        assert_eq!(m.delta_from(&gone, &[]), None);
+        assert_eq!(delta_whole(&m, &gone, &[]), None);
 
         // A covered serving segment moved into quarantine.
         let covered = vec!["seg-00000.seg".to_string(), "seg-00001.seg".to_string()];
         m.quarantine(0, "body_corrupt");
-        assert_eq!(m.delta_from(&covered, &[]), None);
+        assert_eq!(delta_whole(&m, &covered, &[]), None);
 
         // But a *new* quarantined segment (never covered) folds fine.
-        let delta = m.delta_from(&["seg-00001.seg".to_string()], &[]).unwrap();
+        let delta = delta_whole(&m, &["seg-00001.seg".to_string()], &[]).unwrap();
         assert!(delta.new_serving.is_empty());
         assert_eq!(delta.new_quarantined, vec![0]);
 
         // A covered quarantined segment resurrected to serving.
         let mut back = Manifest::new();
         back.segments.push(meta("seg-00000.seg", 10));
-        assert_eq!(back.delta_from(&[], &["seg-00000.seg".to_string()]), None);
+        assert_eq!(
+            delta_whole(&back, &[], &["seg-00000.seg".to_string()]),
+            None
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The store itself: an append-only directory of sealed segments plus a
-//! manifest.
+//! manifest, read through [`BundleStore`] snapshots that fingerprint it once.
 //!
 //! Writes are whole-segment: the writer receives a batch of records, sorts
 //! them canonically, encodes, checksums, and renames the finished file
@@ -15,8 +15,8 @@ use crate::doctor::{check_segment, Verdict};
 use crate::manifest::{Manifest, QuarantinedSegment, SegmentMeta};
 use crate::records::{CollectedBundle, CollectedDetail, PollRecord};
 use crate::segment::{
-    encode_segment, read_segment_file, write_segment_file, write_segment_file_with, SegmentFooter,
-    FOOTER_LEN, SEGMENT_MAGIC,
+    encode_segment, fnv1a64, read_segment_file, write_segment_file, write_segment_file_with,
+    SegmentFooter, FOOTER_LEN, SEGMENT_MAGIC,
 };
 
 pub(crate) fn segment_file_name(index: usize) -> String {
@@ -194,6 +194,7 @@ impl StoreWriter {
     /// Convert into a read handle over everything sealed so far.
     pub fn into_reader(self) -> BundleStore {
         BundleStore {
+            generation: generation_of(&self.manifest),
             dir: self.dir,
             manifest: self.manifest,
         }
@@ -256,11 +257,20 @@ fn verify_or_recover(dir: &Path, meta: &SegmentMeta) -> std::io::Result<()> {
     }
 }
 
-/// Read handle over a sealed store: the manifest plus segment access.
+/// The manifest generation: a 16-hex FNV-1a 64 fingerprint of the manifest
+/// as serialized (not of the file's bytes). Sealing a segment changes it.
+pub fn generation_of(manifest: &Manifest) -> String {
+    let json = serde_json::to_string(manifest).unwrap_or_default();
+    format!("{:016x}", fnv1a64(json.as_bytes()))
+}
+
+/// Read handle over one snapshot of a sealed store: the manifest as it
+/// was read, its generation (computed once), and segment access.
 #[derive(Clone, Debug)]
 pub struct BundleStore {
     dir: PathBuf,
     manifest: Manifest,
+    generation: String,
 }
 
 impl BundleStore {
@@ -269,12 +279,22 @@ impl BundleStore {
     pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<BundleStore> {
         let dir = dir.into();
         let manifest = Manifest::load(&dir)?;
-        Ok(BundleStore { dir, manifest })
+        let generation = generation_of(&manifest);
+        Ok(BundleStore {
+            dir,
+            manifest,
+            generation,
+        })
     }
 
     /// The manifest.
     pub fn manifest(&self) -> &Manifest {
         &self.manifest
+    }
+
+    /// The manifest's [`generation_of`], computed when this was opened.
+    pub fn generation(&self) -> &str {
+        &self.generation
     }
 
     /// Sealed segments in seal order.
@@ -564,6 +584,63 @@ mod tests {
             let entry = entry.unwrap();
             std::fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
         }
+    }
+
+    /// Every index frame on disk names the generation it describes, so a
+    /// change to these values would make each of them stale once. The
+    /// literals are the generations frames were already written under.
+    #[test]
+    fn generation_is_pinned_across_manifest_shapes() {
+        let meta = |i: u64, bundles: u64| SegmentMeta {
+            file: segment_file_name(i as usize),
+            bundles,
+            details: 3 * bundles,
+            polls: 2,
+            min_slot: 100 * i,
+            max_slot: 100 * i + 99,
+            bytes: 1_000 + i,
+            checksum: format!("{:016x}", 0x0123_4567_89ab_cdef_u64 ^ i),
+        };
+        let full = Manifest {
+            version: 1,
+            segments: vec![meta(0, 10), meta(2, 20)],
+            quarantined: Some(vec![QuarantinedSegment {
+                meta: meta(1, 5),
+                reason: "body_corrupt".to_string(),
+            }]),
+            validators: Some(sandwich_attrib::ValidatorSpec::new(20_250_209, 8)),
+        };
+        assert_eq!(generation_of(&full), "2f759e9d16818101");
+
+        // A manifest saved before the quarantine list existed: the
+        // generation is of the manifest as loaded, never of the file bytes.
+        let dir = tmp_dir("golden");
+        std::fs::create_dir_all(&dir).unwrap();
+        let raw = r#"{"version":1,"segments":[{"file":"seg-00000.seg","bundles":7,"details":0,"polls":0,"min_slot":1,"max_slot":9,"bytes":100,"checksum":"00000000deadbeef"}]}"#;
+        std::fs::write(dir.join(crate::MANIFEST_FILE), raw).unwrap();
+        let store = BundleStore::open(&dir).unwrap();
+        assert_eq!(store.generation(), "2eea7de133ab034b");
+        assert_ne!(
+            store.generation(),
+            format!("{:016x}", fnv1a64(raw.as_bytes()))
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn every_snapshot_constructor_agrees_on_the_generation() {
+        let dir = tmp_dir("snapshot");
+        let mut w = StoreWriter::create(&dir).unwrap();
+        w.set_validators(sandwich_attrib::ValidatorSpec::new(7, 6))
+            .unwrap();
+        w.seal_segment(vec![bundle(1, 10)], vec![], vec![]).unwrap();
+        w.seal_segment(vec![bundle(2, 20)], vec![], vec![]).unwrap();
+        let written = w.into_reader();
+        let opened = BundleStore::open(&dir).unwrap();
+        let loaded = generation_of(&Manifest::load(&dir).unwrap());
+        assert_eq!(written.generation(), loaded);
+        assert_eq!(opened.generation(), loaded);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -83,6 +83,25 @@ if [ -z "$spec_magic" ] || [ -z "$code_magic" ] || [ "$spec_magic" != "$code_mag
   exit 1
 fi
 
+# A reload is one store snapshot: a BundleStore reads the manifest and
+# computes its generation once, and the serving code reads both off the
+# snapshot. So the non-test part of crates/query and crates/shard (each
+# file cut at its first #[cfg(test)], as scripts/loc.sh counts) never
+# loads the manifest or calls generation_of, and crates/store holds the
+# one definition of it.
+echo "==> serving code reads the manifest once per snapshot"
+rereads=$(find crates/query/src crates/shard/src -name '*.rs' | sort | xargs awk '
+  FNR == 1 { test = 0 }
+  /^[[:space:]]*#\[cfg\(test\)\]/ { test = 1 }
+  !test && /Manifest::load|generation_of\(/ { print FILENAME ":" FNR ": " $0 }')
+defs=$(grep -rn --include='*.rs' 'fn generation_of\b' crates || true)
+if [ -n "$rereads" ] || [ "$(printf '%s' "$defs" | grep -c '^crates/store/src/')" != 1 ] ||
+  [ "$(printf '%s\n' "$defs" | grep -c .)" != 1 ]; then
+  echo "manifest read outside the store snapshot; use BundleStore::generation():" >&2
+  printf '%s\n' "$rereads" "definitions of generation_of:" "$defs" >&2
+  exit 1
+fi
+
 # The committed paper-facing results must come from this code: a 5-day
 # headline (sim -> explorer -> collector -> store -> scan -> report, ~6 s)
 # is diffed against the copy scripts/regen_results.sh wrote, and so is a

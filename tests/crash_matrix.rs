@@ -225,8 +225,9 @@ fn every_fold_persist_crash_point_leaves_a_servable_index() {
 }
 
 /// The same matrix over the *extended* index frame: with a validator spec
-/// in the manifest, the persisted SWQIX01 frame additionally carries the
-/// spec, per-sandwich leaders, and the validator leaderboard — and every
+/// in the manifest, the persisted SWQIX02 frame additionally carries the
+/// spec, per-sandwich leaders, and the blocks-led count per validator (the
+/// validator leaderboard is derived on load, never stored) — and every
 /// crash point of its durable rewrite must still leave an entirely-old or
 /// entirely-new frame whose attribution fields survive the round trip.
 #[test]
@@ -262,9 +263,16 @@ fn fold_persist_crash_matrix(tag: &str, spec: Option<ValidatorSpec>) {
     let old = load_index_any(&base, INDEX_FILE).unwrap();
     let old_generation = old.generation.clone();
     assert_ne!(old_generation, generation, "base index must be stale");
+    let serving: Vec<usize> = (0..store.segments().len()).collect();
+    let quarantined: Vec<usize> = (0..store.quarantined().len()).collect();
     let delta = store
         .manifest()
-        .delta_from(&old.segment_files, &old.quarantined_files)
+        .delta_within(
+            &old.segment_files,
+            &old.quarantined_files,
+            &serving,
+            &quarantined,
+        )
         .expect("append-only history must be foldable");
     let delta_index =
         build_index_subset(&store, &config, &delta.new_serving, &delta.new_quarantined).unwrap();

@@ -272,9 +272,9 @@ fn a_pre_binary_index_frame_is_rejected_once_and_rewritten() {
     let dir = store_of("swqix01", &[100, 100_000], |image, _| image);
     let store = BundleStore::open(&dir).unwrap();
     let config = QueryConfig::default();
-    let map = ShardMap::plan(store.manifest(), 2);
-    let (serving, quarantined) = map.resolve(store.manifest(), 0).unwrap();
-    let shard_file = shard_index_file(0, 2, &map.fingerprint(0));
+    let map = ShardMap::plan(store.clone(), 2);
+    let (serving, quarantined) = map.resolve(0).unwrap();
+    let shard_file = shard_index_file(0, 2, &map.fingerprint(0).unwrap());
     let old_frames = [
         (INDEX_FILE, build_index(&store, &config).unwrap()),
         (
@@ -294,7 +294,7 @@ fn a_pre_binary_index_frame_is_rejected_once_and_rewritten() {
         QueryService::open(QueryServiceConfig::new(&dir), registry).map(drop)
     });
     assert_rejected_once_then_loaded(&dir, &shard_file, |registry| {
-        ShardService::open(ShardConfig::new(&dir, 0), &map, registry).map(drop)
+        ShardService::open(ShardConfig::new(0), &map, registry).map(drop)
     });
 
     std::fs::remove_dir_all(&dir).unwrap();

@@ -14,6 +14,10 @@
 //! 4. A shard at another generation, or one that does not say which it is
 //!    at, fails the router's fan-out closed with a 503 that is never
 //!    cached.
+//! 5. A shard map carries the store snapshot it was planned from: a seal
+//!    that lands between planning and installing does not fail the
+//!    install, and the next cluster reload moves everything to one newer
+//!    snapshot.
 
 use std::path::{Path, PathBuf};
 
@@ -178,7 +182,7 @@ async fn a_shard_whose_slice_only_grew_folds_instead_of_rescanning() {
     let cluster = ServingCluster::serve(ClusterConfig::new(&dir, 2), registry.clone())
         .await
         .unwrap();
-    let before = ShardMap::plan(&Manifest::load(&dir).unwrap(), 2);
+    let before = ShardMap::plan(BundleStore::open(&dir).unwrap(), 2);
     let opened = registry.snapshot();
     assert_eq!(
         opened.counter(names::QUERY_INDEX_REBUILDS),
@@ -190,7 +194,7 @@ async fn a_shard_whose_slice_only_grew_folds_instead_of_rescanning() {
 
     seal_one_more(&dir, 3);
     // The premise: the re-plan only appends to each shard's slice.
-    let after = ShardMap::plan(&Manifest::load(&dir).unwrap(), 2);
+    let after = ShardMap::plan(BundleStore::open(&dir).unwrap(), 2);
     for (old, new) in before.shards.iter().zip(&after.shards) {
         assert!(
             new.segments.starts_with(&old.segments),
@@ -238,6 +242,73 @@ async fn a_shard_whose_slice_only_grew_folds_instead_of_rescanning() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Seal segment `seg` holding only its planted sandwich: small enough that
+/// a 2-shard re-plan of a 3-segment store, grown by two of these, only
+/// appends to each shard's slice.
+fn seal_one_sandwich(dir: &Path, seg: u64) {
+    let sealed = Manifest::load(dir).unwrap().segments;
+    let mut writer = StoreWriter::resume(dir, &sealed).unwrap();
+    let (planted, details) = sandwich(seg, seg * 1_000 + 40);
+    writer
+        .seal_segment(vec![planted], details, Vec::new())
+        .unwrap();
+}
+
+#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
+async fn a_map_installs_the_snapshot_it_was_planned_from() {
+    let dir = seed_store("snapshot", 3);
+    let registry = Registry::new();
+    let cluster = ServingCluster::serve(ClusterConfig::new(&dir, 2), registry.clone())
+        .await
+        .unwrap();
+    let opened = ShardMap::plan(BundleStore::open(&dir).unwrap(), 2);
+
+    // Plan from one snapshot, then let a seal land before the install.
+    seal_one_sandwich(&dir, 3);
+    let map = ShardMap::plan(BundleStore::open(&dir).unwrap(), 2);
+    seal_one_sandwich(&dir, 4);
+    let latest = ShardMap::plan(BundleStore::open(&dir).unwrap(), 2);
+    let snapshot = map.store().generation();
+    assert_ne!(snapshot, latest.store().generation());
+    // The premise: each re-plan only appends to each shard's slice.
+    for plans in [[&opened, &map], [&map, &latest]] {
+        for (old, new) in plans[0].shards.iter().zip(&plans[1].shards) {
+            assert!(
+                new.segments.starts_with(&old.segments),
+                "{old:?} -> {new:?}"
+            );
+        }
+    }
+
+    // Every shard installs the generation the map was planned at, not the
+    // one the directory has moved on to.
+    for service in cluster.services() {
+        assert!(service.install(&map).unwrap(), "a new generation went live");
+        assert_eq!(service.generation(), snapshot);
+    }
+
+    // The next reload takes one new snapshot and moves every shard and the
+    // router to it, by folds alone.
+    assert!(cluster.reload().unwrap());
+    assert_eq!(cluster.generation(), latest.store().generation());
+    for service in cluster.services() {
+        assert_eq!(service.generation(), latest.store().generation());
+    }
+    let snap = registry.snapshot();
+    assert!(snap.counter(names::QUERY_INDEX_FOLDS) >= Some(1));
+    assert_eq!(snap.counter(names::QUERY_INDEX_FOLD_SEGMENTS), Some(2));
+    assert_eq!(snap.counter(names::QUERY_INDEX_FULL_REBUILDS), None);
+    assert_eq!(
+        snap.counter(names::QUERY_INDEX_REBUILDS),
+        Some(2),
+        "no slice was re-scanned"
+    );
+    assert_eq!(snap.counter(names::ATTRIB_JOINS), Some(5));
+
+    cluster.shutdown().await;
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Status, body text and the headers a handler set (the server's own
 /// `content-length` / `connection` framing aside), in order.
 fn wire(response: &Response) -> (u16, String, Vec<(String, String)>) {
@@ -266,10 +337,8 @@ fn probe(
 #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
 async fn probe_bodies_and_headers_are_pinned_for_all_three_services() {
     let dir = seed_store("probes", 3);
-    let store = BundleStore::open(&dir).unwrap();
-    let map = ShardMap::plan(store.manifest(), 2);
-    drop(store);
-    let g = map.generation.clone();
+    let map = ShardMap::plan(BundleStore::open(&dir).unwrap(), 2);
+    let g = map.store().generation().to_string();
 
     // --- the single-engine service -------------------------------------
     let service = QueryService::open(QueryServiceConfig::new(&dir), Registry::new()).unwrap();
@@ -317,8 +386,7 @@ async fn probe_bodies_and_headers_are_pinned_for_all_three_services() {
     let mut shards = Vec::new();
     let mut servers = Vec::new();
     for shard in 0..2 {
-        let service =
-            ShardService::open(ShardConfig::new(&dir, shard), &map, registry.clone()).unwrap();
+        let service = ShardService::open(ShardConfig::new(shard), &map, registry.clone()).unwrap();
         servers.push(Server::bind("127.0.0.1:0", service.router()).await.unwrap());
         shards.push(service);
     }
@@ -340,10 +408,10 @@ async fn probe_bodies_and_headers_are_pinned_for_all_three_services() {
             None
         )
     );
-    // A failed install (a map for a generation the manifest is not at).
-    let mut stale = map.clone();
-    stale.generation = "0000000000000000".to_string();
-    assert!(shards[1].install(&stale).is_err());
+    // A failed install (a map with no shard 1), an error and not a panic.
+    let fewer = ShardMap::plan(map.store().clone(), 1);
+    let error = shards[1].install(&fewer).unwrap_err();
+    assert_eq!(error.kind(), std::io::ErrorKind::InvalidInput, "{error}");
     assert_eq!(
         wire(&shard1.get("/readyz").await.unwrap()),
         probe(
@@ -465,17 +533,16 @@ async fn a_shed_request_looks_the_same_from_the_router_as_from_the_service() {
 #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
 async fn a_shard_at_another_generation_fails_the_fan_out_closed() {
     let dir = seed_store("wrong-generation", 3);
-    let map = ShardMap::plan(&Manifest::load(&dir).unwrap(), 2);
+    let map = ShardMap::plan(BundleStore::open(&dir).unwrap(), 2);
     let registry = Registry::new();
     let mut servers = Vec::new();
     for shard in 0..2 {
-        let service =
-            ShardService::open(ShardConfig::new(&dir, shard), &map, registry.clone()).unwrap();
+        let service = ShardService::open(ShardConfig::new(shard), &map, registry.clone()).unwrap();
         servers.push(Server::bind("127.0.0.1:0", service.router()).await.unwrap());
     }
     let addrs = servers.iter().map(Server::local_addr).collect();
     let expected = "0000000000000000";
-    assert_ne!(map.generation, expected);
+    assert_ne!(map.store().generation(), expected);
     let router = RouterService::new(
         addrs,
         expected.to_string(),
@@ -495,7 +562,7 @@ async fn a_shard_at_another_generation_fails_the_fan_out_closed() {
             "{body}"
         );
     }
-    router.set_generation(map.generation.clone());
+    router.set_generation(map.store().generation().to_string());
     assert_eq!(client.get("/api/days").await.unwrap().status, 200);
 
     router_server.shutdown().await;

@@ -273,9 +273,7 @@ async fn quarantined_shard_coverage_sums_to_single_engine_coverage() {
 #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
 async fn readyz_aggregates_and_degrades_as_shards_die() {
     let dir = seed_scale_store("readyz", 1_000, 128);
-    let store = BundleStore::open(&dir).unwrap();
-    let map = ShardMap::plan(store.manifest(), 2);
-    drop(store);
+    let map = ShardMap::plan(BundleStore::open(&dir).unwrap(), 2);
     let registry = Registry::new();
 
     // Assemble the two shards and the router by hand so one shard can be
@@ -283,15 +281,14 @@ async fn readyz_aggregates_and_degrades_as_shards_die() {
     let mut servers = Vec::new();
     let mut addrs = Vec::new();
     for shard in 0..2 {
-        let service =
-            ShardService::open(ShardConfig::new(&dir, shard), &map, registry.clone()).unwrap();
+        let service = ShardService::open(ShardConfig::new(shard), &map, registry.clone()).unwrap();
         let server = Server::bind("127.0.0.1:0", service.router()).await.unwrap();
         addrs.push(server.local_addr());
         servers.push(server);
     }
     let router = RouterService::new(
         addrs,
-        map.generation.clone(),
+        map.store().generation().to_string(),
         RouterConfig::default(),
         registry.clone(),
     );

@@ -282,22 +282,19 @@ async fn router_legs_ride_a_bounded_pool_and_still_fail_closed() {
     const QUERIES: u64 = 200;
     const SHARDS: usize = 2;
     let dir = seed_scale_store("router");
-    let store = BundleStore::open(&dir).unwrap();
-    let map = ShardMap::plan(store.manifest(), SHARDS);
-    drop(store);
+    let map = ShardMap::plan(BundleStore::open(&dir).unwrap(), SHARDS);
     let registry = Registry::new();
 
     // The parts `ServingCluster::serve` assembles, by hand, so that a shard
     // server can be inspected and killed on its own.
     let mut servers = Vec::new();
     for shard in 0..SHARDS {
-        let service =
-            ShardService::open(ShardConfig::new(&dir, shard), &map, registry.clone()).unwrap();
+        let service = ShardService::open(ShardConfig::new(shard), &map, registry.clone()).unwrap();
         servers.push(Server::bind("127.0.0.1:0", service.router()).await.unwrap());
     }
     let router = RouterService::new(
         servers.iter().map(Server::local_addr).collect(),
-        map.generation.clone(),
+        map.store().generation().to_string(),
         RouterConfig::default(),
         registry.clone(),
     );
