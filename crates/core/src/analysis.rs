@@ -5,9 +5,8 @@
 use serde::{Deserialize, Serialize};
 
 use sandwich_dex::SolUsdOracle;
-use sandwich_types::{Lamports, SlotClock, DEFENSIVE_TIP_THRESHOLD};
+use sandwich_types::{Lamports, DEFENSIVE_TIP_THRESHOLD};
 
-use crate::dataset::Dataset;
 use crate::defense::DefenseStats;
 use crate::detector::{DetectorConfig, SandwichFinding};
 use crate::stats::{Cdf, DailySeries};
@@ -65,7 +64,7 @@ pub struct DatedFinding {
 ///
 /// Serializable so reports can be diffed byte-for-byte: the suite asserts
 /// that the parallel segment scan produces the identical JSON at any
-/// thread count, and identical to the in-memory [`analyze`].
+/// thread count, and over either walk of a segment.
 #[derive(Clone, Debug, Serialize)]
 pub struct AnalysisReport {
     /// Days covered.
@@ -169,30 +168,21 @@ impl AnalysisReport {
     }
 }
 
-/// Run the full analysis over a dataset that holds everything in memory:
-/// one reloaded from a JSONL export ([`Dataset::read_jsonl`]), or built by
-/// hand. A measurement run is analyzed from its store
-/// ([`crate::pipeline::MeasurementRun::analyze`]); this is the independent
-/// reference that must agree with it.
-///
-/// It is one [`crate::scan::ScanPartial`] over the dataset plus the shared
-/// finalize — the exact machinery the parallel segment scan reduces with,
-/// which is what makes the two produce byte-identical reports.
-pub fn analyze(dataset: &Dataset, clock: &SlotClock, config: &AnalysisConfig) -> AnalysisReport {
-    let mut partial = crate::scan::ScanPartial::new(config.days as usize);
-    for bundle in dataset.resident() {
-        partial.observe_bundle(bundle, dataset.details(), clock, config);
-    }
-    partial.observe_polls(dataset.polls());
-    partial.finalize(config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::Dataset;
     use sandwich_explorer::{BundleSummaryJson, TxDetailJson};
     use sandwich_jito::tip_account;
-    use sandwich_types::{Hash, Keypair, Pubkey};
+    use sandwich_store::{segment::encode_segment, SegmentView};
+    use sandwich_types::{Hash, Keypair, Pubkey, SlotClock};
+
+    /// The report over a dataset's residue, scanned as one segment.
+    fn report_of(ds: &Dataset, clock: &SlotClock, config: &AnalysisConfig) -> AnalysisReport {
+        let view = SegmentView::from_image(encode_segment(&ds.residue()).0).unwrap();
+        let partial = crate::scan::partial_of_view_or_segment(&view, clock, config).unwrap();
+        partial.finalize(config)
+    }
 
     fn mint() -> Pubkey {
         Pubkey::derive("mint:AN")
@@ -271,7 +261,7 @@ mod tests {
         ds.ingest_page(&page, &clock, 0);
         ds.ingest_details(&[Some(d1), Some(d2), Some(d3)]);
 
-        let report = analyze(&ds, &clock, &AnalysisConfig::paper_defaults(2));
+        let report = report_of(&ds, &clock, &AnalysisConfig::paper_defaults(2));
         assert_eq!(report.total_bundles(), 3.0);
         assert_eq!(report.total_sandwiches(), 1);
         assert_eq!(report.defense.defensive, 1);
@@ -300,7 +290,7 @@ mod tests {
             vec![kp.sign(b"a"), kp.sign(b"b"), kp.sign(b"c")],
         )];
         ds.ingest_page(&page, &clock, 0);
-        let report = analyze(&ds, &clock, &AnalysisConfig::paper_defaults(1));
+        let report = report_of(&ds, &clock, &AnalysisConfig::paper_defaults(1));
         assert_eq!(report.total_sandwiches(), 0);
         assert_eq!(report.len3_with_details, 0);
         assert_eq!(report.tip_cdf_len3.len(), 1, "tip still observed");

@@ -11,17 +11,16 @@
 //! seal threshold plus the detail backlog while the `seen` id set keeps
 //! deduplication exact across the whole run. [`Dataset::resident`] is
 //! therefore the unsealed residue, never "everything collected" — that is
-//! [`crate::pipeline::MeasurementRun::walk`]. The one dataset that does
-//! hold everything is the one [`Dataset::read_jsonl`] rebuilds from a JSONL
-//! export, which [`crate::analysis::analyze`] reads as the in-memory
-//! reference.
+//! [`crate::pipeline::MeasurementRun::walk`]. What is resident is encoded
+//! only as the store encodes it: [`Dataset::residue`] is the segment a
+//! forced flush would seal, which a halted run's report scans and a
+//! checkpoint carries as an image.
 
 use std::collections::{HashMap, HashSet};
 
-use serde::{Deserialize, Serialize};
-
 use sandwich_explorer::{BundleSummaryJson, TxDetailJson};
 use sandwich_ledger::{TransactionId, TransactionMeta};
+use sandwich_store::SegmentData;
 use sandwich_types::{Slot, SlotClock};
 
 pub use sandwich_store::{CollectedBundle, CollectedDetail, PollRecord};
@@ -334,159 +333,69 @@ impl Dataset {
         self.bundles.is_empty() && self.polls_spilled == self.polls.len()
     }
 
-    /// Serialize what is resident as JSON lines: one `{"kind": ...}` record
-    /// per line (polls, bundles, details), then — when bundles have been
-    /// drained into a store — a single `flushed` line carrying the dedup ids
-    /// and counters the resident records can no longer convey. This is the
-    /// body of a checkpoint; the archive of a whole run is
-    /// [`crate::pipeline::MeasurementRun::write_jsonl`], in the same format.
-    pub fn write_jsonl<W: std::io::Write>(&self, mut w: W) -> std::io::Result<()> {
-        for p in &self.polls {
-            tagged(&mut w, "poll", p)?;
-        }
-        for b in &self.bundles {
-            tagged(&mut w, "bundle", b)?;
-        }
-        // HashMap iteration order is randomized per process; sort so the
-        // archive is byte-reproducible run to run.
-        let mut details: Vec<_> = self.details.values().collect();
-        details.sort_by_key(|d| d.meta.tx_id.0);
-        for d in details {
-            tagged(&mut w, "detail", d)?;
-        }
-        if self.flushed_bundles > 0 {
-            let resident: HashSet<_> = self.bundles.iter().map(|b| b.bundle_id).collect();
-            let mut ids: Vec<_> = self
-                .seen
-                .iter()
-                .filter(|id| !resident.contains(id))
-                .copied()
-                .collect();
-            ids.sort_by_key(|id| id.0);
-            let flushed = FlushedState {
-                ids,
-                bundles: self.flushed_bundles,
-                details: self.flushed_details,
-                polls_spilled: self.polls_spilled as u64,
-                max_slot: self.max_slot_seen,
-            };
-            tagged(&mut w, "flushed", &flushed)?;
-        }
-        Ok(())
+    /// The records a forced flush would seal now, as one segment's data:
+    /// the resident bundles in collection order, the resident details
+    /// sorted by transaction id, and the polls not yet copied into a
+    /// segment. A halted run's report scans it as one more segment image.
+    pub fn residue(&self) -> SegmentData {
+        self.residue_with(self.unspilled_polls())
     }
 
-    /// Reload a dataset from [`Dataset::write_jsonl`] output. Unknown lines
-    /// are rejected; bundle order is restored chronologically by slot.
-    pub fn read_jsonl<R: std::io::BufRead>(r: R) -> std::io::Result<Dataset> {
-        let mut ds = Dataset::new();
-        for line in r.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let record: DatasetRecord = serde_json::from_str(&line)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-            match record {
-                DatasetRecord::Poll(p) => ds.polls.push(p),
-                DatasetRecord::Bundle(b) => {
-                    if ds.seen.insert(b.bundle_id) {
-                        ds.max_slot_seen = Some(ds.max_slot_seen.unwrap_or(0).max(b.slot.0));
-                        ds.bundles.push(b);
-                    }
-                }
-                DatasetRecord::Detail(d) => {
-                    ds.details.insert(d.meta.tx_id, d);
-                }
-                DatasetRecord::Flushed(f) => {
-                    ds.seen.extend(f.ids);
-                    ds.flushed_bundles += f.bundles;
-                    ds.flushed_details += f.details;
-                    ds.polls_spilled = f.polls_spilled as usize;
-                    ds.max_slot_seen = match (ds.max_slot_seen, f.max_slot) {
-                        (a, None) => a,
-                        (None, b) => b,
-                        (Some(a), Some(b)) => Some(a.max(b)),
-                    };
-                }
-            }
+    /// [`Dataset::residue`] with `polls` as its poll section (a checkpoint
+    /// carries the whole ledger).
+    pub(crate) fn residue_with(&self, polls: &[PollRecord]) -> SegmentData {
+        let mut details: Vec<_> = self.details.values().cloned().collect();
+        details.sort_by_key(|d| d.meta.tx_id.0);
+        SegmentData {
+            bundles: self.bundles.clone(),
+            details,
+            polls: polls.to_vec(),
         }
+    }
+
+    /// Ids of the bundles drained into sealed segments, sorted: what dedup
+    /// must remember once the records themselves left memory.
+    pub(crate) fn drained_ids(&self) -> Vec<sandwich_jito::BundleId> {
+        let resident: HashSet<_> = self.bundles.iter().map(|b| b.bundle_id).collect();
+        let mut ids: Vec<_> = self.seen.difference(&resident).copied().collect();
+        ids.sort_by_key(|id| id.0);
+        ids
+    }
+
+    /// Rebuild a staging area from what a checkpoint kept of it:
+    /// [`Dataset::residue_with`] the whole ledger, the
+    /// [`Dataset::drained_ids`], and the drained detail count, spilled poll
+    /// count and newest slot. Bundles are stable-sorted by slot. A bundle
+    /// whose details all survived counts as requested; any other goes back
+    /// in the queue, so a resumed run re-fetches it.
+    pub(crate) fn restore(
+        residue: SegmentData,
+        drained: Vec<sandwich_jito::BundleId>,
+        drained_details: u64,
+        polls_spilled: usize,
+        newest_slot: Option<u64>,
+    ) -> Dataset {
+        let mut ds = Dataset {
+            bundles: residue.bundles,
+            details: detail_map(residue.details),
+            polls: residue.polls,
+            flushed_bundles: drained.len() as u64,
+            flushed_details: drained_details,
+            polls_spilled,
+            ..Dataset::default()
+        };
         ds.bundles.sort_by_key(|b| b.slot);
-        ds.polls_spilled = ds.polls_spilled.min(ds.polls.len());
-        // Rebuild the pending-details bookkeeping: a bundle whose details
-        // all survived the roundtrip was requested; anything else goes back
-        // in the queue so a resumed run re-fetches it.
-        let requested: Vec<_> = ds
+        ds.max_slot_seen = ds.bundles.iter().map(|b| b.slot.0).max().max(newest_slot);
+        ds.seen = ds.bundles.iter().map(|b| b.bundle_id).collect();
+        ds.seen.extend(drained);
+        let requested = ds
             .bundles
             .iter()
             .filter(|b| b.tx_ids.iter().all(|id| ds.details.contains_key(id)))
-            .map(|b| b.bundle_id)
-            .collect();
-        ds.detail_requested.extend(requested);
-        Ok(ds)
+            .map(|b| b.bundle_id);
+        ds.detail_requested = requested.collect();
+        ds
     }
-}
-
-/// Write one archive line by reference, in the externally-tagged shape
-/// (`{"poll": {...}}`) the owned [`DatasetRecord`] enum reads back — without
-/// cloning every record through an enum first.
-pub(crate) fn tagged<W: std::io::Write, T: Serialize>(
-    w: &mut W,
-    tag: &str,
-    value: &T,
-) -> std::io::Result<()> {
-    write!(w, "{{\"{tag}\":")?;
-    serde_json::to_writer(&mut *w, value)?;
-    w.write_all(b"}\n")
-}
-
-/// One line of the JSONL archive format (externally tagged:
-/// `{"bundle": {...}}` — internal tagging would buffer through
-/// `serde_json::Value`, which cannot carry the i128 token deltas).
-#[derive(Deserialize)]
-#[serde(rename_all = "snake_case")]
-enum DatasetRecord {
-    /// A poll log entry.
-    Poll(PollRecord),
-    /// A collected bundle summary.
-    Bundle(CollectedBundle),
-    /// A fetched transaction detail.
-    Detail(CollectedDetail),
-    /// Ids and counters for bundles drained into a sealed store.
-    Flushed(FlushedState),
-}
-
-/// What the archive must remember about drained records: their ids (for
-/// dedup), counts, and the newest slot (the backfill cursor edge).
-#[derive(Serialize, Deserialize)]
-struct FlushedState {
-    ids: Vec<sandwich_jito::BundleId>,
-    bundles: u64,
-    details: u64,
-    polls_spilled: u64,
-    max_slot: Option<u64>,
-}
-
-/// Stream `fill` into `path` durably: buffered temp file, fsync, atomic
-/// rename, parent-directory fsync. Shared by every file-producing artifact
-/// in this crate (JSONL archives, checkpoints) so none is ever observably
-/// half-written.
-pub(crate) fn write_file_durable(
-    path: &std::path::Path,
-    fill: impl FnOnce(&mut std::io::BufWriter<std::fs::File>) -> std::io::Result<()>,
-) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    let mut w = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
-    fill(&mut w)?;
-    use std::io::Write;
-    w.flush()?;
-    w.into_inner()
-        .map_err(|e| std::io::Error::other(e.to_string()))?
-        .sync_all()?;
-    std::fs::rename(&tmp, path)?;
-    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        sandwich_store::crash::fsync_dir(parent)?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -557,48 +466,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_roundtrip_preserves_everything() {
-        let clock = SlotClock::default();
-        let mut ds = Dataset::new();
-        let p1: Vec<_> = (0..5).rev().map(|i| page_entry(i, i * 10, 3)).collect();
-        ds.ingest_page(&p1, &clock, 0);
-        // Attach a detail for the first bundle's first transaction.
-        let kp = sandwich_types::Keypair::from_label("ds");
-        let detail = sandwich_explorer::TxDetailJson {
-            tx_id: kp.sign(&0u64.to_le_bytes()),
-            bundle_id: Hash::digest(&0u64.to_le_bytes()),
-            slot: 0,
-            signer: kp.pubkey(),
-            fee_lamports: 5_000,
-            priority_fee_lamports: 0,
-            success: true,
-            sol_deltas: vec![],
-            // An i128 delta: regression guard — internally-tagged serde
-            // enums buffer through Value and cannot carry i128.
-            token_deltas: vec![sandwich_explorer::TokenDeltaJson {
-                owner: kp.pubkey(),
-                mint: sandwich_types::Pubkey::derive("m"),
-                delta: -170_141_183_460_469_231_731_687_303_715i128,
-            }],
-        };
-        ds.ingest_details(&[Some(detail.clone())]);
-
-        let mut buf = Vec::new();
-        ds.write_jsonl(&mut buf).unwrap();
-        let back = Dataset::read_jsonl(std::io::BufReader::new(&buf[..])).unwrap();
-
-        assert_eq!(back.len(), ds.len());
-        assert_eq!(back.detail_count(), 1);
-        assert_eq!(back.polls().len(), ds.polls().len());
-        assert!((back.overlap_rate() - ds.overlap_rate()).abs() < 1e-12);
-        let slots: Vec<u64> = back.resident().iter().map(|b| b.slot.0).collect();
-        let mut sorted = slots.clone();
-        sorted.sort_unstable();
-        assert_eq!(slots, sorted, "chronological after reload");
-        assert!(back.details().contains_key(&detail.tx_id));
-    }
-
-    #[test]
     fn backfill_ingest_reaches_known_bundles() {
         let clock = SlotClock::default();
         let mut ds = Dataset::new();
@@ -643,28 +510,6 @@ mod tests {
         // Fetch failed: requeue, then the same work comes back.
         ds.unmark_detail_requested(&marked);
         assert_eq!(ds.take_pending_details(3, 100).0.len(), 6);
-    }
-
-    #[test]
-    fn jsonl_reload_requeues_incomplete_details() {
-        let clock = SlotClock::default();
-        let mut ds = Dataset::new();
-        let page: Vec<_> = (0..2).map(|i| page_entry(i, i, 3)).collect();
-        ds.ingest_page(&page, &clock, 0);
-        // Mark both requested but ingest no details: after a reload both
-        // must be pending again.
-        let (_, marked) = ds.take_pending_details(3, 100);
-        assert_eq!(marked.len(), 2);
-        let mut buf = Vec::new();
-        ds.write_jsonl(&mut buf).unwrap();
-        let mut back = Dataset::read_jsonl(std::io::BufReader::new(&buf[..])).unwrap();
-        assert_eq!(back.take_pending_details(3, 100).0.len(), 6);
-    }
-
-    #[test]
-    fn jsonl_rejects_garbage() {
-        let garbage = b"not json at all\n".as_slice();
-        assert!(Dataset::read_jsonl(std::io::BufReader::new(garbage)).is_err());
     }
 
     #[test]
@@ -741,25 +586,20 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_roundtrip_preserves_flushed_state() {
+    fn residue_is_what_a_forced_flush_drains() {
         let clock = SlotClock::default();
         let mut ds = Dataset::new();
-        let page: Vec<_> = (0..6).map(|i| page_entry(i, i, 1)).collect();
-        ds.ingest_page(&page, &clock, 0);
-        let _ = ds.drain_unspilled_polls();
-        let (drained, _) = ds.drain_sealable(&[3], 4, false);
-        assert_eq!(drained.len(), 4);
-
-        let mut buf = Vec::new();
-        ds.write_jsonl(&mut buf).unwrap();
-        let back = Dataset::read_jsonl(std::io::BufReader::new(&buf[..])).unwrap();
-        assert_eq!(back.len(), 6);
-        assert_eq!(back.resident().len(), 2, "only resident bundles rehydrate");
-        assert_eq!(back.newest_slot(), Some(5));
-        assert!(back.fully_spilled() || !back.fully_spilled()); // smoke: callable
-                                                                // Dedup still covers the drained ids.
-        let mut back = back;
-        let rec = back.ingest_page(&page, &clock, 0);
-        assert_eq!(rec.new, 0);
+        // Collection order is not slot order: the residue keeps it.
+        ds.ingest_page(&[page_entry(1, 9, 1), page_entry(2, 3, 3)], &clock, 0);
+        ds.ingest_backfill_page(&[page_entry(3, 1, 1)], &clock);
+        let residue = ds.residue();
+        let slots: Vec<u64> = residue.bundles.iter().map(|b| b.slot.0).collect();
+        assert_eq!(slots, vec![3, 9, 1]);
+        let polls = ds.drain_unspilled_polls();
+        let (bundles, details) = ds.drain_sealable(&[3], 100, true);
+        assert_eq!(residue.bundles, bundles);
+        assert_eq!(residue.details, details);
+        assert_eq!(residue.polls, polls);
+        assert!(ds.residue().bundles.is_empty() && ds.residue().polls.is_empty());
     }
 }

@@ -17,8 +17,10 @@
 //!   parallel driver over segments;
 //! * [`pipeline`] — the whole measurement end to end over real HTTP, sealed
 //!   into a `sandwich-store` segment store as it runs and analyzed from it;
-//! * [`dataset`] — the collector's staging area ahead of the store, and the
-//!   JSONL archive reader behind the in-memory reference analysis.
+//! * [`dataset`] — the collector's staging area ahead of the store, whose
+//!   unsealed residue is encoded only as a segment;
+//! * [`checkpoint`] — a halted run's cursor, store reference and residue
+//!   image in one checksummed file.
 
 #![warn(missing_docs)]
 
@@ -35,7 +37,7 @@ pub mod report;
 pub mod scan;
 pub mod stats;
 
-pub use analysis::{analyze, AnalysisConfig, AnalysisReport, DatedFinding};
+pub use analysis::{AnalysisConfig, AnalysisReport, DatedFinding};
 pub use checkpoint::{Checkpoint, StoreCheckpoint};
 pub use collector::{Collector, CollectorConfig, CollectorStats};
 pub use conformance::{

@@ -20,14 +20,15 @@ use parking_lot::RwLock;
 use sandwich_explorer::{Explorer, ExplorerConfig, HistoryStore, RetentionPolicy};
 use sandwich_obs::{Registry, Snapshot};
 use sandwich_sim::Simulation;
-use sandwich_store::{BundleStore, StoreWriter};
+use sandwich_store::segment::encode_segment;
+use sandwich_store::{BundleStore, SegmentView, StoreWriter};
 use sandwich_types::SlotClock;
 
 use crate::analysis::{AnalysisConfig, AnalysisReport};
 use crate::checkpoint::{Checkpoint, StoreCheckpoint};
 use crate::collector::{Collector, CollectorConfig, CollectorStats};
-use crate::dataset::{detail_map, tagged, write_file_durable, CollectedBundle, Dataset, DetailMap};
-use crate::scan::scan_store_partial;
+use crate::dataset::{detail_map, CollectedBundle, Dataset, DetailMap};
+use crate::scan::{partial_of_view_or_segment, scan_store_partial};
 
 /// Bundles per sealed segment unless [`StoreOptions`] says otherwise.
 const SEGMENT_BUNDLES: usize = 5_000;
@@ -176,20 +177,18 @@ impl MeasurementRun {
             .expect("segment store scan failed")
     }
 
-    /// Scan the sealed segments on `threads` workers, then fold in whatever
-    /// never sealed (a halted run's residue; nothing after a completed
-    /// run's final flush). The report is byte-identical for any thread
-    /// count.
+    /// Scan the sealed segments on `threads` workers, then whatever never
+    /// sealed (a halted run's residue; nothing after a completed run's
+    /// final flush) as one more segment, encoded in memory and walked like
+    /// the rest. The report is byte-identical for any thread count.
     pub fn try_analyze(
         &self,
         config: &AnalysisConfig,
         threads: usize,
     ) -> io::Result<AnalysisReport> {
         let mut acc = scan_store_partial(self.sealed(), &self.clock, config, threads, None)?;
-        for bundle in self.dataset.resident() {
-            acc.observe_bundle(bundle, self.dataset.details(), &self.clock, config);
-        }
-        acc.observe_polls(self.dataset.unspilled_polls());
+        let residue = SegmentView::from_image(encode_segment(&self.dataset.residue()).0)?;
+        acc.merge(partial_of_view_or_segment(&residue, &self.clock, config)?);
         Ok(acc.finalize(config))
     }
 
@@ -211,40 +210,6 @@ impl MeasurementRun {
             visit(bundle, self.dataset.details());
         }
         Ok(())
-    }
-
-    /// Archive everything collected as JSON lines — the poll ledger, then
-    /// each bundle of [`MeasurementRun::walk`] followed by its details —
-    /// which [`Dataset::read_jsonl`] reloads for offline re-analysis.
-    pub fn write_jsonl<W: io::Write>(&self, mut w: W) -> io::Result<()> {
-        fn bundle_lines<W: io::Write>(
-            w: &mut W,
-            bundle: &CollectedBundle,
-            details: &DetailMap,
-        ) -> io::Result<()> {
-            tagged(w, "bundle", bundle)?;
-            let mut fetched = bundle.tx_ids.iter().filter_map(|id| details.get(id));
-            fetched.try_for_each(|d| tagged(w, "detail", d))
-        }
-        for poll in self.dataset.polls() {
-            tagged(&mut w, "poll", poll)?;
-        }
-        let mut written = Ok(());
-        self.walk(|bundle, details| {
-            if written.is_ok() {
-                written = bundle_lines(&mut w, bundle, details);
-            }
-        })?;
-        written
-    }
-
-    /// [`MeasurementRun::write_jsonl`] straight to a file, durably: the
-    /// archive streams into a temp file which is fsynced, atomically renamed
-    /// over `path`, and made durable with a parent-directory fsync — a crash
-    /// mid-export leaves either the old archive or the new one, never a
-    /// half-written file.
-    pub fn write_jsonl_file(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        write_file_durable(path.as_ref(), |w| self.write_jsonl(w))
     }
 
     /// Convert a (typically halted) run into a resumable checkpoint. The

@@ -13,9 +13,9 @@
 //! sums, counts) or an order-insensitive sample bag (CDF inputs, which
 //! [`Cdf::from_samples`] sorts); floats appear only in
 //! [`ScanPartial::finalize`]. The result: [`AnalysisReport`] is
-//! bit-identical at 1, 2, or 8 threads, and identical to the single-pass
-//! in-memory reference over a reloaded JSONL export
-//! ([`crate::analysis::analyze`] is itself one partial + finalize).
+//! bit-identical at 1, 2, or 8 threads, and identical whichever route
+//! walked the segments. A halted run's unsealed residue is scanned the
+//! same way, as one more segment encoded in memory.
 
 use std::io;
 
@@ -29,7 +29,7 @@ use sandwich_store::{
 use sandwich_types::{Hash, Lamports, Slot, SlotClock};
 
 use crate::analysis::{AnalysisConfig, AnalysisReport, DatedFinding};
-use crate::dataset::{detail_map, overlap_rate, CollectedBundle, DetailMap, PollRecord};
+use crate::dataset::{detail_map, overlap_rate, PollRecord};
 use crate::defense::{is_defensive_tip, DefenseStats};
 use crate::detector::{detect, detect_in_bundle, DetectorConfig, SandwichFinding};
 use crate::stats::{Cdf, DailySeries};
@@ -151,39 +151,6 @@ impl DayRollup {
     }
 }
 
-/// Walk one materialized bundle, its details looked up in `details`: the
-/// per-bundle step of the decode route, and the whole of the residue fold.
-fn visit_bundle(bundle: &CollectedBundle, details: &DetailMap, walk: &Walk, sink: &mut Sink) {
-    let len = bundle.len().clamp(1, 5);
-    let metas = if len == 3 || (walk.extended && len > 3) {
-        bundle
-            .tx_ids
-            .iter()
-            .map(|id| details.get(id).map(|d| &d.meta))
-            .collect::<Option<Vec<_>>>()
-    } else {
-        None
-    };
-    let facts = BundleFacts {
-        day: walk.clock.day_index(bundle.slot),
-        slot: bundle.slot,
-        len,
-        tip: bundle.tip,
-        with_details: len == 3 && metas.is_some(),
-    };
-    let finding = metas.and_then(|m| {
-        if len == 3 {
-            detect(walk.detector, [m[0], m[1], m[2]])
-        } else {
-            detect_in_bundle(walk.detector, &m)
-                .into_iter()
-                .map(|(_, f)| f)
-                .next()
-        }
-    });
-    sink(&facts, finding.map(|f| (bundle.bundle_id, f)));
-}
-
 /// Walk a segment by decoding every record: the route for extended scans,
 /// and the slow reference the columnar route is tested byte-for-byte
 /// against (`scan_store_materializing`, `build_index_materializing`).
@@ -195,7 +162,34 @@ pub fn visit_decoded(
     let data = view.decode_all().map_err(corrupt)?;
     let details = detail_map(data.details);
     for bundle in &data.bundles {
-        visit_bundle(bundle, &details, walk, sink);
+        let len = bundle.len().clamp(1, 5);
+        let metas = if len == 3 || (walk.extended && len > 3) {
+            bundle
+                .tx_ids
+                .iter()
+                .map(|id| details.get(id).map(|d| &d.meta))
+                .collect::<Option<Vec<_>>>()
+        } else {
+            None
+        };
+        let facts = BundleFacts {
+            day: walk.clock.day_index(bundle.slot),
+            slot: bundle.slot,
+            len,
+            tip: bundle.tip,
+            with_details: len == 3 && metas.is_some(),
+        };
+        let finding = metas.and_then(|m| {
+            if len == 3 {
+                detect(walk.detector, [m[0], m[1], m[2]])
+            } else {
+                detect_in_bundle(walk.detector, &m)
+                    .into_iter()
+                    .map(|(_, f)| f)
+                    .next()
+            }
+        });
+        sink(&facts, finding.map(|f| (bundle.bundle_id, f)));
     }
     Ok(data.polls)
 }
@@ -345,20 +339,6 @@ impl ScanPartial {
         }
     }
 
-    /// Fold one in-memory bundle in, resolving its details through `details`.
-    pub fn observe_bundle(
-        &mut self,
-        bundle: &CollectedBundle,
-        details: &DetailMap,
-        clock: &SlotClock,
-        config: &AnalysisConfig,
-    ) {
-        let walk = walk_of(clock, config);
-        visit_bundle(bundle, details, &walk, &mut |b, s| {
-            self.observe(b, s, config)
-        });
-    }
-
     /// The partial as a walk's [`Sink`].
     fn observe(
         &mut self,
@@ -420,7 +400,7 @@ impl ScanPartial {
 
     /// Convert the integer state into the report. The one place floats are
     /// produced; findings are sorted by `(day, bundle_id)` so the report is
-    /// independent of which path (in-memory, 1 thread, N threads) built it.
+    /// independent of which route and how many threads built it.
     pub fn finalize(mut self, config: &AnalysisConfig) -> AnalysisReport {
         self.findings.sort_by_key(|a| (a.day, a.bundle_id.0));
         let series = |of: &dyn Fn(&DayRollup) -> f64| DailySeries {
@@ -504,8 +484,8 @@ fn scan_store_via(
 }
 
 /// Scan every sealed segment of `store` on `threads` workers and reduce
-/// the partials in segment order (skipping the finalize — callers that
-/// still have residual in-memory records fold them in first).
+/// the partials in segment order (skipping the finalize — a halted run
+/// merges its residue's partial in first).
 pub fn scan_store_partial(
     store: &BundleStore,
     clock: &SlotClock,
@@ -637,7 +617,9 @@ pub fn scan_store_materializing(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sandwich_store::StoreWriter;
+    use crate::dataset::CollectedBundle;
+    use sandwich_store::segment::encode_segment;
+    use sandwich_store::{SegmentData, StoreWriter};
     use sandwich_types::{Hash, Keypair, Slot};
 
     fn bundle(seed: u64, slot: u64, len: usize, tip: u64) -> CollectedBundle {
@@ -653,26 +635,29 @@ mod tests {
         }
     }
 
+    /// `bundles` as one in-memory segment's partial.
+    fn partial_of(
+        bundles: &[CollectedBundle],
+        clock: &SlotClock,
+        config: &AnalysisConfig,
+    ) -> ScanPartial {
+        let data = SegmentData {
+            bundles: bundles.to_vec(),
+            ..SegmentData::default()
+        };
+        let view = SegmentView::from_image(encode_segment(&data).0).unwrap();
+        partial_of_view_or_segment(&view, clock, config).unwrap()
+    }
+
     #[test]
     fn merge_matches_single_partial() {
         let clock = SlotClock::default();
         let config = AnalysisConfig::paper_defaults(2);
         let bundles: Vec<_> = (0..40u64).map(|i| bundle(i, i, 1, 30_000 + i)).collect();
-        let lookup = DetailMap::new();
 
-        let mut whole = ScanPartial::new(2);
-        for b in &bundles {
-            whole.observe_bundle(b, &lookup, &clock, &config);
-        }
-        let mut left = ScanPartial::new(2);
-        let mut right = ScanPartial::new(2);
-        for b in &bundles[..17] {
-            left.observe_bundle(b, &lookup, &clock, &config);
-        }
-        for b in &bundles[17..] {
-            right.observe_bundle(b, &lookup, &clock, &config);
-        }
-        left.merge(right);
+        let whole = partial_of(&bundles, &clock, &config);
+        let mut left = partial_of(&bundles[..17], &clock, &config);
+        left.merge(partial_of(&bundles[17..], &clock, &config));
         let a = whole.finalize(&config);
         let b = left.finalize(&config);
         assert_eq!(

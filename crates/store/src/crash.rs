@@ -31,7 +31,7 @@
 //! bench to model bit rot and partial-page damage on already-durable
 //! files.
 
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::path::Path;
 
 /// Marker carried in the message of every injected-crash error.
@@ -167,7 +167,7 @@ pub fn fsync_dir(dir: &Path) -> std::io::Result<()> {
 /// `fsync`, atomic rename, parent-directory `fsync`. With a [`CrashPlan`]
 /// attached, every operation is an enumerated crash step and the
 /// simulated on-disk state after an injected crash is exactly what the
-/// chosen crash model leaves behind.
+/// chosen crash model leaves behind. A `*.tmp` `path` is refused untouched.
 pub fn write_durable_with(
     path: &Path,
     bytes: &[u8],
@@ -175,6 +175,10 @@ pub fn write_durable_with(
     mut plan: Option<&mut CrashPlan>,
 ) -> std::io::Result<()> {
     let tmp = path.with_extension("tmp");
+    if tmp == path {
+        let message = format!("{} would be its own temp file", path.display());
+        return Err(std::io::Error::new(ErrorKind::InvalidInput, message));
+    }
 
     let mut f = match check(&mut plan, "create temp file") {
         Fire::Proceed => std::fs::File::create(&tmp)?,
@@ -398,6 +402,18 @@ mod tests {
                 }
             }
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_tmp_destination_is_refused_and_left_intact() {
+        let dir = tmp_dir("selftmp");
+        let path = dir.join("run.tmp");
+        std::fs::write(&path, b"previous").unwrap();
+        let err = write_durable_with(&path, b"next", &[], None).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("run.tmp"), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), b"previous");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

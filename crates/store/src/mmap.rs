@@ -80,9 +80,7 @@ impl Mapped {
                 }
             }
         }
-        Ok(Mapped {
-            inner: Inner::Heap(std::fs::read(path)?),
-        })
+        Ok(std::fs::read(path)?.into())
     }
 
     /// The mapped bytes.
@@ -104,6 +102,13 @@ impl Mapped {
             Inner::Map { .. } => true,
             Inner::Heap(_) => false,
         }
+    }
+}
+
+impl From<Vec<u8>> for Mapped {
+    fn from(bytes: Vec<u8>) -> Mapped {
+        let inner = Inner::Heap(bytes);
+        Mapped { inner }
     }
 }
 

@@ -47,7 +47,12 @@ impl SegmentView {
     /// checksums are verified here, so every scan of a view re-checks
     /// segment integrity end to end.
     pub fn open(path: &Path) -> std::io::Result<SegmentView> {
-        let map = Mapped::open(path)?;
+        SegmentView::from_image(Mapped::open(path)?)
+    }
+
+    /// Validate an image already in memory exactly as [`SegmentView::open`] validates a file.
+    pub fn from_image(image: impl Into<Mapped>) -> std::io::Result<SegmentView> {
+        let map = image.into();
         let corrupt =
             |e: CorruptSegment| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string());
         let parsed = parse_segment(&map).map_err(corrupt)?;

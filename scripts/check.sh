@@ -31,8 +31,10 @@ cargo build --offline --release --workspace
 #   profiles repeat to the byte, router legs ride a bounded pool and still
 #   fail closed; a pooled connection that hangs would hang here.
 # - store_scan: the segment scan stays byte-identical across worker counts,
-#   seal thresholds and against the materializing reference scan and the
-#   in-memory analysis of the run's reloaded JSONL export.
+#   seal thresholds and against the materializing reference scan; every
+#   sealed segment re-encodes to its own bytes; a halted run's report (its
+#   residue scanned as one in-memory segment) equals its store with that
+#   residue sealed in.
 # - crash_matrix: the store writer killed at every crash point of a seal
 #   (>= 20, clean kill and torn write), truncations and bit flips fuzzed over
 #   sealed segments: byte-identical recovery or explicit quarantine, never a
@@ -99,6 +101,22 @@ if [ -n "$rereads" ] || [ "$(printf '%s' "$defs" | grep -c '^crates/store/src/')
   [ "$(printf '%s\n' "$defs" | grep -c .)" != 1 ]; then
   echo "manifest read outside the store snapshot; use BundleStore::generation():" >&2
   printf '%s\n' "$rereads" "definitions of generation_of:" "$defs" >&2
+  exit 1
+fi
+
+# One codec for collected data: the segment store's. The JSONL archive and
+# reader, the in-memory analyze over it, the per-bundle scan fold behind
+# that, and core's second durable writer were deleted, not bypassed, so no
+# Rust source under crates/, tests/ or examples/ names them again. A free
+# `fn analyze(` is one whose first parameter is not `&self`; the method
+# MeasurementRun::analyze is the store scan itself.
+echo "==> one codec for collected data (no JSONL path, no second durable writer)"
+legacy=$(grep -rnE --include='*.rs' \
+  'write_jsonl|read_jsonl|observe_bundle|visit_bundle|write_file_durable|fn analyze\(([^&]|$)' \
+  crates tests examples || true)
+if [ -n "$legacy" ]; then
+  echo "a second encoding of collected data is back; use the segment codec:" >&2
+  printf '%s\n' "$legacy" >&2
   exit 1
 fi
 

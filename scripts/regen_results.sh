@@ -17,13 +17,13 @@ cargo build --offline --release -p sandwich-bench
 bin=$root/target/release
 
 # The binaries run from a scratch directory: export_dataset writes
-# dataset.jsonl and dataset.store beside itself and prints those names.
+# dataset.store beside itself and prints that name.
 tmp=$root/target/regen.tmp
 rm -rf "$tmp"
 mkdir -p "$tmp"
 trap 'rm -rf "$tmp"' EXIT
 cd "$tmp"
-unset SANDWICH_DAYS SANDWICH_SCALE SANDWICH_SEED SANDWICH_OUT \
+unset SANDWICH_DAYS SANDWICH_SCALE SANDWICH_SEED \
       SANDWICH_STORE_DIR SANDWICH_BENCH_OUT SANDWICH_FUZZ_CASES \
       SANDWICH_SCAN_BUNDLES SANDWICH_CRASH_BUNDLES
 

@@ -4,23 +4,29 @@
 //!   while polling collects exactly what a run that drains nothing until
 //!   its final flush collects;
 //! * the parallel scan produces a byte-identical `AnalysisReport` at 1, 2,
-//!   and 8 threads, byte-identical to the materializing reference scan and
-//!   to the in-memory analysis of the run's reloaded JSONL export;
+//!   and 8 threads, byte-identical to the materializing reference scan;
+//! * every segment a real run sealed is a fixpoint of the codec: decoding
+//!   and re-encoding it gives back its bytes;
+//! * a halted run's report, which scans its unsealed residue as one more
+//!   in-memory segment, equals the materializing scan of a copy of its
+//!   store with that residue sealed in;
 //! * a mid-run checkpoint references the store by manifest, stays small,
 //!   and resumes into a run identical to an uninterrupted one.
 
 use std::io::BufReader;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use sandwich_core::{
-    analyze, run_measurement_with, scan_store_observed, AnalysisConfig, Checkpoint,
-    CollectorConfig, Dataset, MeasurementRun, PipelineConfig, RunOptions, StoreOptions,
+    run_measurement_with, scan_store_materializing, scan_store_observed, AnalysisConfig,
+    Checkpoint, CollectorConfig, MeasurementRun, PipelineConfig, RunOptions, StoreOptions,
 };
 use sandwich_explorer::{ExplorerConfig, FaultPlanConfig};
 use sandwich_net::RetryPolicy;
 use sandwich_obs::Registry;
 use sandwich_sim::{ScenarioConfig, Simulation};
+use sandwich_store::segment::{decode_segment, encode_segment};
+use sandwich_store::StoreWriter;
 
 fn scenario() -> ScenarioConfig {
     ScenarioConfig {
@@ -136,31 +142,32 @@ async fn store_scan_matches_legacy_and_is_thread_invariant() {
     );
     assert!(run.collector_stats.store_bytes_written > 0);
 
-    // The scan is byte-identical across thread counts, equal to the
-    // late-sealing run's, and equal to the independent in-memory reference:
-    // `analyze` over the run's JSONL export, reloaded.
+    // The scan is byte-identical across thread counts and equal to the
+    // late-sealing run's.
     let base = serde_json::to_string(&run.try_analyze(&cfg, 1).unwrap()).unwrap();
     for threads in [2, 8] {
         let r = serde_json::to_string(&run.try_analyze(&cfg, threads).unwrap()).unwrap();
         assert_eq!(base, r, "report diverged at {threads} threads");
     }
     assert_eq!(base, late_report, "report moved with the seal threshold");
-    let mut jsonl = Vec::new();
-    run.write_jsonl(&mut jsonl).unwrap();
-    let reloaded = Dataset::read_jsonl(BufReader::new(&jsonl[..])).unwrap();
-    assert_eq!(reloaded.resident().len(), run.dataset.len());
-    assert_eq!(
-        base,
-        serde_json::to_string(&analyze(&reloaded, &run.clock, &cfg)).unwrap(),
-        "store scan diverged from the in-memory analysis of the JSONL export"
-    );
+
+    // Every segment the run sealed is a fixpoint of the codec: what the
+    // store decodes is exactly what it encoded, byte for byte.
+    for meta in store.segments() {
+        let image = std::fs::read(dir.join(&meta.file)).unwrap();
+        let (data, _) = decode_segment(&image).unwrap();
+        assert!(
+            encode_segment(&data).0 == image,
+            "{} re-encodes differently",
+            meta.file
+        );
+    }
 
     // The zero-copy columnar scan (the default path above) is byte-identical
     // to a forced record-by-record materializing scan of the same store.
-    let materialized = serde_json::to_string(
-        &sandwich_core::scan_store_materializing(store, &run.clock, &cfg, 2).unwrap(),
-    )
-    .unwrap();
+    let materialized =
+        serde_json::to_string(&scan_store_materializing(store, &run.clock, &cfg, 2).unwrap())
+            .unwrap();
     assert_eq!(
         base, materialized,
         "zero-copy scan diverged from the materializing scan"
@@ -207,19 +214,79 @@ async fn store_scan_matches_legacy_and_is_thread_invariant() {
         Some(1)
     );
 
-    // The binary store is dramatically smaller than the JSONL archive.
-    // The v2 columnar section spends ~11% of segment size buying the
-    // zero-copy fast path, so the bound is 2.5x rather than the 3.1x the
-    // pure row encoding measured.
-    let store_bytes = store.manifest().total_bytes();
-    assert!(
-        store_bytes * 5 <= jsonl.len() as u64 * 2,
-        "binary store ({store_bytes} B) is not ≥2.5x smaller than JSONL ({} B)",
-        jsonl.len()
-    );
-
     std::fs::remove_dir_all(&dir).unwrap();
     std::fs::remove_dir_all(&dir_late).unwrap();
+}
+
+/// Copy a store directory's files (manifest and segments) into `to`.
+fn copy_store(from: &Path, to: &Path) {
+    let _ = std::fs::remove_dir_all(to);
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let path = entry.unwrap().path();
+        std::fs::copy(&path, to.join(path.file_name().unwrap())).unwrap();
+    }
+}
+
+#[tokio::test(flavor = "multi_thread", worker_threads = 2)]
+async fn halted_report_equals_the_store_with_its_residue_sealed() {
+    let scenario = scenario();
+    let dir = store_dir("halted");
+    let mut sim = Simulation::new(scenario.clone());
+    let options = StoreOptions {
+        dir: dir.clone(),
+        segment_bundles: 100,
+    };
+    let halted = run_measurement_with(
+        &mut sim,
+        pipeline(&scenario, Some(options)),
+        RunOptions {
+            halt_at_tick: Some(70),
+            resume: None,
+        },
+    )
+    .await
+    .unwrap();
+    let segments = halted.store.as_ref().unwrap().segments().to_vec();
+    assert!(!segments.is_empty(), "no segment sealed before the halt");
+    assert!(
+        !halted.dataset.resident().is_empty(),
+        "no residue at the halt"
+    );
+
+    // The same records, sealed: a copy of the store with the residue as
+    // its last segment.
+    let copy = store_dir("halted-copy");
+    copy_store(&dir, &copy);
+    let mut writer = StoreWriter::resume(&copy, &segments).unwrap();
+    let residue = halted.dataset.residue();
+    writer
+        .seal_segment(residue.bundles, residue.details, residue.polls)
+        .unwrap();
+    let sealed = writer.into_reader();
+
+    // Both routes: the columnar walk, and the full decode the extended
+    // configuration forces.
+    let days = scenario.days;
+    for cfg in [
+        AnalysisConfig::paper_defaults(days),
+        AnalysisConfig::extended(days),
+    ] {
+        let reference = scan_store_materializing(&sealed, &halted.clock, &cfg, 2).unwrap();
+        let reference = serde_json::to_string(&reference).unwrap();
+        for threads in [1, 4] {
+            let report = halted.try_analyze(&cfg, threads).unwrap();
+            assert_eq!(
+                serde_json::to_string(&report).unwrap(),
+                reference,
+                "extended={} threads={threads}",
+                cfg.extended
+            );
+        }
+    }
+
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&copy).unwrap();
 }
 
 #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
