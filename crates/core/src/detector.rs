@@ -14,7 +14,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use sandwich_jito::{is_tip_only, realized_tip, tip_accounts};
+use sandwich_jito::{is_tip_only, realized_tip};
 use sandwich_ledger::TransactionMeta;
 use sandwich_types::{Lamports, Pubkey};
 
@@ -75,14 +75,7 @@ pub fn extract_trade(meta: &TransactionMeta) -> Option<Trade> {
     }
 
     // SOL leg: the signer's net SOL excluding fee and tips paid.
-    let tips: Lamports = {
-        let accounts = tip_accounts();
-        meta.sol_deltas
-            .iter()
-            .filter(|d| d.delta.is_gain() && accounts.contains(&d.account))
-            .map(|d| d.delta.magnitude())
-            .sum()
-    };
+    let tips = realized_tip(meta);
     let sol_net = meta.sol_delta_of(&signer).0 + meta.fee.0 as i64 + tips.0 as i64;
     // Ignore dust below the fee scale (rounding of internal transfers).
     if sol_net < -1_000 {

@@ -3,6 +3,8 @@
 //! Native SOL legs move as lamports on the pool account; token legs move
 //! through token accounts owned by the pool address.
 
+use std::sync::LazyLock;
+
 use serde::{Deserialize, Serialize};
 
 use sandwich_ledger::{native_sol_mint, Instruction, Program, TxContext, TxError};
@@ -10,9 +12,12 @@ use sandwich_types::{Lamports, Pubkey};
 
 use crate::pool::PoolState;
 
-/// Address of the AMM program.
+static AMM_PROGRAM_ID: LazyLock<Pubkey> = LazyLock::new(|| Pubkey::derive("amm_program"));
+
+/// Address of the AMM program (derived once: building and executing a
+/// swap asks for it several times, and each derivation is a SHA-256).
 pub fn amm_program_id() -> Pubkey {
-    Pubkey::derive("amm_program")
+    *AMM_PROGRAM_ID
 }
 
 /// Instructions understood by the AMM program.

@@ -5,18 +5,26 @@
 //! pool reserves), so this simulation stores accounts in decoded form, with
 //! an opaque byte variant reserved for third-party programs such as the DEX.
 
+use std::sync::LazyLock;
+
 use serde::{Deserialize, Serialize};
 
 use sandwich_types::{Lamports, Pubkey};
 
+// Each derivation is a SHA-256, and the simulator and the AMM ask for the
+// SOL mint on every swap, so the built-in addresses are derived once.
+static SYSTEM_PROGRAM_ID: LazyLock<Pubkey> = LazyLock::new(|| Pubkey::derive("system_program"));
+static TOKEN_PROGRAM_ID: LazyLock<Pubkey> = LazyLock::new(|| Pubkey::derive("token_program"));
+static NATIVE_SOL_MINT: LazyLock<Pubkey> = LazyLock::new(|| Pubkey::derive("native_sol_mint"));
+
 /// Address of the built-in system program.
 pub fn system_program_id() -> Pubkey {
-    Pubkey::derive("system_program")
+    *SYSTEM_PROGRAM_ID
 }
 
 /// Address of the built-in token program.
 pub fn token_program_id() -> Pubkey {
-    Pubkey::derive("token_program")
+    *TOKEN_PROGRAM_ID
 }
 
 /// The mint address used to denote native SOL in trade records.
@@ -24,7 +32,7 @@ pub fn token_program_id() -> Pubkey {
 /// Solana wraps SOL as the WSOL mint for DEX trades; we use a fixed derived
 /// address the same way.
 pub fn native_sol_mint() -> Pubkey {
-    Pubkey::derive("native_sol_mint")
+    *NATIVE_SOL_MINT
 }
 
 /// Typed account state.

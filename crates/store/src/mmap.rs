@@ -23,9 +23,10 @@ enum Inner {
     Heap(Vec<u8>),
 }
 
-// A private read-only mapping is immutable shared memory: no interior
-// mutation can happen through `&Mapped`, so moving or sharing the handle
-// across threads is safe (the raw pointer is what inhibits the derive).
+// SAFETY: a private read-only mapping is immutable shared memory: no
+// interior mutation can happen through `&Mapped`, so moving or sharing the
+// handle across threads is safe (the raw pointer is what inhibits the
+// derive).
 unsafe impl Send for Mapped {}
 unsafe impl Sync for Mapped {}
 
@@ -59,6 +60,8 @@ impl Mapped {
             let file = std::fs::File::open(path)?;
             let len = file.metadata()?.len();
             if len > 0 && len <= usize::MAX as u64 {
+                // SAFETY: a fresh read-only private mapping of an open fd
+                // over its whole non-zero length; failure is checked below.
                 let ptr = unsafe {
                     sys::mmap(
                         std::ptr::null_mut(),
@@ -87,6 +90,8 @@ impl Mapped {
     pub fn bytes(&self) -> &[u8] {
         match &self.inner {
             #[cfg(unix)]
+            // SAFETY: `ptr` maps `len` readable bytes that live until `drop`
+            // unmaps them, and nothing writes through a `PROT_READ` mapping.
             Inner::Map { ptr, len } => unsafe {
                 std::slice::from_raw_parts(*ptr as *const u8, *len)
             },
@@ -116,6 +121,8 @@ impl Drop for Mapped {
     fn drop(&mut self) {
         #[cfg(unix)]
         if let Inner::Map { ptr, len } = self.inner {
+            // SAFETY: the mapping `open` made, unmapped once; `&mut self`
+            // means no slice from `bytes` outlives it.
             unsafe {
                 sys::munmap(ptr, len);
             }

@@ -157,115 +157,294 @@ impl Sha256 {
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[i * 4],
-                block[i * 4 + 1],
-                block[i * 4 + 2],
-                block[i * 4 + 3],
-            ]);
+        #[cfg(target_arch = "x86_64")]
+        if sha_ni::available() {
+            // SAFETY: the CPU reports every feature the kernel is compiled for.
+            unsafe { sha_ni::compress(&mut self.state, block) };
+            return;
         }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
+        compress_portable(&mut self.state, block);
+    }
+}
+
+/// The FIPS 180-4 compression function in plain Rust: what runs on a CPU
+/// without the SHA extensions, and the reference the kernel is tested
+/// against.
+fn compress_portable(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for i in 0..16 {
+        w[i] = u32::from_be_bytes([
+            block[i * 4],
+            block[i * 4 + 1],
+            block[i * 4 + 2],
+            block[i * 4 + 3],
+        ]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+
+    for (word, add) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *word = word.wrapping_add(add);
+    }
+}
+
+/// The compression function on the x86 SHA extensions: `sha256rnds2` runs
+/// two rounds, `sha256msg1`/`sha256msg2` extend the message schedule four
+/// words at a time.
+#[cfg(target_arch = "x86_64")]
+mod sha_ni {
+    use std::arch::x86_64::*;
+
+    use super::K;
+
+    /// Whether this CPU can run [`compress`] (SSE2 is baseline on x86_64).
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// One compression of `block` into `state`. Callers must have seen
+    /// [`available`] hold: on a CPU without these extensions the
+    /// instructions are undefined behaviour.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+        // Message words arrive big-endian; this shuffle byte-swaps each lane.
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        // SAFETY: `state` is 32 readable bytes and `block` 64; `loadu`
+        // has no alignment requirement.
+        let (dcba, hgfe, mut w) = unsafe {
+            let s = state.as_ptr().cast::<__m128i>();
+            let b = block.as_ptr().cast::<__m128i>();
+            (
+                _mm_loadu_si128(s),
+                _mm_loadu_si128(s.add(1)),
+                [0, 1, 2, 3].map(|i| _mm_shuffle_epi8(_mm_loadu_si128(b.add(i)), bswap)),
+            )
+        };
+
+        // `sha256rnds2` wants the working variables as ABEF and CDGH.
+        let cdab = _mm_shuffle_epi32(dcba, 0xb1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+        let (abef_in, cdgh_in) = (abef, cdgh);
+
+        for (i, words) in w.iter().enumerate() {
+            rounds4(&mut abef, &mut cdgh, *words, i);
+        }
+        for i in 4..16 {
+            // W[t..t+4] from W[t-16..t-12], W[t-15..t-11], W[t-7..t-3], W[t-4..t].
+            let next = _mm_sha256msg2_epu32(
+                _mm_add_epi32(
+                    _mm_sha256msg1_epu32(w[0], w[1]),
+                    _mm_alignr_epi8(w[3], w[2], 4),
+                ),
+                w[3],
+            );
+            rounds4(&mut abef, &mut cdgh, next, i);
+            w = [w[1], w[2], w[3], next];
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        let feba = _mm_shuffle_epi32(abef, 0x1b);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+        let dcba = _mm_blend_epi16(feba, dchg, 0xf0);
+        let hgfe = _mm_alignr_epi8(dchg, feba, 8);
+        // SAFETY: `state` is 32 writable bytes; `storeu` has no alignment
+        // requirement.
+        unsafe {
+            let s = state.as_mut_ptr().cast::<__m128i>();
+            _mm_storeu_si128(s, dcba);
+            _mm_storeu_si128(s.add(1), hgfe);
         }
+    }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+    /// Rounds `4 * i .. 4 * i + 4` over the message words `words`.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn rounds4(abef: &mut __m128i, cdgh: &mut __m128i, words: __m128i, i: usize) {
+        // SAFETY: `K` has 64 words and `i < 16`, so the 16 bytes at
+        // `4 * i` are in bounds.
+        let k = unsafe { _mm_loadu_si128(K.as_ptr().add(4 * i).cast()) };
+        let wk = _mm_add_epi32(words, k);
+        *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
+        *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32(wk, 0x0e));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    const EMPTY: &str = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855";
+    const ABC: &str = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad";
+    const TWO_BLOCK_MSG: &[u8] = b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq";
+    const TWO_BLOCK: &str = "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1";
+    const MILLION_A: &str = "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
+    /// Lengths on both sides of where the padding spills into a second
+    /// block (55 | 56) and of a block edge, one and two blocks in; digests
+    /// of `b"a" * n` from `python3 hashlib`.
+    const PADDING: [(usize, &str); 6] = [
+        (
+            55,
+            "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
+        ),
+        (
+            56,
+            "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
+        ),
+        (
+            63,
+            "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34",
+        ),
+        (
+            64,
+            "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+        ),
+        (
+            119,
+            "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb",
+        ),
+        (
+            120,
+            "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c",
+        ),
+    ];
+
+    /// Every known-answer vector above as `(message, digest)`.
+    fn vectors() -> Vec<(Vec<u8>, &'static str)> {
+        let mut v = vec![
+            (Vec::new(), EMPTY),
+            (b"abc".to_vec(), ABC),
+            (TWO_BLOCK_MSG.to_vec(), TWO_BLOCK),
+            (vec![b'a'; 1_000_000], MILLION_A),
+        ];
+        v.extend(PADDING.map(|(len, digest)| (vec![b'a'; len], digest)));
+        v
+    }
+
+    type Compress = fn(&mut [u32; 8], &[u8; 64]);
+
+    /// SHA-256 of `data` with every block through `compress`, padded here
+    /// so that neither `Sha256` nor its dispatch is involved.
+    fn digest_via(compress: Compress, data: &[u8]) -> String {
+        let mut message = data.to_vec();
+        message.push(0x80);
+        while message.len() % 64 != 56 {
+            message.push(0);
+        }
+        message.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        for block in message.chunks_exact(64) {
+            compress(&mut state, block.try_into().unwrap());
+        }
+        hex(&state.map(u32::to_be_bytes).concat())
+    }
+
+    /// The SHA-NI kernel when this CPU has it, else `None` (and a note on
+    /// stdout), so the portable half of each test runs on every host.
+    fn kernel() -> Option<Compress> {
+        #[cfg(target_arch = "x86_64")]
+        if sha_ni::available() {
+            // SAFETY: only reached when the CPU reports the kernel's features.
+            return Some(|state, block| unsafe { sha_ni::compress(state, block) });
+        }
+        println!("no SHA extensions on this CPU: skipped the kernel half");
+        None
+    }
+
     #[test]
     fn empty_vector() {
-        assert_eq!(
-            hex(&Hash::digest(b"").0),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
+        assert_eq!(hex(&Hash::digest(b"").0), EMPTY);
     }
 
     #[test]
     fn abc_vector() {
-        assert_eq!(
-            hex(&Hash::digest(b"abc").0),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
+        assert_eq!(hex(&Hash::digest(b"abc").0), ABC);
     }
 
     #[test]
     fn two_block_vector() {
-        assert_eq!(
-            hex(&Hash::digest(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq").0),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
+        assert_eq!(hex(&Hash::digest(TWO_BLOCK_MSG).0), TWO_BLOCK);
     }
 
     #[test]
     fn million_a_vector() {
         let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            hex(&Hash::digest(&data).0),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+        assert_eq!(hex(&Hash::digest(&data).0), MILLION_A);
     }
 
     #[test]
     fn padding_boundary_vectors() {
-        // Lengths on both sides of where the padding spills into a second
-        // block (55 | 56) and of a block edge, one and two blocks in;
-        // digests of `b"a" * n` from `python3 hashlib`.
-        let lengths = [55, 56, 63, 64, 119, 120];
-        let digests = [
-            "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
-            "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
-            "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34",
-            "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
-            "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb",
-            "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c",
-        ];
-        for (len, digest) in lengths.into_iter().zip(digests) {
+        for (len, digest) in PADDING {
             let message = vec![b'a'; len];
             assert_eq!(hex(&Hash::digest(&message).0), digest, "length {len}");
+        }
+    }
+
+    #[test]
+    fn known_answers_on_each_compress() {
+        let paths = [Some(compress_portable as Compress), kernel()];
+        for compress in paths.into_iter().flatten() {
+            for (message, digest) in vectors() {
+                assert_eq!(
+                    digest_via(compress, &message),
+                    digest,
+                    "length {}",
+                    message.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_matches_portable_on_random_blocks() {
+        let Some(kernel) = kernel() else { return };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5a256);
+        for case in 0..10_000 {
+            let state: [u32; 8] = std::array::from_fn(|_| rng.gen());
+            let mut block = [0u8; 64];
+            rng.fill(&mut block[..]);
+            let mut portable = state;
+            compress_portable(&mut portable, &block);
+            let mut fast = state;
+            kernel(&mut fast, &block);
+            assert_eq!(fast, portable, "case {case}: state {state:08x?}");
         }
     }
 

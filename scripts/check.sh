@@ -120,6 +120,33 @@ if [ -n "$legacy" ]; then
   exit 1
 fi
 
+# `unsafe` lives in three files: the segment file mapping, the SHA-256
+# kernel on the CPU's SHA extensions and the tokio shim's `join`. Under
+# crates/, every `unsafe` block also says why it is sound: a `// SAFETY:`
+# comment in the comment lines (attributes allowed) right above the line
+# that opens it. Comments are stripped before matching, so prose that says
+# "unsafe" does not count.
+echo "==> unsafe confined to three files, every block under crates/ with a SAFETY comment"
+unsafe_findings=$(find crates shims tests examples benchmark/src -name '*.rs' | sort | xargs awk '
+  FNR == 1 { safety = 0 }
+  /^[[:space:]]*\/\/ SAFETY:/ { safety = 1 }
+  {
+    code = $0
+    sub(/\/\/.*/, "", code)
+    if (code ~ /(^|[^[:alnum:]_])unsafe([^[:alnum:]_]|$)/) {
+      if (FILENAME != "crates/store/src/mmap.rs" && FILENAME != "crates/types/src/hash.rs" &&
+          FILENAME != "shims/tokio/src/lib.rs")
+        print FILENAME ":" FNR ": unsafe outside the three allowed files: " $0
+      else if (FILENAME ~ /^crates\// && code ~ /unsafe[[:space:]]*\{/ && !safety)
+        print FILENAME ":" FNR ": unsafe block without a // SAFETY: comment right above: " $0
+    }
+  }
+  !/^[[:space:]]*(\/\/|#\[)/ { safety = 0 }')
+if [ -n "$unsafe_findings" ]; then
+  printf '%s\n' "$unsafe_findings" >&2
+  exit 1
+fi
+
 # The committed paper-facing results must come from this code: a 5-day
 # headline (sim -> explorer -> collector -> store -> scan -> report, ~6 s)
 # is diffed against the copy scripts/regen_results.sh wrote, and so is a
