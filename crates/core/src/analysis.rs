@@ -5,7 +5,6 @@
 use serde::{Deserialize, Serialize};
 
 use sandwich_dex::SolUsdOracle;
-use sandwich_types::{Lamports, DEFENSIVE_TIP_THRESHOLD};
 
 use crate::defense::DefenseStats;
 use crate::detector::{DetectorConfig, SandwichFinding};
@@ -14,10 +13,9 @@ use crate::stats::{Cdf, DailySeries};
 /// Analysis configuration.
 #[derive(Clone, Debug)]
 pub struct AnalysisConfig {
-    /// Detection criteria.
+    /// Detection criteria. (The defensive-tip threshold is not a setting:
+    /// it is `DEFENSIVE_TIP_THRESHOLD`, the paper's 100,000 lamports.)
     pub detector: DetectorConfig,
-    /// Defensive-tip threshold (paper: 100,000 lamports).
-    pub defensive_threshold: Lamports,
     /// USD conversion (paper: $242/SOL).
     pub oracle: SolUsdOracle,
     /// Days in the measurement period (sizes the per-day series).
@@ -33,7 +31,6 @@ impl AnalysisConfig {
     pub fn paper_defaults(days: u64) -> Self {
         AnalysisConfig {
             detector: DetectorConfig::default(),
-            defensive_threshold: DEFENSIVE_TIP_THRESHOLD,
             oracle: SolUsdOracle::default(),
             days,
             extended: false,

@@ -26,7 +26,7 @@ use sandwich_store::{
     parallel_map, BundleStore, Columns, CorruptSegment, SegmentMeta, SegmentView, META_C1, META_C2,
     META_LINKED,
 };
-use sandwich_types::{Hash, Lamports, Slot, SlotClock};
+use sandwich_types::{Hash, Lamports, Slot, SlotClock, DEFENSIVE_TIP_THRESHOLD};
 
 use crate::analysis::{AnalysisConfig, AnalysisReport, DatedFinding};
 use crate::dataset::{detail_map, overlap_rate, PollRecord};
@@ -120,16 +120,11 @@ impl DayRollup {
 
     /// Count one bundle of this day in, with its finding when it is a
     /// sandwich (an unpriced one carries no loss or gain).
-    pub fn observe(
-        &mut self,
-        b: &BundleFacts,
-        finding: Option<&SandwichFinding>,
-        defensive_threshold: Lamports,
-    ) {
+    pub fn observe(&mut self, b: &BundleFacts, finding: Option<&SandwichFinding>) {
         self.bundles += 1;
         self.bundles_by_len[b.len - 1] += 1;
         self.tips_lamports += u128::from(b.tip.0);
-        self.defensive += u64::from(b.len == 1 && is_defensive_tip(b.tip, defensive_threshold));
+        self.defensive += u64::from(b.len == 1 && is_defensive_tip(b.tip, DEFENSIVE_TIP_THRESHOLD));
         if let Some(finding) = finding {
             self.sandwiches += 1;
             self.victim_loss_lamports += u128::from(finding.victim_loss_lamports.unwrap_or(0));
@@ -349,11 +344,11 @@ impl ScanPartial {
         // Days past the configured period are not in the report.
         if let Some(day) = self.days.get_mut(b.day as usize) {
             let finding = sandwich.as_ref().map(|(_, finding)| finding);
-            day.observe(b, finding, config.defensive_threshold);
+            day.observe(b, finding);
         }
         if b.len == 1 {
             self.tips_len1.push(b.tip.0 as f64);
-            self.defense.observe_len1(b.tip, config.defensive_threshold);
+            self.defense.observe_len1(b.tip, DEFENSIVE_TIP_THRESHOLD);
         } else if b.len == 3 {
             self.tips_len3.push(b.tip.0 as f64);
             self.len3_with_details += u64::from(b.with_details);

@@ -46,17 +46,6 @@ pub fn quote_exact_out(
     u64::try_from(amount_in).ok()
 }
 
-/// Marginal spot price of the output token in input-token units, as a float
-/// (reporting only — execution always uses integer quotes).
-pub fn spot_price(reserve_in: u64, reserve_out: u64) -> f64 {
-    reserve_in as f64 / reserve_out as f64
-}
-
-/// Effective execution rate (input per output) of a quoted swap.
-pub fn execution_rate(amount_in: u64, amount_out: u64) -> f64 {
-    amount_in as f64 / amount_out as f64
-}
-
 /// Reserves after applying an exact-input swap.
 pub fn apply_swap(
     amount_in: u64,

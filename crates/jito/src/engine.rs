@@ -139,12 +139,6 @@ impl BlockEngine {
         }
     }
 
-    /// Override the minimum tip (threshold experiments).
-    pub fn with_min_tip(mut self, min_tip: Lamports) -> Self {
-        self.min_tip = min_tip;
-        self
-    }
-
     /// Stamp each produced block with the leader the schedule assigns to
     /// its slot. Without a schedule the bank's validator leads every slot
     /// (the single-validator legacy behavior).

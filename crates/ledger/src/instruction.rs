@@ -78,12 +78,4 @@ impl Instruction {
     pub fn token_transfer(mint: Pubkey, to: Pubkey, amount: u64) -> Self {
         Instruction::Token(TokenInstruction::Transfer { mint, to, amount })
     }
-
-    /// True if this is a plain SOL transfer to `to`.
-    pub fn is_transfer_to(&self, to: &Pubkey) -> bool {
-        matches!(
-            self,
-            Instruction::System(SystemInstruction::Transfer { to: t, .. }) if t == to
-        )
-    }
 }

@@ -20,5 +20,5 @@ pub use client::{ClientError, ClientTimeouts, HttpClient, PoolStats};
 pub use http::{HttpError, Method, Request, Response, WireFault};
 pub use metrics::metrics_response;
 pub use ratelimit::TokenBucket;
-pub use retry::{retry, retry_classified, BackoffSchedule, RetryClass, RetryOutcome, RetryPolicy};
+pub use retry::{retry_classified, BackoffSchedule, RetryClass, RetryOutcome, RetryPolicy};
 pub use server::{Router, Server};

@@ -128,30 +128,6 @@ pub struct RetryOutcome<T, E> {
     pub attempts: u32,
 }
 
-/// Run `op` until it succeeds, the error is permanent, or attempts run out.
-///
-/// `is_transient` decides whether an error is worth retrying. For
-/// `Retry-After`-aware behaviour use [`retry_classified`].
-pub async fn retry<T, E, F, Fut, P>(
-    policy: RetryPolicy,
-    op: F,
-    is_transient: P,
-) -> RetryOutcome<T, E>
-where
-    F: FnMut() -> Fut,
-    Fut: Future<Output = Result<T, E>>,
-    P: Fn(&E) -> bool,
-{
-    retry_classified(policy, op, |e| {
-        if is_transient(e) {
-            RetryClass::Transient
-        } else {
-            RetryClass::Permanent
-        }
-    })
-    .await
-}
-
 /// Run `op` until it succeeds, the error is classified permanent, or
 /// attempts run out; honors [`RetryClass::AfterHint`] pacing hints.
 pub async fn retry_classified<T, E, F, Fut, C>(
@@ -216,7 +192,7 @@ mod tests {
     #[tokio::test(start_paused = true)]
     async fn succeeds_after_transient_failures() {
         let calls = AtomicU32::new(0);
-        let outcome = retry(
+        let outcome = retry_classified(
             fast_policy(),
             || {
                 let n = calls.fetch_add(1, Ordering::SeqCst);
@@ -228,7 +204,7 @@ mod tests {
                     }
                 }
             },
-            |_| true,
+            |_| RetryClass::Transient,
         )
         .await;
         assert_eq!(outcome.result.unwrap(), 2);
@@ -238,13 +214,13 @@ mod tests {
     #[tokio::test(start_paused = true)]
     async fn permanent_error_stops_immediately() {
         let calls = AtomicU32::new(0);
-        let outcome: RetryOutcome<(), &str> = retry(
+        let outcome: RetryOutcome<(), &str> = retry_classified(
             fast_policy(),
             || {
                 calls.fetch_add(1, Ordering::SeqCst);
                 async { Err("permanent") }
             },
-            |_| false,
+            |_| RetryClass::Permanent,
         )
         .await;
         assert!(outcome.result.is_err());
@@ -254,8 +230,12 @@ mod tests {
 
     #[tokio::test(start_paused = true)]
     async fn gives_up_after_max_attempts() {
-        let outcome: RetryOutcome<(), &str> =
-            retry(fast_policy(), || async { Err("transient") }, |_| true).await;
+        let outcome: RetryOutcome<(), &str> = retry_classified(
+            fast_policy(),
+            || async { Err("transient") },
+            |_| RetryClass::Transient,
+        )
+        .await;
         assert!(outcome.result.is_err());
         assert_eq!(outcome.attempts, 4);
     }

@@ -191,11 +191,6 @@ impl Server {
         self.local_addr
     }
 
-    /// Base URL for clients.
-    pub fn base_url(&self) -> String {
-        format!("http://{}", self.local_addr)
-    }
-
     /// Connections accepted whose task has not ended yet: in-flight
     /// requests plus keep-alive connections a client holds idle.
     pub fn open_connections(&self) -> usize {

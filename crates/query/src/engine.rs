@@ -15,10 +15,9 @@ use sandwich_types::{Hash, Pubkey};
 
 use crate::cache::CachedResponse;
 use crate::index::{
-    first_ref_after_cursor, first_ref_at_or_after, live_minutes, AttackerEntry, PoolEntry,
-    QueryIndex, SandwichRef, ValidatorEntry,
+    first_ref_after_cursor, AttackerEntry, PoolEntry, QueryIndex, SandwichRef, ValidatorEntry,
 };
-use crate::render::{self, DETAIL_REF_CAP};
+use crate::partial::{answer, Partial};
 
 /// Default page size when `limit=` is absent.
 pub const DEFAULT_LIMIT: usize = 20;
@@ -127,9 +126,7 @@ pub enum QueryRequest {
 }
 
 /// An optional non-negative `usize` query parameter, or the 400 message.
-/// Public with its two siblings so the `/shard/*` wire format parses —
-/// and words its 400s — exactly as [`QueryRequest::parse`] does.
-pub fn parse_usize(request: &Request, key: &str, default: usize) -> Result<usize, String> {
+fn parse_usize(request: &Request, key: &str, default: usize) -> Result<usize, String> {
     match request.query.get(key) {
         None => Ok(default),
         Some(raw) => raw.parse::<usize>().map_err(|_| {
@@ -139,7 +136,7 @@ pub fn parse_usize(request: &Request, key: &str, default: usize) -> Result<usize
 }
 
 /// An optional non-negative `u64` query parameter, or the 400 message.
-pub fn parse_u64(request: &Request, key: &str, default: u64) -> Result<u64, String> {
+fn parse_u64(request: &Request, key: &str, default: u64) -> Result<u64, String> {
     match request.query.get(key) {
         None => Ok(default),
         Some(raw) => raw.parse::<u64>().map_err(|_| {
@@ -149,7 +146,7 @@ pub fn parse_u64(request: &Request, key: &str, default: u64) -> Result<u64, Stri
 }
 
 /// A required base58 address path parameter, or the 400 message.
-pub fn parse_pubkey(request: &Request, param: &str) -> Result<Pubkey, String> {
+fn parse_pubkey(request: &Request, param: &str) -> Result<Pubkey, String> {
     let raw = request
         .path_param(param)
         .ok_or_else(|| format!("missing path parameter {param:?}"))?;
@@ -211,8 +208,13 @@ impl QueryRequest {
         }
     }
 
-    /// Canonical cache key for this request (excludes the generation; the
-    /// cache prepends it).
+    /// The canonical path of this request below `/api/` (and `/shard/`):
+    /// every parameter spelled out, in one order, so [`QueryRequest::parse`]
+    /// reads it back as this request. It is the cache key within one
+    /// generation (the cache prepends that) and the path the router asks
+    /// every shard for. `wait_ms` is left out: at one generation a
+    /// long-poll answers with the same bytes as a page-poll at its
+    /// position, and a shard never waits.
     pub fn canonical_key(&self) -> String {
         match self {
             QueryRequest::Summary => "summary".to_string(),
@@ -234,14 +236,17 @@ impl QueryRequest {
             } => format!(
                 "sandwiches?from_slot={from_slot}&to_slot={to_slot}&limit={limit}&after={after}"
             ),
-            // `wait_ms` deliberately absent: at one generation a long-poll
-            // answers with the same bytes as a page-poll at its position.
+            // A request names a position, not a generation: the cursor's
+            // generation field is zero.
             QueryRequest::Live {
                 after_slot,
                 after_id,
                 limit,
                 ..
-            } => format!("live?after={after_slot:016x}.{after_id}&limit={limit}"),
+            } => format!(
+                "live?cursor={}&limit={limit}",
+                encode_live_cursor("0000000000000000", *after_slot, after_id)
+            ),
         }
     }
 }
@@ -296,14 +301,6 @@ impl Engine {
         &self.index.generation
     }
 
-    fn recent_refs(&self, refs: &[u32]) -> Vec<SandwichRef> {
-        refs.iter()
-            .rev()
-            .take(DETAIL_REF_CAP)
-            .filter_map(|&i| self.index.refs.get(i as usize).cloned())
-            .collect()
-    }
-
     /// Rank and entry for an attacker, when the index knows it.
     pub fn attacker_entry(&self, pubkey: &Pubkey) -> Option<(usize, &AttackerEntry)> {
         let &rank = self.attacker_rank.get(pubkey)?;
@@ -345,92 +342,11 @@ impl Engine {
             .collect()
     }
 
-    /// Evaluate a validated request. Pure: identical requests against the
-    /// same index yield byte-identical bodies.
+    /// Evaluate a validated request: [`answer`] over this engine's own
+    /// [`Partial`], the path a one-shard router takes too. Pure: identical
+    /// requests against the same index yield byte-identical bodies.
     pub fn evaluate(&self, request: &QueryRequest) -> CachedResponse {
-        let index = &*self.index;
-        let generation = index.generation.as_str();
-        match request {
-            QueryRequest::Summary => render::summary(
-                generation,
-                &index.coverage,
-                &index.totals,
-                index.days.len() as u64,
-                index.attackers.len() as u64,
-                index.pools.len() as u64,
-            ),
-            QueryRequest::Days => render::days(generation, &index.days),
-            QueryRequest::Attackers { limit, after } => {
-                render::attackers_page(generation, &index.attackers, *limit, *after)
-            }
-            QueryRequest::Attacker { pubkey } => match self.attacker_entry(pubkey) {
-                None => render::unknown_attacker(pubkey),
-                Some((rank, entry)) => {
-                    render::attacker_detail(generation, rank, entry, self.recent_refs(&entry.refs))
-                }
-            },
-            QueryRequest::Pool { mint } => match self.pool_entry(mint) {
-                None => render::unknown_pool(mint),
-                Some((rank, entry)) => {
-                    render::pool_detail(generation, rank, entry, self.recent_refs(&entry.refs))
-                }
-            },
-            QueryRequest::Validators { limit, after } => {
-                render::validators_page(generation, self.validator_entries(), *limit, *after)
-            }
-            QueryRequest::Validator { pubkey } => match self.validator_entry(pubkey) {
-                None => render::unknown_validator(pubkey),
-                Some((rank, entry)) => {
-                    render::validator_detail(generation, rank, entry, self.recent_refs(&entry.refs))
-                }
-            },
-            QueryRequest::Sandwiches {
-                from_slot,
-                to_slot,
-                limit,
-                after,
-            } => {
-                let start = first_ref_at_or_after(&index.refs, *from_slot);
-                let end = match to_slot.checked_add(1) {
-                    Some(bound) => first_ref_at_or_after(&index.refs, bound),
-                    None => index.refs.len(),
-                };
-                let in_range = &index.refs[start..end];
-                let rows: Vec<SandwichRef> =
-                    in_range.iter().skip(*after).take(*limit).cloned().collect();
-                render::sandwiches_page(
-                    generation,
-                    *from_slot,
-                    *to_slot,
-                    in_range.len(),
-                    *limit,
-                    *after,
-                    rows,
-                )
-            }
-            QueryRequest::Live {
-                after_slot,
-                after_id,
-                limit,
-                ..
-            } => {
-                let start = first_ref_after_cursor(&index.refs, *after_slot, after_id);
-                let total_after = index.refs.len() - start;
-                let rows: Vec<SandwichRef> =
-                    index.refs[start..].iter().take(*limit).cloned().collect();
-                let minutes = live_minutes(&index.refs, index.totals.max_slot);
-                render::live_page(
-                    generation,
-                    *after_slot,
-                    after_id,
-                    index.totals.max_slot,
-                    total_after,
-                    *limit,
-                    rows,
-                    minutes,
-                )
-            }
-        }
+        answer(self.generation(), request, vec![Partial::of(self, request)])
     }
 }
 
@@ -438,6 +354,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::index::{IndexCoverage, IndexTotals, QueryIndex, SandwichRef};
+    use proptest::prelude::*;
     use sandwich_types::Hash;
 
     fn key(n: u8) -> Pubkey {
@@ -707,6 +624,68 @@ mod tests {
             wait_ms: 0,
         });
         assert!(body_text(&done).contains("\"total_after\":0"));
+    }
+
+    /// What the HTTP router hands the parser for a canonical path: the
+    /// endpoint, and a request with the query string and the `{name}` path
+    /// parameter split out.
+    fn routed(path: &str) -> (String, Request) {
+        let (route, query) = path.split_once('?').unwrap_or((path, ""));
+        let (endpoint, key) = route.split_once('/').unwrap_or((route, ""));
+        let param = if endpoint == "pool" { "mint" } else { "pubkey" };
+        let params: &[(&str, &str)] = if key.is_empty() { &[] } else { &[(param, key)] };
+        let mut request = http(&[], params);
+        request.query = sandwich_net::http::parse_query(query);
+        (endpoint.to_string(), request)
+    }
+
+    /// Variant `which` of [`QueryRequest`] over the generated parameters.
+    fn request_of(which: usize, a: u64, b: u64, limit: usize, after: usize) -> QueryRequest {
+        let key = Pubkey::derive(&format!("canonical-{a}"));
+        match which {
+            0 => QueryRequest::Summary,
+            1 => QueryRequest::Days,
+            2 => QueryRequest::Attackers { limit, after },
+            3 => QueryRequest::Attacker { pubkey: key },
+            4 => QueryRequest::Pool { mint: key },
+            5 => QueryRequest::Validators { limit, after },
+            6 => QueryRequest::Validator { pubkey: key },
+            7 => QueryRequest::Sandwiches {
+                from_slot: a.min(b),
+                to_slot: a.max(b),
+                limit,
+                after,
+            },
+            _ => QueryRequest::Live {
+                after_slot: a,
+                after_id: Hash::digest(&b.to_le_bytes()),
+                limit,
+                wait_ms: b % (MAX_LIVE_WAIT_MS + 1),
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The canonical path is the wire the router asks shards with:
+        /// parsing it gives the request back, less a live long-poll's wait.
+        #[test]
+        fn parse_reads_back_the_canonical_path(
+            which in 0usize..9,
+            a in any::<u64>(),
+            b in any::<u64>(),
+            limit in 1usize..MAX_LIMIT + 1,
+            after in any::<usize>(),
+        ) {
+            let request = request_of(which, a, b, limit, after);
+            let (endpoint, http_request) = routed(&request.canonical_key());
+            let mut expected = request.clone();
+            if let QueryRequest::Live { wait_ms, .. } = &mut expected {
+                *wait_ms = 0;
+            }
+            prop_assert_eq!(QueryRequest::parse(&endpoint, &http_request), Ok(expected));
+        }
     }
 
     #[test]

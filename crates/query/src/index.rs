@@ -25,7 +25,7 @@ use sandwich_store::codec::{decode_key_table, get_bytes, get_count, CorruptSegme
 use sandwich_store::crash::{write_durable_with, CrashPlan};
 use sandwich_store::varint::{get_i128, get_u128, get_u64, put_i128, put_u128, put_u64};
 use sandwich_store::{fnv1a64, BundleStore};
-use sandwich_types::{Hash, Lamports, Pubkey, SlotClock, DEFENSIVE_TIP_THRESHOLD};
+use sandwich_types::{Hash, Pubkey, SlotClock};
 
 /// Index file name inside a store directory (next to `manifest.json`).
 pub const INDEX_FILE: &str = "query-index.bin";
@@ -36,27 +36,19 @@ pub const INDEX_MAGIC: &[u8; 8] = b"SWQIX02\n";
 /// Trailing magic of a persisted index file.
 const INDEX_FOOTER_MAGIC: &[u8; 8] = b"SWQEND2\n";
 
-/// What the index build needs to know about the analysis semantics.
+/// How an index build runs. What it computes is fixed: the paper's
+/// detector ([`DetectorConfig::default`]), its defensive-tip threshold
+/// (`DEFENSIVE_TIP_THRESHOLD`, applied by the day rollups) and the default
+/// slot clock, the one every writer of a store uses.
 #[derive(Clone, Debug)]
 pub struct QueryConfig {
-    /// Detection criteria (paper defaults).
-    pub detector: DetectorConfig,
-    /// Defensive-tip threshold (paper: 100,000 lamports).
-    pub defensive_threshold: Lamports,
-    /// Slot → wall-time mapping shared with the writer of the store.
-    pub clock: SlotClock,
     /// Worker threads for the segment pass.
     pub threads: usize,
 }
 
 impl Default for QueryConfig {
     fn default() -> Self {
-        QueryConfig {
-            detector: DetectorConfig::default(),
-            defensive_threshold: DEFENSIVE_TIP_THRESHOLD,
-            clock: SlotClock::default(),
-            threads: 4,
-        }
+        QueryConfig { threads: 4 }
     }
 }
 
@@ -251,19 +243,18 @@ impl IndexPart {
         &mut days[day as usize]
     }
 
-    /// The part as the sink of the scan engine's walk, under the semantics
-    /// the walk itself does not need: the defensive threshold and the
-    /// leader schedule the refs are joined against.
+    /// The part as the sink of the scan engine's walk, under the one
+    /// thing the walk itself does not need: the leader schedule the refs
+    /// are joined against.
     fn observe(
         &mut self,
         b: &BundleFacts,
         sandwich: Option<(BundleId, SandwichFinding)>,
-        threshold: Lamports,
         schedule: Option<&LeaderSchedule>,
     ) {
         self.0.totals.max_slot = self.0.totals.max_slot.max(b.slot.0);
         let finding = sandwich.as_ref().map(|(_, finding)| finding);
-        self.day_mut(b.day).observe(b, finding, threshold);
+        self.day_mut(b.day).observe(b, finding);
         let Some((bundle_id, finding)) = sandwich else {
             return;
         };
@@ -406,14 +397,13 @@ pub(crate) fn fold_onto(
     acc.0.validator_spec = store.manifest().validators;
     let schedule = acc.0.validator_spec.as_ref().map(LeaderSchedule::new);
     let walk = Walk {
-        clock: &config.clock,
-        detector: &config.detector,
+        clock: &SlotClock::default(),
+        detector: &DetectorConfig::default(),
         extended: false,
     };
     let parts = scan_segments(store, serving, config.threads, None, |view| {
         let mut part = IndexPart::default();
-        let threshold = config.defensive_threshold;
-        let mut sink = |b: &BundleFacts, s| part.observe(b, s, threshold, schedule.as_ref());
+        let mut sink = |b: &BundleFacts, s| part.observe(b, s, schedule.as_ref());
         route(view, &walk, &mut sink)?;
         Ok(part)
     })?;
@@ -425,7 +415,7 @@ pub(crate) fn fold_onto(
     }
     onto.merge(acc);
     onto.0.generation = store.generation().to_string();
-    Ok(finalize(onto, schedule.as_ref(), config))
+    Ok(finalize(onto, schedule.as_ref()))
 }
 
 /// Fold already-built indexes into one, exactly as if their segments had
@@ -436,15 +426,16 @@ pub(crate) fn fold_onto(
 /// deterministic function of the merged multiset, folding any partition
 /// of the segments in any order is **byte-identical** to a from-scratch
 /// rebuild — the invariant `tests/live_fold_props.rs` pins and the whole
-/// live-tail reload path rests on.
-pub fn fold_indexes(generation: &str, parts: Vec<QueryIndex>, config: &QueryConfig) -> QueryIndex {
+/// live-tail reload path rests on. The fold runs on the calling thread, so
+/// `_config`'s worker count goes unused.
+pub fn fold_indexes(generation: &str, parts: Vec<QueryIndex>, _config: &QueryConfig) -> QueryIndex {
     let mut acc = IndexPart::default();
     for part in parts {
         acc.merge(IndexPart::of(part));
     }
     acc.0.generation = generation.to_string();
     let schedule = acc.0.validator_spec.as_ref().map(LeaderSchedule::new);
-    finalize(acc, schedule.as_ref(), config).0
+    finalize(acc, schedule.as_ref()).0
 }
 
 /// Sort attacker entries into leaderboard order: gain desc, then count
@@ -489,24 +480,21 @@ pub fn sort_validator_entries(validators: &mut [ValidatorEntry]) {
 }
 
 /// Turn a merged part into the served index: sort the refs and file
-/// lists, label the days under `config`'s clock, extend the blocks-led
+/// lists, label the days under the default clock, extend the blocks-led
 /// prefix sum to the merged `max_slot` under `schedule` (that of the
 /// part's `validator_spec`), and [`derive`] the rest. The one place a
 /// leader schedule is walked (from the part's blocks-led checkpoint, else
 /// slot 0), so every entry point calls it once; the leader groups it
 /// hashed are returned beside the index.
-fn finalize(
-    part: IndexPart,
-    schedule: Option<&LeaderSchedule>,
-    config: &QueryConfig,
-) -> (QueryIndex, u64) {
+fn finalize(part: IndexPart, schedule: Option<&LeaderSchedule>) -> (QueryIndex, u64) {
     let IndexPart(mut acc, led_through) = part;
     debug_assert_eq!(schedule.map(|s| *s.spec()), acc.validator_spec);
     acc.refs.sort_by_key(|r| (r.slot, r.bundle_id.0));
     acc.segment_files.sort();
     acc.quarantined_files.sort();
+    let clock = SlotClock::default();
     for (day, rollup) in acc.days.iter_mut().enumerate() {
-        rollup.label = config.clock.day_label(day as u64);
+        rollup.label = clock.day_label(day as u64);
     }
     let mut groups_hashed = 0;
     let led = schedule.map(|schedule| {
@@ -1015,12 +1003,6 @@ pub fn load_index_any(dir: &Path, file: &str) -> Result<QueryIndex, IndexReject>
     decode_index(body).map_err(|_| IndexReject::BadBody)
 }
 
-/// Convenience: slot range owned by day `day` (for cold range scans).
-pub fn day_slot_range(clock: &SlotClock, day: u64) -> (u64, u64) {
-    let (start, end) = clock.day_range(day);
-    (start.0, end.0)
-}
-
 /// Find the index of the first ref at or after `slot` (refs are
 /// slot-sorted).
 pub fn first_ref_at_or_after(refs: &[SandwichRef], slot: u64) -> usize {
@@ -1140,7 +1122,7 @@ pub fn window_minutes(
 mod tests {
     use super::*;
     use sandwich_store::{generation_of, Manifest, StoreWriter};
-    use sandwich_types::{Keypair, Slot};
+    use sandwich_types::{Keypair, Lamports, Slot};
 
     fn bundle(seed: u64, slot: u64, len: usize, tip: u64) -> sandwich_store::CollectedBundle {
         let kp = Keypair::from_label("qidx");
@@ -1171,10 +1153,7 @@ mod tests {
     #[test]
     fn build_is_thread_count_invariant() {
         let store = tmp_store("threads", 5);
-        let mut config = QueryConfig {
-            threads: 1,
-            ..QueryConfig::default()
-        };
+        let mut config = QueryConfig { threads: 1 };
         let base = serde_json::to_string(&build_index(&store, &config).unwrap()).unwrap();
         for threads in [2, 8] {
             config.threads = threads;
@@ -1513,10 +1492,7 @@ mod tests {
     fn independent_builds_encode_to_identical_bytes() {
         let store = tmp_store_with_spec("determinism", 4, ValidatorSpec::new(11, 8));
         let frame = |threads| {
-            let config = QueryConfig {
-                threads,
-                ..QueryConfig::default()
-            };
+            let config = QueryConfig { threads };
             encode_index(&with_refs(build_index(&store, &config).unwrap()))
         };
         let first = frame(1);

@@ -10,6 +10,11 @@
 //!   against one immutable index snapshot; a sharded LRU with
 //!   single-flight deduplication means a hot key is evaluated once per
 //!   generation (a hit still copies the cached body into its response).
+//! - [`partial`] — the one answer path: an engine's [`Partial`] for a
+//!   request, the merges that fold one or many, and [`answer`], which
+//!   renders every `/api/*` body. `queryd` answers over its own engine's
+//!   one partial, the router over one per shard, so a one-shard router is
+//!   the engine by construction.
 //! - [`serve`] — the one serving skeleton: endpoint table, admission,
 //!   cache and its accounting, response tail, health probes. It is
 //!   generic over a [`Backend`], of which there are three: the local
@@ -24,6 +29,7 @@ pub mod cache;
 pub mod engine;
 pub mod index;
 pub mod ladder;
+pub mod partial;
 pub mod render;
 pub mod serve;
 pub mod service;
@@ -42,6 +48,7 @@ pub use index::{
     LIVE_MINUTES, SLOTS_PER_MINUTE,
 };
 pub use ladder::IndexScope;
+pub use partial::{answer, Partial};
 pub use sandwich_store::generation_of;
 pub use serve::{Backend, Serving};
 pub use service::{QueryService, QueryServiceConfig};

@@ -6,8 +6,10 @@
 //! prefix, bounded admission, the generation-keyed response cache and its
 //! accounting, the per-endpoint latency histogram, the response tail
 //! (`x-query-generation` on every answer) and the `/healthz`, `/readyz`
-//! and `/metrics` probes. Where an answer comes from is a [`Backend`]:
-//! the local engine (`QueryService`), one shard's partials
+//! and `/metrics` probes. All three faces speak one query language: every
+//! endpoint parses with [`QueryRequest::parse`] and is cached under its
+//! canonical path. Where an answer comes from is a [`Backend`]: the local
+//! engine (`QueryService`), one shard's partials
 //! (`sandwich_shard::ShardService`), or a fan-out over shards
 //! (`sandwich_shard::RouterService`).
 //!
@@ -29,10 +31,11 @@ use sandwich_net::{Method, Request, Response, Router};
 use sandwich_obs::{names, Registry};
 
 use crate::cache::{CacheOutcome, CachedResponse, ResponseCache};
+use crate::engine::QueryRequest;
 use crate::render::error_response;
 
-/// The nine endpoints: the name [`Backend::parse`] and the metrics see,
-/// and the route below the face's prefix.
+/// The nine endpoints: the name [`QueryRequest::parse`] and the metrics
+/// see, and the route below the face's prefix.
 pub const ENDPOINTS: [(&str, &str); 9] = [
     ("summary", "/summary"),
     ("days", "/days"),
@@ -62,8 +65,6 @@ pub trait Backend: Send + Sync + 'static {
     /// shares one [`Registry`] and those names are the router's (its
     /// cache hit ratio is read off them).
     const PUBLIC: bool;
-    /// A parsed, validated, owned request.
-    type Query: Send + Sync + 'static;
     /// What one request is answered at: an engine, or a pinned generation.
     type Snapshot: Send + Sync + 'static;
 
@@ -73,19 +74,12 @@ pub trait Backend: Send + Sync + 'static {
     /// The manifest generation `snapshot` answers for.
     fn generation(snapshot: &Self::Snapshot) -> &str;
 
-    /// Parse a request for `endpoint` (a name from [`ENDPOINTS`]), or the
-    /// message of its `400`.
-    fn parse(endpoint: &str, request: &Request) -> Result<Self::Query, String>;
-
-    /// Cache key of `query` within one generation.
-    fn canonical_key(query: &Self::Query) -> String;
-
     /// Answer `query` at `snapshot`: the cache's miss path, run at most
     /// once at a time per key (single-flight).
     fn evaluate(
         &self,
         snapshot: &Self::Snapshot,
-        query: &Self::Query,
+        query: &QueryRequest,
     ) -> impl Future<Output = CachedResponse> + Send;
 
     /// The snapshot `query` is answered at: the current one, unless the
@@ -97,7 +91,7 @@ pub trait Backend: Send + Sync + 'static {
     /// was gathered at, bypassing the cache.
     fn snapshot_for(
         &self,
-        _query: &Self::Query,
+        _query: &QueryRequest,
     ) -> impl Future<Output = (Self::Snapshot, Option<CachedResponse>)> + Send {
         async { (self.snapshot(), None) }
     }
@@ -201,7 +195,7 @@ impl<B: Backend> Serving<B> {
 
         // One snapshot per request: everything below answers from this
         // generation, reloads notwithstanding.
-        let parsed = B::parse(endpoint, &request);
+        let parsed = QueryRequest::parse(endpoint, &request);
         let (snapshot, answered) = match &parsed {
             Ok(query) => self.backend.snapshot_for(query).await,
             Err(_) => (self.backend.snapshot(), None),
@@ -215,7 +209,7 @@ impl<B: Backend> Serving<B> {
                 Some((CacheOutcome::Miss, 0)),
             ),
             (None, Ok(query)) => {
-                let key = format!("{generation}|{}", B::canonical_key(&query));
+                let key = format!("{generation}|{}", query.canonical_key());
                 let compute = || self.backend.evaluate(&snapshot, &query);
                 let (cached, outcome, evicted) =
                     self.cache.get_or_compute_async(&key, compute).await;

@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
 
-use sandwich_net::{Request, Router};
+use sandwich_net::Router;
 use sandwich_obs::{names, Registry};
 use sandwich_store::BundleStore;
 
@@ -34,7 +34,7 @@ const LONG_POLL_TICK: Duration = Duration::from_millis(12);
 pub struct QueryServiceConfig {
     /// Directory of the sealed bundle store (and the persisted index).
     pub store_dir: PathBuf,
-    /// Index-build semantics (detector, threshold, clock, threads).
+    /// How the index build runs (its worker count).
     pub query: QueryConfig,
     /// Bound on concurrently-admitted API requests; excess load is shed
     /// with `503` + `Retry-After`. Zero admits nothing (useful in tests);
@@ -43,7 +43,7 @@ pub struct QueryServiceConfig {
 }
 
 impl QueryServiceConfig {
-    /// Paper-default semantics over `store_dir`.
+    /// Defaults over `store_dir`.
     pub fn new(store_dir: impl Into<PathBuf>) -> Self {
         QueryServiceConfig {
             store_dir: store_dir.into(),
@@ -62,7 +62,6 @@ struct LocalEngine {
 
 impl Backend for LocalEngine {
     const PUBLIC: bool = true;
-    type Query = QueryRequest;
     type Snapshot = Arc<Engine>;
 
     fn snapshot(&self) -> Arc<Engine> {
@@ -71,14 +70,6 @@ impl Backend for LocalEngine {
 
     fn generation(engine: &Arc<Engine>) -> &str {
         engine.generation()
-    }
-
-    fn parse(endpoint: &str, request: &Request) -> Result<QueryRequest, String> {
-        QueryRequest::parse(endpoint, request)
-    }
-
-    fn canonical_key(query: &QueryRequest) -> String {
-        query.canonical_key()
     }
 
     async fn evaluate(&self, engine: &Arc<Engine>, query: &QueryRequest) -> CachedResponse {

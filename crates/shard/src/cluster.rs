@@ -28,7 +28,7 @@ pub struct ClusterConfig {
     pub store_dir: PathBuf,
     /// Number of shards to partition the store across (zero serves one).
     pub shards: usize,
-    /// Index-build semantics, applied to every shard. `query.threads` is
+    /// How the index builds run, applied to every shard. `query.threads` is
     /// the *total* thread budget; it is split across shard builds.
     pub query: QueryConfig,
     /// Bind address for the router listener.
@@ -42,7 +42,7 @@ pub struct ClusterConfig {
 const SHARD_ADDR: &str = "127.0.0.1:0";
 
 impl ClusterConfig {
-    /// Paper-default semantics: `shards` shards over `store_dir`, all
+    /// Defaults: `shards` shards over `store_dir`, all
     /// listeners on ephemeral loopback ports.
     pub fn new(store_dir: impl Into<PathBuf>, shards: usize) -> Self {
         ClusterConfig {

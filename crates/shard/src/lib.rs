@@ -8,20 +8,16 @@
 //!   and an assignment of its every manifest segment to exactly one shard,
 //!   by slot order and balanced by bundle count, on every open and reload
 //!   — never persisted.
-//! - [`merge`] — the `/shard/*` wire format (the [`merge::ShardQuery`]
-//!   the router sends and the partials a shard answers) and the pure,
-//!   associative merge functions the router folds them with. Merged
-//!   inputs feed the same `sandwich-query` render layer the single-engine
-//!   path uses, so responses are byte-identical at every shard count.
 //! - [`shard`] — [`ShardService`], the shard-partial backend of the
 //!   `sandwich_query::serve` skeleton: one engine per shard, brought up
 //!   the `sandwich_query::ladder` over the shard's slice of the manifest
 //!   and persisted per-shard.
 //! - [`router`] — [`RouterService`], the skeleton's scatter-gather
-//!   backend: fans `/api/*` out to the shards, checks each answer's
-//!   `x-query-generation` against the pinned generation, merges
-//!   partials, re-paginates, and aggregates `/readyz`
-//!   (degraded-but-serving while at least one shard is ready).
+//!   backend: fans `/api/*` out to the shards as `/shard/*`, checks each
+//!   answer's `x-query-generation` against the pinned generation, decodes
+//!   the partials and answers with `sandwich_query::answer` — the path
+//!   `queryd` answers its own engine's one partial with — and aggregates
+//!   `/readyz` (degraded-but-serving while at least one shard is ready).
 //! - [`cluster`] — single-process assembly: N shard listeners plus the
 //!   router over real sockets, so multi-node is a config change, not a
 //!   rewrite.
@@ -30,9 +26,12 @@
 
 pub mod cluster;
 pub mod map;
-pub mod merge;
 pub mod router;
 pub mod shard;
+
+/// The partials and their merges, which live in `sandwich_query::partial`
+/// beside the one answer path; kept importable under their old path.
+pub use sandwich_query::partial as merge;
 
 pub use cluster::{ClusterConfig, ServingCluster};
 pub use map::{ShardMap, ShardSpec};

@@ -4,11 +4,11 @@
 //! The router is the only public face of a sharded deployment: it serves
 //! the exact `/api/*` surface `queryd` does, through the same skeleton
 //! and the same `QueryRequest` parser, fans each cache miss out to every
-//! shard's `/shard/*` partial endpoint over real sockets, folds the
-//! partials with the pure merges in [`crate::merge`], and renders through
-//! `sandwich_query::render` — the same response-building code the
-//! single-engine path uses. That shared tail is what makes responses
-//! byte-identical at every shard count.
+//! shard as `/shard/` plus the request's canonical path over real
+//! sockets, decodes the partials, and answers with `sandwich_query::answer`
+//! — the function `queryd` answers its own engine's one partial with. That
+//! one answer path is what makes responses byte-identical at every shard
+//! count.
 //!
 //! Consistency: the router pins a generation per request and reads each
 //! shard's from the `x-query-generation` header the shard's skeleton
@@ -23,20 +23,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
-use serde::de::DeserializeOwned;
 
-use sandwich_net::{HttpClient, PoolStats, Request, Router};
+use sandwich_net::{HttpClient, PoolStats, Router};
 use sandwich_obs::{names, Registry};
-use sandwich_query::render::{self, error_response, DETAIL_REF_CAP};
-use sandwich_query::{Backend, CachedResponse, QueryRequest, SandwichRef, Serving};
-use sandwich_types::Hash;
-
-use crate::merge::{
-    distinct_count, merge_attackers, merge_coverage, merge_days, merge_live, merge_pools,
-    merge_range, merge_recent, merge_totals, merge_validators, AttackerDetailPartial,
-    AttackersPartial, DaysPartial, LivePartial, PoolDetailPartial, RangePartial, ShardQuery,
-    SummaryPartial, ValidatorDetailPartial, ValidatorsPartial,
-};
+use sandwich_query::render::error_response;
+use sandwich_query::{answer, Backend, CachedResponse, Partial, QueryRequest, Serving};
 
 /// How often a router long-poll re-fans out looking for rows past the
 /// cursor (coarser than the single-engine tick: each probe costs a
@@ -108,16 +99,16 @@ impl RouterService {
 }
 
 impl ScatterGather {
-    /// Fan one partial request out to every shard; all must answer 200
-    /// with an `x-query-generation` header naming `expected` — only then is
-    /// the body decoded — or the whole fan-out fails with the 503 the
-    /// client should retry on. Latency, width, and straggler metrics are
-    /// recorded either way.
-    async fn fetch<T: DeserializeOwned + Send + 'static>(
+    /// Fan `query` out to every shard; all must answer 200 with an
+    /// `x-query-generation` header naming `expected` — only then is the
+    /// body decoded — and a readable partial, or the whole fan-out fails
+    /// with the 503 the client should retry on. Latency, width, and
+    /// straggler metrics are recorded either way.
+    async fn fetch(
         &self,
-        query: &ShardQuery,
+        query: &QueryRequest,
         expected: &str,
-    ) -> Result<Vec<T>, CachedResponse> {
+    ) -> Result<Vec<Partial>, CachedResponse> {
         let registry = &self.registry;
         let n = self.shards.len();
         registry.counter(names::QUERY_SHARD_FANOUTS).inc();
@@ -125,7 +116,7 @@ impl ScatterGather {
             .histogram(names::QUERY_SHARD_FANOUT_WIDTH)
             .observe(n as f64);
 
-        let path = Arc::new(query.path());
+        let path = Arc::new(format!("/shard/{}", query.canonical_key()));
         let mut set = tokio::task::JoinSet::new();
         for (shard, client) in self.shards.iter().enumerate() {
             let client = client.clone();
@@ -138,7 +129,7 @@ impl ScatterGather {
         }
 
         let mut latencies: Vec<Option<Duration>> = vec![None; n];
-        let mut partials: Vec<Option<T>> = (0..n).map(|_| None).collect();
+        let mut partials: Vec<Option<Partial>> = vec![None; n];
         let mut failure: Option<String> = None;
         while let Some(joined) = set.join_next().await {
             let Ok((shard, elapsed, result)) = joined else {
@@ -156,7 +147,7 @@ impl ScatterGather {
                 }
                 Ok(response) => match response.header_value("x-query-generation") {
                     Some(generation) if generation == expected => {
-                        match serde_json::from_slice::<T>(&response.body) {
+                        match Partial::decode(query, &response.body) {
                             Ok(partial) => partials[shard] = Some(partial),
                             Err(error) => {
                                 failure = Some(format!(
@@ -203,201 +194,25 @@ impl ScatterGather {
         Ok(partials.into_iter().flatten().collect())
     }
 
-    /// Merge and render under the `query.shard.merge_seconds` timer (the
-    /// fan-out itself is excluded).
-    fn merged(&self, render: impl FnOnce() -> CachedResponse) -> CachedResponse {
+    /// [`answer`] under the `query.shard.merge_seconds` timer (the fan-out
+    /// itself is excluded).
+    fn merged(
+        &self,
+        generation: &str,
+        query: &QueryRequest,
+        parts: Vec<Partial>,
+    ) -> CachedResponse {
         let started = Instant::now();
-        let response = render();
+        let response = answer(generation, query, parts);
         self.registry
             .histogram(names::QUERY_SHARD_MERGE_SECONDS)
             .observe(started.elapsed().as_secs_f64());
         response
     }
-
-    /// One `/api/live` scatter-gather, returning the rendered page plus
-    /// the number of rows it carries (the long-poll loop needs the count
-    /// without re-parsing the body).
-    async fn gather_live(
-        &self,
-        generation: &str,
-        (after_slot, after_id, limit): (u64, &Hash, usize),
-    ) -> Result<(CachedResponse, usize), CachedResponse> {
-        let wire = ShardQuery::Live {
-            after_slot,
-            after_id: *after_id,
-            need: limit,
-        };
-        let parts: Vec<LivePartial> = self.fetch(&wire, generation).await?;
-        let mut count = 0;
-        let response = self.merged(|| {
-            let (tip, total_after, refs, minutes) = merge_live(parts);
-            let rows: Vec<SandwichRef> = refs.into_iter().take(limit).collect();
-            count = rows.len();
-            render::live_page(
-                generation,
-                after_slot,
-                after_id,
-                tip,
-                total_after,
-                limit,
-                rows,
-                minutes,
-            )
-        });
-        Ok((response, count))
-    }
-
-    /// Scatter, gather, merge, render: one `/api/*` answer at
-    /// `generation`, or the `503` of a failed fan-out.
-    async fn gather(
-        &self,
-        generation: &str,
-        query: &QueryRequest,
-    ) -> Result<CachedResponse, CachedResponse> {
-        let wire = &ShardQuery::from(query);
-        Ok(match query {
-            QueryRequest::Summary => {
-                let parts: Vec<SummaryPartial> = self.fetch(wire, generation).await?;
-                self.merged(|| {
-                    let coverage = merge_coverage(
-                        &parts.iter().map(|p| p.coverage.clone()).collect::<Vec<_>>(),
-                    );
-                    let totals =
-                        merge_totals(&parts.iter().map(|p| p.totals.clone()).collect::<Vec<_>>());
-                    let days = parts.iter().map(|p| p.days).max().unwrap_or(0);
-                    let attackers = distinct_count(
-                        &parts
-                            .iter()
-                            .map(|p| p.attacker_keys.clone())
-                            .collect::<Vec<_>>(),
-                    );
-                    let pools = distinct_count(
-                        &parts
-                            .iter()
-                            .map(|p| p.pool_keys.clone())
-                            .collect::<Vec<_>>(),
-                    );
-                    render::summary(generation, &coverage, &totals, days, attackers, pools)
-                })
-            }
-            QueryRequest::Days => {
-                let parts: Vec<DaysPartial> = self.fetch(wire, generation).await?;
-                self.merged(|| {
-                    let merged = merge_days(&parts.into_iter().map(|p| p.days).collect::<Vec<_>>());
-                    render::days(generation, &merged)
-                })
-            }
-            QueryRequest::Attackers { limit, after } => {
-                let parts: Vec<AttackersPartial> = self.fetch(wire, generation).await?;
-                self.merged(|| {
-                    let entries = merge_attackers(parts.into_iter().map(|p| p.entries).collect());
-                    render::attackers_page(generation, &entries, *limit, *after)
-                })
-            }
-            QueryRequest::Attacker { pubkey } => {
-                let parts: Vec<AttackerDetailPartial> = self.fetch(wire, generation).await?;
-                self.merged(|| {
-                    let recent = merge_recent(
-                        parts.iter().map(|p| p.recent.clone()).collect(),
-                        DETAIL_REF_CAP,
-                    );
-                    let entries = merge_attackers(parts.into_iter().map(|p| p.entries).collect());
-                    match entries.iter().position(|e| e.attacker == *pubkey) {
-                        None => render::unknown_attacker(pubkey),
-                        Some(rank) => {
-                            render::attacker_detail(generation, rank, &entries[rank], recent)
-                        }
-                    }
-                })
-            }
-            QueryRequest::Pool { mint } => {
-                let parts: Vec<PoolDetailPartial> = self.fetch(wire, generation).await?;
-                self.merged(|| {
-                    let recent = merge_recent(
-                        parts.iter().map(|p| p.recent.clone()).collect(),
-                        DETAIL_REF_CAP,
-                    );
-                    let attackers = distinct_count(
-                        &parts
-                            .iter()
-                            .map(|p| p.attackers.clone())
-                            .collect::<Vec<_>>(),
-                    );
-                    let pools = merge_pools(parts.into_iter().map(|p| p.pools).collect());
-                    match pools.iter().position(|e| e.mint == *mint) {
-                        None => render::unknown_pool(mint),
-                        Some(rank) => {
-                            // The merged entry's distinct-attacker count is a
-                            // placeholder; the unioned shard lists are exact.
-                            let mut entry = pools[rank].clone();
-                            entry.attackers = attackers;
-                            render::pool_detail(generation, rank, &entry, recent)
-                        }
-                    }
-                })
-            }
-            QueryRequest::Validators { limit, after } => {
-                let parts: Vec<ValidatorsPartial> = self.fetch(wire, generation).await?;
-                self.merged(|| {
-                    let entries = merge_validators(parts.into_iter().map(|p| p.entries).collect());
-                    render::validators_page(generation, &entries, *limit, *after)
-                })
-            }
-            QueryRequest::Validator { pubkey } => {
-                let parts: Vec<ValidatorDetailPartial> = self.fetch(wire, generation).await?;
-                self.merged(|| {
-                    let recent = merge_recent(
-                        parts.iter().map(|p| p.recent.clone()).collect(),
-                        DETAIL_REF_CAP,
-                    );
-                    let entries = merge_validators(parts.into_iter().map(|p| p.entries).collect());
-                    match entries.iter().position(|e| e.pubkey == *pubkey) {
-                        None => render::unknown_validator(pubkey),
-                        Some(rank) => {
-                            render::validator_detail(generation, rank, &entries[rank], recent)
-                        }
-                    }
-                })
-            }
-            QueryRequest::Sandwiches {
-                from_slot,
-                to_slot,
-                limit,
-                after,
-            } => {
-                let parts: Vec<RangePartial> = self.fetch(wire, generation).await?;
-                self.merged(|| {
-                    let (total, refs) = merge_range(parts);
-                    let start = (*after).min(refs.len());
-                    let end = after.saturating_add(*limit).min(refs.len());
-                    render::sandwiches_page(
-                        generation,
-                        *from_slot,
-                        *to_slot,
-                        total,
-                        *limit,
-                        *after,
-                        refs[start..end].to_vec(),
-                    )
-                })
-            }
-            QueryRequest::Live {
-                after_slot,
-                after_id,
-                limit,
-                ..
-            } => {
-                self.gather_live(generation, (*after_slot, after_id, *limit))
-                    .await?
-                    .0
-            }
-        })
-    }
 }
 
 impl Backend for ScatterGather {
     const PUBLIC: bool = true;
-    type Query = QueryRequest;
     type Snapshot = String;
 
     fn snapshot(&self) -> String {
@@ -408,18 +223,11 @@ impl Backend for ScatterGather {
         generation
     }
 
-    fn parse(endpoint: &str, request: &Request) -> Result<QueryRequest, String> {
-        QueryRequest::parse(endpoint, request)
-    }
-
-    fn canonical_key(query: &QueryRequest) -> String {
-        query.canonical_key()
-    }
-
     async fn evaluate(&self, generation: &String, query: &QueryRequest) -> CachedResponse {
-        self.gather(generation, query)
-            .await
-            .unwrap_or_else(|failed| failed)
+        match self.fetch(query, generation).await {
+            Ok(parts) => self.merged(generation, query, parts),
+            Err(failed) => failed,
+        }
     }
 
     /// One generation per request: every shard must answer at it. A live
@@ -429,13 +237,7 @@ impl Backend for ScatterGather {
     /// final probe's response at the deadline (including a 503 when the
     /// fan-out is failing — the client's retry signal).
     async fn snapshot_for(&self, query: &QueryRequest) -> (String, Option<CachedResponse>) {
-        let QueryRequest::Live {
-            after_slot,
-            after_id,
-            limit,
-            wait_ms,
-        } = query
-        else {
+        let QueryRequest::Live { limit, wait_ms, .. } = query else {
             return (self.snapshot(), None);
         };
         let registry = &self.registry;
@@ -448,11 +250,20 @@ impl Backend for ScatterGather {
         let deadline = Duration::from_millis(*wait_ms);
         loop {
             let generation = self.snapshot();
-            let (response, rows) = self
-                .gather_live(&generation, (*after_slot, after_id, *limit))
-                .await
-                .unwrap_or_else(|failed| (failed, 0));
+            let fetched = self.fetch(query, &generation).await;
+            // The page carries `min(limit, sum of post-cursor totals)` rows.
+            let rows = fetched.as_ref().map_or(0, |parts| {
+                let after = parts.iter().map(|part| match part {
+                    Partial::Live(live) => live.total_after as usize,
+                    _ => 0,
+                });
+                after.sum::<usize>().min(*limit)
+            });
             if rows > 0 || waited.elapsed() >= deadline {
+                let response = match fetched {
+                    Ok(parts) => self.merged(&generation, query, parts),
+                    Err(failed) => failed,
+                };
                 if rows > 0 {
                     registry.counter(names::QUERY_LIVE_ROWS).add(rows as u64);
                 }

@@ -8,7 +8,10 @@
 //! (`sandwich_query::ladder`), persists it under a shard-and-fingerprint-
 //! qualified file name (`query-index.shard-{i}of{n}-{fp}.bin`, same
 //! `SWQIX02` frame), and serves merge-ready partials from its own response
-//! cache. A partial's body carries no generation: the skeleton's
+//! cache. It speaks the `/api` query language: `GET /shard/` plus any
+//! `/api/` path answers with `sandwich_query::Partial::of` that request,
+//! the partial the router's one answer path folds. A partial's body
+//! carries no generation: the skeleton's
 //! `x-query-generation` header names the one it was computed at, and that
 //! is what the router checks. Coverage is exact per shard: a shard whose
 //! slice contains quarantined or unreadable segments reports them in its
@@ -19,21 +22,14 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use sandwich_net::{Request, Router};
+use sandwich_net::Router;
 use sandwich_obs::{names, Registry};
 use sandwich_query::ladder::{bring_up, IndexScope};
-use sandwich_query::render::{json_response, DETAIL_REF_CAP};
 use sandwich_query::{
-    first_ref_after_cursor, live_minutes, AttackerEntry, Backend, CachedResponse, Engine,
-    PoolEntry, QueryConfig, QueryIndex, SandwichRef, Serving, ValidatorEntry,
+    Backend, CachedResponse, Engine, Partial, QueryConfig, QueryIndex, QueryRequest, Serving,
 };
-use sandwich_types::{Hash, Pubkey};
 
 use crate::map::ShardMap;
-use crate::merge::{
-    AttackerDetailPartial, AttackersPartial, DaysPartial, LivePartial, PoolDetailPartial,
-    RangePartial, ShardQuery, SummaryPartial, ValidatorDetailPartial, ValidatorsPartial,
-};
 
 /// File name of one shard's persisted index: qualified by shard id, shard
 /// count, and the assignment fingerprint so a re-plan never aliases a
@@ -49,14 +45,14 @@ pub const SHARD_INDEX_PREFIX: &str = "query-index.shard-";
 /// Tunables for one shard service (the store is the map's snapshot).
 #[derive(Clone, Debug)]
 pub struct ShardConfig {
-    /// Index-build semantics (detector, threshold, clock, threads).
+    /// How the index build runs (its worker count).
     pub query: QueryConfig,
     /// This shard's id (index into the shard map).
     pub shard: usize,
 }
 
 impl ShardConfig {
-    /// Paper-default semantics for shard `shard`.
+    /// Defaults for shard `shard`.
     pub fn new(shard: usize) -> Self {
         ShardConfig {
             query: QueryConfig::default(),
@@ -172,7 +168,6 @@ impl ShardService {
 
 impl Backend for ShardPartials {
     const PUBLIC: bool = false;
-    type Query = ShardQuery;
     type Snapshot = Arc<Engine>;
 
     fn snapshot(&self) -> Arc<Engine> {
@@ -183,40 +178,8 @@ impl Backend for ShardPartials {
         engine.generation()
     }
 
-    fn parse(kind: &str, request: &Request) -> Result<ShardQuery, String> {
-        ShardQuery::parse(kind, request)
-    }
-
-    fn canonical_key(query: &ShardQuery) -> String {
-        query.path()
-    }
-
-    async fn evaluate(&self, engine: &Arc<Engine>, query: &ShardQuery) -> CachedResponse {
-        match query {
-            ShardQuery::Summary => summary_partial(engine),
-            ShardQuery::Days => partial(&DaysPartial {
-                days: engine.index().days.clone(),
-            }),
-            ShardQuery::Attackers => partial(&AttackersPartial {
-                entries: wire_attackers(engine),
-            }),
-            ShardQuery::Attacker(pubkey) => attacker_detail_partial(engine, pubkey),
-            ShardQuery::Pool(mint) => pool_detail_partial(engine, mint),
-            ShardQuery::Validators => partial(&ValidatorsPartial {
-                entries: wire_validators(engine),
-            }),
-            ShardQuery::Validator(pubkey) => validator_detail_partial(engine, pubkey),
-            ShardQuery::Range {
-                from_slot,
-                to_slot,
-                need,
-            } => range_partial(engine, *from_slot, *to_slot, *need),
-            ShardQuery::Live {
-                after_slot,
-                after_id,
-                need,
-            } => live_partial(engine, *after_slot, after_id, *need),
-        }
+    async fn evaluate(&self, engine: &Arc<Engine>, query: &QueryRequest) -> CachedResponse {
+        Partial::of(engine, query).to_response()
     }
 
     fn health_fields(&self) -> (String, String) {
@@ -230,133 +193,11 @@ impl Backend for ShardPartials {
     }
 }
 
-/// A wire partial: `200` and the JSON body the router decodes.
-fn partial<T: serde::Serialize>(value: &T) -> CachedResponse {
-    json_response(200, value)
-}
-
-fn summary_partial(engine: &Engine) -> CachedResponse {
-    let index = engine.index();
-    partial(&SummaryPartial {
-        coverage: index.coverage.clone(),
-        totals: index.totals.clone(),
-        days: index.days.len() as u64,
-        attacker_keys: index.attackers.iter().map(|e| e.attacker).collect(),
-        pool_keys: index.pools.iter().map(|e| e.mint).collect(),
-    })
-}
-
-/// Entries with refs cleared: rank and row data only, off the wire.
-fn wire_attackers(engine: &Engine) -> Vec<AttackerEntry> {
-    engine
-        .index()
-        .attackers
-        .iter()
-        .map(|e| AttackerEntry {
-            refs: Vec::new(),
-            ..e.clone()
-        })
-        .collect()
-}
-
-fn wire_pools(engine: &Engine) -> Vec<PoolEntry> {
-    engine
-        .index()
-        .pools
-        .iter()
-        .map(|e| PoolEntry {
-            refs: Vec::new(),
-            ..e.clone()
-        })
-        .collect()
-}
-
-/// Entries with refs cleared; `sandwich_slots` stays on the wire
-/// (the router's distinct-block merge needs the slot union).
-fn wire_validators(engine: &Engine) -> Vec<ValidatorEntry> {
-    engine
-        .validator_entries()
-        .iter()
-        .map(|e| ValidatorEntry {
-            refs: Vec::new(),
-            ..e.clone()
-        })
-        .collect()
-}
-
-fn validator_detail_partial(engine: &Engine, pubkey: &Pubkey) -> CachedResponse {
-    let recent = engine
-        .validator_entry(pubkey)
-        .map(|(_, entry)| engine.ref_tail(&entry.refs, DETAIL_REF_CAP))
-        .unwrap_or_default();
-    partial(&ValidatorDetailPartial {
-        entries: wire_validators(engine),
-        recent,
-    })
-}
-
-fn attacker_detail_partial(engine: &Engine, pubkey: &Pubkey) -> CachedResponse {
-    let recent = engine
-        .attacker_entry(pubkey)
-        .map(|(_, entry)| engine.ref_tail(&entry.refs, DETAIL_REF_CAP))
-        .unwrap_or_default();
-    partial(&AttackerDetailPartial {
-        entries: wire_attackers(engine),
-        recent,
-    })
-}
-
-fn pool_detail_partial(engine: &Engine, mint: &Pubkey) -> CachedResponse {
-    let (attackers, recent) = match engine.pool_entry(mint) {
-        None => (Vec::new(), Vec::new()),
-        Some((_, entry)) => {
-            let all: Vec<SandwichRef> = engine.ref_tail(&entry.refs, usize::MAX);
-            let set: std::collections::BTreeSet<Pubkey> = all.iter().map(|r| r.attacker).collect();
-            (
-                set.into_iter().collect(),
-                engine.ref_tail(&entry.refs, DETAIL_REF_CAP),
-            )
-        }
-    };
-    partial(&PoolDetailPartial {
-        pools: wire_pools(engine),
-        attackers,
-        recent,
-    })
-}
-
-fn range_partial(engine: &Engine, from_slot: u64, to_slot: u64, need: usize) -> CachedResponse {
-    let refs = &engine.index().refs;
-    let start = sandwich_query::index::first_ref_at_or_after(refs, from_slot);
-    let end = match to_slot.checked_add(1) {
-        Some(bound) => sandwich_query::index::first_ref_at_or_after(refs, bound),
-        None => refs.len(),
-    };
-    let in_range = &refs[start..end];
-    partial(&RangePartial {
-        total: in_range.len() as u64,
-        refs: in_range.iter().take(need).cloned().collect(),
-    })
-}
-
-fn live_partial(engine: &Engine, after_slot: u64, after_id: &Hash, need: usize) -> CachedResponse {
-    let index = engine.index();
-    let refs = &index.refs;
-    let start = first_ref_after_cursor(refs, after_slot, after_id);
-    let after = &refs[start..];
-    partial(&LivePartial {
-        tip_slot: index.totals.max_slot,
-        total_after: after.len() as u64,
-        refs: after.iter().take(need).cloned().collect(),
-        minutes: live_minutes(refs, index.totals.max_slot),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sandwich_store::{CollectedBundle, StoreWriter};
-    use sandwich_types::{Keypair, Lamports, Slot};
+    use sandwich_types::{Hash, Keypair, Lamports, Slot};
 
     #[test]
     fn opening_a_shard_the_map_does_not_have_is_an_error() {

@@ -198,11 +198,6 @@ impl Simulation {
         &self.labels
     }
 
-    /// Current day (the day the *next* tick belongs to).
-    pub fn current_day(&self) -> u64 {
-        self.tick / self.config.ticks_per_day
-    }
-
     /// Advance one tick; `None` once the measurement period is complete.
     pub fn step(&mut self) -> Option<TickOutcome> {
         let day = self.tick / self.config.ticks_per_day;

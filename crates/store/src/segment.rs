@@ -200,11 +200,6 @@ pub fn parse_segment(image: &[u8]) -> Result<ParsedSegment, CorruptSegment> {
     })
 }
 
-/// Validate a segment image and return its footer without decoding records.
-pub fn verify_segment(image: &[u8]) -> Result<SegmentFooter, CorruptSegment> {
-    parse_segment(image).map(|p| p.footer)
-}
-
 /// Validate and fully decode a segment image. A corrupt segment surfaces
 /// as an error here — garbage never reaches the scan.
 pub fn decode_segment(image: &[u8]) -> Result<(SegmentData, SegmentFooter), CorruptSegment> {

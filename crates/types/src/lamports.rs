@@ -57,11 +57,6 @@ impl Lamports {
     pub fn saturating_sub(self, rhs: Lamports) -> Lamports {
         Lamports(self.0.saturating_sub(rhs.0))
     }
-
-    /// Signed view of this amount.
-    pub fn as_delta(self) -> LamportDelta {
-        LamportDelta(self.0 as i64)
-    }
 }
 
 impl Add for Lamports {

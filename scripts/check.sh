@@ -51,11 +51,13 @@ cargo build --offline --release --workspace
 #   duplicate, a sandwich is on the tail one seal later, the index never
 #   falls back to a full rebuild, router live pages match the single engine.
 # - sandwich-shard unit tests, shard_props, shard_router, serving_core:
-#   merge-layer properties, the /shard/* wire round trip, router responses
-#   byte-identical to the single engine at 1/2/4/8 shards (pagination,
-#   coverage, validators, 404s), degraded shards, rebalance under a live
-#   router, pinned probe bodies of all three services, a shard at another
-#   generation fails the fan-out closed.
+#   merge-layer properties, router responses byte-identical to the single
+#   engine at 1/2/4/8 shards (pagination, coverage, validators, 404s),
+#   degraded shards, rebalance under a live router, pinned probe bodies of
+#   all three services, a shard at another generation or with a malformed
+#   partial fails the fan-out closed, a shard words every malformed request
+#   like the service. The canonical path a shard is asked with parses back
+#   to its request (sandwich-query's unit proptest).
 # - conformance: detector and attribution scored exactly 1.0 against the
 #   sim's labels, every criterion load-bearing, every fuzzer family
 #   rejected, the scorecard deterministic per seed.
@@ -117,6 +119,28 @@ legacy=$(grep -rnE --include='*.rs' \
 if [ -n "$legacy" ]; then
   echo "a second encoding of collected data is back; use the segment codec:" >&2
   printf '%s\n' "$legacy" >&2
+  exit 1
+fi
+
+# One query language and one answer path. A shard parses `/shard/*` with
+# QueryRequest::parse, so the second wire format was deleted, not bypassed,
+# and no Rust source under crates/, tests/ or examples/ names ShardQuery
+# again. Every `/api` body is rendered by sandwich-query's one `answer`, for
+# queryd's engine and for the router alike, so the non-test part of
+# crates/shard/src (each file cut at its first #[cfg(test)], as
+# scripts/loc.sh counts) never reaches into `render::` — except for
+# `render::error_response`, the router's 503 framing, which renders no
+# answer.
+echo "==> one query language, one answer path (no ShardQuery, no render:: in crates/shard)"
+second_language=$(grep -rnw --include='*.rs' 'ShardQuery' crates tests examples || true)
+shard_renders=$(find crates/shard/src -name '*.rs' | sort | xargs awk '
+  FNR == 1 { test = 0 }
+  /^[[:space:]]*#\[cfg\(test\)\]/ { test = 1 }
+  { line = $0; gsub(/render::error_response/, "", line) }
+  !test && line ~ /render::/ { print FILENAME ":" FNR ": " $0 }')
+if [ -n "$second_language" ] || [ -n "$shard_renders" ]; then
+  echo "a second query language or a second renderer is back; use QueryRequest and sandwich_query::answer:" >&2
+  printf '%s\n' "$second_language" "$shard_renders" | grep . >&2
   exit 1
 fi
 

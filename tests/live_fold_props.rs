@@ -134,7 +134,7 @@ proptest! {
         let origin = if near_epoch { EPOCH_SLOTS - 1_000 } else { 0 };
         let dir = seed_store(&specs, origin, skew);
         let store = BundleStore::open(&dir).unwrap();
-        let config = QueryConfig { threads: 2, ..QueryConfig::default() };
+        let config = QueryConfig { threads: 2 };
         let generation = generation_of(store.manifest());
         let built = build_index(&store, &config).unwrap();
         let led: u64 = built.validators.iter().flatten().map(|v| v.blocks_led).sum();
@@ -211,7 +211,7 @@ proptest! {
         let specs: Vec<(u64, bool)> = specs.into_iter().map(|n| (n, false)).collect();
         let dir = seed_store(&specs, 0, 0);
         let store = BundleStore::open(&dir).unwrap();
-        let config = QueryConfig { threads: 2, ..QueryConfig::default() };
+        let config = QueryConfig { threads: 2 };
         let index = build_index(&store, &config).unwrap();
 
         let mut cursor = (0u64, Hash([0u8; 32]));
@@ -245,7 +245,7 @@ proptest! {
         let specs: Vec<(u64, bool)> = specs.into_iter().map(|n| (n, false)).collect();
         let dir = seed_store(&specs, 0, 0);
         let store = BundleStore::open(&dir).unwrap();
-        let config = QueryConfig { threads: 2, ..QueryConfig::default() };
+        let config = QueryConfig { threads: 2 };
         let generation = generation_of(store.manifest());
 
         let mut serving: Vec<Vec<usize>> = vec![Vec::new(); parts_n];

@@ -11,21 +11,26 @@
 //!    services are pinned byte-for-byte, ready and after a failed reload,
 //!    a failed install and dead shards.
 //! 3. A shed request looks the same from the router as from the service.
-//! 4. A shard at another generation, or one that does not say which it is
-//!    at, fails the router's fan-out closed with a 503 that is never
-//!    cached.
+//! 4. A shard at another generation, one that does not say which it is
+//!    at, or one whose partial is malformed, fails the router's fan-out
+//!    closed with a 503 that is never cached.
 //! 5. A shard map carries the store snapshot it was planned from: a seal
 //!    that lands between planning and installing does not fail the
 //!    install, and the next cluster reload moves everything to one newer
 //!    snapshot.
+//! 6. One query language: a shard and the service answer every malformed
+//!    request with the same 400.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use sandwich_jito::{bundle_id_of, tip_account};
 use sandwich_ledger::{SolDelta, TokenDelta, TransactionMeta};
 use sandwich_net::{HttpClient, Method, Response, Router, Server};
 use sandwich_obs::{names, Registry};
-use sandwich_query::{QueryService, QueryServiceConfig};
+use sandwich_query::partial::DaysPartial;
+use sandwich_query::{DayRollup, QueryService, QueryServiceConfig};
 use sandwich_shard::{
     ClusterConfig, RouterConfig, RouterService, ServingCluster, ShardConfig, ShardMap, ShardService,
 };
@@ -598,4 +603,97 @@ async fn a_shard_answer_without_a_generation_header_fails_the_fan_out() {
 
     router_server.shutdown().await;
     shard.shutdown().await;
+}
+
+#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
+async fn a_shard_answer_of_sparse_day_rollups_fails_the_fan_out_closed() {
+    // Not a ShardService: a bare server at the router's generation whose
+    // first days partial starts at day 5 — a list the days merge would
+    // index past the end of — and whose later ones are well formed.
+    let generation = "0000000000000000";
+    let calls = Arc::new(AtomicUsize::new(0));
+    let counted = calls.clone();
+    let bare = Router::new().route(Method::Get, "/shard/days", move |_request| {
+        let first = counted.fetch_add(1, Ordering::SeqCst) == 0;
+        async move {
+            let days = if first {
+                vec![DayRollup::new(5)]
+            } else {
+                Vec::new()
+            };
+            let body = serde_json::to_vec(&DaysPartial { days }).unwrap();
+            Response::new(200, body)
+                .header("content-type", "application/json")
+                .header("x-query-generation", generation)
+        }
+    });
+    let shard = Server::bind("127.0.0.1:0", bare).await.unwrap();
+    let router = RouterService::new(
+        vec![shard.local_addr()],
+        generation.to_string(),
+        RouterConfig::default(),
+        Registry::new(),
+    );
+    let router_server = Server::bind("127.0.0.1:0", router.router()).await.unwrap();
+    let client = HttpClient::new(router_server.local_addr());
+
+    let response = client.get("/api/days").await.unwrap();
+    assert_eq!(response.status, 503);
+    let body = String::from_utf8_lossy(&response.body).to_string();
+    assert!(
+        body.contains("scatter-gather failed: shard 0 sent an unreadable partial"),
+        "{body}"
+    );
+    assert!(body.contains("not dense from day 0"), "{body}");
+    // The router is still up, and the 503 was not cached.
+    let response = client.get("/api/days").await.unwrap();
+    assert_eq!(response.status, 200);
+    assert_eq!(
+        String::from_utf8_lossy(&response.body),
+        format!("{{\"generation\":\"{generation}\",\"days\":[]}}")
+    );
+    assert_eq!(calls.load(Ordering::SeqCst), 2);
+
+    router_server.shutdown().await;
+    shard.shutdown().await;
+}
+
+#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
+async fn a_shard_and_the_service_word_every_malformed_request_alike() {
+    // One query language: a shard parses `/shard/*` exactly as the service
+    // parses `/api/*`, so a malformed request is the same 400 from both.
+    let dir = seed_store("malformed", 2);
+    let service = QueryService::open(QueryServiceConfig::new(&dir), Registry::new()).unwrap();
+    let service_server = Server::bind("127.0.0.1:0", service.router()).await.unwrap();
+    let map = ShardMap::plan(BundleStore::open(&dir).unwrap(), 1);
+    let shard = ShardService::open(ShardConfig::new(0), &map, Registry::new()).unwrap();
+    let shard_server = Server::bind("127.0.0.1:0", shard.router()).await.unwrap();
+    let (api, wire) = (
+        HttpClient::new(service_server.local_addr()),
+        HttpClient::new(shard_server.local_addr()),
+    );
+
+    for path in [
+        "sandwiches?from_slot=banana",
+        "sandwiches?to_slot=-1",
+        "sandwiches?from_slot=9&to_slot=3",
+        "sandwiches?limit=banana",
+        "attacker/not-base58!",
+        "pool/0OIl",
+        "validator/short",
+        "live?limit=1.5",
+        "live?cursor=v1.0000000000000000.000000000000002a.0OIl",
+    ] {
+        let from_service = api.get(&format!("/api/{path}")).await.unwrap();
+        let from_shard = wire.get(&format!("/shard/{path}")).await.unwrap();
+        assert_eq!(from_service.status, 400, "{path}");
+        assert_eq!(from_shard.status, 400, "{path}");
+        assert_eq!(from_shard.body, from_service.body, "{path}");
+        let body = String::from_utf8_lossy(&from_shard.body).to_string();
+        assert!(body.starts_with("{\"error\":"), "{path}: {body}");
+    }
+
+    service_server.shutdown().await;
+    shard_server.shutdown().await;
+    std::fs::remove_dir_all(&dir).unwrap();
 }
