@@ -150,6 +150,27 @@ fn classify(e: &ClientError) -> RetryClass {
     }
 }
 
+/// Fetch one bundles page, refusing it like a body that does not decode
+/// when it carries a bundle past `newest`, the slot the poll's own clock
+/// is at. An honest explorer serves only bundles that landed, so it never
+/// sends one; a bundle from the far future would overflow the collected
+/// timestamp or, sealed into the store, have the next index finalize walk
+/// the leader schedule all the way out to it.
+async fn fetch_page(
+    client: &HttpClient,
+    path: &str,
+    newest: u64,
+) -> Result<RecentBundlesResponse, ClientError> {
+    let page = client.get_json::<RecentBundlesResponse>(path).await?;
+    match page.bundles.iter().find(|b| b.slot > newest) {
+        None => Ok(page),
+        Some(b) => Err(ClientError::Decode(serde::de::Error::custom(format!(
+            "a bundle at slot {} is past the poll's slot {newest}",
+            b.slot
+        )))),
+    }
+}
+
 /// The collector's segment-store sink: where sealed segments go and how
 /// many bundles trigger a seal.
 struct StoreSink {
@@ -319,7 +340,9 @@ impl Collector {
     /// page, ingest it, and heal any overlap miss by backfilling.
     ///
     /// Returns `Ok(None)` when the circuit breaker is open and the poll was
-    /// skipped (degraded mode) — not a failure, not a success.
+    /// skipped (degraded mode) — not a failure, not a success. `now_ms` is
+    /// on `clock`: a page carrying a bundle past the slot it is at fails
+    /// the poll, as an undecodable body does, and nothing of it is kept.
     pub async fn poll_bundles(
         &mut self,
         clock: &SlotClock,
@@ -338,6 +361,7 @@ impl Collector {
         let client = self.client.clone();
         let policy = self.policy_for(now_ms);
         let path = format!("/api/v1/bundles?limit={}", self.config.page_limit);
+        let newest = clock.slot_at_unix_ms(now_ms).0;
         let started = std::time::Instant::now();
         // Count every attempt that hit a client deadline, including ones a
         // later retry recovered — `client.timeouts` is an attempt-level
@@ -345,7 +369,7 @@ impl Collector {
         let timed_out = std::cell::Cell::new(0u64);
         let outcome = retry_classified(
             policy,
-            || client.get_json::<RecentBundlesResponse>(&path),
+            || fetch_page(&client, &path, newest),
             |e| {
                 if e.is_timeout() {
                     timed_out.set(timed_out.get() + 1);
@@ -381,7 +405,7 @@ impl Collector {
                     // (bounded, so a day-long outage stays a visible gap).
                     let oldest_fetched = page.bundles.last().map(|b| b.slot);
                     if let (Some(cursor), Some(_)) = (oldest_fetched, prior_newest) {
-                        if self.backfill(clock, cursor).await {
+                        if self.backfill(clock, cursor, newest).await {
                             self.dataset.mark_last_poll_overlapped();
                             rec.overlapped_previous = true;
                         }
@@ -402,8 +426,9 @@ impl Collector {
 
     /// Page deeper through the `before` cursor until a page overlaps
     /// already-collected bundles, comes back empty, or the page budget is
-    /// spent. Returns true when the gap was closed.
-    async fn backfill(&mut self, clock: &SlotClock, mut cursor: u64) -> bool {
+    /// spent. Returns true when the gap was closed. A page with a bundle
+    /// past `newest` is refused like the live page would be.
+    async fn backfill(&mut self, clock: &SlotClock, mut cursor: u64, newest: u64) -> bool {
         let client = self.client.clone();
         for _ in 0..self.config.backfill_max_pages {
             let path = format!(
@@ -413,7 +438,7 @@ impl Collector {
             let timed_out = std::cell::Cell::new(0u64);
             let outcome = retry_classified(
                 self.config.retry,
-                || client.get_json::<RecentBundlesResponse>(&path),
+                || fetch_page(&client, &path, newest),
                 |e| {
                     if e.is_timeout() {
                         timed_out.set(timed_out.get() + 1);
@@ -574,10 +599,19 @@ mod tests {
             },
         );
         let clock = SlotClock::default();
-        let rec = collector.poll_bundles(&clock, 0, 0).await.unwrap().unwrap();
+        let now = clock.unix_ms(Slot(100));
+        let rec = collector
+            .poll_bundles(&clock, 0, now)
+            .await
+            .unwrap()
+            .unwrap();
         assert_eq!(rec.fetched, 20);
         assert_eq!(rec.new, 20);
-        let rec2 = collector.poll_bundles(&clock, 0, 0).await.unwrap().unwrap();
+        let rec2 = collector
+            .poll_bundles(&clock, 0, now)
+            .await
+            .unwrap()
+            .unwrap();
         assert_eq!(rec2.new, 0);
         assert!(rec2.overlapped_previous);
         assert_eq!(collector.dataset.len(), 20);
@@ -610,13 +644,14 @@ mod tests {
             },
         );
         let clock = SlotClock::default();
+        let now = clock.unix_ms(Slot(100));
         // With four attempts per poll at 50% failure, ten polls virtually
         // always succeed overall. Spread polls across fault-plan buckets so
         // each draws fresh fault decisions.
         let mut ok = 0;
         for i in 0..10u64 {
             if matches!(
-                collector.poll_bundles(&clock, 0, i * 61_000).await,
+                collector.poll_bundles(&clock, 0, now + i * 61_000).await,
                 Ok(Some(_))
             ) {
                 ok += 1;
@@ -642,7 +677,8 @@ mod tests {
         let explorer = explorer_with(bundles, ExplorerConfig::default()).await;
         let mut collector = Collector::new(explorer.addr(), CollectorConfig::default());
         let clock = SlotClock::default();
-        collector.poll_bundles(&clock, 0, 0).await.unwrap();
+        let now = clock.unix_ms(Slot(100));
+        collector.poll_bundles(&clock, 0, now).await.unwrap();
         let added = collector.fetch_pending_details(0).await.unwrap();
         assert_eq!(added, 6, "two length-3 bundles × 3 transactions");
         assert_eq!(collector.dataset.detail_count(), 6);
@@ -663,7 +699,8 @@ mod tests {
             },
         );
         let clock = SlotClock::default();
-        collector.poll_bundles(&clock, 0, 0).await.unwrap();
+        let now = clock.unix_ms(Slot(100));
+        collector.poll_bundles(&clock, 0, now).await.unwrap();
         let added = collector.fetch_pending_details(0).await.unwrap();
         assert_eq!(added, 30);
         assert_eq!(collector.stats.detail_batches, 5);
@@ -691,14 +728,19 @@ mod tests {
             },
         );
         let clock = SlotClock::default();
-        collector.poll_bundles(&clock, 0, 0).await.unwrap();
+        let now = clock.unix_ms(Slot(100));
+        collector.poll_bundles(&clock, 0, now).await.unwrap();
         assert_eq!(collector.dataset.len(), 20);
 
         // 40 more bundles land: the next page (40..60) misses 20..40.
         for i in 20..60u64 {
             store.write().record_bundle(&landed(i, 1, i));
         }
-        let rec = collector.poll_bundles(&clock, 0, 1).await.unwrap().unwrap();
+        let rec = collector
+            .poll_bundles(&clock, 0, now + 1)
+            .await
+            .unwrap()
+            .unwrap();
         // Backfill healed the gap and patched the poll record.
         assert!(rec.overlapped_previous, "gap closed by backfill");
         assert_eq!(collector.dataset.len(), 60, "all 60 bundles collected");
@@ -750,15 +792,19 @@ mod tests {
             },
         );
         let clock = SlotClock::default();
+        let now = clock.unix_ms(Slot(100));
         // Three failing polls trip the breaker.
         for t in 0..3u64 {
-            assert!(collector.poll_bundles(&clock, 0, t * 1_000).await.is_err());
+            assert!(collector
+                .poll_bundles(&clock, 0, now + t * 1_000)
+                .await
+                .is_err());
         }
-        assert_eq!(collector.breaker_state(3_000), BreakerState::Open);
+        assert_eq!(collector.breaker_state(now + 3_000), BreakerState::Open);
         // While open, polls are skipped without touching the network.
         let before = collector.stats.attempts;
         assert!(matches!(
-            collector.poll_bundles(&clock, 0, 4_000).await,
+            collector.poll_bundles(&clock, 0, now + 4_000).await,
             Ok(None)
         ));
         assert_eq!(collector.stats.attempts, before, "no request sent");
@@ -767,10 +813,62 @@ mod tests {
         // re-opens; explorer time must advance past the outage first.
         explorer.set_now_ms(100_000);
         assert!(matches!(
-            collector.poll_bundles(&clock, 0, 14_000).await,
+            collector.poll_bundles(&clock, 0, now + 14_000).await,
             Ok(Some(_))
         ));
-        assert_eq!(collector.breaker_state(14_000), BreakerState::Closed);
+        assert_eq!(collector.breaker_state(now + 14_000), BreakerState::Closed);
         explorer.shutdown().await;
+    }
+
+    #[tokio::test]
+    async fn a_page_with_a_bundle_past_the_clock_fails_the_poll() {
+        use sandwich_explorer::BundleSummaryJson;
+        use sandwich_net::{Method, Request, Response, Router, Server};
+
+        /// Poll `addr` once at slot 10 and check the page was refused whole.
+        async fn refused(addr: std::net::SocketAddr) {
+            let mut collector = Collector::new(addr, CollectorConfig::default());
+            let clock = SlotClock::default();
+            let polled = collector
+                .poll_bundles(&clock, 0, clock.unix_ms(Slot(10)))
+                .await;
+            let error = polled.expect_err("the page is refused");
+            assert!(!error.is_transient(), "refused like a bad body: {error}");
+            assert!(
+                error.to_string().contains("past the poll's slot 10"),
+                "{error}"
+            );
+            assert_eq!(collector.dataset.len(), 0, "nothing of the page is kept");
+            assert_eq!(collector.stats.polls_failed, 1);
+            assert_eq!(collector.stats.attempts, 1, "not retried");
+        }
+
+        // The explorer serves a bundle recorded far past its clock — a slot
+        // whose leader schedule the index would walk out to for ever.
+        let far = landed(1_000_000_000_000, 1, 2);
+        let explorer = explorer_with(vec![landed(5, 1, 1), far], Default::default()).await;
+        refused(explorer.addr()).await;
+        explorer.shutdown().await;
+
+        // A page naming the last slot there is, which no collected
+        // timestamp can hold.
+        let summary = |slot: u64, seed: u64| BundleSummaryJson {
+            bundle_id: Hash::digest(&seed.to_le_bytes()),
+            slot,
+            timestamp_ms: 0,
+            tip_lamports: 2_000,
+            transactions: vec![Keypair::from_label("col").sign(&seed.to_le_bytes())],
+        };
+        let page = RecentBundlesResponse {
+            bundles: vec![summary(u64::MAX, 2), summary(5, 1)],
+        };
+        let body = serde_json::to_vec(&page).unwrap();
+        let router = Router::new().route(Method::Get, "/api/v1/bundles", move |_: Request| {
+            let body = body.clone();
+            async move { Response::new(200, body).header("content-type", "application/json") }
+        });
+        let server = Server::bind("127.0.0.1:0", router).await.unwrap();
+        refused(server.local_addr()).await;
+        server.shutdown().await;
     }
 }

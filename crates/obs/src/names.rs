@@ -84,10 +84,6 @@ pub const QUERY_SHARD_FANOUT_WIDTH: &str = "query.shard.fanout_width";
 /// shard id is appended, e.g. `query.shard.latency.2`.
 pub const QUERY_SHARD_LATENCY_PREFIX: &str = "query.shard.latency.";
 
-/// Histogram: wall-clock seconds the router spent merging shard partials
-/// and rendering the response (excludes the fanout itself).
-pub const QUERY_SHARD_MERGE_SECONDS: &str = "query.shard.merge_seconds";
-
 /// Counter: straggler shard responses (slower than twice the fastest
 /// shard in the same fanout).
 pub const QUERY_SHARD_STRAGGLERS: &str = "query.shard.stragglers";
@@ -124,13 +120,21 @@ pub const QUERY_INDEX_FOLD_SEGMENTS: &str = "query.index.fold.segments";
 /// into the live index (compare `query.index.build_seconds`).
 pub const QUERY_INDEX_FOLD_SECONDS: &str = "query.index.fold.seconds";
 
-/// Counter: `/api/live` requests served (page-poll and long-poll).
+/// Histogram: wall-clock seconds a public face (`queryd`, the router)
+/// spent in `answer` — merging the partials of a cache miss and rendering
+/// the body (excludes gathering them: the engine's partial, the fan-out).
+pub const QUERY_ANSWER_SECONDS: &str = "query.answer_seconds";
+
+/// Counter: `/api/live` requests a public face served (page-poll and
+/// long-poll).
 pub const QUERY_LIVE_REQUESTS: &str = "query.live.requests";
 
 /// Counter: `/api/live` requests that asked to long-poll (`wait_ms` > 0).
 pub const QUERY_LIVE_LONG_POLLS: &str = "query.live.long_polls";
 
-/// Counter: sandwich rows streamed out over `/api/live`.
+/// Counter: sandwich rows `/api/live` long-polls answered with — the
+/// page's `min(limit, rows past the cursor)`, counted once per long-poll
+/// at the probe it stops on (page-polls are not counted).
 pub const QUERY_LIVE_ROWS: &str = "query.live.rows";
 
 /// Histogram: seconds a long-poll actually waited before answering

@@ -14,9 +14,7 @@ use sandwich_net::Request;
 use sandwich_types::{Hash, Pubkey};
 
 use crate::cache::CachedResponse;
-use crate::index::{
-    first_ref_after_cursor, AttackerEntry, PoolEntry, QueryIndex, SandwichRef, ValidatorEntry,
-};
+use crate::index::{AttackerEntry, PoolEntry, QueryIndex, SandwichRef, ValidatorEntry};
 use crate::partial::{answer, Partial};
 
 /// Default page size when `limit=` is absent.
@@ -322,13 +320,6 @@ impl Engine {
     pub fn validator_entry(&self, pubkey: &Pubkey) -> Option<(usize, &ValidatorEntry)> {
         let &rank = self.validator_rank.get(pubkey)?;
         Some((rank, &self.validator_entries()[rank]))
-    }
-
-    /// How many refs sit strictly after the live cursor position — what a
-    /// long-poll loop checks per snapshot without rendering anything.
-    pub fn live_rows_after(&self, after_slot: u64, after_id: &Hash) -> usize {
-        let refs = &self.index.refs;
-        refs.len() - first_ref_after_cursor(refs, after_slot, after_id)
     }
 
     /// The newest `cap` refs behind `refs`, **oldest first** (ascending

@@ -34,13 +34,16 @@ use crate::index::{
     INDEX_FILE,
 };
 
-/// What one persisted index covers: a set of manifest entries and the
-/// file the frame lives in.
+/// What one persisted index covers: a set of entries of one store
+/// snapshot's manifest, and the file the frame lives in. `queryd`'s is the
+/// whole manifest; a shard's is what its `ShardMap` planned for it.
 #[derive(Clone, Debug)]
 pub struct IndexScope {
-    /// Indexes into [`BundleStore::segments`] the index scans.
-    pub serving: Vec<usize>,
-    /// Indexes into [`BundleStore::quarantined`] it accounts for.
+    /// Indexes into [`BundleStore::segments`] the index scans, in
+    /// manifest order.
+    pub segments: Vec<usize>,
+    /// Indexes into [`BundleStore::quarantined`] it accounts for, in
+    /// manifest order.
     pub quarantined: Vec<usize>,
     /// File name of its persisted index frame inside the store directory.
     pub file: String,
@@ -49,9 +52,9 @@ pub struct IndexScope {
 impl IndexScope {
     /// Every entry of the manifest, persisted as [`INDEX_FILE`].
     pub fn whole(store: &BundleStore) -> IndexScope {
-        let (serving, quarantined) = whole_store(store);
+        let (segments, quarantined) = whole_store(store);
         IndexScope {
-            serving,
+            segments,
             quarantined,
             file: INDEX_FILE.to_string(),
         }
@@ -117,7 +120,7 @@ fn fold(
     let Some(delta) = store.manifest().delta_within(
         &base.segment_files,
         &base.quarantined_files,
-        &scope.serving,
+        &scope.segments,
         &scope.quarantined,
     ) else {
         return Ok(None);
@@ -145,8 +148,8 @@ fn rebuild(
     registry: &Registry,
 ) -> io::Result<QueryIndex> {
     let started = Instant::now();
-    let (serving, quarantined) = (&scope.serving, &scope.quarantined);
-    let (index, hashed) = fold_onto(visit_segment, store, None, serving, quarantined, config)?;
+    let (segments, quarantined) = (&scope.segments, &scope.quarantined);
+    let (index, hashed) = fold_onto(visit_segment, store, None, segments, quarantined, config)?;
     registry
         .histogram(names::QUERY_INDEX_BUILD_SECONDS)
         .observe(started.elapsed().as_secs_f64());

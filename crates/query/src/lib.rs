@@ -16,10 +16,11 @@
 //!   one partial, the router over one per shard, so a one-shard router is
 //!   the engine by construction.
 //! - [`serve`] — the one serving skeleton: endpoint table, admission,
-//!   cache and its accounting, response tail, health probes. It is
-//!   generic over a [`Backend`], of which there are three: the local
-//!   engine here ([`service`], what `queryd` runs) and the shard-partial
-//!   and scatter-gather backends in `sandwich-shard`.
+//!   cache and its accounting, the answer, the `/api/live` long-poll,
+//!   response tail, health probes. It is generic over a [`Backend`],
+//!   which only gathers partials; there are two: the [`EngineBackend`]
+//!   ([`service`]), which `queryd` runs over the whole store and every
+//!   shard over its slice, and the router's fan-out in `sandwich-shard`.
 //! - [`ladder`] — the one index lifecycle: load the persisted frame,
 //!   else fold the manifest delta into a base, else rebuild, over an
 //!   [`IndexScope`] (the whole store, or one shard's slice of it).
@@ -50,5 +51,5 @@ pub use index::{
 pub use ladder::IndexScope;
 pub use partial::{answer, Partial};
 pub use sandwich_store::generation_of;
-pub use serve::{Backend, Serving};
-pub use service::{QueryService, QueryServiceConfig};
+pub use serve::{Backend, Gathered, Serving};
+pub use service::{EngineBackend, QueryService, QueryServiceConfig};

@@ -1,11 +1,12 @@
 //! The one answer path: partials, their merges, and [`answer`].
 //!
 //! Every `/api/*` body is [`answer`] over the [`Partial`]s of the engines
-//! that hold the data. `queryd` answers from its own engine's one partial
-//! ([`crate::Engine::evaluate`]); the router answers from one partial per
-//! shard, decoded off the `/shard/*` wire with [`Partial::decode`]. The
-//! same merges and the same renderer run for both, so a one-shard router
-//! *is* the engine, and byte-identity at every shard count reduces to the
+//! that hold the data, called by the serving skeleton ([`crate::serve`]).
+//! `queryd` answers from its own engine's one partial (as
+//! [`crate::Engine::evaluate`] does); the router answers from one partial
+//! per shard, decoded off the `/shard/*` wire with [`Partial::decode`].
+//! The same merges and the same renderer run for both, so a one-shard
+//! router *is* the engine, and byte-identity at every shard count reduces to the
 //! merges reproducing the single-index aggregates, which the property
 //! tests pin.
 //!

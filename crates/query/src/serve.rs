@@ -5,17 +5,19 @@
 //! [`Serving`] owns the endpoint table and its mounting under a path
 //! prefix, bounded admission, the generation-keyed response cache and its
 //! accounting, the per-endpoint latency histogram, the response tail
-//! (`x-query-generation` on every answer) and the `/healthz`, `/readyz`
-//! and `/metrics` probes. All three faces speak one query language: every
-//! endpoint parses with [`QueryRequest::parse`] and is cached under its
-//! canonical path. Where an answer comes from is a [`Backend`]: the local
-//! engine (`QueryService`), one shard's partials
-//! (`sandwich_shard::ShardService`), or a fan-out over shards
-//! (`sandwich_shard::RouterService`).
+//! (`x-query-generation` on every answer), the `/api/live` long-poll and
+//! the `/healthz`, `/readyz` and `/metrics` probes. All three faces speak
+//! one query language: every endpoint parses with [`QueryRequest::parse`]
+//! and is cached under its canonical path. A [`Backend`] only gathers the
+//! partials a request is answered from — its engine's one
+//! ([`crate::service::EngineBackend`], what `queryd` and every shard run)
+//! or one per shard (`sandwich_shard::RouterService`'s fan-out) — and the
+//! skeleton computes every body from them: a public face calls [`answer`],
+//! a shard face sends its one partial as it is.
 //!
 //! A request takes exactly one [`Backend::Snapshot`], and its cache key,
-//! evaluation and generation header all come from it, so every response
-//! is computed against a single manifest generation even while a reload
+//! partials and generation header all come from it, so every response is
+//! computed against a single manifest generation even while a reload
 //! swaps the engine mid-flight. Excess load is shed with `503` +
 //! `Retry-After` before any parse or engine work; an answer of status
 //! ≥ 500 is never left in the cache; a failed reload keeps the last good
@@ -25,13 +27,14 @@
 use std::future::Future;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use sandwich_net::{Method, Request, Response, Router};
 use sandwich_obs::{names, Registry};
 
 use crate::cache::{CacheOutcome, CachedResponse, ResponseCache};
 use crate::engine::QueryRequest;
+use crate::partial::{answer, Partial};
 use crate::render::error_response;
 
 /// The nine endpoints: the name [`QueryRequest::parse`] and the metrics
@@ -54,17 +57,18 @@ pub const PUBLIC_CACHE: (usize, usize) = (8, 128);
 /// Response-cache geometry of one shard's partial cache.
 pub const SHARD_CACHE: (usize, usize) = (4, 64);
 
-/// Where answers come from. Everything else about serving them is
+/// How often an `/api/live` long-poll probes a fresh snapshot for rows
+/// past its cursor. One tick for every public face: a router's probe is a
+/// fan-out, so it is no finer than a fan-out is worth.
+const LONG_POLL_TICK: Duration = Duration::from_millis(25);
+
+/// What a request is answered from: the partials, or the response to send
+/// instead (a fan-out that failed).
+pub type Gathered = Result<Vec<Partial>, CachedResponse>;
+
+/// Where the partials come from. Everything else about serving them is
 /// [`Serving`].
 pub trait Backend: Send + Sync + 'static {
-    /// `true` for a public face (`queryd`, the router): mounted under
-    /// `/api`, [`PUBLIC_CACHE`], and requests, cache outcomes and latency
-    /// counted under `query.*`. `false` for a shard behind the router:
-    /// `/shard`, [`SHARD_CACHE`], and deliberately no `query.requests`,
-    /// `query.cache.*` or `query.seconds.*` — a single-process cluster
-    /// shares one [`Registry`] and those names are the router's (its
-    /// cache hit ratio is read off them).
-    const PUBLIC: bool;
     /// What one request is answered at: an engine, or a pinned generation.
     type Snapshot: Send + Sync + 'static;
 
@@ -74,27 +78,14 @@ pub trait Backend: Send + Sync + 'static {
     /// The manifest generation `snapshot` answers for.
     fn generation(snapshot: &Self::Snapshot) -> &str;
 
-    /// Answer `query` at `snapshot`: the cache's miss path, run at most
-    /// once at a time per key (single-flight).
-    fn evaluate(
+    /// The partials `query` is answered from at `snapshot`, one per engine
+    /// holding a slice of the data: the cache's miss path (run at most
+    /// once at a time per key) and a long-poll's probe.
+    fn partials(
         &self,
         snapshot: &Self::Snapshot,
         query: &QueryRequest,
-    ) -> impl Future<Output = CachedResponse> + Send;
-
-    /// The snapshot `query` is answered at: the current one, unless the
-    /// backend long-polls. This is where an `/api/live` long-poll waits,
-    /// the one step the backends legitimately differ in: the local engine
-    /// ticks until a fresh snapshot has rows past the cursor and leaves
-    /// the answer to the cache; the router has to fan out to look, so its
-    /// last probe *is* the answer and is returned with the generation it
-    /// was gathered at, bypassing the cache.
-    fn snapshot_for(
-        &self,
-        _query: &QueryRequest,
-    ) -> impl Future<Output = (Self::Snapshot, Option<CachedResponse>)> + Send {
-        async { (self.snapshot(), None) }
-    }
+    ) -> impl Future<Output = Gathered> + Send;
 
     /// Extra `/healthz` members as rendered JSON with leading commas:
     /// those before `"generation"` and those after it.
@@ -117,12 +108,15 @@ impl Drop for InFlightGuard<'_> {
     }
 }
 
-/// One backend behind the shared skeleton.
+/// One backend behind the shared skeleton, on the face its constructor
+/// built: [`Serving::public`] or [`Serving::shard`].
 pub struct Serving<B> {
-    /// Where answers come from.
+    /// Where the partials come from.
     pub backend: B,
     /// The metrics registry this service records into.
     pub registry: Registry,
+    /// A public face (`queryd`, the router) rather than a shard's.
+    public: bool,
     cache: ResponseCache,
     /// API requests currently admitted (admission control).
     in_flight: AtomicUsize,
@@ -132,15 +126,37 @@ pub struct Serving<B> {
 }
 
 impl<B: Backend> Serving<B> {
-    /// Put `backend` behind the skeleton, recording into `registry`. More
-    /// than `max_in_flight` concurrent API requests are shed with `503` +
-    /// `Retry-After` (zero admits nothing; `usize::MAX` — a shard, whose
-    /// router is bounded instead — never sheds).
-    pub fn new(backend: B, max_in_flight: usize, registry: Registry) -> Arc<Serving<B>> {
-        let (shards, per_shard) = if B::PUBLIC { PUBLIC_CACHE } else { SHARD_CACHE };
+    /// `backend` as a public face (`queryd`, the router): mounted under
+    /// `/api`, [`PUBLIC_CACHE`], bodies rendered by [`answer`], `/api/live`
+    /// long-polls, and requests, cache outcomes and latency counted under
+    /// `query.*`. More than `max_in_flight` concurrent API requests are
+    /// shed with `503` + `Retry-After` (zero admits nothing).
+    pub fn public(backend: B, max_in_flight: usize, registry: Registry) -> Arc<Serving<B>> {
+        Serving::on_face(backend, true, max_in_flight, registry)
+    }
+
+    /// `backend` as a shard behind the router: mounted under `/shard`,
+    /// [`SHARD_CACHE`], bodies are its one partial as it is, and it never
+    /// waits (the router leaves `wait_ms` out of the path it asks for) and
+    /// never sheds (the router in front is bounded instead). Deliberately
+    /// no `query.requests`, `query.cache.*`, `query.seconds.*` or
+    /// `query.live.*`: a single-process cluster shares one [`Registry`] and
+    /// those names are the router's (its cache hit ratio is read off them).
+    pub fn shard(backend: B, registry: Registry) -> Arc<Serving<B>> {
+        Serving::on_face(backend, false, usize::MAX, registry)
+    }
+
+    fn on_face(
+        backend: B,
+        public: bool,
+        max_in_flight: usize,
+        registry: Registry,
+    ) -> Arc<Serving<B>> {
+        let (shards, per_shard) = if public { PUBLIC_CACHE } else { SHARD_CACHE };
         Arc::new(Serving {
             backend,
             registry,
+            public,
             cache: ResponseCache::new(shards, per_shard),
             in_flight: AtomicUsize::new(0),
             max_in_flight,
@@ -172,7 +188,7 @@ impl<B: Backend> Serving<B> {
 
     async fn handle(&self, endpoint: &'static str, request: Request) -> Response {
         let registry = &self.registry;
-        if B::PUBLIC {
+        if self.public {
             registry.counter(names::QUERY_REQUESTS).inc();
             match endpoint {
                 "validators" => registry.counter(names::QUERY_VALIDATORS_REQUESTS).inc(),
@@ -193,24 +209,34 @@ impl<B: Backend> Serving<B> {
                 .header("retry-after", "1");
         };
 
-        // One snapshot per request: everything below answers from this
-        // generation, reloads notwithstanding.
+        // One snapshot per request — a long-poll's is its last probe's —
+        // and everything below answers from its generation, reloads
+        // notwithstanding.
         let parsed = QueryRequest::parse(endpoint, &request);
-        let (snapshot, answered) = match &parsed {
-            Ok(query) => self.backend.snapshot_for(query).await,
-            Err(_) => (self.backend.snapshot(), None),
+        let (snapshot, probed) = match &parsed {
+            Ok(live @ QueryRequest::Live { .. }) if self.public => self.long_poll(live).await,
+            _ => (self.backend.snapshot(), None),
         };
         let generation = B::generation(&snapshot);
-        let (cached, lookup) = match (answered, parsed) {
-            (Some(answer), _) => (Arc::new(answer), None),
+        let (cached, outcome, evicted) = match parsed {
             // Invalid parameters never reach the cache.
-            (None, Err(message)) => (
+            Err(message) => (
                 Arc::new(error_response(400, message)),
-                Some((CacheOutcome::Miss, 0)),
+                CacheOutcome::Miss,
+                0,
             ),
-            (None, Ok(query)) => {
+            Ok(query) => {
                 let key = format!("{generation}|{}", query.canonical_key());
-                let compute = || self.backend.evaluate(&snapshot, &query);
+                let (snapshot, query) = (&snapshot, &query);
+                // A long-poll's probe is its miss path: nothing is
+                // gathered twice.
+                let compute = move || async move {
+                    let gathered = match probed {
+                        Some(gathered) => gathered,
+                        None => self.backend.partials(snapshot, query).await,
+                    };
+                    self.body(generation, query, gathered)
+                };
                 let (cached, outcome, evicted) =
                     self.cache.get_or_compute_async(&key, compute).await;
                 // A failure (a fan-out that lost a shard) must not be
@@ -219,24 +245,22 @@ impl<B: Backend> Serving<B> {
                 if outcome == CacheOutcome::Miss && cached.status >= 500 {
                     self.cache.invalidate(&key);
                 }
-                (cached, Some((outcome, evicted)))
+                (cached, outcome, evicted)
             }
         };
-        if B::PUBLIC {
-            if let Some((outcome, evicted)) = lookup {
-                match outcome {
-                    CacheOutcome::Hit => registry.counter(names::QUERY_CACHE_HITS).inc(),
-                    CacheOutcome::Miss => registry.counter(names::QUERY_CACHE_MISSES).inc(),
-                    CacheOutcome::Deduped => {
-                        registry
-                            .counter(names::QUERY_CACHE_SINGLE_FLIGHT_WAITS)
-                            .inc();
-                        registry.counter(names::QUERY_CACHE_HITS).inc();
-                    }
+        if self.public {
+            match outcome {
+                CacheOutcome::Hit => registry.counter(names::QUERY_CACHE_HITS).inc(),
+                CacheOutcome::Miss => registry.counter(names::QUERY_CACHE_MISSES).inc(),
+                CacheOutcome::Deduped => {
+                    registry
+                        .counter(names::QUERY_CACHE_SINGLE_FLIGHT_WAITS)
+                        .inc();
+                    registry.counter(names::QUERY_CACHE_HITS).inc();
                 }
-                if evicted > 0 {
-                    registry.counter(names::QUERY_CACHE_EVICTIONS).add(evicted);
-                }
+            }
+            if evicted > 0 {
+                registry.counter(names::QUERY_CACHE_EVICTIONS).add(evicted);
             }
             registry
                 .histogram(&format!("{}{endpoint}", names::QUERY_SECONDS_PREFIX))
@@ -245,6 +269,70 @@ impl<B: Backend> Serving<B> {
         Response::new(cached.status, cached.body.clone())
             .header("content-type", &cached.content_type)
             .header("x-query-generation", generation)
+    }
+
+    /// The snapshot a public face answers an `/api/live` request at and,
+    /// when it long-polls, the partials its last probe gathered there. A
+    /// long-poll probes the backend at a fresh snapshot every
+    /// [`LONG_POLL_TICK`] (a reload may land mid-wait) and stops at the
+    /// first probe with rows past the cursor, or at the first one past
+    /// `wait_ms`, whatever it gathered (a failed fan-out included: the
+    /// client's retry signal). The `query.live.*` metrics are recorded
+    /// here and nowhere else.
+    async fn long_poll(&self, query: &QueryRequest) -> (B::Snapshot, Option<Gathered>) {
+        let &QueryRequest::Live { limit, wait_ms, .. } = query else {
+            return (self.backend.snapshot(), None);
+        };
+        let registry = &self.registry;
+        registry.counter(names::QUERY_LIVE_REQUESTS).inc();
+        if wait_ms == 0 {
+            return (self.backend.snapshot(), None);
+        }
+        registry.counter(names::QUERY_LIVE_LONG_POLLS).inc();
+        let waited = Instant::now();
+        let deadline = Duration::from_millis(wait_ms);
+        loop {
+            let snapshot = self.backend.snapshot();
+            let gathered = self.backend.partials(&snapshot, query).await;
+            // The page carries `min(limit, Σ total_after)` rows.
+            let after = gathered.iter().flatten().map(|part| match part {
+                Partial::Live(live) => live.total_after as usize,
+                _ => 0,
+            });
+            let rows = after.sum::<usize>().min(limit);
+            if rows > 0 || waited.elapsed() >= deadline {
+                if rows > 0 {
+                    registry.counter(names::QUERY_LIVE_ROWS).add(rows as u64);
+                }
+                registry
+                    .histogram(names::QUERY_LIVE_WAIT_SECONDS)
+                    .observe(waited.elapsed().as_secs_f64());
+                return (snapshot, Some(gathered));
+            }
+            tokio::time::sleep(LONG_POLL_TICK).await;
+        }
+    }
+
+    /// The body of one answer: on a public face [`answer`] over the
+    /// partials, timed as `query.answer_seconds`; on a shard face its one
+    /// partial as it is.
+    fn body(&self, generation: &str, query: &QueryRequest, gathered: Gathered) -> CachedResponse {
+        let parts = match gathered {
+            Ok(parts) => parts,
+            Err(failed) => return failed,
+        };
+        if !self.public {
+            return match parts.as_slice() {
+                [part] => part.to_response(),
+                _ => error_response(500, "a shard answers from exactly one partial"),
+            };
+        }
+        let started = Instant::now();
+        let response = answer(generation, query, parts);
+        self.registry
+            .histogram(names::QUERY_ANSWER_SECONDS)
+            .observe(started.elapsed().as_secs_f64());
+        response
     }
 
     /// `GET /healthz`: liveness. 200 as long as the process can answer at
@@ -281,7 +369,7 @@ impl<B: Backend> Serving<B> {
     /// The HTTP router: the nine endpoints under the face's prefix, the
     /// two probes, and `GET /metrics` from the registry.
     pub fn router(self: &Arc<Self>) -> Router {
-        let prefix = if B::PUBLIC { "/api" } else { "/shard" };
+        let prefix = if self.public { "/api" } else { "/shard" };
         let mut router = Router::new();
         for (endpoint, path) in ENDPOINTS {
             let service = self.clone();

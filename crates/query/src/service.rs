@@ -1,18 +1,24 @@
-//! [`QueryService`] — the local-engine [`Backend`]: one engine over the
-//! whole store behind the [`crate::serve`] skeleton, as `queryd` runs it.
+//! The engine backend and `queryd`'s [`QueryService`].
+//!
+//! [`EngineBackend`] is the one [`Backend`] that owns an engine: an
+//! [`Engine`] over an [`IndexScope`] of a store snapshot, brought up and
+//! moved forward by the index ladder ([`crate::ladder::bring_up`]), whose
+//! partial for a request is [`Partial::of`] that engine. `queryd` runs one
+//! over the whole store on the public face ([`QueryService`]); every shard
+//! runs one over its slice on the shard face
+//! (`sandwich_shard::ShardService`). Everything else — the answer, the
+//! `/api/live` long-poll, the cache — is [`crate::serve`].
 //!
 //! Reloads are **incremental**: a generation change is absorbed by the
-//! index ladder ([`crate::ladder::bring_up`]) folding only the manifest
-//! delta into the live index, which is byte-identical to a full rebuild;
-//! `query.index.full_rebuilds` counts the (expected-never) fallbacks.
-//! `/api/live` streams newly folded sandwiches behind an opaque cursor,
-//! with a bounded long-poll that waits for the next fold. Index builds
-//! skip unreadable segments (coverage is reported on `/api/summary` and
-//! `/readyz`) rather than failing the open.
+//! ladder folding only the manifest delta into the live index, which is
+//! byte-identical to a full rebuild; `query.index.full_rebuilds` counts
+//! the (expected-never) fallbacks. Index builds skip unreadable segments
+//! (coverage is reported on `/api/summary` and `/readyz`) rather than
+//! failing the open.
 
+use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
 
@@ -20,14 +26,11 @@ use sandwich_net::Router;
 use sandwich_obs::{names, Registry};
 use sandwich_store::BundleStore;
 
-use crate::cache::CachedResponse;
 use crate::engine::{Engine, QueryRequest};
 use crate::index::QueryConfig;
 use crate::ladder::{bring_up, IndexScope};
-use crate::serve::{Backend, Serving};
-
-/// How often a long-poll re-checks the engine for rows past its cursor.
-const LONG_POLL_TICK: Duration = Duration::from_millis(12);
+use crate::partial::Partial;
+use crate::serve::{Backend, Gathered, Serving};
 
 /// Tunables for one service instance.
 #[derive(Clone, Debug)]
@@ -53,94 +56,126 @@ impl QueryServiceConfig {
     }
 }
 
-/// The local-engine backend: answers come from one in-process [`Engine`].
-struct LocalEngine {
-    config: QueryServiceConfig,
-    engine: RwLock<Arc<Engine>>,
+/// The engine serving and the file its index persists under, which names
+/// the scope it covers.
+struct Live {
+    engine: Arc<Engine>,
+    file: String,
+}
+
+/// The engine backend: one in-process [`Engine`] over an [`IndexScope`].
+pub struct EngineBackend {
+    /// The shard this engine serves, reported on the probes; `None` for
+    /// the whole store.
+    shard: Option<usize>,
+    query: QueryConfig,
+    live: RwLock<Live>,
     registry: Registry,
 }
 
-impl Backend for LocalEngine {
-    const PUBLIC: bool = true;
+impl EngineBackend {
+    /// Bring the index over `scope` of `store` up the ladder (load → fold
+    /// → rebuild), recording into `registry`. `shard` is the shard id the
+    /// probes report, `None` for an engine over the whole store.
+    pub fn open(
+        store: &BundleStore,
+        scope: &IndexScope,
+        shard: Option<usize>,
+        query: QueryConfig,
+        registry: &Registry,
+    ) -> io::Result<EngineBackend> {
+        let index = bring_up(store, scope, None, &query, registry)?;
+        let live = Live {
+            engine: Arc::new(Engine::new(Arc::new(index))),
+            file: scope.file.clone(),
+        };
+        Ok(EngineBackend {
+            shard,
+            query,
+            live: RwLock::new(live),
+            registry: registry.clone(),
+        })
+    }
+
+    /// Move to `scope` of `store` — a reload after a seal, an install
+    /// after a re-plan. Nothing happens when the engine already serves
+    /// that generation under that scope's file (a no-op manifest touch
+    /// keeps every warm cache entry, whose keys are generation-prefixed);
+    /// otherwise the ladder folds forward from the index being served, or
+    /// rebuilds, and the new engine is swapped in atomically. Returns
+    /// `true` when a new generation or scope went live. In-flight requests
+    /// keep the engine they already took.
+    pub fn install(&self, store: &BundleStore, scope: &IndexScope) -> io::Result<bool> {
+        let serving = {
+            let live = self.live.read();
+            if live.engine.generation() == store.generation() && live.file == scope.file {
+                return Ok(false);
+            }
+            live.engine.clone()
+        };
+        let (config, registry) = (&self.query, &self.registry);
+        let index = bring_up(store, scope, Some(serving.index()), config, registry)?;
+        *self.live.write() = Live {
+            engine: Arc::new(Engine::new(Arc::new(index))),
+            file: scope.file.clone(),
+        };
+        registry.counter(names::QUERY_RELOADS).inc();
+        Ok(true)
+    }
+
+    /// The shard id and its JSON member, when this engine serves a shard.
+    fn shard_field(&self) -> String {
+        self.shard
+            .map_or(String::new(), |shard| format!(",\"shard\":{shard}"))
+    }
+}
+
+impl Backend for EngineBackend {
     type Snapshot = Arc<Engine>;
 
     fn snapshot(&self) -> Arc<Engine> {
-        self.engine.read().clone()
+        self.live.read().engine.clone()
     }
 
     fn generation(engine: &Arc<Engine>) -> &str {
         engine.generation()
     }
 
-    async fn evaluate(&self, engine: &Arc<Engine>, query: &QueryRequest) -> CachedResponse {
-        engine.evaluate(query)
+    async fn partials(&self, engine: &Arc<Engine>, query: &QueryRequest) -> Gathered {
+        Ok(vec![Partial::of(engine, query)])
     }
 
-    /// Live long-poll: before taking the answering snapshot, wait
-    /// (bounded by the request's `wait_ms`) for a reload to fold in rows
-    /// past the caller's cursor. The wait itself holds no lock — each
-    /// tick re-reads the freshest engine.
-    async fn snapshot_for(&self, query: &QueryRequest) -> (Arc<Engine>, Option<CachedResponse>) {
-        let QueryRequest::Live {
-            after_slot,
-            after_id,
-            limit,
-            wait_ms,
-        } = query
-        else {
-            return (self.snapshot(), None);
-        };
-        let registry = &self.registry;
-        registry.counter(names::QUERY_LIVE_REQUESTS).inc();
-        if *wait_ms > 0 {
-            registry.counter(names::QUERY_LIVE_LONG_POLLS).inc();
-            let waited = Instant::now();
-            let deadline = Duration::from_millis(*wait_ms);
-            while self.engine.read().live_rows_after(*after_slot, after_id) == 0
-                && waited.elapsed() < deadline
-            {
-                tokio::time::sleep(LONG_POLL_TICK).await;
-            }
-            registry
-                .histogram(names::QUERY_LIVE_WAIT_SECONDS)
-                .observe(waited.elapsed().as_secs_f64());
-        }
-        let engine = self.snapshot();
-        let rows = engine.live_rows_after(*after_slot, after_id).min(*limit);
-        if rows > 0 {
-            registry.counter(names::QUERY_LIVE_ROWS).add(rows as u64);
-        }
-        (engine, None)
+    fn health_fields(&self) -> (String, String) {
+        (self.shard_field(), String::new())
     }
 
-    /// Also reports whether the served index covers the whole store.
+    /// Also reports whether the served index covers its whole scope.
     async fn ready(&self, engine: &Arc<Engine>) -> (bool, String) {
         let complete = engine.index().coverage.complete();
-        (true, format!(",\"complete\":{complete}"))
+        (
+            true,
+            format!("{},\"complete\":{complete}", self.shard_field()),
+        )
     }
 }
 
 /// The query service: open once, serve many, reload on demand.
 #[derive(Clone)]
 pub struct QueryService {
-    serving: Arc<Serving<LocalEngine>>,
+    serving: Arc<Serving<EngineBackend>>,
+    store_dir: PathBuf,
 }
 
 impl QueryService {
     /// Open the store, load or build the index, and make the service
     /// ready to serve. Metrics land in `registry`.
-    pub fn open(config: QueryServiceConfig, registry: Registry) -> std::io::Result<QueryService> {
+    pub fn open(config: QueryServiceConfig, registry: Registry) -> io::Result<QueryService> {
         let store = BundleStore::open(&config.store_dir)?;
         let scope = IndexScope::whole(&store);
-        let index = bring_up(&store, &scope, None, &config.query, &registry)?;
-        let max_in_flight = config.max_in_flight;
-        let backend = LocalEngine {
-            config,
-            engine: RwLock::new(Arc::new(Engine::new(Arc::new(index)))),
-            registry: registry.clone(),
-        };
+        let backend = EngineBackend::open(&store, &scope, None, config.query, &registry)?;
         Ok(QueryService {
-            serving: Serving::new(backend, max_in_flight, registry),
+            serving: Serving::public(backend, config.max_in_flight, registry),
+            store_dir: config.store_dir,
         })
     }
 
@@ -161,36 +196,20 @@ impl QueryService {
     }
 
     /// Re-check the manifest; when its generation changed, bring the
-    /// index to it and swap the new engine in atomically. Returns `true`
-    /// when a new generation went live. In-flight requests keep the
-    /// engine snapshot they already took.
+    /// index to it and swap the new engine in atomically
+    /// ([`EngineBackend::install`]). Returns `true` when a new generation
+    /// went live.
     ///
     /// Stale-while-revalidate: a failed reload leaves the last good
     /// engine serving and flips `/readyz` to 503 until a later reload
     /// succeeds. The error is still returned for the caller to log.
-    pub fn reload(&self) -> std::io::Result<bool> {
-        self.serving.track(self.reload_inner())
-    }
-
-    fn reload_inner(&self) -> std::io::Result<bool> {
-        let local = &self.serving.backend;
+    pub fn reload(&self) -> io::Result<bool> {
         // One snapshot: the generation compared is the one folded to.
-        let store = BundleStore::open(&local.config.store_dir)?;
-        // Same generation (including a no-op manifest touch): nothing to
-        // do, and crucially the response cache — whose keys are
-        // generation-prefixed — keeps every warm entry.
-        let live = local.snapshot();
-        if live.generation() == store.generation() {
-            return Ok(false);
-        }
-        // Fold forward from the index already in memory — the common
-        // seal-only case scans just the new segments.
-        let scope = IndexScope::whole(&store);
-        let (config, registry) = (&local.config.query, &local.registry);
-        let index = bring_up(&store, &scope, Some(live.index()), config, registry)?;
-        *local.engine.write() = Arc::new(Engine::new(Arc::new(index)));
-        registry.counter(names::QUERY_RELOADS).inc();
-        Ok(true)
+        let reloaded = BundleStore::open(&self.store_dir).and_then(|store| {
+            let scope = IndexScope::whole(&store);
+            self.serving.backend.install(&store, &scope)
+        });
+        self.serving.track(reloaded)
     }
 
     /// The API router (plus the probes and `GET /metrics`).

@@ -17,9 +17,9 @@ use sandwich_obs::Registry;
 use sandwich_query::QueryConfig;
 use sandwich_store::BundleStore;
 
-use crate::map::ShardMap;
+use crate::map::{ShardMap, SHARD_INDEX_PREFIX};
 use crate::router::{RouterConfig, RouterService};
-use crate::shard::{index_file_under, ShardConfig, ShardService, SHARD_INDEX_PREFIX};
+use crate::shard::{ShardConfig, ShardService};
 
 /// Tunables for one serving cluster.
 #[derive(Clone, Debug)]
@@ -69,15 +69,14 @@ pub struct ServingCluster {
 /// (left behind by rebalances and shard-count changes). Best-effort: a
 /// failure to remove is ignored, a stale file only costs disk.
 fn gc_stale_shard_indexes(map: &ShardMap) {
-    let expected: std::collections::BTreeSet<String> = (0..map.shard_count())
-        .flat_map(|shard| index_file_under(shard, map))
-        .collect();
+    let expected: std::collections::BTreeSet<&str> =
+        map.shards.iter().map(|scope| scope.file.as_str()).collect();
     let Ok(entries) = std::fs::read_dir(map.store().dir()) else {
         return;
     };
     for entry in entries.flatten() {
         let name = entry.file_name().to_string_lossy().to_string();
-        if name.starts_with(SHARD_INDEX_PREFIX) && !expected.contains(&name) {
+        if name.starts_with(SHARD_INDEX_PREFIX) && !expected.contains(name.as_str()) {
             let _ = std::fs::remove_file(entry.path());
         }
     }

@@ -5,19 +5,19 @@
 //! and serves them behind a scatter-gather router:
 //!
 //! - [`map`] — the [`ShardMap`]: the store snapshot it was planned from
-//!   and an assignment of its every manifest segment to exactly one shard,
-//!   by slot order and balanced by bundle count, on every open and reload
-//!   — never persisted.
-//! - [`shard`] — [`ShardService`], the shard-partial backend of the
-//!   `sandwich_query::serve` skeleton: one engine per shard, brought up
-//!   the `sandwich_query::ladder` over the shard's slice of the manifest
-//!   and persisted per-shard.
+//!   and one `sandwich_query::IndexScope` of it per shard — every manifest
+//!   segment in exactly one, by slot order and balanced by bundle count —
+//!   planned on every open and reload, never persisted.
+//! - [`shard`] — [`ShardService`]: `sandwich_query::EngineBackend`, the
+//!   engine backend `queryd` runs, over the shard's scope and on the
+//!   skeleton's shard face, persisted per shard.
 //! - [`router`] — [`RouterService`], the skeleton's scatter-gather
 //!   backend: fans `/api/*` out to the shards as `/shard/*`, checks each
-//!   answer's `x-query-generation` against the pinned generation, decodes
-//!   the partials and answers with `sandwich_query::answer` — the path
-//!   `queryd` answers its own engine's one partial with — and aggregates
-//!   `/readyz` (degraded-but-serving while at least one shard is ready).
+//!   answer's `x-query-generation` against the pinned generation and
+//!   decodes the partials, which the skeleton answers with
+//!   `sandwich_query::answer` — the path `queryd` answers its own engine's
+//!   one partial with — and aggregates `/readyz` (degraded-but-serving
+//!   while at least one shard is ready).
 //! - [`cluster`] — single-process assembly: N shard listeners plus the
 //!   router over real sockets, so multi-node is a config change, not a
 //!   rewrite.
@@ -34,6 +34,6 @@ pub mod shard;
 pub use sandwich_query::partial as merge;
 
 pub use cluster::{ClusterConfig, ServingCluster};
-pub use map::{ShardMap, ShardSpec};
+pub use map::{shard_index_file, ShardMap, SHARD_INDEX_PREFIX};
 pub use router::{RouterConfig, RouterService};
-pub use shard::{shard_index_file, ShardConfig, ShardService, SHARD_INDEX_PREFIX};
+pub use shard::{ShardConfig, ShardService};

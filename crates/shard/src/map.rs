@@ -10,36 +10,39 @@
 //!
 //! The map is never persisted: every open and every reload plans it
 //! afresh from one store snapshot, which it keeps ([`ShardMap::store`])
-//! and every shard is brought up from. What persists is each shard's
-//! index, under a file name carrying its [`ShardMap::fingerprint`].
+//! and every shard is brought up from. A shard's slice is an
+//! [`IndexScope`] of that snapshot — indices into its manifest, and the
+//! file the shard's index persists under, named by [`shard_index_file`]
+//! with a fingerprint of the slice's segment names.
 
 use std::io;
 
+use sandwich_query::IndexScope;
 use sandwich_store::{fnv1a64, BundleStore, SegmentMeta};
 
-/// One shard's slice of the manifest.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ShardSpec {
-    /// Serving segment file names owned by this shard, slot order.
-    pub segments: Vec<String>,
-    /// Quarantined segment file names accounted to this shard.
-    pub quarantined: Vec<String>,
-    /// Lowest slot this shard serves (0 when empty).
-    pub min_slot: u64,
+/// File name of one shard's persisted index: qualified by shard id, shard
+/// count, and the assignment fingerprint so a re-plan never aliases a
+/// stale index (the generation inside the frame is still checked on load).
+pub fn shard_index_file(shard: usize, shards: usize, fingerprint: &str) -> String {
+    format!("query-index.shard-{shard}of{shards}-{fingerprint}.bin")
 }
+
+/// Leading file-name prefix of every per-shard index (for garbage
+/// collection of stale fingerprints).
+pub const SHARD_INDEX_PREFIX: &str = "query-index.shard-";
 
 /// The complete assignment for one store snapshot.
 #[derive(Clone, Debug)]
 pub struct ShardMap {
     /// The snapshot this map partitions.
     store: BundleStore,
-    /// One spec per shard; every manifest entry appears in exactly one.
-    pub shards: Vec<ShardSpec>,
+    /// One scope per shard; every manifest entry appears in exactly one.
+    pub shards: Vec<IndexScope>,
 }
 
 /// Slot-order sort key shared by planning and quarantine assignment.
-fn slot_key(meta: &SegmentMeta) -> (u64, u64, String) {
-    (meta.min_slot, meta.max_slot, meta.file.clone())
+fn slot_key(meta: &SegmentMeta) -> (u64, u64, &str) {
+    (meta.min_slot, meta.max_slot, &meta.file)
 }
 
 impl ShardMap {
@@ -47,17 +50,20 @@ impl ShardMap {
     /// Deterministic: depends only on the manifest contents.
     pub fn plan(store: BundleStore, shards: usize) -> ShardMap {
         let n = shards.max(1);
-        let mut specs = vec![ShardSpec::default(); n];
         let manifest = store.manifest();
+        let (segments, quarantined) = (&manifest.segments, manifest.quarantined());
+        // Per shard, in slot order: its segments, its quarantined entries,
+        // and the slot its range starts at (meaningful once it has one).
+        let mut owned = vec![(Vec::new(), Vec::new(), 0u64); n];
 
-        let mut serving: Vec<&SegmentMeta> = manifest.segments.iter().collect();
-        serving.sort_by_key(|m| slot_key(m));
-        let total: u64 = serving.iter().map(|m| m.bundles).sum();
+        let mut by_slot: Vec<usize> = (0..segments.len()).collect();
+        by_slot.sort_by_key(|&i| slot_key(&segments[i]));
+        let total: u64 = segments.iter().map(|m| m.bundles).sum();
         let mut cum = 0u64;
         let mut shard = 0usize;
-        for (i, meta) in serving.iter().enumerate() {
+        for (rank, &i) in by_slot.iter().enumerate() {
             if total == 0 {
-                shard = i % n;
+                shard = rank % n;
             } else {
                 // Advance while this shard has met its pro-rata quota of
                 // the total bundle count; contiguity in slot order is
@@ -66,35 +72,52 @@ impl ShardMap {
                     shard += 1;
                 }
             }
-            let spec = &mut specs[shard];
+            let (mine, _, min_slot) = &mut owned[shard];
             // Slot order: a shard's first segment starts its range.
-            if spec.segments.is_empty() {
-                spec.min_slot = meta.min_slot;
+            if mine.is_empty() {
+                *min_slot = segments[i].min_slot;
             }
-            spec.segments.push(meta.file.clone());
-            cum += meta.bundles;
+            mine.push(i);
+            cum += segments[i].bundles;
         }
 
         // Quarantined segments: owned by the last shard whose range
         // starts at or before them (slot affinity), shard 0 otherwise.
-        let mut quarantined: Vec<&sandwich_store::QuarantinedSegment> =
-            manifest.quarantined().iter().collect();
-        quarantined.sort_by_key(|q| slot_key(&q.meta));
-        for q in quarantined {
-            let owner = specs
+        let mut by_slot: Vec<usize> = (0..quarantined.len()).collect();
+        by_slot.sort_by_key(|&q| slot_key(&quarantined[q].meta));
+        for q in by_slot {
+            let meta = &quarantined[q].meta;
+            let owner = owned
                 .iter()
-                .enumerate()
-                .filter(|(_, s)| !s.segments.is_empty() && s.min_slot <= q.meta.min_slot)
-                .map(|(i, _)| i)
-                .next_back()
+                .rposition(|(mine, _, min_slot)| !mine.is_empty() && *min_slot <= meta.min_slot)
                 .unwrap_or(0);
-            specs[owner].quarantined.push(q.meta.file.clone());
+            owned[owner].1.push(q);
         }
 
-        ShardMap {
-            store,
-            shards: specs,
-        }
+        let shards = owned
+            .into_iter()
+            .enumerate()
+            .map(|(shard, (mut mine, mut isolated, _))| {
+                // The fingerprint reads the names in slot order.
+                let mut names = Vec::new();
+                let files = mine.iter().map(|&i| &segments[i].file);
+                for file in files.chain(isolated.iter().map(|&q| &quarantined[q].meta.file)) {
+                    names.extend_from_slice(file.as_bytes());
+                    names.push(b'\n');
+                }
+                let fingerprint = format!("{:016x}", fnv1a64(&names));
+                // Scanned in manifest order, so a shard folds its partials
+                // in the order an unsharded scan would within its slice.
+                mine.sort_unstable();
+                isolated.sort_unstable();
+                IndexScope {
+                    segments: mine,
+                    quarantined: isolated,
+                    file: shard_index_file(shard, n, &fingerprint),
+                }
+            })
+            .collect();
+        ShardMap { store, shards }
     }
 
     /// The store snapshot this map was planned from.
@@ -107,63 +130,13 @@ impl ShardMap {
         self.shards.len()
     }
 
-    /// One shard's spec, or an `InvalidInput` error naming shard and count.
-    fn spec(&self, shard: usize) -> io::Result<&ShardSpec> {
+    /// One shard's scope, or an `InvalidInput` error naming shard and count.
+    pub fn scope(&self, shard: usize) -> io::Result<&IndexScope> {
         self.shards.get(shard).ok_or_else(|| {
             let count = self.shard_count();
             let message = format!("shard {shard} is out of range for a map of {count} shards");
             io::Error::new(io::ErrorKind::InvalidInput, message)
         })
-    }
-
-    /// A 16-hex FNV-1a 64 fingerprint of one shard's assignment — embedded
-    /// in the shard's persisted index file name so a re-plan (different
-    /// shard count, rebalanced layout) can never alias a stale index.
-    pub fn fingerprint(&self, shard: usize) -> io::Result<String> {
-        let spec = self.spec(shard)?;
-        let mut bytes = Vec::new();
-        for file in spec.segments.iter().chain(&spec.quarantined) {
-            bytes.extend_from_slice(file.as_bytes());
-            bytes.push(b'\n');
-        }
-        Ok(format!("{:016x}", fnv1a64(&bytes)))
-    }
-
-    /// Resolve one shard's file names back to indices into the snapshot's
-    /// `segments` / `quarantined()`. Fails with `InvalidData` when the
-    /// map names a file the manifest does not list.
-    pub fn resolve(&self, shard: usize) -> io::Result<(Vec<usize>, Vec<usize>)> {
-        let missing = |file: &str| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("stale shard map: {file} is not in the manifest"),
-            )
-        };
-        let spec = self.spec(shard)?;
-        let manifest = self.store.manifest();
-        let mut serving = Vec::with_capacity(spec.segments.len());
-        for file in &spec.segments {
-            let i = manifest
-                .segments
-                .iter()
-                .position(|m| &m.file == file)
-                .ok_or_else(|| missing(file))?;
-            serving.push(i);
-        }
-        // Serve in manifest order so per-shard scans fold partials in the
-        // same order an unsharded scan would within this slice.
-        serving.sort_unstable();
-        let mut quarantined = Vec::with_capacity(spec.quarantined.len());
-        for file in &spec.quarantined {
-            let i = manifest
-                .quarantined()
-                .iter()
-                .position(|q| &q.meta.file == file)
-                .ok_or_else(|| missing(file))?;
-            quarantined.push(i);
-        }
-        quarantined.sort_unstable();
-        Ok((serving, quarantined))
     }
 }
 
@@ -199,7 +172,7 @@ mod tests {
         for n in [1, 2, 3, 4, 8, 16] {
             let map = ShardMap::plan(store.clone(), n);
             assert_eq!(map.shard_count(), n);
-            let mut seen: Vec<&String> = map.shards.iter().flat_map(|s| &s.segments).collect();
+            let mut seen: Vec<usize> = map.shards.iter().flat_map(|s| s.segments.clone()).collect();
             seen.sort();
             seen.dedup();
             assert_eq!(seen.len(), 10, "n={n}: every segment exactly once");
@@ -207,8 +180,12 @@ mod tests {
             let mins: Vec<u64> = map
                 .shards
                 .iter()
-                .filter(|s| !s.segments.is_empty())
-                .map(|s| s.min_slot)
+                .filter_map(|s| {
+                    s.segments
+                        .iter()
+                        .map(|&i| store.segments()[i].min_slot)
+                        .min()
+                })
                 .collect();
             let mut sorted = mins.clone();
             sorted.sort_unstable();
@@ -218,30 +195,23 @@ mod tests {
     }
 
     #[test]
-    fn resolve_maps_names_back_to_manifest_indices() {
-        let store = seed_store("resolve", 6, 4);
+    fn plan_scopes_are_indices_into_the_snapshot() {
+        let store = seed_store("scopes", 6, 4);
         let map = ShardMap::plan(store.clone(), 3);
         let mut all: Vec<usize> = Vec::new();
-        for shard in 0..3 {
-            let (serving, quarantined) = map.resolve(shard).unwrap();
-            assert!(quarantined.is_empty());
-            all.extend(serving);
+        for scope in &map.shards {
+            assert!(scope.quarantined.is_empty());
+            assert!(scope.segments.is_sorted(), "manifest order: {scope:?}");
+            all.extend(&scope.segments);
         }
         all.sort_unstable();
         assert_eq!(all, (0..6).collect::<Vec<_>>());
 
-        let mut stale = map.clone();
-        stale.shards[1].segments.push("gone.seg".to_string());
-        let error = stale.resolve(1).unwrap_err();
-        assert_eq!(error.kind(), std::io::ErrorKind::InvalidData);
-        assert!(error.to_string().contains("gone.seg"), "{error}");
-
         // A shard the map does not have is the caller's error, not a panic.
-        for error in [map.resolve(3).unwrap_err(), map.fingerprint(3).unwrap_err()] {
-            assert_eq!(error.kind(), std::io::ErrorKind::InvalidInput);
-            assert!(error.to_string().contains("shard 3"), "{error}");
-            assert!(error.to_string().contains("3 shards"), "{error}");
-        }
+        let error = map.scope(3).unwrap_err();
+        assert_eq!(error.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(error.to_string().contains("shard 3"), "{error}");
+        assert!(error.to_string().contains("3 shards"), "{error}");
         std::fs::remove_dir_all(store.dir()).unwrap();
     }
 
@@ -250,10 +220,10 @@ mod tests {
         let store = seed_store("fp", 8, 4);
         let two = ShardMap::plan(store.clone(), 2);
         let four = ShardMap::plan(store.clone(), 4);
-        assert_ne!(two.fingerprint(0).unwrap(), four.fingerprint(0).unwrap());
+        assert_ne!(two.shards[0].file, four.shards[0].file);
         assert_eq!(
-            two.fingerprint(0).unwrap(),
-            ShardMap::plan(store.clone(), 2).fingerprint(0).unwrap()
+            two.shards[0].file,
+            ShardMap::plan(store.clone(), 2).shards[0].file
         );
         std::fs::remove_dir_all(store.dir()).unwrap();
     }

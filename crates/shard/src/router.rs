@@ -3,12 +3,14 @@
 //!
 //! The router is the only public face of a sharded deployment: it serves
 //! the exact `/api/*` surface `queryd` does, through the same skeleton
-//! and the same `QueryRequest` parser, fans each cache miss out to every
-//! shard as `/shard/` plus the request's canonical path over real
-//! sockets, decodes the partials, and answers with `sandwich_query::answer`
-//! — the function `queryd` answers its own engine's one partial with. That
-//! one answer path is what makes responses byte-identical at every shard
-//! count.
+//! and the same `QueryRequest` parser. Its backend's one job is to gather
+//! a request's partials: fan each cache miss (or long-poll probe) out to
+//! every shard as `/shard/` plus the request's canonical path over real
+//! sockets and decode the answers. The skeleton answers from them with
+//! `sandwich_query::answer` — the function `queryd` answers its own
+//! engine's one partial with — and runs the `/api/live` long-poll the same
+//! way for both. That one answer path is what makes responses
+//! byte-identical at every shard count.
 //!
 //! Consistency: the router pins a generation per request and reads each
 //! shard's from the `x-query-generation` header the shard's skeleton
@@ -27,12 +29,7 @@ use parking_lot::RwLock;
 use sandwich_net::{HttpClient, PoolStats, Router};
 use sandwich_obs::{names, Registry};
 use sandwich_query::render::error_response;
-use sandwich_query::{answer, Backend, CachedResponse, Partial, QueryRequest, Serving};
-
-/// How often a router long-poll re-fans out looking for rows past the
-/// cursor (coarser than the single-engine tick: each probe costs a
-/// scatter-gather).
-const LONG_POLL_TICK: Duration = Duration::from_millis(25);
+use sandwich_query::{Backend, Gathered, Partial, QueryRequest, Serving};
 
 /// Tunables for the scatter-gather router.
 #[derive(Clone, Debug)]
@@ -49,7 +46,7 @@ impl Default for RouterConfig {
     }
 }
 
-/// The scatter-gather backend: answers are merged shard partials.
+/// The scatter-gather backend: a request's partials are its shards'.
 struct ScatterGather {
     shards: Vec<HttpClient>,
     generation: RwLock<String>,
@@ -77,7 +74,7 @@ impl RouterService {
             registry: registry.clone(),
         };
         RouterService {
-            serving: Serving::new(backend, config.max_in_flight, registry),
+            serving: Serving::public(backend, config.max_in_flight, registry),
         }
     }
 
@@ -98,18 +95,24 @@ impl RouterService {
     }
 }
 
-impl ScatterGather {
+impl Backend for ScatterGather {
+    type Snapshot = String;
+
+    fn snapshot(&self) -> String {
+        self.generation.read().clone()
+    }
+
+    fn generation(generation: &String) -> &str {
+        generation
+    }
+
     /// Fan `query` out to every shard; all must answer 200 with an
     /// `x-query-generation` header naming `expected` — only then is the
     /// body decoded — and a readable partial, or the whole fan-out fails
     /// with the 503 the client should retry on. Latency, width, and
     /// straggler metrics are recorded either way.
-    async fn fetch(
-        &self,
-        query: &QueryRequest,
-        expected: &str,
-    ) -> Result<Vec<Partial>, CachedResponse> {
-        let registry = &self.registry;
+    async fn partials(&self, expected: &String, query: &QueryRequest) -> Gathered {
+        let (registry, expected) = (&self.registry, expected.as_str());
         let n = self.shards.len();
         registry.counter(names::QUERY_SHARD_FANOUTS).inc();
         registry
@@ -192,88 +195,6 @@ impl ScatterGather {
             ));
         }
         Ok(partials.into_iter().flatten().collect())
-    }
-
-    /// [`answer`] under the `query.shard.merge_seconds` timer (the fan-out
-    /// itself is excluded).
-    fn merged(
-        &self,
-        generation: &str,
-        query: &QueryRequest,
-        parts: Vec<Partial>,
-    ) -> CachedResponse {
-        let started = Instant::now();
-        let response = answer(generation, query, parts);
-        self.registry
-            .histogram(names::QUERY_SHARD_MERGE_SECONDS)
-            .observe(started.elapsed().as_secs_f64());
-        response
-    }
-}
-
-impl Backend for ScatterGather {
-    const PUBLIC: bool = true;
-    type Snapshot = String;
-
-    fn snapshot(&self) -> String {
-        self.generation.read().clone()
-    }
-
-    fn generation(generation: &String) -> &str {
-        generation
-    }
-
-    async fn evaluate(&self, generation: &String, query: &QueryRequest) -> CachedResponse {
-        match self.fetch(query, generation).await {
-            Ok(parts) => self.merged(generation, query, parts),
-            Err(failed) => failed,
-        }
-    }
-
-    /// One generation per request: every shard must answer at it. A live
-    /// long-poll is an uncached bounded retry loop: each probe re-reads
-    /// the router generation (a reload may land mid-wait) and re-fans
-    /// out; the loop answers as soon as a probe carries rows, or with the
-    /// final probe's response at the deadline (including a 503 when the
-    /// fan-out is failing — the client's retry signal).
-    async fn snapshot_for(&self, query: &QueryRequest) -> (String, Option<CachedResponse>) {
-        let QueryRequest::Live { limit, wait_ms, .. } = query else {
-            return (self.snapshot(), None);
-        };
-        let registry = &self.registry;
-        registry.counter(names::QUERY_LIVE_REQUESTS).inc();
-        if *wait_ms == 0 {
-            return (self.snapshot(), None);
-        }
-        registry.counter(names::QUERY_LIVE_LONG_POLLS).inc();
-        let waited = Instant::now();
-        let deadline = Duration::from_millis(*wait_ms);
-        loop {
-            let generation = self.snapshot();
-            let fetched = self.fetch(query, &generation).await;
-            // The page carries `min(limit, sum of post-cursor totals)` rows.
-            let rows = fetched.as_ref().map_or(0, |parts| {
-                let after = parts.iter().map(|part| match part {
-                    Partial::Live(live) => live.total_after as usize,
-                    _ => 0,
-                });
-                after.sum::<usize>().min(*limit)
-            });
-            if rows > 0 || waited.elapsed() >= deadline {
-                let response = match fetched {
-                    Ok(parts) => self.merged(&generation, query, parts),
-                    Err(failed) => failed,
-                };
-                if rows > 0 {
-                    registry.counter(names::QUERY_LIVE_ROWS).add(rows as u64);
-                }
-                registry
-                    .histogram(names::QUERY_LIVE_WAIT_SECONDS)
-                    .observe(waited.elapsed().as_secs_f64());
-                return (generation, Some(response));
-            }
-            tokio::time::sleep(LONG_POLL_TICK).await;
-        }
     }
 
     /// Liveness of the router itself — never fans out.

@@ -56,8 +56,10 @@ cargo build --offline --release --workspace
 #   degraded shards, rebalance under a live router, pinned probe bodies of
 #   all three services, a shard at another generation or with a malformed
 #   partial fails the fan-out closed, a shard words every malformed request
-#   like the service. The canonical path a shard is asked with parses back
-#   to its request (sandwich-query's unit proptest).
+#   like the service, queryd and the router long-poll /api/live alike
+#   (same bytes, same query.live.* counts across a mid-wait seal). The
+#   canonical path a shard is asked with parses back to its request
+#   (sandwich-query's unit proptest).
 # - conformance: detector and attribution scored exactly 1.0 against the
 #   sim's labels, every criterion load-bearing, every fuzzer family
 #   rejected, the scorecard deterministic per seed.
@@ -141,6 +143,29 @@ shard_renders=$(find crates/shard/src -name '*.rs' | sort | xargs awk '
 if [ -n "$second_language" ] || [ -n "$shard_renders" ]; then
   echo "a second query language or a second renderer is back; use QueryRequest and sandwich_query::answer:" >&2
   printf '%s\n' "$second_language" "$shard_renders" | grep . >&2
+  exit 1
+fi
+
+# One long-poll. A backend only gathers the partials a request is answered
+# from; the serving skeleton (crates/query/src/serve.rs) answers and runs
+# the /api/live long-poll for every public face. So the per-backend hooks
+# that wrote it twice were deleted, not bypassed: no non-test Rust source
+# under crates/ (each file cut at its first #[cfg(test)], integration-test
+# directories left out) names snapshot_for or live_rows_after, the one
+# tick LONG_POLL_TICK lives in serve.rs alone, and the long-poll counter
+# QUERY_LIVE_LONG_POLLS is recorded there alone (names.rs declares it).
+echo "==> one long-poll (no snapshot_for / live_rows_after; tick and counter only in serve.rs)"
+second_poll=$(find crates -name '*.rs' -not -path '*/tests/*' | sort | xargs awk '
+  FNR == 1 { test = 0 }
+  /^[[:space:]]*#\[cfg\(test\)\]/ { test = 1 }
+  test { next }
+  /snapshot_for|live_rows_after/ { print FILENAME ":" FNR ": " $0; next }
+  FILENAME == "crates/query/src/serve.rs" { next }
+  /LONG_POLL_TICK/ { print FILENAME ":" FNR ": " $0; next }
+  /QUERY_LIVE_LONG_POLLS/ && FILENAME != "crates/obs/src/names.rs" { print FILENAME ":" FNR ": " $0 }')
+if [ -n "$second_poll" ]; then
+  echo "a second long-poll is back; the serving skeleton waits for every face:" >&2
+  printf '%s\n' "$second_poll" >&2
   exit 1
 fi
 

@@ -186,9 +186,10 @@ async fn collector_degrades_gracefully_under_rate_limit() {
         },
     );
     let clock = SlotClock::default();
+    let now = clock.unix_ms(Slot(20));
     let mut failures = 0;
     for i in 0..6u64 {
-        if collector.poll_bundles(&clock, 0, i).await.is_err() {
+        if collector.poll_bundles(&clock, 0, now + i).await.is_err() {
             failures += 1;
         }
     }

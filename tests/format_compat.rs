@@ -21,7 +21,7 @@ use sandwich_query::{
     build_index, build_index_subset, load_index_any, IndexReject, QueryConfig, QueryIndex,
     QueryService, QueryServiceConfig, INDEX_FILE,
 };
-use sandwich_shard::{shard_index_file, ShardConfig, ShardMap, ShardService};
+use sandwich_shard::{ShardConfig, ShardMap, ShardService};
 use sandwich_store::codec::SegmentData;
 use sandwich_store::doctor::{self, SegmentHealth};
 use sandwich_store::records::{CollectedBundle, CollectedDetail};
@@ -273,13 +273,13 @@ fn a_pre_binary_index_frame_is_rejected_once_and_rewritten() {
     let store = BundleStore::open(&dir).unwrap();
     let config = QueryConfig::default();
     let map = ShardMap::plan(store.clone(), 2);
-    let (serving, quarantined) = map.resolve(0).unwrap();
-    let shard_file = shard_index_file(0, 2, &map.fingerprint(0).unwrap());
+    let scope = &map.shards[0];
+    let shard_file = scope.file.clone();
     let old_frames = [
         (INDEX_FILE, build_index(&store, &config).unwrap()),
         (
             shard_file.as_str(),
-            build_index_subset(&store, &config, &serving, &quarantined).unwrap(),
+            build_index_subset(&store, &config, &scope.segments, &scope.quarantined).unwrap(),
         ),
     ];
     for (file, index) in &old_frames {

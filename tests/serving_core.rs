@@ -20,6 +20,9 @@
 //!    snapshot.
 //! 6. One query language: a shard and the service answer every malformed
 //!    request with the same 400.
+//! 7. One long-poll: `queryd` and the router wait on `/api/live` alike,
+//!    answer a seal that lands mid-wait with the same bytes and count it
+//!    with the same `query.live.*` metrics.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -695,5 +698,86 @@ async fn a_shard_and_the_service_word_every_malformed_request_alike() {
 
     service_server.shutdown().await;
     shard_server.shutdown().await;
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The opaque cursor of an `/api/live` page.
+fn live_cursor(body: &[u8]) -> String {
+    let text = String::from_utf8_lossy(body);
+    let (_, rest) = text.split_once("\"cursor\":\"").expect("a live page");
+    rest.split('"').next().unwrap().to_string()
+}
+
+#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
+async fn every_face_long_polls_alike() {
+    // `queryd` and a 2-shard cluster over one store, each recording into
+    // its own registry.
+    let dir = seed_store("long-poll", 3);
+    let (single_registry, cluster_registry) = (Registry::new(), Registry::new());
+    let single =
+        QueryService::open(QueryServiceConfig::new(&dir), single_registry.clone()).unwrap();
+    let single_server = Server::bind("127.0.0.1:0", single.router()).await.unwrap();
+    let cluster = ServingCluster::serve(ClusterConfig::new(&dir, 2), cluster_registry.clone())
+        .await
+        .unwrap();
+    let faces = [
+        HttpClient::new(single_server.local_addr()),
+        HttpClient::new(cluster.router_addr()),
+    ];
+
+    // Both faces page-poll to the same tail cursor.
+    let mut tails = Vec::new();
+    for face in &faces {
+        let page = face.get("/api/live?limit=500").await.unwrap();
+        assert_eq!(page.status, 200);
+        tails.push(page.body);
+    }
+    assert_eq!(tails[0], tails[1], "one page at one generation");
+    let cursor = live_cursor(&tails[0]);
+
+    // Both long-poll from it; a seal and a reload of each land mid-wait.
+    let path = format!("/api/live?cursor={cursor}&limit=10&wait_ms=2000");
+    let polls: Vec<_> = faces
+        .iter()
+        .map(|face| {
+            let (face, path) = (face.clone(), path.clone());
+            tokio::spawn(async move { face.get(&path).await.unwrap() })
+        })
+        .collect();
+    tokio::time::sleep(std::time::Duration::from_millis(300)).await;
+    seal_one_sandwich(&dir, 3);
+    assert!(single.reload().unwrap());
+    assert!(cluster.reload().unwrap());
+    let mut answers = Vec::new();
+    for poll in polls {
+        answers.push(poll.await.unwrap());
+    }
+
+    let planted = format!("\"slot\":{}", 3 * 1_000 + 40);
+    for answer in &answers {
+        assert_eq!(answer.status, 200);
+        let body = String::from_utf8_lossy(&answer.body).to_string();
+        assert!(body.contains(&planted), "the sealed row: {body}");
+        assert_eq!(
+            answer.header_value("x-query-generation"),
+            Some(single.generation().as_str())
+        );
+    }
+    assert_eq!(
+        answers[0].body, answers[1].body,
+        "byte-identical long-polls"
+    );
+
+    // One long-poll each, counted alike: the page-polls wait for nothing
+    // and stream nothing the metrics count.
+    for registry in [&single_registry, &cluster_registry] {
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter(names::QUERY_LIVE_LONG_POLLS), Some(1));
+        assert_eq!(snap.counter(names::QUERY_LIVE_REQUESTS), Some(2));
+        assert_eq!(snap.counter(names::QUERY_LIVE_ROWS), Some(1));
+    }
+
+    single_server.shutdown().await;
+    cluster.shutdown().await;
     std::fs::remove_dir_all(&dir).unwrap();
 }
