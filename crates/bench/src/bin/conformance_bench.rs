@@ -8,10 +8,11 @@
 //! by `tests/conformance.rs` at tiny scale) and writes the scorecard to
 //! `$SANDWICH_BENCH_OUT` (default `results/BENCH_conformance.json`).
 //!
-//! Knobs: `SANDWICH_DAYS` (default 8) and `SANDWICH_SEED` as for the figure
-//! binaries, `SANDWICH_FUZZ_CASES` (cases per fuzzer family, default 50).
+//! Knobs: `SANDWICH_DAYS` (default 8), `SANDWICH_SCALE` and `SANDWICH_SEED`
+//! as for `paper`, `SANDWICH_FUZZ_CASES` (cases per fuzzer family, default
+//! 50).
 
-use sandwich_bench::{env_or, write_snapshot};
+use sandwich_bench::{env_or, run_pipeline, write_snapshot, FigureRun};
 use sandwich_core::{
     ablation_grid, defensive_confusion, detect, detect_in_bundle, score, AblationRow,
     AnalysisConfig, Conformance, ConfusionMatrix, DetectorConfig,
@@ -50,24 +51,9 @@ struct Snapshot {
 }
 
 fn run_lab(scenario: &sandwich_sim::ScenarioConfig) -> Lab {
-    let mut sim = sandwich_sim::Simulation::new(scenario.clone());
-    let pipeline = sandwich_core::PipelineConfig {
-        collector: sandwich_core::CollectorConfig {
-            page_limit: sandwich_core::scaled_page_limit(scenario, 1),
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let runtime = tokio::runtime::Builder::new_multi_thread()
-        .worker_threads(2)
-        .enable_all()
-        .build()
-        .unwrap();
-    let run = runtime
-        .block_on(sandwich_core::run_measurement(&mut sim, pipeline))
-        .unwrap();
+    let FigureRun { sim, run, report } =
+        run_pipeline(scenario.clone(), sandwich_core::PipelineConfig::default());
     let paper = AnalysisConfig::paper_defaults(scenario.days);
-    let report = run.analyze(&paper);
     let labels = sim.labels();
     let conformance = score(&report, labels);
 
@@ -156,9 +142,8 @@ fn run_fuzzer(seed: u64) -> Fuzzer {
 
 fn main() {
     let scenario = sandwich_sim::ScenarioConfig {
-        days: env_or("SANDWICH_DAYS", 8),
         downtime_days: vec![],
-        ..sandwich_bench::figure_scenario()
+        ..sandwich_bench::figure_scenario(8)
     };
     println!(
         "conformance_bench: {} days, seed {}",

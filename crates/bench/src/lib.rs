@@ -1,47 +1,39 @@
-//! Shared harness for the figure/table regeneration binaries, the
-//! `scale_gen` corpus generator and the three `*_bench` snapshot writers.
+//! The paper's text outputs (the `paper` binary), the `scale_gen` corpus
+//! generator and the three `*_bench` snapshot writers.
 //!
-//! Every binary runs the same full measurement pipeline (simulated chain →
-//! explorer HTTP API → collector → analysis) at a configurable scale, then
-//! prints its figure. Scale and length are overridable via environment
+//! Every paper output reads a run of the same full measurement pipeline
+//! (simulated chain → explorer HTTP API → collector → segment store →
+//! analysis); [`paper`] groups the outputs by the scenario they read, so each
+//! scenario runs once. Scale and length are overridable via environment
 //! variables so the default stays laptop-friendly:
 //!
-//! * `SANDWICH_DAYS`  — days to simulate (default 120, the paper's period)
-//! * `SANDWICH_SCALE` — denominator of the volume scale (default 4000,
-//!   i.e. 1/4000 of mainnet's 14.8M bundles/day)
+//! * `SANDWICH_DAYS`  — days to simulate (default 120, the paper's period,
+//!   for the figures; 15 or 5 for the shorter groups, see [`paper`])
+//! * `SANDWICH_SCALE` — denominator of the volume scale, a positive integer
+//!   (default 4000, i.e. 1/4000 of mainnet's 14.8M bundles/day)
 //! * `SANDWICH_SEED`  — RNG seed (default the paper's start date)
+//!
+//! A variable that is set but does not parse stops the binary ([`env_or`]).
 
+pub mod paper;
 pub mod scale;
 
-use sandwich_core::{
-    AnalysisConfig, AnalysisReport, CollectorConfig, MeasurementRun, PipelineConfig, StoreOptions,
-};
-use sandwich_sim::{DayTruth, ScenarioConfig, Simulation};
-use sandwich_types::SlotClock;
+pub use sandwich_types::env::env_or;
 
-/// Everything a figure binary needs.
+use std::num::NonZeroU64;
+
+use sandwich_core::{AnalysisConfig, AnalysisReport, MeasurementRun, PipelineConfig};
+use sandwich_sim::{ScenarioConfig, Simulation};
+
+/// One finished measurement: the simulator (its scenario, ground truth and
+/// labels), what the collector sealed, and the paper-default analysis of it.
 pub struct FigureRun {
-    /// The scenario that ran.
-    pub scenario: ScenarioConfig,
+    /// The simulator after the run; `sim.config()` is the scenario that ran.
+    pub sim: Simulation,
     /// The collector's output and stats.
     pub run: MeasurementRun,
-    /// The analysis over everything the run sealed.
+    /// The paper-default analysis over everything the run sealed.
     pub report: AnalysisReport,
-    /// Per-day simulator ground truth.
-    pub truth_per_day: Vec<DayTruth>,
-    /// Total ground-truth sandwiches landed.
-    pub truth_sandwiches: u64,
-    /// The shared slot clock.
-    pub clock: SlotClock,
-}
-
-/// An environment knob: `name` parsed as `T`, or `default` when unset or
-/// unparsable.
-pub fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 /// Write a recorder's snapshot as one line of JSON to `$SANDWICH_BENCH_OUT`,
@@ -53,30 +45,28 @@ pub fn write_snapshot<T: serde::Serialize>(name: &str, snapshot: &T) {
     println!("snapshot → {out}");
 }
 
-/// The scenario used by all figure binaries.
-pub fn figure_scenario() -> ScenarioConfig {
-    let days = env_or("SANDWICH_DAYS", 120);
-    let scale_denominator: u64 = env_or("SANDWICH_SCALE", 4_000).max(1);
+/// The paper's scenario at `SANDWICH_DAYS` (default `default_days`),
+/// `SANDWICH_SCALE` and `SANDWICH_SEED`.
+pub fn figure_scenario(default_days: u64) -> ScenarioConfig {
+    let days = env_or("SANDWICH_DAYS", default_days);
+    let scale_denominator = env_or("SANDWICH_SCALE", NonZeroU64::new(4_000).expect("non-zero"));
     let seed = env_or("SANDWICH_SEED", 20_250_209);
     ScenarioConfig {
         days,
         seed,
-        volume_scale: 1.0 / scale_denominator as f64,
+        volume_scale: 1.0 / scale_denominator.get() as f64,
         ..Default::default()
     }
 }
 
-/// Run the full pipeline for the figure scenario.
-pub fn run_figure_pipeline() -> FigureRun {
-    run_pipeline_with(figure_scenario(), None)
-}
-
-/// Run the full pipeline for an explicit scenario, sealing into `store` so
-/// the segments outlive the run (`None`: a scratch directory removed with
-/// the [`FigureRun`]).
-pub fn run_pipeline_with(scenario: ScenarioConfig, store: Option<StoreOptions>) -> FigureRun {
+/// Run the full pipeline over `scenario` and analyze what it sealed. The
+/// collector's page is set to the scenario's scaled equivalent of the
+/// paper's 50 000 (`scaled_page_limit`); everything else comes from
+/// `pipeline`.
+pub fn run_pipeline(scenario: ScenarioConfig, mut pipeline: PipelineConfig) -> FigureRun {
     let days = scenario.days;
     let page_limit = sandwich_core::scaled_page_limit(&scenario, 1);
+    pipeline.collector.page_limit = page_limit;
     eprintln!(
         "[bench] {} days at 1/{:.0} volume (≈{:.0} bundles/day, page limit {page_limit})",
         days,
@@ -84,15 +74,7 @@ pub fn run_pipeline_with(scenario: ScenarioConfig, store: Option<StoreOptions>) 
         scenario.bundles_per_day(),
     );
     let started = std::time::Instant::now();
-    let mut sim = Simulation::new(scenario.clone());
-    let pipeline = PipelineConfig {
-        collector: CollectorConfig {
-            page_limit,
-            ..Default::default()
-        },
-        store,
-        ..Default::default()
-    };
+    let mut sim = Simulation::new(scenario);
     let runtime = tokio::runtime::Builder::new_multi_thread()
         .worker_threads(2)
         .enable_all()
@@ -109,14 +91,5 @@ pub fn run_pipeline_with(scenario: ScenarioConfig, store: Option<StoreOptions>) 
     );
     eprintln!("[bench] metrics {}", run.metrics.to_json_string());
     let report = run.analyze(&AnalysisConfig::paper_defaults(days));
-    let clock = run.clock;
-    let truth = sim.truth();
-    FigureRun {
-        scenario,
-        report,
-        truth_per_day: truth.per_day.clone(),
-        truth_sandwiches: truth.total_sandwiches(),
-        run,
-        clock,
-    }
+    FigureRun { sim, run, report }
 }

@@ -132,7 +132,7 @@ pub fn slippage_counterfactual(
 }
 
 /// The §5 expected-value comparison.
-pub fn defense_economics(report: &AnalysisReport, _oracle: &SolUsdOracle) -> DefenseEconomics {
+pub fn defense_economics(report: &AnalysisReport) -> DefenseEconomics {
     let attack_probability = report.sandwich_fraction();
     let losses: &Cdf = &report.loss_cdf_usd;
     let mean_loss = losses.mean().unwrap_or(0.0);
@@ -249,8 +249,7 @@ mod tests {
     #[test]
     fn economics_ratio_reflects_rarity() {
         let report = report_with_losses(&[20_000_000]);
-        let oracle = SolUsdOracle::default();
-        let econ = defense_economics(&report, &oracle);
+        let econ = defense_economics(&report);
         // Attack probability is findings / bundles = 1/140.
         assert!(econ.attack_probability > 0.0 && econ.attack_probability < 0.01);
         assert!(econ.mean_loss_usd > 0.0);
@@ -266,7 +265,7 @@ mod tests {
         let cf = defensive_counterfactual(&report, Lamports(10_000), &oracle);
         assert_eq!(cf.victims, 0);
         assert_eq!(cf.net_saving_usd, 0.0);
-        let econ = defense_economics(&report, &oracle);
+        let econ = defense_economics(&report);
         assert_eq!(econ.expected_loss_usd, 0.0);
         assert!(econ.cost_to_ev_ratio.is_infinite());
     }

@@ -27,19 +27,14 @@
 use sandwich_obs::Registry;
 use sandwich_query::ladder::follow_seals;
 use sandwich_query::{QueryService, QueryServiceConfig};
-
-fn env_or(key: &str, default: &str) -> String {
-    std::env::var(key).unwrap_or_else(|_| default.to_string())
-}
+use sandwich_types::env::env_or;
 
 fn main() {
-    let store_dir = env_or("SANDWICH_QUERY_STORE", "collector.store");
-    let addr = env_or("SANDWICH_QUERY_ADDR", "127.0.0.1:8080");
-    let threads: usize = env_or("SANDWICH_QUERY_THREADS", "4").parse().unwrap_or(4);
-    let max_in_flight: usize = env_or("SANDWICH_QUERY_MAX_INFLIGHT", "256")
-        .parse()
-        .unwrap_or(256);
-    let once = env_or("SANDWICH_QUERYD_ONCE", "0") == "1";
+    let store_dir = env_or("SANDWICH_QUERY_STORE", String::from("collector.store"));
+    let addr = env_or("SANDWICH_QUERY_ADDR", String::from("127.0.0.1:8080"));
+    let threads: usize = env_or("SANDWICH_QUERY_THREADS", 4);
+    let max_in_flight: usize = env_or("SANDWICH_QUERY_MAX_INFLIGHT", 256);
+    let once = env_or("SANDWICH_QUERYD_ONCE", String::from("0")) == "1";
 
     let mut config = QueryServiceConfig::new(&store_dir);
     config.query.threads = threads;

@@ -30,20 +30,15 @@
 use sandwich_obs::Registry;
 use sandwich_query::ladder::follow_seals;
 use sandwich_shard::{ClusterConfig, ServingCluster};
-
-fn env_or(key: &str, default: &str) -> String {
-    std::env::var(key).unwrap_or_else(|_| default.to_string())
-}
+use sandwich_types::env::env_or;
 
 fn main() {
-    let store_dir = env_or("SANDWICH_SHARD_STORE", "collector.store");
-    let addr = env_or("SANDWICH_SHARD_ADDR", "127.0.0.1:8080");
-    let shards: usize = env_or("SANDWICH_SHARDS", "4").parse().unwrap_or(4);
-    let threads: usize = env_or("SANDWICH_SHARD_THREADS", "4").parse().unwrap_or(4);
-    let max_in_flight: usize = env_or("SANDWICH_SHARD_MAX_INFLIGHT", "256")
-        .parse()
-        .unwrap_or(256);
-    let once = env_or("SANDWICH_SHARDD_ONCE", "0") == "1";
+    let store_dir = env_or("SANDWICH_SHARD_STORE", String::from("collector.store"));
+    let addr = env_or("SANDWICH_SHARD_ADDR", String::from("127.0.0.1:8080"));
+    let shards: usize = env_or("SANDWICH_SHARDS", 4);
+    let threads: usize = env_or("SANDWICH_SHARD_THREADS", 4);
+    let max_in_flight: usize = env_or("SANDWICH_SHARD_MAX_INFLIGHT", 256);
+    let once = env_or("SANDWICH_SHARDD_ONCE", String::from("0")) == "1";
 
     let mut config = ClusterConfig::new(&store_dir, shards);
     config.router_addr = addr.clone();

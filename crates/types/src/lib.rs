@@ -1,12 +1,14 @@
 //! Primitive types shared by every crate in the Jito sandwich-MEV
 //! measurement reproduction: lamport amounts, account addresses, signatures,
-//! slots, and the from-scratch hashing/encoding they rest on.
+//! slots, and the from-scratch hashing/encoding they rest on; plus the
+//! environment-knob parser every binary reads its settings with.
 //!
 //! See the workspace `DESIGN.md` for how these map onto the paper's system.
 
 #![warn(missing_docs)]
 
 pub mod base58;
+pub mod env;
 pub mod hash;
 pub mod lamports;
 pub mod pubkey;

@@ -196,21 +196,28 @@ if [ -n "$unsafe_findings" ]; then
   exit 1
 fi
 
-# The committed paper-facing results must come from this code: a 5-day
-# headline (sim -> explorer -> collector -> store -> scan -> report, ~6 s)
-# is diffed against the copy scripts/regen_results.sh wrote, and so is a
-# 5-day threshold sweep — the figure that reads what was collected through
-# MeasurementRun::walk and not through the report, so it can go to zero
-# while the headline stays put. A change that moves any of those layers
-# fails here until it regenerates results/.
-for figure in headline threshold_sweep; do
-  echo "==> results drift (5-day $figure vs results/${figure}_5d.txt)"
-  SANDWICH_DAYS=5 timeout 420 "target/release/$figure" 2>/dev/null |
-    diff -u "results/${figure}_5d.txt" - || {
-      echo "results/ is older than the code: run scripts/regen_results.sh" >&2
-      exit 1
-    }
-done
+# The committed paper-facing results must come from this code: every output
+# of `paper` at 5 days (sim -> explorer -> collector -> store -> scan ->
+# report, then each renderer; ~35 s, each scenario run once) is diffed
+# against results/5d/, which scripts/regen_results.sh wrote. That covers
+# every renderer, the ones that read what was collected through
+# MeasurementRun::walk and not through the report (threshold_sweep,
+# ablation) and the store export. A change that moves any of those layers
+# fails here until it regenerates results/. paper runs in a scratch
+# directory under target/, where export_dataset seals its store.
+echo "==> results drift (every paper output at 5 days vs results/5d/)"
+drift=target/results_drift
+rm -rf "$drift"
+mkdir -p "$drift"
+if ! (cd "$drift" && unset SANDWICH_SCALE SANDWICH_SEED SANDWICH_STORE_DIR &&
+  SANDWICH_DAYS=5 timeout 420 ../release/paper out 2>stderr); then
+  tail -n 20 "$drift/stderr" >&2
+  exit 1
+fi
+diff -ru results/5d "$drift/out" || {
+  echo "results/ is older than the code: run scripts/regen_results.sh" >&2
+  exit 1
+}
 
 # The three snapshot writers assert their own invariants in-process
 # (planted == found and zero-copy == materializing bytes; zero silent

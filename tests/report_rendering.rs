@@ -114,7 +114,7 @@ async fn counterfactuals_run_on_real_data() {
         cf.net_saving_usd > 0.0,
         "defense pays for actual victims: {cf:?}"
     );
-    let econ = sandwich_core::defense_economics(&report_data, &oracle);
+    let econ = sandwich_core::defense_economics(&report_data);
     assert!(econ.attack_probability > 0.0 && econ.attack_probability < 0.05);
     assert!(econ.p95_loss_usd >= econ.mean_loss_usd * 0.5);
     let slip = sandwich_core::slippage_counterfactual(&report_data, 50, 200, &oracle);
