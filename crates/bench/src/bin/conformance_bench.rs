@@ -14,8 +14,8 @@
 
 use sandwich_bench::{env_or, run_pipeline, write_snapshot, FigureRun};
 use sandwich_core::{
-    ablation_grid, defensive_confusion, detect, detect_in_bundle, score, AblationRow,
-    AnalysisConfig, Conformance, ConfusionMatrix, DetectorConfig,
+    ablation_grid, check_fuzz_cases, defensive_confusion, score, score_findings, AblationRow,
+    Conformance, ConfusionMatrix, DetectorConfig,
 };
 use sandwich_sim::{NearMissFamily, NearMissFuzzer};
 use sandwich_types::DEFENSIVE_TIP_THRESHOLD;
@@ -53,20 +53,24 @@ struct Snapshot {
 fn run_lab(scenario: &sandwich_sim::ScenarioConfig) -> Lab {
     let FigureRun { sim, run, report } =
         run_pipeline(scenario.clone(), sandwich_core::PipelineConfig::default());
-    let paper = AnalysisConfig::paper_defaults(scenario.days);
     let labels = sim.labels();
     let conformance = score(&report, labels);
 
-    // Re-analyze with each criterion disabled and score the ablated
-    // detector against the same labels.
-    let per_criterion_ablated = (1..=5u8)
-        .map(|n| {
-            let config = AnalysisConfig {
-                detector: DetectorConfig::without_criterion(n).expect("1-5"),
-                ..paper.clone()
-            };
-            score(&run.analyze(&config), labels).detector
-        })
+    // Judge what the run collected once, and score the detector with each
+    // criterion disabled against the same labels.
+    let without = |n| DetectorConfig::without_criterion(n).expect("1-5");
+    let mut ablated = [1, 2, 3, 4, 5].map(|n| (without(n), Vec::new()));
+    run.walk_verdicts(|b, verdict| {
+        for (config, found) in &mut ablated {
+            if let Some(finding) = verdict.and_then(|v| v.admitted_by(config)) {
+                found.push((b.bundle_id, finding));
+            }
+        }
+    })
+    .expect("walk the run's store");
+    let per_criterion_ablated = ablated
+        .iter()
+        .map(|(_, found)| score_findings(found.iter().map(|(id, f)| (id, f)), labels).detector)
         .collect();
     let defensive = defensive_confusion(&run, labels, &[DEFENSIVE_TIP_THRESHOLD.0])
         .expect("walk the run's store");
@@ -86,58 +90,29 @@ fn run_lab(scenario: &sandwich_sim::ScenarioConfig) -> Lab {
     }
 }
 
-/// Every fuzzer mutant is rejected by the full detector (or, for the
-/// metamorphic families, behaves as its family specifies), every original
-/// is caught, and each criterion family slips through once its criterion is
-/// disabled.
+/// The near-miss fuzzer's cases, each checked by `check_fuzz_cases`.
 fn run_fuzzer(seed: u64) -> Fuzzer {
-    let full = DetectorConfig::default();
     let cases = NearMissFuzzer::new(seed).cases(env_or("SANDWICH_FUZZ_CASES", 50));
-    let mut mutants = 0usize;
-    for case in &cases {
-        let o = &case.original;
-        assert!(
-            detect(&full, [&o[0], &o[1], &o[2]]).is_some(),
-            "original sandwich must be caught ({})",
-            case.family
-        );
-        for bundle in &case.mutated {
-            mutants += 1;
-            match case.family {
-                NearMissFamily::SplitAcrossBundles => {
-                    assert!(bundle.len() < 3, "split bundles carry no triple")
-                }
-                NearMissFamily::ZeroDeltaPadding => {
-                    let metas: Vec<_> = bundle.iter().collect();
-                    assert_eq!(
-                        detect_in_bundle(&full, &metas).len(),
-                        1,
-                        "extended scan still finds the padded triple"
-                    );
-                }
-                _ => {
-                    assert!(
-                        detect(&full, [&bundle[0], &bundle[1], &bundle[2]]).is_none(),
-                        "mutant must be rejected ({})",
-                        case.family
-                    );
-                }
-            }
-            if let Some(n) = case.family.criterion() {
-                let ablated = DetectorConfig::without_criterion(n).unwrap();
-                assert!(
-                    detect(&ablated, [&bundle[0], &bundle[1], &bundle[2]]).is_some(),
-                    "without c{n} the {} mutant must slip through",
-                    case.family
-                );
-            }
-        }
-    }
+    check_fuzz_cases(&cases).unwrap_or_else(|e| panic!("fuzzer: {e}"));
     Fuzzer {
         cases: cases.len(),
-        mutants,
+        mutants: cases.iter().map(|case| case.mutated.len()).sum(),
         families: NearMissFamily::all().len(),
     }
+}
+
+/// A confusion matrix's counts and scores on one line.
+fn scores(m: &ConfusionMatrix) -> String {
+    format!(
+        "TP={} FP={} FN={} TN={}  precision={:.4} recall={:.4} f1={:.4}",
+        m.true_positives,
+        m.false_positives,
+        m.false_negatives,
+        m.true_negatives,
+        m.precision(),
+        m.recall(),
+        m.f1()
+    )
 }
 
 fn main() {
@@ -154,16 +129,7 @@ fn main() {
 
     // --- headline contract -------------------------------------------------
     let m = &c.detector;
-    println!(
-        "detector: TP={} FP={} FN={} TN={}  precision={:.4} recall={:.4} f1={:.4}",
-        m.true_positives,
-        m.false_positives,
-        m.false_negatives,
-        m.true_negatives,
-        m.precision(),
-        m.recall(),
-        m.f1()
-    );
+    println!("detector: {}", scores(m));
     assert!(m.true_positives > 0, "scenario produced sandwiches");
     assert_eq!(m.precision(), 1.0, "no false positives on labeled traffic");
     assert_eq!(m.recall(), 1.0, "every detectable sandwich found");
@@ -190,25 +156,17 @@ fn main() {
     );
 
     // --- ablation grid -----------------------------------------------------
-    println!("per-criterion ablated detectors (scored against the same labels):");
-    for (n, m) in (1..).zip(&lab.per_criterion_ablated) {
+    println!("ablation grid (criterion disabled -> matching family admitted; all labels):");
+    for (row, m) in lab.ablation_grid.iter().zip(&lab.per_criterion_ablated) {
         println!(
-            "  without c{n}: precision={:.4} recall={:.4} f1={:.4}",
-            m.precision(),
-            m.recall(),
-            m.f1()
-        );
-    }
-    println!("ablation grid (criterion disabled -> matching family admitted):");
-    for row in &lab.ablation_grid {
-        println!(
-            "  c{}: {:<24} labeled={:<4} admitted={:<4} admitted_any={:<4} full_detector={}",
+            "  c{}: {:<24} labeled={:<4} admitted={:<4} admitted_any={:<4} full_detector={}\n      {}",
             row.criterion,
             row.family,
             row.labeled_matching,
             row.admitted_matching,
             row.admitted_total,
-            row.full_detector_admitted
+            row.full_detector_admitted,
+            scores(m)
         );
         assert!(
             row.labeled_matching > 0,
@@ -226,14 +184,9 @@ fn main() {
     // --- defensive classifier ----------------------------------------------
     let dm = &lab.defensive_at_paper_threshold;
     println!(
-        "defensive @ {} lamports: TP={} FP={} FN={} TN={} precision={:.4} recall={:.4}",
+        "defensive @ {} lamports: {}",
         DEFENSIVE_TIP_THRESHOLD.0,
-        dm.true_positives,
-        dm.false_positives,
-        dm.false_negatives,
-        dm.true_negatives,
-        dm.precision(),
-        dm.recall()
+        scores(dm)
     );
 
     // --- adversarial fuzzer sweep -------------------------------------------

@@ -287,16 +287,31 @@ fn table1(fr: &FigureRun) -> String {
     )
 }
 
-/// Detector-criteria ablation (DESIGN.md §4): the same collected dataset
-/// re-analyzed with each criterion disabled, false-positive inflation
-/// against simulator ground truth.
+/// Detector-criteria ablation (DESIGN.md §4): the collected dataset judged
+/// once, each criterion disabled in turn over the same verdicts, false-
+/// positive inflation against simulator ground truth.
 fn ablation(fr: &FigureRun) -> String {
     let run = &fr.run;
     let truth_ids = &fr.sim.truth().sandwich_ids;
+    let without = |n| DetectorConfig::without_criterion(n).expect("criteria are 1-5");
+    let mut configs = [
+        ("all five criteria (paper)", DetectorConfig::default()),
+        ("without c1 (same outer signer)", without(1)),
+        ("without c2 (same traded currencies)", without(2)),
+        ("without c3 (rate moves against victim)", without(3)),
+        ("without c4 (attacker profits)", without(4)),
+        ("without c5 (exclude tip-only final)", without(5)),
+    ]
+    .map(|(name, config)| (name, config, HashSet::new()));
     let mut collected_truth = HashSet::new();
-    run.walk(|b, _| {
+    run.walk_verdicts(|b, verdict| {
         if truth_ids.contains(&b.bundle_id) {
             collected_truth.insert(b.bundle_id);
+        }
+        for (_, config, detected) in &mut configs {
+            if verdict.is_some_and(|v| v.admits(config)) {
+                detected.insert(b.bundle_id);
+            }
         }
     })
     .expect("walk the run's store");
@@ -305,23 +320,9 @@ fn ablation(fr: &FigureRun) -> String {
         "=== detector criteria ablation ===\n{:<44} {:>10} {:>8} {:>8}\n",
         "configuration", "detected", "FPs", "FNs"
     );
-    let without = |n| DetectorConfig::without_criterion(n).expect("criteria are 1-5");
-    for (name, detector) in [
-        ("all five criteria (paper)", DetectorConfig::default()),
-        ("without c1 (same outer signer)", without(1)),
-        ("without c2 (same traded currencies)", without(2)),
-        ("without c3 (rate moves against victim)", without(3)),
-        ("without c4 (attacker profits)", without(4)),
-        ("without c5 (exclude tip-only final)", without(5)),
-    ] {
-        let config = AnalysisConfig {
-            detector,
-            ..AnalysisConfig::paper_defaults(fr.sim.config().days)
-        };
-        let report = run.analyze(&config);
-        let detected: HashSet<_> = report.findings.iter().map(|f| f.bundle_id).collect();
+    for (name, _, detected) in &configs {
         let fps = detected.difference(truth_ids).count();
-        let fns = collected_truth.difference(&detected).count();
+        let fns = collected_truth.difference(detected).count();
         out += &format!("{name:<44} {:>10} {fps:>8} {fns:>8}\n", detected.len());
     }
     out += &format!(

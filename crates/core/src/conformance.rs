@@ -15,15 +15,14 @@
 use std::collections::{BTreeMap, HashSet};
 
 use sandwich_jito::BundleId;
-use sandwich_sim::{BundleLabel, LabelBook, NearMissFamily};
+use sandwich_ledger::TransactionMeta;
+use sandwich_sim::{BundleLabel, LabelBook, NearMissCase, NearMissFamily};
 use sandwich_types::Lamports;
 
 use crate::analysis::AnalysisReport;
-use crate::dataset::metas3;
 use crate::defense::is_defensive_at;
-use crate::detector::{detect, DetectorConfig, SandwichFinding};
+use crate::detector::{detect, detect_in_bundle, judge, Criteria, DetectorConfig, SandwichFinding};
 use crate::pipeline::MeasurementRun;
-use crate::stats::Cdf;
 
 /// A 2x2 confusion matrix with the derived scores.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize)]
@@ -83,26 +82,6 @@ pub struct QuantErrors {
 }
 
 impl QuantErrors {
-    /// CDF of absolute victim-loss errors.
-    pub fn loss_abs_cdf(&self) -> Cdf {
-        Cdf::from_samples(
-            self.loss_err_lamports
-                .iter()
-                .map(|e| e.unsigned_abs() as f64)
-                .collect(),
-        )
-    }
-
-    /// CDF of absolute attacker-gain errors.
-    pub fn gain_abs_cdf(&self) -> Cdf {
-        Cdf::from_samples(
-            self.gain_err_lamports
-                .iter()
-                .map(|e| e.unsigned_abs() as f64)
-                .collect(),
-        )
-    }
-
     /// Largest absolute victim-loss error, lamports.
     pub fn max_abs_loss_err(&self) -> u64 {
         self.loss_err_lamports
@@ -385,7 +364,7 @@ pub fn defensive_confusion(
 }
 
 /// One row of the criterion ablation grid.
-#[derive(Clone, Debug, serde::Serialize)]
+#[derive(Clone, Debug, Default, serde::Serialize)]
 pub struct AblationRow {
     /// The disabled criterion (1–5).
     pub criterion: u8,
@@ -403,59 +382,91 @@ pub struct AblationRow {
 }
 
 /// Run the `without_criterion(1..=5)` grid over the labeled near-miss
-/// bundles `run` collected: for each criterion, how many bundles of its
-/// matching family slip through once it is disabled, and that none slip
-/// through the full detector.
+/// bundles `run` collected, each judged once: for each criterion, how many
+/// bundles of its matching family slip through once it is disabled, and
+/// that none slip through the full detector.
 pub fn ablation_grid(
     run: &MeasurementRun,
     labels: &LabelBook,
 ) -> std::io::Result<Vec<AblationRow>> {
-    // Gather the labeled near-miss length-3 bundles with details once.
-    let mut near_misses = Vec::new();
-    run.walk(|b, details| {
-        if let Some(BundleLabel::NearMiss(family)) = labels.get(&b.bundle_id) {
-            if let Some(metas) = metas3(b, details) {
-                near_misses.push((*family, metas.map(Clone::clone)));
-            }
+    let mut rows: Vec<_> = (1..=5u8)
+        .map(|n| AblationRow {
+            criterion: n,
+            family: NearMissFamily::for_criterion(n).expect("1-5").name().into(),
+            ..AblationRow::default()
+        })
+        .collect();
+    run.walk_verdicts(|b, verdict| {
+        let (Some(BundleLabel::NearMiss(family)), Some(verdict)) =
+            (labels.get(&b.bundle_id), verdict)
+        else {
+            return;
+        };
+        let full = verdict.admits(&DetectorConfig::default());
+        for row in &mut rows {
+            let ablated = DetectorConfig::without_criterion(row.criterion).expect("criteria 1-5");
+            let matching = family.criterion() == Some(row.criterion);
+            let admitted = verdict.admits(&ablated);
+            row.labeled_matching += u64::from(matching);
+            row.admitted_total += u64::from(admitted);
+            row.admitted_matching += u64::from(matching && admitted);
+            row.full_detector_admitted += u64::from(full);
         }
     })?;
+    Ok(rows)
+}
 
+/// Check the detector against fuzzer cases: each original is caught with
+/// no criterion failed; a criterion family's mutant fails exactly that
+/// criterion and is admitted once it is disabled (a tip-only final by the
+/// naive reading, which fails nothing); a permuted trio is rejected, a split
+/// one carries no triple, and the extended scan finds one padded triple.
+pub fn check_fuzz_cases(cases: &[NearMissCase]) -> Result<(), String> {
+    fn trio(bundle: &[TransactionMeta]) -> Result<[&TransactionMeta; 3], String> {
+        match bundle {
+            [a, b, c] => Ok([a, b, c]),
+            _ => Err(format!("{} transactions, not 3", bundle.len())),
+        }
+    }
     let full = DetectorConfig::default();
-    let mut rows = Vec::with_capacity(5);
-    for n in 1..=5u8 {
-        let ablated = DetectorConfig::without_criterion(n).expect("criteria 1-5 exist");
-        let family = NearMissFamily::for_criterion(n).expect("families cover 1-5");
-        let mut row = AblationRow {
-            criterion: n,
-            family: family.name().to_string(),
-            labeled_matching: 0,
-            admitted_matching: 0,
-            admitted_total: 0,
-            full_detector_admitted: 0,
-        };
-        for (f, metas) in &near_misses {
-            if *f == family {
-                row.labeled_matching += 1;
-            }
-            let metas = metas.each_ref();
-            if detect(&ablated, metas).is_some() {
-                row.admitted_total += 1;
-                if *f == family {
-                    row.admitted_matching += 1;
+    for case in cases {
+        let wrong = |what: String| format!("{}: {what}", case.family);
+        let original = judge(trio(&case.original).map_err(wrong)?);
+        if original.failed() != Criteria::default() || !original.admits(&full) {
+            return Err(wrong(format!("original sandwich not caught: {original:?}")));
+        }
+        for bundle in &case.mutated {
+            let error = match (case.family.criterion(), case.family) {
+                (Some(n), _) => {
+                    let v = judge(trio(bundle).map_err(wrong)?);
+                    let ablated = DetectorConfig::without_criterion(n).expect("criteria 1-5");
+                    let exact = v.failed() == Criteria::of(&[n]).expect("criteria 1-5");
+                    // Only a tip-only final has a naive reading, and it fails nothing.
+                    let naive = v.naive_failed() == (n == 5).then_some(Criteria::default());
+                    (!exact || !naive || v.admits(&full) || !v.admits(&ablated))
+                        .then(|| format!("mutant not rejected by criterion {n} alone: {v:?}"))
                 }
-            }
-            if n == 1 && detect(&full, metas).is_some() {
-                row.full_detector_admitted += 1;
+                (None, NearMissFamily::PermutedOrder) => {
+                    detect(&full, trio(bundle).map_err(wrong)?)
+                        .map(|f| format!("permuted trio detected: {f:?}"))
+                }
+                (None, NearMissFamily::SplitAcrossBundles) => {
+                    (bundle.len() >= 3).then(|| "split bundle still carries a triple".into())
+                }
+                (None, NearMissFamily::ZeroDeltaPadding) => {
+                    let refs: Vec<_> = bundle.iter().collect();
+                    let found = detect_in_bundle(&full, &refs).len();
+                    (found != 1)
+                        .then(|| format!("extended scan found {found} padded triples, not 1"))
+                }
+                (None, _) => unreachable!("every family without a criterion is metamorphic"),
+            };
+            if let Some(error) = error {
+                return Err(wrong(error));
             }
         }
-        rows.push(row);
     }
-    // The full-detector count is criterion-independent; copy it across.
-    let full_admitted = rows[0].full_detector_admitted;
-    for row in &mut rows {
-        row.full_detector_admitted = full_admitted;
-    }
-    Ok(rows)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -619,15 +630,33 @@ mod tests {
     }
 
     #[test]
-    fn quant_error_cdfs() {
+    fn fuzz_check_names_the_family_a_mutant_escapes() {
+        let mut fuzzer = sandwich_sim::NearMissFuzzer::new(3);
+        let mut case = fuzzer.case(NearMissFamily::DisjointCurrencies);
+        assert_eq!(check_fuzz_cases(std::slice::from_ref(&case)), Ok(()));
+        // The true sandwich as its own "mutant" fails no criterion at all.
+        case.mutated = vec![case.original.clone()];
+        let err = check_fuzz_cases(&[case]).unwrap_err();
+        assert!(
+            err.starts_with("disjoint_currencies: mutant not rejected by criterion 2 alone"),
+            "{err}"
+        );
+        let mut split = fuzzer.case(NearMissFamily::SplitAcrossBundles);
+        split.mutated[0] = split.original.clone();
+        let err = check_fuzz_cases(&[split]).unwrap_err();
+        assert_eq!(
+            err,
+            "split_across_bundles: split bundle still carries a triple"
+        );
+    }
+
+    #[test]
+    fn quant_error_max_abs_loss() {
         let q = QuantErrors {
             loss_err_lamports: vec![-3, 0, 4],
             gain_err_lamports: vec![0],
         };
         assert_eq!(q.max_abs_loss_err(), 4);
-        let cdf = q.loss_abs_cdf();
-        assert_eq!(cdf.len(), 3);
-        assert_eq!(cdf.quantile(1.0), Some(4.0));
-        assert_eq!(q.gain_abs_cdf().quantile(0.5), Some(0.0));
+        assert_eq!(QuantErrors::default().max_abs_loss_err(), 0);
     }
 }

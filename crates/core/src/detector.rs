@@ -10,7 +10,13 @@
 //! 5. bundles whose final transaction only tips a Jito validator are
 //!    excluded (app-bundler pattern, not an attack).
 //!
-//! Each criterion can be disabled individually for the ablation bench.
+//! [`judge`] extracts a trio's trades and evaluates every criterion once,
+//! without stopping at the first that fails; its [`Verdict`] records which
+//! failed. [`detect`] asks the verdict whether a [`DetectorConfig`] — the
+//! mask of criteria applied — admits the trio, so the ablation study
+//! answers every mask from one verdict instead of re-running the detector.
+
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -57,74 +63,58 @@ impl Trade {
 /// transfers, tip-only transactions, multi-leg spaghetti).
 pub fn extract_trade(meta: &TransactionMeta) -> Option<Trade> {
     let signer = meta.signer;
-    let mut paid: Option<(Currency, u128)> = None;
-    let mut received: Option<(Currency, u128)> = None;
-
-    for d in &meta.token_deltas {
-        if d.owner != signer || d.delta == 0 {
-            continue;
-        }
-        let entry = (Currency::Token(d.mint), d.delta.unsigned_abs());
-        if d.delta < 0 {
-            if paid.replace(entry).is_some() {
-                return None; // more than one currency paid
-            }
-        } else if received.replace(entry).is_some() {
-            return None;
+    let tokens = (meta.token_deltas.iter())
+        .filter(|d| d.owner == signer && d.delta != 0)
+        .map(|d| (Currency::Token(d.mint), d.delta));
+    // SOL leg: the signer's net SOL excluding fee and tips paid, ignoring
+    // dust below the fee scale (rounding of internal transfers).
+    let sol_net = meta.sol_delta_of(&signer).0 + meta.fee.0 as i64 + realized_tip(meta).0 as i64;
+    let sol = (!(-1_000..=1_000).contains(&sol_net)).then_some((Currency::Sol, sol_net.into()));
+    let (mut paid, mut received) = (None, None);
+    for (currency, delta) in tokens.chain(sol) {
+        let side = if delta < 0 { &mut paid } else { &mut received };
+        if side.replace((currency, delta.unsigned_abs())).is_some() {
+            return None; // more than one currency paid, or received
         }
     }
+    Some(Trade {
+        paid: paid?,
+        received: received?,
+    })
+}
 
-    // SOL leg: the signer's net SOL excluding fee and tips paid.
-    let tips = realized_tip(meta);
-    let sol_net = meta.sol_delta_of(&signer).0 + meta.fee.0 as i64 + tips.0 as i64;
-    // Ignore dust below the fee scale (rounding of internal transfers).
-    if sol_net < -1_000 {
-        let entry = (Currency::Sol, sol_net.unsigned_abs() as u128);
-        if paid.replace(entry).is_some() {
-            return None;
-        }
-    } else if sol_net > 1_000 {
-        let entry = (Currency::Sol, sol_net as u128);
-        if received.replace(entry).is_some() {
-            return None;
-        }
+/// A set of the paper's criteria: criterion `n` is bit `n - 1`.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+pub struct Criteria(u8);
+
+impl Criteria {
+    /// The set of the listed criteria, each numbered 1–5.
+    pub fn of(ns: &[u8]) -> Result<Criteria, InvalidCriterion> {
+        ns.iter().try_fold(Criteria(0), |set, &n| match n {
+            1..=5 => Ok(set.with(n, true)),
+            _ => Err(InvalidCriterion(n)),
+        })
     }
 
-    match (paid, received) {
-        (Some(p), Some(r)) if p.1 > 0 && r.1 > 0 => Some(Trade {
-            paid: p,
-            received: r,
-        }),
-        _ => None,
+    /// The set with criterion `n` added when `member` holds.
+    fn with(self, n: u8, member: bool) -> Criteria {
+        Criteria(self.0 | u8::from(member) << (n - 1))
     }
 }
 
-/// Which criteria the detector applies (all on by default; toggles exist
-/// for the ablation study).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+impl std::fmt::Debug for Criteria {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let members = (1..=5u8).filter(|n| self.0 & 1 << (n - 1) != 0);
+        f.debug_set().entries(members).finish()
+    }
+}
+
+/// Which criteria the detector applies: a mask over the five, all of them
+/// by default; the ablation study switches some off.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DetectorConfig {
-    /// Criterion 1: outer transactions share a signer distinct from the middle.
-    pub same_outer_signer: bool,
-    /// Criterion 2: identical traded-currency sets.
-    pub same_currencies: bool,
-    /// Criterion 3: the front-run worsens the victim's rate.
-    pub rate_moves_against_victim: bool,
-    /// Criterion 4: the attacker nets a gain.
-    pub attacker_profits: bool,
-    /// Criterion 5: exclude tip-only final transactions.
-    pub exclude_tip_only_final: bool,
-}
-
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        DetectorConfig {
-            same_outer_signer: true,
-            same_currencies: true,
-            rate_moves_against_victim: true,
-            attacker_profits: true,
-            exclude_tip_only_final: true,
-        }
-    }
+    /// The criteria switched off.
+    disabled: Criteria,
 }
 
 /// Error for a criterion number outside the paper's 1–5 numbering.
@@ -142,16 +132,23 @@ impl std::error::Error for InvalidCriterion {}
 impl DetectorConfig {
     /// A config with the numbered criterion (1–5) disabled.
     pub fn without_criterion(n: u8) -> Result<Self, InvalidCriterion> {
-        let mut c = DetectorConfig::default();
-        match n {
-            1 => c.same_outer_signer = false,
-            2 => c.same_currencies = false,
-            3 => c.rate_moves_against_victim = false,
-            4 => c.attacker_profits = false,
-            5 => c.exclude_tip_only_final = false,
-            _ => return Err(InvalidCriterion(n)),
-        }
-        Ok(c)
+        DetectorConfig::default().without(n)
+    }
+
+    /// This config with criterion `n` (1–5) disabled as well.
+    pub fn without(self, n: u8) -> Result<Self, InvalidCriterion> {
+        let disabled = Criteria(self.disabled.0 | Criteria::of(&[n])?.0);
+        Ok(DetectorConfig { disabled })
+    }
+
+    /// Whether criterion `n` (1–5) is applied.
+    pub fn applies(&self, n: u8) -> bool {
+        self.disabled.0 & 1 << (n - 1) == 0
+    }
+
+    /// Whether a trio failing exactly `failed` passes the applied criteria.
+    fn passes(&self, failed: Criteria) -> bool {
+        failed.0 & !self.disabled.0 == 0
     }
 }
 
@@ -175,147 +172,163 @@ pub struct SandwichFinding {
     pub bundle_tip: Lamports,
 }
 
-/// Apply the five criteria to the metas of a length-3 bundle.
-pub fn detect(config: &DetectorConfig, metas: [&TransactionMeta; 3]) -> Option<SandwichFinding> {
-    let [m1, m2, m3] = metas;
-
-    // Criterion 5 first: it is an exclusion, independent of trade shape.
-    if is_tip_only(m3) {
-        if config.exclude_tip_only_final {
-            return None;
-        }
-        // With criterion 5 disabled, fall back to the naive bundle-level
-        // reading the criterion exists to exclude: two swaps whose price
-        // action looks sandwich-shaped, with the "attacker" ending the
-        // bundle holding appreciated inventory. The ablation bench uses
-        // this to show the criterion is load-bearing.
-        return detect_naive_final_tip(config, m1, m2, m3);
-    }
-
-    // Criterion 1.
-    if config.same_outer_signer && !(m1.signer == m3.signer && m1.signer != m2.signer) {
-        return None;
-    }
-
-    let t1 = extract_trade(m1)?;
-    let t2 = extract_trade(m2)?;
-    let t3 = extract_trade(m3)?;
-
-    // Criterion 2: same currency sets across all three trades.
-    if config.same_currencies
-        && !(t1.currencies() == t2.currencies() && t2.currencies() == t3.currencies())
-    {
-        return None;
-    }
-
-    // Criterion 3: same direction for front-run and victim, and the
-    // victim's realized rate is strictly worse than the attacker's.
-    if config.rate_moves_against_victim {
-        if t1.paid.0 != t2.paid.0 || t1.received.0 != t2.received.0 {
-            return None;
-        }
-        if t2.rate() <= t1.rate() {
-            return None;
-        }
-    }
-
-    // Criterion 4: attacker's net across the bundle, per traded currency
-    // (fees and tips excluded — they are not market flows). The paper's
-    // wording has two branches: "net gains currency with no payment", OR
-    // "ends with net profit when looking at quantity of coin sold" — the
-    // latter covers attackers who dump extra inventory in the back-run
-    // (footnote 7), ending token-negative but proceeds-positive.
-    if config.attacker_profits {
-        let mut nets: std::collections::BTreeMap<Currency, i128> =
-            std::collections::BTreeMap::new();
-        for t in [&t1, &t3] {
-            *nets.entry(t.paid.0).or_insert(0) -= t.paid.1 as i128;
-            *nets.entry(t.received.0).or_insert(0) += t.received.1 as i128;
-        }
-        let any_gain = nets.values().any(|&v| v > 0);
-        let no_loss = nets.values().all(|&v| v >= 0);
-        let pure_profit = any_gain && no_loss;
-        let proceeds_profit = nets.get(&t3.received.0).copied().unwrap_or(0) > 0;
-        if !(pure_profit || proceeds_profit) {
-            return None;
-        }
-    }
-
-    let currencies: Vec<Currency> = t2.currencies().to_vec();
-    let sol_legged = currencies.contains(&Currency::Sol);
-
-    let (victim_loss_lamports, attacker_gain_lamports) = if sol_legged {
-        (
-            quantify_victim_loss(&t1, &t2),
-            quantify_attacker_gain(&t1, &t3),
-        )
-    } else {
-        (None, None)
-    };
-
-    let bundle_tip = realized_tip(m1) + realized_tip(m2) + realized_tip(m3);
-
-    Some(SandwichFinding {
-        attacker: m1.signer,
-        victim: m2.signer,
-        currencies,
-        sol_legged,
-        victim_loss_lamports,
-        attacker_gain_lamports,
-        bundle_tip,
-    })
+/// The detector's judgement of one length-3 trio: its three trades and
+/// every criterion it fails, each evaluated once with no early exit, so one
+/// verdict answers every [`DetectorConfig`] ([`Verdict::admitted_by`]).
+#[derive(Clone, Debug)]
+pub struct Verdict<'a> {
+    metas: [&'a TransactionMeta; 3],
+    trades: [Option<Trade>; 3],
+    failed: Criteria,
+    /// Set exactly when the final transaction only tips.
+    naive_failed: Option<Criteria>,
 }
 
-/// The naive two-legged reading of a bundle whose final transaction only
-/// tips: criteria 1–3 applied to the first two trades, with "profit" read
-/// as the first signer holding inventory the second trade appreciated.
-/// Reached only when criterion 5 is disabled — the real detector excludes
-/// these bundles outright, and the ablation grid asserts exactly which
-/// near-miss family this admits.
-fn detect_naive_final_tip(
-    config: &DetectorConfig,
-    m1: &TransactionMeta,
-    m2: &TransactionMeta,
-    m3: &TransactionMeta,
-) -> Option<SandwichFinding> {
-    if config.same_outer_signer && !(m1.signer == m3.signer && m1.signer != m2.signer) {
-        return None;
-    }
-    let t1 = extract_trade(m1)?;
-    let t2 = extract_trade(m2)?;
-    if config.same_currencies && t1.currencies() != t2.currencies() {
-        return None;
-    }
-    if config.rate_moves_against_victim {
-        if t1.paid.0 != t2.paid.0 || t1.received.0 != t2.received.0 {
-            return None;
-        }
-        if t2.rate() <= t1.rate() {
-            return None;
+/// Judge the metas of a length-3 bundle against all five criteria. Criteria
+/// 2–4 read trades, so they are judged only when all three transactions
+/// extract one; a trio where one does not is rejected under every mask with
+/// no criterion to blame. A tip-only final is also judged in the naive
+/// reading criterion 5 exists to exclude: criteria 1–3 over the first two
+/// trades, "profit" read as the first signer holding inventory the second
+/// trade appreciated (every extracted trade does: it never fails 4).
+pub fn judge(metas: [&TransactionMeta; 3]) -> Verdict<'_> {
+    let [m1, m2, m3] = metas;
+    let trades = metas.map(extract_trade);
+    let tip_only_final = is_tip_only(m3);
+    // Criterion 1: txs 1 and 3 share a signer distinct from tx 2's.
+    let outer = Criteria(0).with(1, !(m1.signer == m3.signer && m1.signer != m2.signer));
+    let (mut failed, mut naive) = (outer.with(5, tip_only_final), outer);
+    if let [Some(t1), Some(t2), t3] = &trades {
+        let against = rate_moves_against(t1, t2);
+        naive = outer.with(2, !same_currencies(&[t1, t2])).with(3, !against);
+        if let Some(t3) = t3 {
+            failed = failed
+                .with(2, !same_currencies(&[t1, t2, t3]))
+                .with(3, !against)
+                .with(4, !attacker_profits(t1, t3));
         }
     }
-    if config.attacker_profits && t1.received.1 == 0 {
-        return None;
+    let naive_failed = tip_only_final.then_some(naive);
+    Verdict {
+        metas,
+        trades,
+        failed,
+        naive_failed,
     }
+}
 
-    let currencies: Vec<Currency> = t2.currencies().to_vec();
-    let sol_legged = currencies.contains(&Currency::Sol);
-    let victim_loss_lamports = if sol_legged {
-        quantify_victim_loss(&t1, &t2)
-    } else {
-        None
+/// Criterion 2: the same currency set in every trade.
+fn same_currencies(trades: &[&Trade]) -> bool {
+    trades
+        .windows(2)
+        .all(|w| w[0].currencies() == w[1].currencies())
+}
+
+/// Criterion 3: the front-run trades in the victim's direction, and the
+/// victim's realized rate is strictly worse than the attacker's.
+fn rate_moves_against(t1: &Trade, t2: &Trade) -> bool {
+    t1.paid.0 == t2.paid.0 && t1.received.0 == t2.received.0 && t2.rate() > t1.rate()
+}
+
+/// The attacker's net in each currency a leg of the front- or back-run
+/// trades, in leg order (fees and tips excluded — not market flows).
+fn attacker_nets(t1: &Trade, t3: &Trade) -> [(Currency, i128); 4] {
+    let net = |currency| -> i128 {
+        let leg = |(c, amount): (Currency, u128)| if c == currency { amount as i128 } else { 0 };
+        [t1, t3].iter().map(|t| leg(t.received) - leg(t.paid)).sum()
     };
-    let bundle_tip = realized_tip(m1) + realized_tip(m2) + realized_tip(m3);
+    [t1.paid.0, t1.received.0, t3.paid.0, t3.received.0].map(|c| (c, net(c)))
+}
 
-    Some(SandwichFinding {
-        attacker: m1.signer,
-        victim: m2.signer,
-        currencies,
-        sol_legged,
-        victim_loss_lamports,
-        attacker_gain_lamports: None,
-        bundle_tip,
-    })
+/// Criterion 4. The paper's wording has two branches: "net gains currency
+/// with no payment", OR "ends with net profit when looking at quantity of
+/// coin sold" — the latter (the net in what the back-run receives) covers
+/// attackers who dump extra inventory in the back-run (footnote 7), ending
+/// token-negative but proceeds-positive.
+fn attacker_profits(t1: &Trade, t3: &Trade) -> bool {
+    let nets = attacker_nets(t1, t3);
+    let pure_profit = nets.iter().any(|&(_, v)| v > 0) && nets.iter().all(|&(_, v)| v >= 0);
+    pure_profit || nets[3].1 > 0
+}
+
+impl Verdict<'_> {
+    /// The criteria the trio fails (2–4 only when every trade extracted).
+    pub fn failed(&self) -> Criteria {
+        self.failed
+    }
+
+    /// For a tip-only final transaction, the criteria the naive reading
+    /// fails: what disabling criterion 5 falls back to.
+    pub fn naive_failed(&self) -> Option<Criteria> {
+        self.naive_failed
+    }
+
+    /// The first transaction (0–2) that is not a two-currency trade.
+    pub fn unextracted(&self) -> Option<usize> {
+        self.trades.iter().position(Option::is_none)
+    }
+
+    /// The three signers (criterion 1's evidence).
+    pub fn signers(&self) -> [Pubkey; 3] {
+        self.metas.map(|m| m.signer)
+    }
+
+    /// Each trade's currency set (criterion 2's evidence).
+    pub fn currencies(&self) -> [Option<[Currency; 2]>; 3] {
+        self.trades.map(|t| t.map(|t| t.currencies()))
+    }
+
+    /// The front-run's and the victim's rates (criterion 3's evidence).
+    pub fn rates(&self) -> Option<(f64, f64)> {
+        Some((self.trades[0]?.rate(), self.trades[1]?.rate()))
+    }
+
+    /// The attacker's per-currency nets (criterion 4's evidence).
+    pub fn attacker_nets(&self) -> Option<BTreeMap<Currency, i128>> {
+        Some(attacker_nets(&self.trades[0]?, &self.trades[2]?).into())
+    }
+
+    /// The trades `config` admits the trio on; no back-run in the naive reading.
+    fn admitted_trades(&self, config: &DetectorConfig) -> Option<(&Trade, &Trade, Option<&Trade>)> {
+        match (&self.trades, self.naive_failed) {
+            ([Some(t1), Some(t2), _], Some(naive)) => {
+                (!config.applies(5) && config.passes(naive)).then_some((t1, t2, None))
+            }
+            ([Some(t1), Some(t2), Some(t3)], _) => {
+                config.passes(self.failed).then_some((t1, t2, Some(t3)))
+            }
+            _ => None,
+        }
+    }
+
+    /// Whether `config` admits the trio as a sandwich.
+    pub fn admits(&self, config: &DetectorConfig) -> bool {
+        self.admitted_trades(config).is_some()
+    }
+
+    /// The finding `config` admits, priced (§4.1); built only on admission.
+    pub fn admitted_by(&self, config: &DetectorConfig) -> Option<SandwichFinding> {
+        let (t1, t2, t3) = self.admitted_trades(config)?;
+        let currencies = t2.currencies().to_vec();
+        let sol_legged = currencies.contains(&Currency::Sol);
+        let [m1, m2, m3] = self.metas;
+        Some(SandwichFinding {
+            attacker: m1.signer,
+            victim: m2.signer,
+            currencies,
+            sol_legged,
+            victim_loss_lamports: quantify_victim_loss(t1, t2).filter(|_| sol_legged),
+            attacker_gain_lamports: t3
+                .and_then(|t3| quantify_attacker_gain(t1, t3))
+                .filter(|_| sol_legged),
+            bundle_tip: realized_tip(m1) + realized_tip(m2) + realized_tip(m3),
+        })
+    }
+}
+
+/// Apply the criteria `config` applies to the metas of a length-3 bundle.
+pub fn detect(config: &DetectorConfig, metas: [&TransactionMeta; 3]) -> Option<SandwichFinding> {
+    judge(metas).admitted_by(config)
 }
 
 /// Extended detection beyond the paper: scan *every ordered triple* inside
@@ -332,19 +345,16 @@ pub fn detect_in_bundle(
 ) -> Vec<([usize; 3], SandwichFinding)> {
     let n = metas.len();
     let mut findings: Vec<([usize; 3], SandwichFinding)> = Vec::new();
-    let mut claimed_victims = std::collections::HashSet::new();
     for i in 0..n {
         for j in (i + 1)..n {
-            if claimed_victims.contains(&j) {
+            if findings.iter().any(|([_, victim, _], _)| *victim == j) {
                 continue;
             }
-            for k in (j + 1)..n {
-                if let Some(finding) = detect(config, [metas[i], metas[j], metas[k]]) {
-                    claimed_victims.insert(j);
-                    findings.push(([i, j, k], finding));
-                    break;
-                }
-            }
+            findings.extend(
+                ((j + 1)..n).find_map(|k| {
+                    Some(([i, j, k], detect(config, [metas[i], metas[j], metas[k]])?))
+                }),
+            );
         }
     }
     findings
@@ -449,9 +459,14 @@ mod tests {
         (front, victim, back)
     }
 
+    fn failed(ns: &[u8]) -> Criteria {
+        Criteria::of(ns).unwrap()
+    }
+
     #[test]
     fn canonical_sandwich_detected_and_priced() {
         let (f, v, b) = canonical();
+        assert_eq!(judge([&f, &v, &b]).failed(), failed(&[]));
         let finding = detect(&DetectorConfig::default(), [&f, &v, &b]).expect("detected");
         assert_eq!(finding.attacker, pk("attacker"));
         assert_eq!(finding.victim, pk("victim"));
@@ -468,6 +483,7 @@ mod tests {
     fn criterion1_rejects_three_signers() {
         let (f, v, _) = canonical();
         let b = swap_meta("other", 3, 115_000_000_000, -10_000, 0);
+        assert_eq!(judge([&f, &v, &b]).failed(), failed(&[1]));
         assert!(detect(&DetectorConfig::default(), [&f, &v, &b]).is_none());
         assert!(detect(&DetectorConfig::without_criterion(1).unwrap(), [&f, &v, &b]).is_some());
     }
@@ -477,6 +493,7 @@ mod tests {
         let f = swap_meta("attacker", 1, -100_000_000_000, 10_000, 0);
         let v = swap_meta("attacker", 2, -120_000_000_000, 10_000, 0);
         let b = swap_meta("attacker", 3, 115_000_000_000, -10_000, 0);
+        assert_eq!(judge([&f, &v, &b]).failed(), failed(&[1]));
         assert!(detect(&DetectorConfig::default(), [&f, &v, &b]).is_none());
     }
 
@@ -485,12 +502,15 @@ mod tests {
         let (f, v, b) = canonical();
         let mut v2 = v.clone();
         v2.token_deltas[0].mint = Pubkey::derive("mint:OTHER");
-        assert!(detect(&DetectorConfig::default(), [&f, &v2, &b]).is_none());
         // Criterion 3's direction check partially subsumes criterion 2 for
-        // this shape: only with both disabled does the mismatch slip through
-        // (the outer legs still satisfy criteria 1 and 4).
-        let mut relaxed = DetectorConfig::without_criterion(2).unwrap();
-        relaxed.rate_moves_against_victim = false;
+        // this shape: the trio fails both, so only with both disabled does
+        // the mismatch slip through (the outer legs satisfy criteria 1 and 4).
+        assert_eq!(judge([&f, &v2, &b]).failed(), failed(&[2, 3]));
+        assert!(detect(&DetectorConfig::default(), [&f, &v2, &b]).is_none());
+        let relaxed = DetectorConfig::without_criterion(2)
+            .unwrap()
+            .without(3)
+            .unwrap();
         assert!(detect(&relaxed, [&f, &v2, &b]).is_some());
     }
 
@@ -500,6 +520,7 @@ mod tests {
         let f = swap_meta("attacker", 1, 100_000_000_000, -10_000, 0);
         let v = swap_meta("victim", 2, -90_000_000_000, 10_000, 0);
         let b = swap_meta("attacker", 3, -95_000_000_000, 10_000, 2_000_000);
+        assert_eq!(judge([&f, &v, &b]).failed(), failed(&[3]));
         assert!(detect(&DetectorConfig::default(), [&f, &v, &b]).is_none());
     }
 
@@ -508,7 +529,19 @@ mod tests {
         let f = swap_meta("attacker", 1, -100_000_000_000, 10_000, 0);
         let v = swap_meta("victim", 2, -90_000_000_000, 10_000, 0); // better rate!
         let b = swap_meta("attacker", 3, 95_000_000_000, -10_000, 0);
+        // The exit recovers 95 of the 100 paid, so criterion 4 fails too.
+        assert_eq!(judge([&f, &v, &b]).failed(), failed(&[3, 4]));
         assert!(detect(&DetectorConfig::default(), [&f, &v, &b]).is_none());
+    }
+
+    #[test]
+    fn criterion3_rejects_victim_at_the_attackers_rate() {
+        // "Strictly worse": a victim filled at the front-run's own rate was
+        // not moved against, however profitable the exit.
+        let (f, _, b) = canonical();
+        let v = swap_meta("victim", 2, -100_000_000_000, 10_000, 0);
+        assert_eq!(judge([&f, &v, &b]).failed(), failed(&[3]));
+        assert!(detect(&DetectorConfig::without_criterion(3).unwrap(), [&f, &v, &b]).is_some());
     }
 
     #[test]
@@ -517,6 +550,7 @@ mod tests {
         let v = swap_meta("victim", 2, -120_000_000_000, 10_000, 0);
         // Attacker sells at a loss.
         let b = swap_meta("attacker", 3, 90_000_000_000, -10_000, 0);
+        assert_eq!(judge([&f, &v, &b]).failed(), failed(&[4]));
         assert!(detect(&DetectorConfig::default(), [&f, &v, &b]).is_none());
         assert!(detect(&DetectorConfig::without_criterion(4).unwrap(), [&f, &v, &b]).is_some());
     }
@@ -528,6 +562,10 @@ mod tests {
         let f = swap_meta("app-user", 1, -100_000_000_000, 10_000, 0);
         let v = swap_meta("someone", 2, -120_000_000_000, 10_000, 0);
         let tip_only = swap_meta("app-user", 3, 0, 0, 10_000);
+        let verdict = judge([&f, &v, &tip_only]);
+        assert_eq!(verdict.failed(), failed(&[5]));
+        assert_eq!(verdict.unextracted(), Some(2), "a tip is not a trade");
+        assert_eq!(verdict.naive_failed(), Some(failed(&[])));
         assert!(detect(&DetectorConfig::default(), [&f, &v, &tip_only]).is_none());
         // Without criterion 5 the naive bundle-level reading kicks in: the
         // first signer holds inventory the second swap appreciated, so the
@@ -540,6 +578,27 @@ mod tests {
         assert_eq!(finding.attacker, pk("app-user"));
         assert_eq!(finding.attacker_gain_lamports, None, "no exit leg");
         assert!(finding.victim_loss_lamports.unwrap() > 0);
+    }
+
+    #[test]
+    fn verdict_evidence_reads_the_trades() {
+        let (f, v, b) = canonical();
+        let verdict = judge([&f, &v, &b]);
+        assert_eq!(
+            verdict.signers(),
+            [pk("attacker"), pk("victim"), pk("attacker")]
+        );
+        let pair = [Currency::Sol, Currency::Token(mint())];
+        assert_eq!(verdict.currencies(), [Some(pair); 3]);
+        let (front, victim) = verdict.rates().unwrap();
+        assert!(victim > front, "the victim pays more per token");
+        let nets = verdict.attacker_nets().unwrap();
+        assert_eq!(nets[&Currency::Sol], 15_000_000_000);
+        assert_eq!(nets[&Currency::Token(mint())], 0);
+        assert_eq!(verdict.unextracted(), None);
+        assert_eq!(verdict.naive_failed(), None, "the final tx trades");
+        assert_eq!(format!("{:?}", failed(&[2, 5])), "{2, 5}");
+        assert_eq!(Criteria::of(&[0]), Err(InvalidCriterion(0)));
     }
 
     #[test]

@@ -41,8 +41,8 @@ pub use analysis::{AnalysisConfig, AnalysisReport, DatedFinding};
 pub use checkpoint::{Checkpoint, StoreCheckpoint};
 pub use collector::{Collector, CollectorConfig, CollectorStats};
 pub use conformance::{
-    ablation_grid, defensive_confusion, score, score_findings, AblationRow, Conformance,
-    ConfusionMatrix, QuantErrors,
+    ablation_grid, check_fuzz_cases, defensive_confusion, score, score_findings, AblationRow,
+    Conformance, ConfusionMatrix, QuantErrors,
 };
 pub use counterfactual::{
     defense_economics, defensive_counterfactual, slippage_counterfactual, DefenseEconomics,
@@ -51,8 +51,8 @@ pub use counterfactual::{
 pub use dataset::{CollectedBundle, CollectedDetail, Dataset, DetailMap, PollRecord};
 pub use defense::{is_defensive, is_defensive_at, threshold_sweep, DefenseStats};
 pub use detector::{
-    detect, detect_in_bundle, extract_trade, Currency, DetectorConfig, InvalidCriterion,
-    SandwichFinding, Trade,
+    detect, detect_in_bundle, extract_trade, judge, Criteria, Currency, DetectorConfig,
+    InvalidCriterion, SandwichFinding, Trade, Verdict,
 };
 pub use pipeline::{
     run_measurement, run_measurement_with, scaled_page_limit, MeasurementRun, PipelineConfig,

@@ -27,7 +27,8 @@ use sandwich_types::SlotClock;
 use crate::analysis::{AnalysisConfig, AnalysisReport};
 use crate::checkpoint::{Checkpoint, StoreCheckpoint};
 use crate::collector::{Collector, CollectorConfig, CollectorStats};
-use crate::dataset::{detail_map, CollectedBundle, Dataset, DetailMap};
+use crate::dataset::{detail_map, metas3, CollectedBundle, Dataset, DetailMap};
+use crate::detector::{judge, Verdict};
 use crate::scan::{partial_of_view_or_segment, scan_store_partial};
 
 /// Bundles per sealed segment unless [`StoreOptions`] says otherwise.
@@ -118,13 +119,27 @@ pub(crate) struct ScratchDir(PathBuf);
 
 impl ScratchDir {
     /// A directory name under the system temp dir no other run of this
-    /// process has; whatever a killed process of the same pid left there
-    /// is cleared.
+    /// process has. Whatever a killed process of the same pid left there is
+    /// cleared, and so is every other pid's scratch store once that pid has
+    /// no `/proc/<pid>`: a run ended by a signal never reaches `Drop`.
+    /// Without `/proc` a dead pid looks like a live one, and nothing is swept.
     fn new() -> Self {
         static RUNS: AtomicU64 = AtomicU64::new(0);
         let run = RUNS.fetch_add(1, Ordering::Relaxed);
-        let name = format!("sandwich-run-{}-{run}.store", std::process::id());
-        let dir = std::env::temp_dir().join(name);
+        let (tmp, pid) = (std::env::temp_dir(), std::process::id());
+        if Path::new("/proc/self").exists() {
+            for entry in std::fs::read_dir(&tmp).into_iter().flatten().flatten() {
+                let name = entry.file_name();
+                let owner = (name.to_str())
+                    .and_then(|n| n.strip_prefix("sandwich-run-")?.strip_suffix(".store"))
+                    .and_then(|n| n.split_once('-')?.0.parse::<u32>().ok());
+                let dead = |owner| !Path::new(&format!("/proc/{owner}")).exists();
+                if owner.is_some_and(|owner| owner != pid && dead(owner)) {
+                    let _ = std::fs::remove_dir_all(entry.path());
+                }
+            }
+        }
+        let dir = tmp.join(format!("sandwich-run-{pid}-{run}.store"));
         let _ = std::fs::remove_dir_all(&dir);
         ScratchDir(dir)
     }
@@ -210,6 +225,16 @@ impl MeasurementRun {
             visit(bundle, self.dataset.details());
         }
         Ok(())
+    }
+
+    /// [`MeasurementRun::walk`] with the [`Verdict`] on each length-3 bundle
+    /// whose three details are on hand in the scan's last-wins detail map
+    /// (`None` for every other bundle): one pass answers every criterion mask.
+    pub fn walk_verdicts(
+        &self,
+        mut visit: impl FnMut(&CollectedBundle, Option<&Verdict>),
+    ) -> io::Result<()> {
+        self.walk(|bundle, details| visit(bundle, metas3(bundle, details).map(judge).as_ref()))
     }
 
     /// Convert a (typically halted) run into a resumable checkpoint. The
@@ -379,6 +404,42 @@ mod tests {
     use super::*;
     use crate::analysis::AnalysisConfig;
     use sandwich_sim::ScenarioConfig;
+
+    #[cfg(unix)]
+    #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
+    async fn a_run_sweeps_the_scratch_stores_of_dead_processes() {
+        if !Path::new("/proc/self").exists() {
+            return; // no way to tell a dead pid, so nothing is swept
+        }
+        let mut child = std::process::Command::new("true").spawn().unwrap();
+        let dead = child.id();
+        child.wait().unwrap();
+        let tmp = std::env::temp_dir();
+        let orphan = tmp.join(format!("sandwich-run-{dead}-0.store"));
+        let parent = std::os::unix::process::parent_id();
+        let live = tmp.join(format!("sandwich-run-{parent}-0.store"));
+        std::fs::create_dir_all(orphan.join("segments")).unwrap();
+        std::fs::create_dir_all(&live).unwrap();
+
+        let scenario = ScenarioConfig {
+            days: 1,
+            downtime_days: vec![],
+            ..ScenarioConfig::tiny()
+        };
+        let mut sim = Simulation::new(scenario);
+        let run = run_measurement(&mut sim, PipelineConfig::default())
+            .await
+            .unwrap();
+        let (orphan_swept, live_kept) = (!orphan.exists(), live.exists());
+        std::fs::remove_dir_all(&live).unwrap();
+        assert!(
+            orphan_swept,
+            "{} outlived its dead process",
+            orphan.display()
+        );
+        assert!(live_kept, "a live process's scratch store was swept");
+        assert!(run.store.as_ref().unwrap().dir().exists(), "own store kept");
+    }
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
     async fn tiny_end_to_end_measurement() {

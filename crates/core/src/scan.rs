@@ -228,8 +228,8 @@ fn visit_columns(
         };
         let candidate = entry.filter(|_| {
             len == 3
-                && (!det.same_outer_signer || flags & META_C1 != 0)
-                && (!(det.same_currencies && det.exclude_tip_only_final) || flags & META_C2 != 0)
+                && (!det.applies(1) || flags & META_C1 != 0)
+                && (!(det.applies(2) && det.applies(5)) || flags & META_C2 != 0)
         });
         let mut sandwich = None;
         if let Some(entry) = candidate {

@@ -28,16 +28,16 @@
 //!   decode route, `core::scan::visit_decoded`, builds). Unset ⇒ the scan
 //!   cannot assemble metas and never calls the detector.
 //! * `C1` — the three resolved metas satisfy criterion 1 structurally
-//!   (`signer₁ == signer₃ && signer₁ != signer₂`). Unset ⇒ `detect`
-//!   returns `None` whenever `same_outer_signer` is enabled (both the
-//!   full and the naive tip-only branch reject on this predicate first).
+//!   (`signer₁ == signer₃ && signer₁ != signer₂`). Unset ⇒ the detector's
+//!   verdict fails criterion 1 in both the full and the naive tip-only
+//!   reading, so no mask that applies criterion 1 admits the bundle.
 //! * `C2` — the per-tx sets of mints with a nonzero signer-owned token
 //!   delta are equal across all three txs, nonempty, and of size ≤ 2.
 //!   Trade extraction turns exactly those mints into token legs, so an
 //!   unequal/empty/oversized set forces either a failed extraction or a
-//!   criterion-2 mismatch. Sound to skip on only when `same_currencies`
-//!   **and** `exclude_tip_only_final` are both enabled — the naive branch
-//!   reached with criterion 5 disabled never inspects the third tx.
+//!   criterion-2 mismatch. Sound to skip on only when the mask applies
+//!   criteria 2 **and** 5 — a mask without criterion 5 admits tip-only
+//!   finals by the naive reading, which never inspects the third tx.
 //!
 //! A set flag licenses nothing: the scan still decodes the bundle and
 //! runs the full detector on it.

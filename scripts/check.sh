@@ -61,8 +61,10 @@ cargo build --offline --release --workspace
 #   canonical path a shard is asked with parses back to its request
 #   (sandwich-query's unit proptest).
 # - conformance: detector and attribution scored exactly 1.0 against the
-#   sim's labels, every criterion load-bearing, every fuzzer family
-#   rejected, the scorecard deterministic per seed.
+#   sim's labels, every criterion load-bearing, every fuzzer family's
+#   mutant failing exactly its criterion (conformance::check_fuzz_cases,
+#   the one check conformance_bench runs too), the scorecard deterministic
+#   per seed.
 echo "==> cargo test (every suite once, bounded)"
 timeout 1200 cargo test --offline --workspace -q
 
@@ -219,21 +221,36 @@ diff -ru results/5d "$drift/out" || {
   exit 1
 }
 
-# The three snapshot writers assert their own invariants in-process
+# The two timed snapshot writers assert their own invariants in-process
 # (planted == found and zero-copy == materializing bytes; zero silent
-# divergence over the crash and doctor matrices; precision = recall = 1.0
-# and a deterministic scorecard), so exit status is the whole check. They
-# run small here because a binary nothing runs rots; the >= 2x scan ratio
-# only arms at >= 200k bundles.
-echo "==> scan_bench, crash_bench, conformance_bench smoke (bounded)"
+# divergence over the crash and doctor matrices), so exit status is the
+# whole check. They run small here because a binary nothing runs rots; the
+# >= 2x scan ratio only arms at >= 200k bundles.
+echo "==> scan_bench, crash_bench smoke (bounded)"
 SANDWICH_SCAN_BUNDLES=50000 SANDWICH_STORE_DIR=target/scan_smoke.store \
   SANDWICH_BENCH_OUT=target/BENCH_scan_smoke.json \
   timeout 420 target/release/scan_bench
 SANDWICH_CRASH_BUNDLES=10000 SANDWICH_BENCH_OUT=target/BENCH_crash_smoke.json \
   timeout 420 target/release/crash_bench
-SANDWICH_DAYS=2 SANDWICH_FUZZ_CASES=5 \
-  SANDWICH_BENCH_OUT=target/BENCH_conformance_smoke.json \
-  timeout 420 target/release/conformance_bench
+
+# The detector scorecard is a pure function of the seed: conformance_bench
+# at its committed defaults (8 days, 50 fuzz cases per family) asserts
+# precision = recall = 1.0, every criterion load-bearing, every fuzz case
+# and a deterministic second lab in-process, and its output must equal
+# results/BENCH_conformance.json byte for byte — so a change to any
+# criterion, to trade extraction or to the ablation folds fails here until
+# scripts/regen_results.sh rewrites the scorecard.
+echo "==> conformance scorecard drift (conformance_bench vs results/BENCH_conformance.json)"
+if ! (unset SANDWICH_DAYS SANDWICH_SCALE SANDWICH_SEED SANDWICH_FUZZ_CASES &&
+  SANDWICH_BENCH_OUT=target/BENCH_conformance.json timeout 420 target/release/conformance_bench \
+    > target/conformance_bench.log 2>&1); then
+  tail -n 20 target/conformance_bench.log >&2
+  exit 1
+fi
+diff results/BENCH_conformance.json target/BENCH_conformance.json || {
+  echo "results/BENCH_conformance.json is older than the code: run scripts/regen_results.sh" >&2
+  exit 1
+}
 
 # The repository's one benchmark lives in benchmark/, a package of its own
 # outside the workspace. Its unit tests compile bench-run *and* bench-trace
