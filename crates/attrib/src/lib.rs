@@ -26,7 +26,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use sandwich_types::{Hash, Keypair, Pubkey, Slot};
+use sandwich_types::{Hash, Keypair, OneBlock, Pubkey, Slot};
 
 /// Slots per leader-schedule epoch (Solana's 432,000 ≈ 2 days at 400 ms).
 pub const EPOCH_SLOTS: u64 = 432_000;
@@ -34,6 +34,11 @@ pub const EPOCH_SLOTS: u64 = 432_000;
 /// Consecutive slots each scheduled leader produces (Solana's 4-slot group).
 pub const LEADER_GROUP_SLOTS: u64 = 4;
 const _: () = assert!(EPOCH_SLOTS.is_multiple_of(LEADER_GROUP_SLOTS));
+
+/// A leader draw hashes this tag, the spec's seed, the epoch and the group
+/// within it, each `u64` little-endian: 39 bytes, one SHA-256 block.
+const DRAW_TAG: &[u8] = b"leader-schedule";
+const DRAW_EPOCH_AT: usize = DRAW_TAG.len() + 8;
 
 /// Stake pools validators are assigned to, with selection weights in
 /// percent. The split loosely mirrors the mainnet pool landscape the
@@ -82,8 +87,12 @@ pub struct Validator {
 }
 
 fn hash_u64(parts: &[&[u8]]) -> u64 {
-    let h = Hash::digest_parts(parts);
-    u64::from_le_bytes(h.0[..8].try_into().unwrap())
+    first_u64(&Hash::digest_parts(parts))
+}
+
+/// The draw a digest carries: its first eight bytes, little-endian.
+fn first_u64(h: &Hash) -> u64 {
+    u64::from_le_bytes(h.0[..8].try_into().expect("a digest has 32 bytes"))
 }
 
 /// The signing identity of validator `index` in the set — used by the sim
@@ -119,14 +128,17 @@ fn derive_validator(spec: &ValidatorSpec, index: u32) -> Validator {
     }
 }
 
-/// A materialized leader schedule: the validator set plus the cumulative
-/// stake table used for weighted leader draws.
+/// A materialized leader schedule: the validator set plus the draw
+/// thresholds used for stake-weighted leader draws.
 #[derive(Clone, Debug)]
 pub struct LeaderSchedule {
     spec: ValidatorSpec,
     validators: Vec<Validator>,
-    cumulative: Vec<u128>,
-    total_stake: u128,
+    /// `thresholds[i]`: the least 64-bit draw that picks a validator past
+    /// `i`, one per validator but the last (see [`draw_threshold`]).
+    thresholds: Vec<u64>,
+    /// The draw message with this spec's seed; epoch and group unset.
+    draw: OneBlock,
 }
 
 /// Slots led per validator over `[0, through]`: the prefix sum
@@ -145,17 +157,20 @@ impl LeaderSchedule {
         let validators: Vec<Validator> = (0..spec.count.max(1))
             .map(|i| derive_validator(spec, i))
             .collect();
-        let mut cumulative = Vec::with_capacity(validators.len());
-        let mut total_stake = 0u128;
-        for v in &validators {
-            total_stake += v.stake_lamports as u128;
-            cumulative.push(total_stake);
-        }
+        let stakes = validators.iter().map(|v| u128::from(v.stake_lamports));
+        let total: u128 = stakes.clone().sum();
+        let thresholds = stakes
+            .scan(0, |below, stake| {
+                *below += stake;
+                Some(draw_threshold(*below, total))
+            })
+            .take(validators.len() - 1)
+            .collect();
         LeaderSchedule {
             spec: *spec,
             validators,
-            cumulative,
-            total_stake,
+            thresholds,
+            draw: OneBlock::new(&[DRAW_TAG, &spec.seed.to_le_bytes(), &[0; 16]]),
         }
     }
 
@@ -174,18 +189,22 @@ impl LeaderSchedule {
     /// Each epoch draws an independent stake-weighted rotation; within an
     /// epoch the leader changes every [`LEADER_GROUP_SLOTS`] slots.
     pub fn leader_index_at(&self, slot: Slot) -> usize {
-        let epoch = slot.0 / EPOCH_SLOTS;
-        let group = (slot.0 % EPOCH_SLOTS) / LEADER_GROUP_SLOTS;
-        let h = hash_u64(&[
-            b"leader-schedule",
-            &self.spec.seed.to_le_bytes(),
-            &epoch.to_le_bytes(),
-            &group.to_le_bytes(),
-        ]);
-        // Scale the 64-bit draw onto [0, total_stake) without modulo bias,
-        // then find the owning validator in the cumulative stake table.
-        let r = (h as u128 * self.total_stake) >> 64;
-        self.cumulative.partition_point(|&c| c <= r)
+        let [digest] = OneBlock::digests(&[self.draw_block(slot.0 / LEADER_GROUP_SLOTS)]);
+        self.leader_of_draw(first_u64(&digest))
+    }
+
+    /// The draw message of leader group `group`, counted from slot 0.
+    fn draw_block(&self, group: u64) -> OneBlock {
+        let groups_per_epoch = EPOCH_SLOTS / LEADER_GROUP_SLOTS;
+        let mut block = self.draw;
+        block.set(DRAW_EPOCH_AT, &(group / groups_per_epoch).to_le_bytes());
+        block.set(DRAW_EPOCH_AT + 8, &(group % groups_per_epoch).to_le_bytes());
+        block
+    }
+
+    /// The validator a 64-bit draw picks.
+    fn leader_of_draw(&self, draw: u64) -> usize {
+        self.thresholds.partition_point(|&t| t <= draw)
     }
 
     /// The leader of `slot`.
@@ -196,21 +215,27 @@ impl LeaderSchedule {
     /// Extend `led` to cover `[0, max_slot]`, hashing only the leader groups
     /// past `led.through` (first finishing one it stopped inside). Returns
     /// how many it hashed: none for a `max_slot` the prefix already covers.
+    /// The groups are hashed two at a time ([`OneBlock::digests`]).
     pub fn advance(&self, led: &mut SlotsLed, max_slot: u64) -> u64 {
         led.counts.resize(self.validators.len(), 0);
-        let mut next = led.through.map_or(0, |through| through + 1);
-        let mut hashed = 0;
-        while next <= max_slot {
-            // Epochs are whole groups, so every group ends before a multiple
-            // of the group width.
-            let group_end = next - next % LEADER_GROUP_SLOTS + LEADER_GROUP_SLOTS - 1;
-            let end = group_end.min(max_slot);
-            led.counts[self.leader_index_at(Slot(next))] += end - next + 1;
-            led.through = Some(end);
-            hashed += 1;
-            next = end + 1;
+        let first = led.through.map_or(0, |through| through + 1);
+        if first > max_slot {
+            return 0;
         }
-        hashed
+        let (first_group, last_group) = (first / LEADER_GROUP_SLOTS, max_slot / LEADER_GROUP_SLOTS);
+        for batch in (first_group..=last_group).step_by(2) {
+            // A short last batch repeats its group in the spare lane.
+            let groups = [batch, (batch + 1).min(last_group)];
+            let digests = OneBlock::digests(&groups.map(|g| self.draw_block(g)));
+            let fresh = if batch < last_group { 2 } else { 1 };
+            for (g, digest) in groups.into_iter().zip(digests).take(fresh) {
+                let start = (g * LEADER_GROUP_SLOTS).max(first);
+                let end = (g * LEADER_GROUP_SLOTS + LEADER_GROUP_SLOTS - 1).min(max_slot);
+                led.counts[self.leader_of_draw(first_u64(&digest))] += end - start + 1;
+            }
+        }
+        led.through = Some(max_slot);
+        last_group - first_group + 1
     }
 
     /// Slots led per validator over `[0, max_slot]`, indexed like
@@ -224,6 +249,23 @@ impl LeaderSchedule {
         self.advance(&mut led, max_slot);
         led.counts
     }
+}
+
+/// `⌈below · 2⁶⁴ / total⌉` for `below < total`, by long division: a draw
+/// `h` scaled onto the stake line without modulo bias, `⌊h · total / 2⁶⁴⌋`,
+/// reaches `below` exactly when `h` reaches this threshold.
+fn draw_threshold(below: u128, total: u128) -> u64 {
+    let (mut quotient, mut rem) = (0u64, below);
+    for _ in 0..64 {
+        rem <<= 1;
+        quotient <<= 1;
+        if rem >= total {
+            rem -= total;
+            quotient |= 1;
+        }
+    }
+    // Saturates only past 2⁶⁴ lamports of stake, where the draw scale is coarser.
+    quotient.saturating_add(u64::from(rem != 0))
 }
 
 /// Ground-truth colluder selection: which validators forward their mempool
@@ -368,6 +410,52 @@ mod tests {
         }
     }
 
+    /// The walk before batching: one [`LeaderSchedule::leader_index_at`]
+    /// per group, the oracle the batched [`LeaderSchedule::advance`] must
+    /// equal.
+    fn advance_per_group(sched: &LeaderSchedule, led: &mut SlotsLed, max_slot: u64) -> u64 {
+        led.counts.resize(sched.validators().len(), 0);
+        let mut next = led.through.map_or(0, |through| through + 1);
+        let mut hashed = 0;
+        while next <= max_slot {
+            let end = (next - next % LEADER_GROUP_SLOTS + LEADER_GROUP_SLOTS - 1).min(max_slot);
+            led.counts[sched.leader_index_at(Slot(next))] += end - next + 1;
+            led.through = Some(end);
+            hashed += 1;
+            next = end + 1;
+        }
+        hashed
+    }
+
+    #[test]
+    fn batched_advance_equals_the_per_group_fold() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x1ead);
+        for case in 0..40 {
+            let sched =
+                LeaderSchedule::new(&ValidatorSpec::new(rng.gen(), rng.gen_range(1u32..40)));
+            let (mut batched, mut folded) = (SlotsLed::default(), SlotsLed::default());
+            // Stops on and around epoch edges, mid-group, repeated, and
+            // one or two slots apart, so every lane count and offset shows.
+            let mut stop: u64 = rng.gen_range(0..EPOCH_SLOTS);
+            for _ in 0..12 {
+                stop = match rng.gen_range(0u8..4) {
+                    0 => (stop / EPOCH_SLOTS + 1) * EPOCH_SLOTS - rng.gen_range(0u64..6),
+                    1 => stop + rng.gen_range(0u64..3),
+                    2 => stop + rng.gen_range(0..EPOCH_SLOTS),
+                    _ => (stop / EPOCH_SLOTS + 1) * EPOCH_SLOTS + rng.gen_range(0u64..6),
+                };
+                let hashed = sched.advance(&mut batched, stop);
+                assert_eq!(
+                    hashed,
+                    advance_per_group(&sched, &mut folded, stop),
+                    "case {case}"
+                );
+                assert_eq!(batched, folded, "case {case}, stop {stop}");
+            }
+        }
+    }
+
     #[test]
     fn advance_hashes_only_the_groups_past_the_prefix() {
         let sched = LeaderSchedule::new(&spec());
@@ -377,6 +465,43 @@ mod tests {
         assert_eq!(sched.advance(&mut led, 4_103), 26);
         assert_eq!(sched.advance(&mut led, 4_103), 0);
         assert_eq!(led.counts, sched.slots_led_through(4_103));
+    }
+
+    /// The thresholds pick exactly what the 128-bit scaling of the draw
+    /// onto the cumulative stake table picks, at random draws and at one
+    /// step either side of every threshold.
+    #[test]
+    fn thresholds_pick_what_the_stake_table_picks() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x7e5);
+        for count in (1u32..40).chain([200, 1_000]) {
+            let sched = LeaderSchedule::new(&ValidatorSpec::new(rng.gen(), count));
+            let stakes = sched
+                .validators()
+                .iter()
+                .map(|v| u128::from(v.stake_lamports));
+            let cumulative: Vec<u128> = stakes
+                .scan(0, |sum, stake| {
+                    *sum += stake;
+                    Some(*sum)
+                })
+                .collect();
+            let total = *cumulative.last().unwrap();
+            let by_table =
+                |h: u64| cumulative.partition_point(|&c| c <= (u128::from(h) * total) >> 64);
+            let edges = sched
+                .thresholds
+                .iter()
+                .flat_map(|&t| [t.saturating_sub(1), t, t.saturating_add(1)]);
+            let random = (0..2_000).map(|_| rng.gen::<u64>());
+            for h in edges.chain(random).chain([0, u64::MAX]) {
+                assert_eq!(
+                    sched.leader_of_draw(h),
+                    by_table(h),
+                    "count {count}, draw {h:#x}"
+                );
+            }
+        }
     }
 
     #[test]

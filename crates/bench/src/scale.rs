@@ -370,6 +370,26 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The report's JSON over a fixed store, pinned by length and FNV-1a 64
+    /// as the byte-at-a-time base58 encoder and the `to_string` number
+    /// printing wrote it: a drift in how keys or numbers print fails here.
+    #[test]
+    fn report_bytes_are_pinned() {
+        let dir = tmp("pinned");
+        let mut w = StoreWriter::create(&dir).unwrap();
+        let config = small();
+        generate(&mut w, &config).unwrap();
+        let store = w.into_reader();
+        let cfg = AnalysisConfig::paper_defaults(config.days);
+        let report = scan_store(&store, &SlotClock::default(), &cfg, 1).unwrap();
+        let bytes = serde_json::to_vec(&report).unwrap();
+        let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!((bytes.len(), fnv), (67_208, 0x6749_cc4b_bd52_b7a1));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     /// The index sink fed from the columnar views and from a full decode of
     /// the same segments must agree byte for byte — planted sandwiches,
     /// c1/c3 near misses and the leader join included.

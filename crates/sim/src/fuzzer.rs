@@ -195,6 +195,38 @@ impl NearMissFuzzer {
                     original[2].clone(),
                 ]]
             }
+            NearMissFamily::SelfSandwich => {
+                // The front-runner signs the victim-shaped trade too: the
+                // price action is a sandwich's, only criterion 1's "distinct
+                // from tx 2" can object.
+                vec![vec![
+                    original[0].clone(),
+                    self.swap_meta(
+                        &s.attacker,
+                        -(s.victim_sol as i64),
+                        s.tokens as i128,
+                        s.mint,
+                        0,
+                    ),
+                    original[2].clone(),
+                ]]
+            }
+            NearMissFamily::VictimAtAttackersRate => {
+                // The victim pays what the front-run paid for the same
+                // tokens: equal rates, so only criterion 3's strict `>`
+                // can object.
+                vec![vec![
+                    original[0].clone(),
+                    self.swap_meta(
+                        &s.victim,
+                        -(s.front_sol as i64),
+                        s.tokens as i128,
+                        s.mint,
+                        0,
+                    ),
+                    original[2].clone(),
+                ]]
+            }
         };
 
         NearMissCase {

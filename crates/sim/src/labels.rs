@@ -47,11 +47,19 @@ pub enum NearMissFamily {
     /// transaction (length 4 — invisible to the paper's length-3 scan, but
     /// the extended scan must still find the embedded triple).
     ZeroDeltaPadding,
+    /// Criterion 1 boundary, its other half: a self-sandwich — the
+    /// front-runner also signs the middle transaction, so tx 2's signer is
+    /// not distinct from the outer one.
+    SelfSandwich,
+    /// Criterion 3 boundary, its strict `>`: the victim fills at exactly
+    /// the front-run's rate, so the rate did not move against them.
+    VictimAtAttackersRate,
 }
 
 impl NearMissFamily {
-    /// All families, criterion-targeting first.
-    pub fn all() -> [NearMissFamily; 8] {
+    /// All families: the five criterion boundaries, the three metamorphic
+    /// variants, then the two second boundaries of criteria 1 and 3.
+    pub fn all() -> [NearMissFamily; 10] {
         [
             NearMissFamily::DifferentOuterSigner,
             NearMissFamily::DisjointCurrencies,
@@ -61,22 +69,25 @@ impl NearMissFamily {
             NearMissFamily::PermutedOrder,
             NearMissFamily::SplitAcrossBundles,
             NearMissFamily::ZeroDeltaPadding,
+            NearMissFamily::SelfSandwich,
+            NearMissFamily::VictimAtAttackersRate,
         ]
     }
 
     /// The detection criterion (1–5) this family probes, if any.
     pub fn criterion(&self) -> Option<u8> {
         match self {
-            NearMissFamily::DifferentOuterSigner => Some(1),
+            NearMissFamily::DifferentOuterSigner | NearMissFamily::SelfSandwich => Some(1),
             NearMissFamily::DisjointCurrencies => Some(2),
-            NearMissFamily::RateMovedForVictim => Some(3),
+            NearMissFamily::RateMovedForVictim | NearMissFamily::VictimAtAttackersRate => Some(3),
             NearMissFamily::UnprofitableAttacker => Some(4),
             NearMissFamily::TipOnlyFinal => Some(5),
             _ => None,
         }
     }
 
-    /// The family probing criterion `n` (1–5).
+    /// The first family probing criterion `n` (1–5): the one the simulated
+    /// lab plants.
     pub fn for_criterion(n: u8) -> Option<NearMissFamily> {
         NearMissFamily::all()
             .into_iter()
@@ -94,6 +105,8 @@ impl NearMissFamily {
             NearMissFamily::PermutedOrder => "permuted_order",
             NearMissFamily::SplitAcrossBundles => "split_across_bundles",
             NearMissFamily::ZeroDeltaPadding => "zero_delta_padding",
+            NearMissFamily::SelfSandwich => "self_sandwich",
+            NearMissFamily::VictimAtAttackersRate => "victim_at_attackers_rate",
         }
     }
 }
@@ -265,7 +278,11 @@ mod tests {
         let mut names: Vec<_> = NearMissFamily::all().iter().map(|f| f.name()).collect();
         names.sort();
         names.dedup();
-        assert_eq!(names.len(), 8, "names are distinct");
+        assert_eq!(
+            names.len(),
+            NearMissFamily::all().len(),
+            "names are distinct"
+        );
     }
 
     #[test]

@@ -62,7 +62,7 @@ impl fmt::Debug for Hash {
 
 impl Serialize for Hash {
     fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_str(&self.to_string())
+        s.serialize_str(&base58::encode(&self.0))
     }
 }
 
@@ -70,6 +70,49 @@ impl<'de> Deserialize<'de> for Hash {
     fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
         let s = String::deserialize(d)?;
         Hash::from_base58(&s).ok_or_else(|| D::Error::custom("invalid base58 hash"))
+    }
+}
+
+/// A message of at most [`OneBlock::MAX_LEN`] bytes padded into its one SHA-256
+/// block, built once per key; [`OneBlock::set`] rewrites a counter in place.
+#[derive(Clone, Copy, Debug)]
+pub struct OneBlock {
+    block: [u8; 64],
+    len: usize,
+}
+
+impl OneBlock {
+    /// 64 bytes less the `0x80` marker and the 8-byte bit length.
+    pub const MAX_LEN: usize = 55;
+
+    /// The padded block of the concatenation of `parts`; panics if that is
+    /// longer than [`Self::MAX_LEN`].
+    pub fn new(parts: &[&[u8]]) -> OneBlock {
+        let mut block = [0u8; 64];
+        let mut len = 0;
+        for part in parts {
+            assert!(len + part.len() <= Self::MAX_LEN, "message over one block");
+            block[len..len + part.len()].copy_from_slice(part);
+            len += part.len();
+        }
+        block[len] = 0x80;
+        block[56..].copy_from_slice(&(len as u64 * 8).to_be_bytes());
+        OneBlock { block, len }
+    }
+
+    /// Overwrite message bytes `at..at + bytes.len()`; panics past the
+    /// message, so the padding cannot be touched.
+    pub fn set(&mut self, at: usize, bytes: &[u8]) {
+        self.block[..self.len][at..at + bytes.len()].copy_from_slice(bytes);
+    }
+
+    /// Each message's SHA-256 ([`Hash::digest`] of its bytes), compressed
+    /// `N` at a time: the SHA-NI rounds of independent blocks interleave, so
+    /// two lanes cost little more than one.
+    pub fn digests<const N: usize>(blocks: &[OneBlock; N]) -> [Hash; N] {
+        let mut states = [H0; N];
+        compress_lanes(&mut states, &blocks.map(|b| b.block));
+        states.map(|state| Hash(std::array::from_fn(|i| state[i / 4].to_be_bytes()[i % 4])))
     }
 }
 
@@ -157,13 +200,24 @@ impl Sha256 {
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
-        #[cfg(target_arch = "x86_64")]
-        if sha_ni::available() {
-            // SAFETY: the CPU reports every feature the kernel is compiled for.
-            unsafe { sha_ni::compress(&mut self.state, block) };
-            return;
-        }
-        compress_portable(&mut self.state, block);
+        compress_lanes(
+            std::array::from_mut(&mut self.state),
+            std::array::from_ref(block),
+        );
+    }
+}
+
+/// One compression of each block into its state: on the SHA extensions
+/// when the CPU has them, lane by lane through [`compress_portable`] if not.
+fn compress_lanes<const N: usize>(states: &mut [[u32; 8]; N], blocks: &[[u8; 64]; N]) {
+    #[cfg(target_arch = "x86_64")]
+    if sha_ni::available() {
+        // SAFETY: the CPU reports every feature the kernel is compiled for.
+        unsafe { sha_ni::compress(states, blocks) };
+        return;
+    }
+    for (state, block) in states.iter_mut().zip(blocks) {
+        compress_portable(state, block);
     }
 }
 
@@ -232,60 +286,67 @@ mod sha_ni {
             && is_x86_feature_detected!("sse4.1")
     }
 
-    /// One compression of `block` into `state`. Callers must have seen
+    /// One compression of each block into its state, the lanes' rounds
+    /// interleaved to hide `sha256rnds2` latency. Callers must have seen
     /// [`available`] hold: on a CPU without these extensions the
     /// instructions are undefined behaviour.
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
-    pub(super) fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    pub(super) fn compress<const N: usize>(states: &mut [[u32; 8]; N], blocks: &[[u8; 64]; N]) {
         // Message words arrive big-endian; this shuffle byte-swaps each lane.
         let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
-        // SAFETY: `state` is 32 readable bytes and `block` 64; `loadu`
-        // has no alignment requirement.
-        let (dcba, hgfe, mut w) = unsafe {
-            let s = state.as_ptr().cast::<__m128i>();
-            let b = block.as_ptr().cast::<__m128i>();
-            (
-                _mm_loadu_si128(s),
-                _mm_loadu_si128(s.add(1)),
-                [0, 1, 2, 3].map(|i| _mm_shuffle_epi8(_mm_loadu_si128(b.add(i)), bswap)),
-            )
-        };
-
-        // `sha256rnds2` wants the working variables as ABEF and CDGH.
-        let cdab = _mm_shuffle_epi32(dcba, 0xb1);
-        let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
-        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
-        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+        let mut abef = [_mm_setzero_si128(); N];
+        let mut cdgh = [_mm_setzero_si128(); N];
+        let mut w = [[_mm_setzero_si128(); 4]; N];
+        for lane in 0..N {
+            // SAFETY: each state is 32 readable bytes and each block 64;
+            // `loadu` has no alignment requirement.
+            let (dcba, hgfe) = unsafe {
+                let s = states[lane].as_ptr().cast::<__m128i>();
+                let b = blocks[lane].as_ptr().cast::<__m128i>();
+                w[lane] = [0, 1, 2, 3].map(|i| _mm_shuffle_epi8(_mm_loadu_si128(b.add(i)), bswap));
+                (_mm_loadu_si128(s), _mm_loadu_si128(s.add(1)))
+            };
+            // `sha256rnds2` wants the working variables as ABEF and CDGH.
+            let cdab = _mm_shuffle_epi32(dcba, 0xb1);
+            let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+            abef[lane] = _mm_alignr_epi8(cdab, efgh, 8);
+            cdgh[lane] = _mm_blend_epi16(efgh, cdab, 0xf0);
+        }
         let (abef_in, cdgh_in) = (abef, cdgh);
 
-        for (i, words) in w.iter().enumerate() {
-            rounds4(&mut abef, &mut cdgh, *words, i);
-        }
-        for i in 4..16 {
-            // W[t..t+4] from W[t-16..t-12], W[t-15..t-11], W[t-7..t-3], W[t-4..t].
-            let next = _mm_sha256msg2_epu32(
-                _mm_add_epi32(
-                    _mm_sha256msg1_epu32(w[0], w[1]),
-                    _mm_alignr_epi8(w[3], w[2], 4),
-                ),
-                w[3],
-            );
-            rounds4(&mut abef, &mut cdgh, next, i);
-            w = [w[1], w[2], w[3], next];
+        for i in 0..16 {
+            for ((abef, cdgh), w) in abef.iter_mut().zip(&mut cdgh).zip(&mut w) {
+                if i < 4 {
+                    rounds4(abef, cdgh, w[i], i);
+                    continue;
+                }
+                // W[t..t+4] from W[t-16..t-12], W[t-15..t-11], W[t-7..t-3], W[t-4..t].
+                let next = _mm_sha256msg2_epu32(
+                    _mm_add_epi32(
+                        _mm_sha256msg1_epu32(w[0], w[1]),
+                        _mm_alignr_epi8(w[3], w[2], 4),
+                    ),
+                    w[3],
+                );
+                rounds4(abef, cdgh, next, i);
+                *w = [w[1], w[2], w[3], next];
+            }
         }
 
-        abef = _mm_add_epi32(abef, abef_in);
-        cdgh = _mm_add_epi32(cdgh, cdgh_in);
-        let feba = _mm_shuffle_epi32(abef, 0x1b);
-        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
-        let dcba = _mm_blend_epi16(feba, dchg, 0xf0);
-        let hgfe = _mm_alignr_epi8(dchg, feba, 8);
-        // SAFETY: `state` is 32 writable bytes; `storeu` has no alignment
-        // requirement.
-        unsafe {
-            let s = state.as_mut_ptr().cast::<__m128i>();
-            _mm_storeu_si128(s, dcba);
-            _mm_storeu_si128(s.add(1), hgfe);
+        for lane in 0..N {
+            let abef = _mm_add_epi32(abef[lane], abef_in[lane]);
+            let cdgh = _mm_add_epi32(cdgh[lane], cdgh_in[lane]);
+            let feba = _mm_shuffle_epi32(abef, 0x1b);
+            let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+            let dcba = _mm_blend_epi16(feba, dchg, 0xf0);
+            let hgfe = _mm_alignr_epi8(dchg, feba, 8);
+            // SAFETY: each state is 32 writable bytes; `storeu` has no
+            // alignment requirement.
+            unsafe {
+                let s = states[lane].as_mut_ptr().cast::<__m128i>();
+                _mm_storeu_si128(s, dcba);
+                _mm_storeu_si128(s.add(1), hgfe);
+            }
         }
     }
 
@@ -382,7 +443,9 @@ mod tests {
         #[cfg(target_arch = "x86_64")]
         if sha_ni::available() {
             // SAFETY: only reached when the CPU reports the kernel's features.
-            return Some(|state, block| unsafe { sha_ni::compress(state, block) });
+            return Some(|state, block| unsafe {
+                sha_ni::compress(std::array::from_mut(state), std::array::from_ref(block))
+            });
         }
         println!("no SHA extensions on this CPU: skipped the kernel half");
         None
@@ -432,20 +495,70 @@ mod tests {
         }
     }
 
+    /// The one-lane kernel and the two-lane one (whose second lane holds
+    /// the first's block in one case of eight) both equal `compress_portable`.
     #[test]
     fn kernel_matches_portable_on_random_blocks() {
         let Some(kernel) = kernel() else { return };
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x5a256);
         for case in 0..10_000 {
-            let state: [u32; 8] = std::array::from_fn(|_| rng.gen());
-            let mut block = [0u8; 64];
-            rng.fill(&mut block[..]);
-            let mut portable = state;
-            compress_portable(&mut portable, &block);
-            let mut fast = state;
-            kernel(&mut fast, &block);
-            assert_eq!(fast, portable, "case {case}: state {state:08x?}");
+            let mut states: [[u32; 8]; 2] =
+                std::array::from_fn(|_| std::array::from_fn(|_| rng.gen()));
+            let mut blocks = [[0u8; 64]; 2];
+            for block in &mut blocks {
+                rng.fill(&mut block[..]);
+            }
+            if case % 8 == 0 {
+                (states[1], blocks[1]) = (states[0], blocks[0]);
+            }
+            let mut portable = states;
+            let mut single = states;
+            for lane in 0..2 {
+                compress_portable(&mut portable[lane], &blocks[lane]);
+                kernel(&mut single[lane], &blocks[lane]);
+            }
+            assert_eq!(single, portable, "case {case}: states {states:08x?}");
+            let mut lanes = states;
+            compress_lanes(&mut lanes, &blocks);
+            assert_eq!(lanes, portable, "case {case}: states {states:08x?}");
         }
+    }
+
+    #[test]
+    fn one_block_digests_equal_the_hasher() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x1b10c);
+        for len in 0..=OneBlock::MAX_LEN {
+            let mut message = vec![0u8; len];
+            rng.fill(&mut message[..]);
+            let (head, tail) = message.split_at(len / 3);
+            let block = OneBlock::new(&[head, tail]);
+            assert_eq!(
+                OneBlock::digests(&[block]),
+                [Hash::digest(&message)],
+                "length {len}"
+            );
+
+            // Overwriting a field is building the block from the new bytes.
+            let mut edited = message.clone();
+            let field = (len / 2)..len.min(len / 2 + 8);
+            rng.fill(&mut edited[field.clone()]);
+            let mut reused = block;
+            reused.set(field.start, &edited[field]);
+            let [a, b] = OneBlock::digests(&[block, reused]);
+            assert_eq!([a, b], [Hash::digest(&message), Hash::digest(&edited)]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "message over one block")]
+    fn one_block_rejects_a_two_block_message() {
+        OneBlock::new(&[&[0u8; 40], &[0u8; 16]]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn one_block_set_cannot_reach_the_padding() {
+        OneBlock::new(&[b"abc"]).set(2, b"de");
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub mod schnorr;
 pub mod signature;
 pub mod slot;
 
-pub use hash::Hash;
+pub use hash::{Hash, OneBlock};
 pub use lamports::{
     LamportDelta, Lamports, BASE_FEE, DEFENSIVE_TIP_THRESHOLD, LAMPORTS_PER_SOL, MIN_JITO_TIP,
 };

@@ -98,7 +98,7 @@ impl FromStr for Pubkey {
 
 impl Serialize for Pubkey {
     fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_str(&self.to_string())
+        s.serialize_str(&base58::encode(&self.0))
     }
 }
 

@@ -80,7 +80,7 @@ impl FromStr for Signature {
 
 impl Serialize for Signature {
     fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_str(&self.to_string())
+        s.serialize_str(&base58::encode(&self.0))
     }
 }
 

@@ -10,8 +10,10 @@
 # <pairs> times: both sides of a pair get the same seed, odd pairs run the
 # parent first and even pairs the change. Seeds are SEED_BASE+1.. (SEED_BASE
 # defaults to 100; move it to measure on seeds not used during development).
-# Prints every run's result line as it lands, then per metric both medians,
-# both quartile pairs, the pair wins and the driver's spread rule: the
+# Prints one host line first (both sides' git revs, nproc, CPU model, kernel
+# release, whether the CPU has the SHA extensions), then every run's result
+# line as it lands, then per metric both medians, both quartile pairs, the
+# pair wins and the driver's spread rule: the
 # change's quartile spread (q3 - q1) as a share of the parent's median,
 # flagged WIDE past the metric's `bound` in BENCHMARK.json — a change that
 # multiplies a rate must keep its own runs inside that absolute band.
@@ -21,7 +23,7 @@
 set -euo pipefail
 
 if [[ $# -lt 2 || $# -gt 3 ]]; then
-  sed -n '2,20p' "${BASH_SOURCE[0]}" >&2
+  sed -n '2,22p' "${BASH_SOURCE[0]}" >&2
   exit 2
 fi
 workload="$1"
@@ -42,6 +44,14 @@ mkdir -p "$work/parent"
 git -C "$repo" archive "$rev" | tar -x -C "$work/parent"
 
 declare -A root=([parent]="$work/parent" [change]="$repo")
+
+change_rev="$(git -C "$repo" rev-parse --short HEAD)"
+[[ -z "$(git -C "$repo" status --porcelain)" ]] || change_rev+="+dirty"
+cpu="$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo 2>/dev/null | head -n 1)"
+sha_ni=no
+grep -qw sha_ni /proc/cpuinfo 2>/dev/null && sha_ni=yes
+echo "host: parent $(git -C "$repo" rev-parse --short "$rev") change $change_rev," \
+  "nproc $(nproc), cpu ${cpu:-unknown}, kernel $(uname -r), sha_ni $sha_ni"
 
 for name in parent change; do
   echo "building $name (${root[$name]})" >&2

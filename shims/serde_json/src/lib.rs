@@ -1,12 +1,13 @@
 //! Offline shim for `serde_json`: compact JSON text over the serde shim's
 //! value tree.
 //!
-//! Integers print from `i128`/`u128` (token deltas survive exactly), floats
-//! print via `{:?}` (shortest round-trip, whole floats keep a `.0`), object
-//! keys keep insertion order so output bytes are deterministic — the API
-//! contract tests assert exact bodies like `{"ok":true}`.
+//! Integers print exactly from `i128`/`u128` (token deltas survive), floats
+//! as `{:?}` prints them (shortest round-trip, whole floats keep a `.0`),
+//! object keys keep insertion order so output bytes are deterministic — the
+//! API contract tests assert exact bodies like `{"ok":true}`. Numbers are
+//! written straight into the output, through `i64`/`u64` when they fit.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io;
 
 pub use serde::__private::Value;
@@ -93,17 +94,22 @@ fn write_value(out: &mut String, v: &Value) {
         Value::Null => out.push_str("null"),
         Value::Bool(true) => out.push_str("true"),
         Value::Bool(false) => out.push_str("false"),
-        Value::Int(n) => out.push_str(&n.to_string()),
-        Value::UInt(n) => out.push_str(&n.to_string()),
-        Value::Float(f) => {
-            if f.is_finite() {
-                out.push_str(&format!("{f:?}"));
-            } else {
-                // Match serde_json's lossy behaviour for non-finite floats in
-                // Value position.
-                out.push_str("null");
-            }
+        Value::Int(n) => match i64::try_from(*n) {
+            Ok(n) => push_display(out, n),
+            Err(_) => push_display(out, n),
+        },
+        Value::UInt(n) => match u64::try_from(*n) {
+            Ok(n) => push_display(out, n),
+            Err(_) => push_display(out, n),
+        },
+        // serde_json's lossy behaviour for non-finite floats in Value position.
+        Value::Float(f) if !f.is_finite() => out.push_str("null"),
+        // `{:?}` of an exact whole float under 1e16 is its integer and `.0`.
+        Value::Float(f) if *f != 0.0 && f.abs() < 1e15 && f.trunc() == *f => {
+            push_display(out, *f as i64);
+            out.push_str(".0");
         }
+        Value::Float(f) => push_display(out, format_args!("{f:?}")),
         Value::Str(s) => write_escaped(out, s),
         Value::Arr(items) => {
             out.push('[');
@@ -128,6 +134,11 @@ fn write_value(out: &mut String, v: &Value) {
             out.push('}');
         }
     }
+}
+
+/// Append `value`'s `Display` bytes without a `String` of its own.
+fn push_display(out: &mut String, value: impl fmt::Display) {
+    write!(out, "{value}").expect("writing to a String cannot fail");
 }
 
 fn write_escaped(out: &mut String, s: &str) {
@@ -468,6 +479,94 @@ mod tests {
     fn floats_keep_decimal_point() {
         assert_eq!(to_string(&1.0f64).unwrap(), "1.0");
         assert_eq!(to_string(&0.25f64).unwrap(), "0.25");
+    }
+
+    /// Every number prints the bytes `n.to_string()` and `{:?}` print
+    /// (and `null` for a float that is not finite), on both sides of the
+    /// 64-bit paths and of the whole-float fast path.
+    #[test]
+    fn numbers_print_as_std_formats_them() {
+        let printed = |v: Value| {
+            let mut out = String::new();
+            write_value(&mut out, &v);
+            out
+        };
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+
+        let mut floats = vec![
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.5,
+            1e15,
+            -1e15,
+            1e15 - 1.0,
+            1e15 + 1.0,
+            -(1e15 - 1.0),
+            1e16,
+            1e16 - 2.0,
+            9_007_199_254_740_992.0,
+            9_007_199_254_740_993.0,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0,
+            -f64::from_bits(1),
+            f64::MAX,
+            f64::MIN,
+            f64::EPSILON,
+        ];
+        for _ in 0..20_000 {
+            let bits = next();
+            floats.push(f64::from_bits(bits));
+            // Whole floats, the fast path's share of a report.
+            floats.push((bits >> (bits % 64)) as i64 as f64);
+            floats.push(((bits % 2_000_000_000_000_000) as f64 - 1e15).trunc());
+        }
+        floats.extend([f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY]);
+        for f in floats {
+            let expect = if f.is_finite() {
+                format!("{f:?}")
+            } else {
+                "null".into()
+            };
+            assert_eq!(printed(Value::Float(f)), expect, "bits {:#x}", f.to_bits());
+        }
+
+        let wide = |hi: u64, lo: u64| (u128::from(hi) << 64) | u128::from(lo);
+        let mut ints: Vec<i128> = vec![0, -1, 1, i128::MIN, i128::MAX];
+        let mut uints: Vec<u128> = vec![0, 1, u128::MAX];
+        for edge in [
+            i128::from(i64::MIN),
+            i128::from(i64::MAX),
+            i128::from(u64::MAX),
+        ] {
+            ints.extend([edge - 1, edge, edge + 1]);
+            uints.extend([edge - 1, edge, edge + 1].map(|n| n as u128));
+        }
+        for _ in 0..20_000 {
+            let (bits, low) = (next(), next());
+            let wide = wide(bits, low);
+            ints.extend([
+                bits as i64 as i128,
+                wide as i128,
+                (bits >> (bits % 64)) as i128,
+            ]);
+            uints.extend([u128::from(bits), wide, wide >> (bits % 128)]);
+        }
+        for n in ints {
+            assert_eq!(printed(Value::Int(n)), n.to_string());
+        }
+        for n in uints {
+            assert_eq!(printed(Value::UInt(n)), n.to_string());
+        }
     }
 
     #[test]
